@@ -37,10 +37,10 @@ def _use_map(func: Function) -> dict[str, list[Inst]]:
     return uses
 
 
-def _escape_analysis(func: Function, root: str, size: int) -> tuple[SafetyClass, set[str]]:
+def _escape_analysis(uses: dict[str, list[Inst]], root: str,
+                     size: int) -> tuple[SafetyClass, set[str]]:
     """Walk the derivation chain from root; returns the classification
     and, when safe, every register on the approved direct-access chain."""
-    uses = _use_map(func)
     chain: set[str] = set()
     worklist: list[tuple[str, int]] = [(root, 0)]
     while worklist:
@@ -67,47 +67,57 @@ def _escape_analysis(func: Function, root: str, size: int) -> tuple[SafetyClass,
     return SafetyClass(True, "safe"), chain
 
 
-def classify(func: Function, prog: Program) -> dict[str, SafetyClass]:
-    """Per-alloca safety classification for one function."""
-    out: dict[str, SafetyClass] = {}
+# root register -> (defining alloca or globaladdr, class, safe chain)
+_Roots = dict[str, tuple[Inst, SafetyClass, set[str]]]
+
+
+def _escape_roots(func: Function, prog: Program) -> _Roots:
+    """Every alloca and globaladdr root of func, classified once from one
+    use map."""
+    uses = _use_map(func)
+    roots: _Roots = {}
     for _, _, inst in func.insts():
         if inst.op == "alloca":
-            cls, _ = _escape_analysis(func, inst.result, inst.args[0])
-            out[inst.result] = cls
-    return out
+            size = inst.args[0]
+        elif inst.op == "globaladdr":
+            size = prog.global_def(inst.args[0][1:]).size
+        else:
+            continue
+        roots[inst.result] = (inst, *_escape_analysis(uses, inst.result, size))
+    return roots
+
+
+def _safe_direct_regs(roots: _Roots, global_safety: dict[str, SafetyClass]) -> set[str]:
+    """Registers whose accesses need no check: Safe allocas, Safe
+    globals, and their constant-offset derivation chains."""
+    safe: set[str] = set()
+    for inst, _, chain in roots.values():
+        if inst.op == "alloca" or global_safety[inst.args[0][1:]].safe:
+            safe |= chain
+    return safe
+
+
+def _analyse(prog: Program) -> tuple[dict[str, _Roots], dict[str, SafetyClass]]:
+    """Escape roots per function, and each global's safety derived from
+    them: a global is unsafe if any function uses its address unsafely."""
+    roots = {name: _escape_roots(func, prog) for name, func in prog.functions.items()}
+    safety = {g.symbol: SafetyClass(True, "safe") for g in prog.globals}
+    for func_roots in roots.values():
+        for inst, cls, _ in func_roots.values():
+            if inst.op == "globaladdr" and not cls.safe and safety[inst.args[0][1:]].safe:
+                safety[inst.args[0][1:]] = cls
+    return roots, safety
+
+
+def classify(func: Function, prog: Program) -> dict[str, SafetyClass]:
+    """Per-alloca safety classification for one function."""
+    return {reg: cls for reg, (inst, cls, _) in _escape_roots(func, prog).items()
+            if inst.op == "alloca"}
 
 
 def classify_globals(prog: Program) -> dict[str, SafetyClass]:
     """A global is unsafe if any function uses its address unsafely."""
-    out = {g.symbol: SafetyClass(True, "safe") for g in prog.globals}
-    for func in prog.functions.values():
-        for _, _, inst in func.insts():
-            if inst.op == "globaladdr":
-                sym = inst.args[0][1:]
-                g = prog.global_def(sym)
-                cls, _ = _escape_analysis(func, inst.result, g.size)
-                if not cls.safe and out[sym].safe:
-                    out[sym] = cls
-    return out
-
-
-def _safe_direct_regs(func: Function, prog: Program,
-                      global_safety: dict[str, SafetyClass]) -> set[str]:
-    """Registers whose accesses need no check: Safe allocas, Safe
-    globals, and their constant-offset derivation chains."""
-    safe: set[str] = set()
-    for _, _, inst in func.insts():
-        if inst.op == "alloca":
-            cls, chain = _escape_analysis(func, inst.result, inst.args[0])
-            if cls.safe:
-                safe |= chain
-        elif inst.op == "globaladdr":
-            sym = inst.args[0][1:]
-            if global_safety[sym].safe:
-                cls, chain = _escape_analysis(func, inst.result, prog.global_def(sym).size)
-                if cls.safe:
-                    safe |= chain
-    return safe
+    return _analyse(prog)[1]
 
 
 class _Namer:
@@ -131,12 +141,12 @@ def instrument(prog: Program) -> Program:
     if prog.instrumented:
         raise InstrumentationError("program is already instrumented")
     out = copy.deepcopy(prog)
-    global_safety = classify_globals(out)
+    roots, global_safety = _analyse(out)
     for g in out.globals:
         g.unsafe = not global_safety[g.symbol].safe
 
-    for func in out.functions.values():
-        _instrument_function(out, func, global_safety)
+    for name, func in out.functions.items():
+        _instrument_function(out, func, roots[name], global_safety)
 
     main = out.functions["main"]
     gppt_setup = [
@@ -150,17 +160,16 @@ def instrument(prog: Program) -> Program:
     return out
 
 
-def _instrument_function(prog: Program, func: Function,
+def _instrument_function(prog: Program, func: Function, roots: _Roots,
                          global_safety: dict[str, SafetyClass]) -> None:
     namer = _Namer(func)
-    safe_direct = _safe_direct_regs(func, prog, global_safety)
-    alloca_safety = classify(func, prog)
+    safe_direct = _safe_direct_regs(roots, global_safety)
 
     # Unsafe allocas get a signed alias; all other insts use the alias.
     rename: dict[str, str] = {}
     sign_after: dict[str, tuple[str, int]] = {}
     for _, _, inst in func.insts():
-        if inst.op == "alloca" and not alloca_safety[inst.result].safe:
+        if inst.op == "alloca" and not roots[inst.result][1].safe:
             padded = padded_size(inst.args[0])
             inst.args = (padded,)
             alias = namer.fresh(inst.result + ".s")
@@ -252,9 +261,9 @@ def lint_instrumented(prog: Program) -> list[str]:
     a check/fastcheck (whose definition dominates the access by SSA
     validity)."""
     problems: list[str] = []
-    global_safety = classify_globals(prog)
-    for func in prog.functions.values():
-        safe_direct = _safe_direct_regs(func, prog, global_safety)
+    roots, global_safety = _analyse(prog)
+    for name, func in prog.functions.items():
+        safe_direct = _safe_direct_regs(roots[name], global_safety)
         check_results = {
             inst.result for _, _, inst in func.insts() if inst.op in ("check", "fastcheck")
         }

@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 from .errors import FaultKind, LimitExceeded, MemoryFault, PasanError
 from .instrument import instrument
-from .memspace import MemSpace, Region, RegionMap, GLOBALS_BASE, HEAP_BASE, STACK_TOP
+from .memspace import MemSpace, RegionMap
 from .miniir import Function, Inst, Program, function_types
 from .pacore import MASK64, AddressConfig, PacKey, strip
 from .runtime import (
     RT_FREE,
     RT_MALLOC,
     RT_WRAPPERS,
+    WRAPPED_EXTERNS,
     IdGenerator,
     SanitizerRuntime,
     Stats,
@@ -82,11 +83,8 @@ class Interpreter:
         self.cfg = cfg
         self.limits = limits or Limits()
         rng = random.Random(seed)
-        regions = RegionMap(
-            globals=Region(GLOBALS_BASE, self.limits.globals_bytes),
-            heap=Region(HEAP_BASE, self.limits.heap_bytes),
-            stack=Region(STACK_TOP - self.limits.stack_bytes, self.limits.stack_bytes),
-        )
+        regions = RegionMap.default(self.limits.globals_bytes, self.limits.heap_bytes,
+                                    self.limits.stack_bytes)
         self.mem = MemSpace(cfg, regions)
         self.rt = SanitizerRuntime(
             self.mem, PacKey.generate(rng), IdGenerator.seeded(rng), bytewise=bytewise
@@ -297,7 +295,7 @@ class Interpreter:
         uninstrumented library code.  External code runs unchecked: it
         receives raw pointers and its accesses are not authenticated."""
         if name == "ext_alloc":
-            return self.rt.external_alloc(args[0])
+            return strip(self.rt.protected_malloc(args[0]), self.cfg)
         if name == "ext_id":
             return args[0]
         if name == "ext_poke":
@@ -305,22 +303,9 @@ class Interpreter:
             return 0
         if name == "ext_peek":
             return self.mem.read(args[0], 8)
-        if name == "memcpy":
-            dest, src, length = args
-            for i in range(length):
-                self.mem.write(dest + i, 1, self.mem.read(src + i, 1))
-            return dest
-        if name == "memset":
-            dest, byte, length = args
-            for i in range(length):
-                self.mem.write(dest + i, 1, byte)
-            return dest
-        if name == "strlen":
-            (src,) = args
-            length = 0
-            while self.mem.read(src + length, 1):
-                length += 1
-            return length
+        if name in WRAPPED_EXTERNS:
+            return self.mem.builtin(name, args, self.mem.trap_span,
+                                    lambda ptr: self.mem.trap_span(ptr, 1))
         return 0
 
 

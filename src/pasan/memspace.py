@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlignmentError, FaultKind, MemoryFault
-from .pacore import AddressConfig
+from .errors import AlignmentError, FaultKind, MemoryFault, PasanError
+from .pacore import MASK64, AddressConfig
 
 PAGE_SIZE = 4096
 PAGE_MASK = PAGE_SIZE - 1
@@ -153,3 +153,33 @@ class MemSpace:
     def write(self, addr: int, width: int, value: int) -> None:
         self._check_access(addr, width)
         self._store_bytes(addr, (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little"))
+
+    def trap_span(self, addr: int, length: int) -> int:
+        """Vet an unchecked access to [addr, addr+length) byte by byte, so
+        it traps at the first faulting byte; returns addr."""
+        for off in range(length):
+            self._check_access(addr + off, 1)
+        return addr
+
+    def builtin(self, name: str, args: list[int], span, at) -> int:
+        """memcpy/memset/strlen semantics.  span(ptr, length) vets a range
+        and at(ptr) a single byte; each returns the raw address to move
+        bytes at, or raises.  A pointer result is returned as received."""
+        if name == "memcpy":
+            dest, src, length = args
+            if length > 0:
+                raw_dest = span(dest, length)
+                self._store_bytes(raw_dest, self._load_bytes(span(src, length), length))
+            return dest
+        if name == "memset":
+            dest, byte, length = args
+            if length > 0:
+                self._store_bytes(span(dest, length), bytes([byte & 0xFF]) * length)
+            return dest
+        if name == "strlen":
+            (src,) = args
+            length = 0
+            while self._load_bytes(at((src + length) & MASK64), 1)[0]:
+                length += 1
+            return length
+        raise PasanError(f"no wrapper registered for {name!r}")

@@ -676,14 +676,6 @@ class Dominance:
             return ia < ib
         return self.strictly_dominates(la, lb)
 
-    def idom(self) -> dict[str, str | None]:
-        """Immediate-dominator tree (parent map); the entry maps to None."""
-        parents: dict[str, str | None] = {}
-        for label, doms in self.dominated_by.items():
-            strict = doms - {label}
-            parents[label] = max(strict, key=lambda d: len(self.dominated_by[d]), default=None)
-        return parents
-
 
 # ---------------------------------------------------------------------------
 # May-free path analysis
@@ -753,11 +745,10 @@ def _reachable_after(func: Function, loc: tuple[str, int]) -> set[tuple[str, int
 
 
 def may_free_between(prog: Program, func: Function, loc_a: tuple[str, int],
-                     loc_b: tuple[str, int], ptr: str | None = None) -> bool:
+                     loc_b: tuple[str, int]) -> bool:
     """True iff some path from loc_a to loc_b passes an operation that
-    may free memory.  The pointer argument is accepted for interface
-    parity; the analysis is conservative and ignores which object a
-    freeing operation targets."""
+    may free memory.  The analysis is conservative and ignores which
+    object a freeing operation targets."""
     may_free = functions_may_free(prog)
     after_a = _reachable_after(func, loc_a)
     for floc in _freeing_locations(prog, func, may_free):

@@ -37,17 +37,21 @@ def _check_sites(func: Function):
 
 
 def _rpo_index(func: Function) -> dict[str, int]:
+    """Reverse post-order of a depth-first walk, kept on an explicit
+    stack so CFG depth is not bounded by the recursion limit."""
     order: list[str] = []
-    seen: set[str] = set()
-
-    def visit(label: str):
-        seen.add(label)
-        for succ in func.successors(label):
+    seen = {func.entry}
+    stack = [(func.entry, iter(func.successors(func.entry)))]
+    while stack:
+        label, succs = stack[-1]
+        for succ in succs:
             if succ not in seen:
-                visit(succ)
-        order.append(label)
-
-    visit(func.entry)
+                seen.add(succ)
+                stack.append((succ, iter(func.successors(succ))))
+                break
+        else:
+            stack.pop()
+            order.append(label)
     return {label: i for i, label in enumerate(reversed(order))}
 
 
@@ -74,7 +78,7 @@ def remove_redundant_checks(prog: Program) -> Program:
                     if inst_a.uid in dead or inst_b.result2 is not None:
                         continue  # never drop a check other code takes a token from
                     if dom.inst_dominates(loc_a, loc_b) and \
-                            not may_free_between(out, func, loc_a, loc_b, inst_a.args[0]):
+                            not may_free_between(out, func, loc_a, loc_b):
                         dead.add(inst_b.uid)
                         subst[inst_b.result] = inst_a.result
 
@@ -150,7 +154,7 @@ def same_lock_optimize(prog: Program) -> Program:
                         (d_loc, d_inst)
                         for d_loc, d_inst in retained
                         if dom.inst_dominates(d_loc, loc)
-                        and not may_free_between(out, func, d_loc, loc, inst.args[0])
+                        and not may_free_between(out, func, d_loc, loc)
                     ),
                     None,
                 )

@@ -113,10 +113,6 @@ def lock_bits(ptr: int, cfg: AddressConfig) -> int:
     return ptr >> cfg.msb_bit
 
 
-def address_bits(ptr: int, cfg: AddressConfig) -> int:
-    return ptr & cfg.addr_mask
-
-
 def error_pattern(cfg: AddressConfig) -> int:
     """Field value written on failed authentication: nonzero for every
     legal width, and distinctive for diagnostics."""

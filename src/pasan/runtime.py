@@ -1,6 +1,5 @@
-"""Sanitizer runtime: protected allocation and deallocation, the full
-and fast pointer checks, standard-function wrappers, external-allocation
-interception, and violation reporting.
+"""Sanitizer runtime: allocation and deallocation, the full and fast
+pointer checks, standard-function wrappers, and violation reporting.
 
 Every live protected object is shadowed by one uniform nonzero 32-bit
 id; freed extents are uniformly zero.  A pointer authenticates iff its
@@ -156,23 +155,30 @@ class SanitizerRuntime:
         self.retired: list[_Extent] = []
         self.stats = Stats()
 
-    # -- allocator (bump + eager exact-size reuse, the adversarial case
-    #    for temporal safety) --
+    # -- allocation: one carve -> record -> count path; protection is
+    #    register_object layered on top --
 
-    def _carve(self, padded: int) -> int:
+    def _allocate(self, size: int) -> tuple[int, int]:
+        """Carve a padded heap block (bump, or eager exact-size reuse: the
+        adversarial case for temporal safety), record it live and count
+        it; returns (base, padded size)."""
+        padded = padded_size(size)
         blocks = self.free_lists.get(padded)
         if blocks:
-            return blocks.pop()
-        base = self.heap_cursor
-        if base + padded > self.mem.regions.heap.limit:
-            raise LimitExceeded("simulated heap exhausted")
-        self.heap_cursor = base + padded
-        return base
+            base = blocks.pop()
+        else:
+            base = self.heap_cursor
+            if base + padded > self.mem.regions.heap.limit:
+                raise LimitExceeded("simulated heap exhausted")
+            self.heap_cursor = base + padded
+        self.alloc[base] = AllocEntry(padded, True)
+        self.stats.allocs += 1
+        return base, padded
 
-    def _release(self, base: int, padded: int) -> None:
-        self.free_lists.setdefault(padded, []).append(base)
-
-    # -- object registry --
+    def _release(self, base: int, entry: AllocEntry) -> None:
+        entry.live = False
+        self.free_lists.setdefault(entry.size, []).append(base)
+        self.stats.frees += 1
 
     def register_object(self, base: int, padded: int, origin: str) -> tuple[int, int]:
         """Shadow a fresh extent with a new id; returns (id, signed base)."""
@@ -186,42 +192,19 @@ class SanitizerRuntime:
         self.live.pop(obj_id, None)
         self.retired.append(_Extent(base, padded, obj_id, origin))
 
-    # -- allocation entry points --
-
     def protected_malloc(self, size: int) -> int:
-        padded = padded_size(size)
-        base = self._carve(padded)
-        self.alloc[base] = AllocEntry(padded, True)
-        self.stats.allocs += 1
-        _, signed = self.register_object(base, padded, "heap")
-        return signed
-
-    def external_alloc(self, size: int) -> int:
-        """Interceptor for allocations made by uninstrumented code:
-        identical metadata handling, but the returned base is unsigned
-        so the external caller can use it directly."""
-        padded = padded_size(size)
-        base = self._carve(padded)
-        self.alloc[base] = AllocEntry(padded, True)
-        self.stats.allocs += 1
-        self.register_object(base, padded, "heap")
-        return base
+        base, padded = self._allocate(size)
+        return self.register_object(base, padded, "heap")[1]
 
     def plain_malloc(self, size: int) -> int:
         """Uninstrumented allocation: no id, no shadow, unsigned base."""
-        padded = padded_size(size)
-        base = self._carve(padded)
-        self.alloc[base] = AllocEntry(padded, True)
-        self.stats.allocs += 1
-        return base
+        return self._allocate(size)[0]
 
     def plain_free(self, addr: int) -> None:
         entry = self.alloc.get(addr)
         if entry is None or not entry.live:
             raise MemoryFault(FaultKind.UNMAPPED, addr, "invalid free target")
-        entry.live = False
-        self._release(addr, entry.size)
-        self.stats.frees += 1
+        self._release(addr, entry)
 
     def resign_return(self, raw: int) -> int:
         """Re-sign a pointer coming back from uninstrumented code using
@@ -263,22 +246,25 @@ class SanitizerRuntime:
             return ViolationKind.USE_AFTER_FREE, "unshadowed memory"
         return ViolationKind.CRAFTED_PAC, "signature matches no live or retired object"
 
-    def _auth_or_raise(self, ptr: int) -> tuple[int, int]:
-        """Full authentication; returns (raw address, shadow id) on
-        success, raises the classified violation otherwise."""
+    def _authenticate(self, ptr: int) -> tuple[int, int, bool]:
+        """Full authentication, shared by the access check and free:
+        returns (raw address, shadow id, whether the signature matched).
+        A pointer into the metadata half or with bit 55 set never
+        authenticates; it is reported here."""
         raw = strip(ptr, self.cfg)
         found = self.mem.id_at(raw)
-        authed = pac_auth(ptr, found, self.key, self.cfg)
-        if authed == with_pac_field(ptr, 0, self.cfg):
-            return raw, found
+        if pac_auth(ptr, found, self.key, self.cfg) == with_pac_field(ptr, 0, self.cfg):
+            return raw, found, True
         if (ptr >> self.cfg.msb_bit) & 1:
             self._raise(ViolationKind.SHADOW_ACCESS, ptr, found,
                         "pointer targets the metadata half")
         if (ptr >> RESERVED_BIT) & 1:
             self._raise(ViolationKind.CRAFTED_PAC, ptr, found, "reserved bit 55 set")
+        return raw, found, False
+
+    def _reject(self, ptr: int, raw: int, found: int) -> None:
         kind, narrative = self._classify_failure(raw, found, pac_field(ptr, self.cfg))
         self._raise(kind, ptr, found, narrative)
-        raise AssertionError("unreachable")
 
     # -- the checks --
 
@@ -287,7 +273,9 @@ class SanitizerRuntime:
         access stays within one uniformly-shadowed extent; returns the
         stripped address for the raw access."""
         self.stats.checks_full += 1
-        raw, found = self._auth_or_raise(ptr)
+        raw, found, authentic = self._authenticate(ptr)
+        if not authentic:
+            self._reject(ptr, raw, found)
         if width > 1:
             offsets = range(1, width) if self.bytewise else (width - 1,)
             for off in offsets:
@@ -321,13 +309,8 @@ class SanitizerRuntime:
     # -- deallocation --
 
     def protected_free(self, ptr: int) -> None:
-        raw = strip(ptr, self.cfg)
-        found = self.mem.id_at(raw)
-        authed = pac_auth(ptr, found, self.key, self.cfg)
-        if authed != with_pac_field(ptr, 0, self.cfg):
-            if (ptr >> self.cfg.msb_bit) & 1:
-                self._raise(ViolationKind.SHADOW_ACCESS, ptr, found,
-                            "free of a metadata-half pointer")
+        raw, found, authentic = self._authenticate(ptr)
+        if not authentic:
             if found == 0:
                 entry = self.alloc.get(raw)
                 if entry is not None and not entry.live:
@@ -335,8 +318,7 @@ class SanitizerRuntime:
                                 f"block at 0x{raw:x} already freed")
                 self._raise(ViolationKind.USE_AFTER_FREE, ptr, found,
                             "free through a stale pointer")
-            kind, narrative = self._classify_failure(raw, found, pac_field(ptr, self.cfg))
-            self._raise(kind, ptr, found, narrative)
+            self._reject(ptr, raw, found)
         # Begin-of-object: the shadow word below the base must differ.
         # A zero guard word sits below the heap base, so the first block
         # passes; interior pointers see their own id below and fail.
@@ -347,47 +329,21 @@ class SanitizerRuntime:
         if entry is None or not entry.live:
             self._raise(ViolationKind.SPATIAL_OOB, ptr, found,
                         "free target is not a live heap allocation")
-        entry.live = False
         self.retire_extent(raw, entry.size, found, "heap")
-        self._release(raw, entry.size)
-        self.stats.frees += 1
+        self._release(raw, entry)
 
     # -- standard-function wrappers --
 
-    def _range_check(self, ptr: int, length: int) -> None:
-        if length <= 0:
-            return
-        if self.bytewise:
-            for off in range(length):
-                self.checked_access((ptr + off) & MASK64, 1)
-        else:
-            self.checked_access(ptr, 1)
-            self.checked_access((ptr + length - 1) & MASK64, 1)
+    def _range_check(self, ptr: int, length: int) -> int:
+        """Check [ptr, ptr+length) at its first and last byte, or at every
+        byte under the per-byte oracle; returns the raw start."""
+        for off in range(length) if self.bytewise else (0, length - 1):
+            self.checked_access((ptr + off) & MASK64, 1)
+        return strip(ptr, self.cfg)
 
     def wrapper_call(self, name: str, args: list[int]) -> int:
         """Check-and-strip wrappers for builtins that take pointers.
         A wrapper that would return a pointer argument returns it in its
         signed form, exactly as received."""
-        if name == "memcpy":
-            dest, src, length = args
-            self._range_check(dest, length)
-            self._range_check(src, length)
-            if length > 0:
-                data = self.mem._load_bytes(strip(src, self.cfg), length)
-                self.mem._store_bytes(strip(dest, self.cfg), data)
-            return dest
-        if name == "memset":
-            dest, byte, length = args
-            self._range_check(dest, length)
-            if length > 0:
-                self.mem._store_bytes(strip(dest, self.cfg), bytes([byte & 0xFF]) * length)
-            return dest
-        if name == "strlen":
-            (src,) = args
-            length = 0
-            while True:
-                raw = self.checked_access((src + length) & MASK64, 1)
-                if self.mem._load_bytes(raw, 1)[0] == 0:
-                    return length
-                length += 1
-        raise PasanError(f"no wrapper registered for {name!r}")
+        return self.mem.builtin(name, args, self._range_check,
+                                lambda ptr: self.checked_access(ptr, 1))

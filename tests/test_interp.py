@@ -368,3 +368,71 @@ def test_stats_populated():
     assert stats.allocs == 1
     assert stats.frees == 1
     assert stats.checks_full == 1
+
+
+RAW_BUILTINS = """\
+extern @memcpy(ptr, ptr, i64) -> ptr
+extern @memset(ptr, i32, i64) -> ptr
+extern @strlen(ptr) -> i64
+
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 8
+  %a = malloc %sz
+  %b = malloc %sz
+  %fill = const.i32 65
+  %r0 = call @memset(%a, %fill, %sz)
+  %five = const.i64 5
+  %tail = gep %a, %five
+  %zero = const.i32 0
+  %one = const.i64 1
+  %r1 = call @memset(%tail, %zero, %one)
+  %word = const.i32 16909060
+  %four = const.i64 4
+  %hi = gep %a, %four
+  %r2 = call @memcpy(%b, %a, %sz)
+  store.i32 %a, %word
+  %r3 = call @memcpy(%hi, %a, %four)
+  %len = call @strlen(%b)
+  %c = malloc %sz
+  store.i64 %c, %len
+  %x = load.i32 %EXIT
+  ret %x
+}
+"""
+
+
+@pytest.mark.parametrize("exit_reg, expected", [
+    ("%b", 0x41414141),   # fill, then copy
+    ("%hi", 16909060),    # copy of a stored word
+    ("%c", 5),            # strlen up to the zero byte
+])
+def test_raw_builtins_exit_values(exit_reg, expected):
+    # uninstrumented memcpy/memset/strlen are simulated external code
+    prog = parse(RAW_BUILTINS.replace("%EXIT", exit_reg))
+    validate(prog)
+    result = run(prog, CFG, seed=0)
+    assert result.completed
+    assert result.exit_value == expected
+    assert result.stats.checks_full == 0
+
+
+def test_raw_memset_past_heap_end_faults_at_first_unmapped_byte():
+    prog = parse("""\
+extern @memset(ptr, i32, i64) -> ptr
+
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 48
+  %p = malloc %sz
+  %zero = const.i32 0
+  %n = const.i64 100
+  %r = call @memset(%p, %zero, %n)
+  ret %zero
+}
+""")
+    validate(prog)
+    result = run(prog, CFG, seed=0, limits=Limits(heap_bytes=64))
+    assert result.report.kind is ViolationKind.SPATIAL_OOB
+    assert result.report.pointer == 0x1000_0000 + 64  # heap base + heap_bytes
+    assert result.report.found_id == 0

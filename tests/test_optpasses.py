@@ -1,4 +1,6 @@
 """Redundant check removal and same-lock fast verification."""
+import sys
+
 import pytest
 
 from pasan.instrument import instrument, lint_instrumented
@@ -227,3 +229,16 @@ def test_optimized_programs_stay_valid(corpus_dir):
         out = run_passes(instrument(parse(path.read_text())), "all")
         validate(out)
         assert lint_instrumented(out) == [], path.name
+
+
+def test_same_lock_on_cfg_deeper_than_recursion_limit():
+    # a straight-line chain of blocks longer than the recursion limit,
+    # with one check at each end
+    blocks = sys.getrecursionlimit() + 100
+    lines = ["func @main() -> i32 {", "bb0:", "  %sz = const.i64 8", "  %p = malloc %sz",
+             "  %a = load.i32 %p", "  br bb1"]
+    for i in range(1, blocks):
+        lines += [f"bb{i}:", f"  br bb{i + 1}"]
+    lines += [f"bb{blocks}:", "  %b = load.i32 %p", "  ret %b", "}"]
+    prog = build("\n".join(lines) + "\n")
+    assert count_checks(same_lock_optimize(prog)) == (1, 1)

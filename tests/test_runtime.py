@@ -264,8 +264,9 @@ def test_wrapper_strlen():
 
 
 def test_external_alloc_unsigned_then_resign():
+    # the ext_alloc interceptor: a protected allocation, handed out stripped
     rt = make_rt()
-    raw = rt.external_alloc(12)
+    raw = strip(rt.protected_malloc(12), CFG)
     assert pac_field(raw, CFG) == 0
     signed = rt.resign_return(raw)
     assert rt.checked_access(signed, 4) == raw
@@ -284,3 +285,21 @@ def test_heap_exhaustion_is_harness_error():
     with pytest.raises(LimitExceeded):
         for _ in range(64):
             rt.protected_malloc(16)
+
+
+@pytest.mark.parametrize("operation", ["access", "free"])
+@pytest.mark.parametrize("bit, kind", [
+    (55, ViolationKind.CRAFTED_PAC),
+    (CFG.msb_bit, ViolationKind.SHADOW_ACCESS),
+])
+def test_malformed_pointer_classified_alike_by_access_and_free(operation, bit, kind):
+    rt = make_rt()
+    bad = rt.protected_malloc(12) | 1 << bit
+    with pytest.raises(ViolationError) as exc:
+        if operation == "access":
+            rt.checked_access(bad, 4)
+        else:
+            rt.protected_free(bad)
+    assert kind_of(exc) is kind
+    if bit == 55:
+        assert exc.value.report.narrative == "reserved bit 55 set"
