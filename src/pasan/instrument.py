@@ -15,7 +15,7 @@ import copy
 from dataclasses import dataclass
 
 from .errors import InstrumentationError
-from .miniir import BUILTIN_SIGS, Function, Inst, Program
+from .miniir import BUILTIN_SIGS, Function, Inst, Namer, Program
 from .runtime import RT_FREE, RT_MALLOC, WRAPPED_EXTERNS, padded_size
 
 __all__ = ["SafetyClass", "classify", "classify_globals", "instrument",
@@ -120,22 +120,6 @@ def classify_globals(prog: Program) -> dict[str, SafetyClass]:
     return _analyse(prog)[1]
 
 
-class _Namer:
-    def __init__(self, func: Function):
-        self.used = {reg for reg, _ in func.params}
-        for _, _, inst in func.insts():
-            self.used.update(inst.defs())
-
-    def fresh(self, base: str) -> str:
-        name = base
-        counter = 0
-        while name in self.used:
-            counter += 1
-            name = f"{base}{counter}"
-        self.used.add(name)
-        return name
-
-
 def instrument(prog: Program) -> Program:
     """Produce the instrumented program; the input is left untouched."""
     if prog.instrumented:
@@ -162,7 +146,7 @@ def instrument(prog: Program) -> Program:
 
 def _instrument_function(prog: Program, func: Function, roots: _Roots,
                          global_safety: dict[str, SafetyClass]) -> None:
-    namer = _Namer(func)
+    namer = Namer(func)
     safe_direct = _safe_direct_regs(roots, global_safety)
 
     # Unsafe allocas get a signed alias; all other insts use the alias.
@@ -220,7 +204,7 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
         func.blocks[label] = new_block
 
 
-def _instrument_call(prog: Program, inst: Inst, namer: _Namer) -> list[Inst]:
+def _instrument_call(prog: Program, inst: Inst, namer: Namer) -> list[Inst]:
     callee = inst.callee
     if callee in prog.functions:
         return [inst]

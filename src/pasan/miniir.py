@@ -122,6 +122,25 @@ class Program:
         raise KeyError(symbol)
 
 
+class Namer:
+    """Fresh register names for one function: `base`, then `base1`,
+    `base2`, ..., skipping every name already defined."""
+
+    def __init__(self, func: Function):
+        self.used = {reg for reg, _ in func.params}
+        for _, _, inst in func.insts():
+            self.used.update(inst.defs())
+
+    def fresh(self, base: str) -> str:
+        name = base
+        counter = 0
+        while name in self.used:
+            counter += 1
+            name = f"{base}{counter}"
+        self.used.add(name)
+        return name
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -348,10 +367,6 @@ def _parse_inst(line: str, lineno: int) -> Inst:
 # Printer
 # ---------------------------------------------------------------------------
 
-def _fmt_operand(op) -> str:
-    return str(op)
-
-
 def format_inst(inst: Inst) -> str:
     parts = []
     if inst.result:
@@ -360,25 +375,24 @@ def format_inst(inst: Inst) -> str:
     if op == "const":
         parts.append(f"const.{inst.ty} {inst.args[0]}")
     elif op in ARITH_OPS:
-        parts.append(f"{op}.{inst.ty} {_fmt_operand(inst.args[0])}, {_fmt_operand(inst.args[1])}")
+        parts.append(f"{op}.{inst.ty} {inst.args[0]}, {inst.args[1]}")
     elif op == "load":
-        parts.append(f"load.{inst.ty} {_fmt_operand(inst.args[0])}")
+        parts.append(f"load.{inst.ty} {inst.args[0]}")
     elif op == "store":
-        parts.append(f"store.{inst.ty} {_fmt_operand(inst.args[0])}, {_fmt_operand(inst.args[1])}")
+        parts.append(f"store.{inst.ty} {inst.args[0]}, {inst.args[1]}")
     elif op == "call":
-        parts.append(f"call @{inst.callee}({', '.join(_fmt_operand(a) for a in inst.args)})")
+        parts.append(f"call @{inst.callee}({', '.join(map(str, inst.args))})")
     elif op == "phi":
-        arms = ", ".join(f"[{lbl}: {_fmt_operand(v)}]" for lbl, v in inst.incomings)
+        arms = ", ".join(f"[{lbl}: {v}]" for lbl, v in inst.incomings)
         parts.append(f"phi {arms}")
     elif op == "cbr":
-        parts.append(f"cbr {_fmt_operand(inst.args[0])}, {inst.args[1]}, {inst.args[2]}")
+        parts.append(f"cbr {inst.args[0]}, {inst.args[1]}, {inst.args[2]}")
     elif op == "check":
-        parts.append(f"check {_fmt_operand(inst.args[0])}, {inst.width}")
+        parts.append(f"check {inst.args[0]}, {inst.width}")
     elif op == "fastcheck":
-        args = ", ".join(_fmt_operand(a) for a in inst.args)
-        parts.append(f"fastcheck {args}, {inst.width}")
+        parts.append(f"fastcheck {', '.join(map(str, inst.args))}, {inst.width}")
     else:
-        parts.append(" ".join([op] + [", ".join(_fmt_operand(a) for a in inst.args)]).rstrip())
+        parts.append(" ".join([op] + [", ".join(map(str, inst.args))]).rstrip())
     return "".join(parts)
 
 
@@ -517,14 +531,15 @@ def _validate_function(prog: Program, func: Function) -> None:
 
     # Defs dominate uses.
     dom = Dominance(func)
+    preds_of = func.predecessors()
     for label, idx, inst in func.insts():
         if inst.op == "phi":
-            preds = func.predecessors()[label]
+            preds = preds_of[label]
             arm_labels = [lbl for lbl, _ in inst.incomings]
             if sorted(arm_labels) != sorted(preds):
                 err(f"{label}: phi arms {arm_labels} do not match predecessors {preds}")
             for lbl, val in inst.incomings:
-                if isinstance(val, str) and val.startswith("%") and val not in dict(func.params):
+                if isinstance(val, str) and val.startswith("%") and val not in param_regs:
                     site = def_site.get(val)
                     if site is None:
                         err(f"use of undefined register {val}")
@@ -533,8 +548,7 @@ def _validate_function(prog: Program, func: Function) -> None:
                         err(f"{label}: phi operand {val} does not dominate edge from {lbl}")
             continue
         for operand in inst.operands():
-            if isinstance(operand, str) and operand.startswith("%") and \
-                    operand not in dict(func.params):
+            if isinstance(operand, str) and operand.startswith("%") and operand not in param_regs:
                 site = def_site.get(operand)
                 if site is None:
                     err(f"use of undefined register {operand}")
@@ -681,77 +695,72 @@ class Dominance:
 # May-free path analysis
 # ---------------------------------------------------------------------------
 
-def functions_may_free(prog: Program) -> set[str]:
-    """Names of internal functions that may free memory, transitively.
-    Every external call is conservatively assumed to free."""
-
-    def directly_frees(inst: Inst) -> bool:
-        if inst.op == "free":
-            return True
-        if inst.op == "call":
-            callee = inst.callee
-            if callee == "__pa_free":
-                return True
-            if callee in prog.functions or callee in BUILTIN_SIGS:
-                return False
-            return True  # external
+def _may_free(prog: Program, freeing: set[str], inst: Inst) -> bool:
+    """May inst free memory?  `free`, `__pa_free`, a call to an internal
+    function in `freeing`, and any call to code outside the program and
+    the runtime (conservatively) do."""
+    if inst.op == "free":
+        return True
+    if inst.op != "call":
         return False
+    if inst.callee in prog.functions:
+        return inst.callee in freeing
+    return inst.callee == "__pa_free" or inst.callee not in BUILTIN_SIGS
 
-    result = {
-        name for name, f in prog.functions.items()
-        if any(directly_frees(inst) for _, _, inst in f.insts())
-    }
+
+def functions_may_free(prog: Program) -> set[str]:
+    """Names of internal functions that may free memory, transitively:
+    the least fixpoint of _may_free over their instructions."""
+    freeing: set[str] = set()
     changed = True
     while changed:
         changed = False
         for name, f in prog.functions.items():
-            if name in result:
-                continue
-            for _, _, inst in f.insts():
-                if inst.op == "call" and inst.callee in result:
-                    result.add(name)
-                    changed = True
-                    break
-    return result
+            if name not in freeing and any(
+                    _may_free(prog, freeing, inst) for _, _, inst in f.insts()):
+                freeing.add(name)
+                changed = True
+    return freeing
 
 
-def _freeing_locations(prog: Program, func: Function, may_free: set[str]):
-    for label, idx, inst in func.insts():
-        if inst.op == "free":
-            yield label, idx
-        elif inst.op == "call":
-            callee = inst.callee
-            if callee == "__pa_free" or callee in may_free or (
-                callee not in prog.functions
-                and callee not in ("__pa_malloc", "__pa_memcpy", "__pa_memset", "__pa_strlen")
-            ):
-                yield label, idx
+class FreeFacts:
+    """What may_free_between needs of one function, computed once: the
+    indexes of possibly-freeing instructions in each block that has
+    any, and (only if there are such blocks) the blocks reachable from
+    each block by one or more edges."""
+
+    def __init__(self, prog: Program, func: Function, freeing: set[str]):
+        self.frees: dict[str, list[int]] = {}
+        for label, idx, inst in func.insts():
+            if _may_free(prog, freeing, inst):
+                self.frees.setdefault(label, []).append(idx)
+        self.reach: dict[str, set[str]] = {}
+        if not self.frees:
+            return  # no query can find a free
+        succs = {label: func.successors(label) for label in func.blocks}
+        for label in func.blocks:
+            seen: set[str] = set()
+            frontier = list(succs[label])
+            while frontier:
+                blk = frontier.pop()
+                if blk not in seen:
+                    seen.add(blk)
+                    frontier.extend(succs[blk])
+            self.reach[label] = seen
 
 
-def _reachable_after(func: Function, loc: tuple[str, int]) -> set[tuple[str, int]]:
-    """Instruction positions that may execute strictly after loc."""
-    label, idx = loc
-    result = {(label, j) for j in range(idx + 1, len(func.blocks[label]))}
-    seen: set[str] = set()
-    frontier = list(func.successors(label))
-    while frontier:
-        blk = frontier.pop()
-        if blk in seen:
-            continue
-        seen.add(blk)
-        result.update((blk, j) for j in range(len(func.blocks[blk])))
-        frontier.extend(func.successors(blk))
-    return result
-
-
-def may_free_between(prog: Program, func: Function, loc_a: tuple[str, int],
+def may_free_between(facts: FreeFacts, loc_a: tuple[str, int],
                      loc_b: tuple[str, int]) -> bool:
     """True iff some path from loc_a to loc_b passes an operation that
-    may free memory.  The analysis is conservative and ignores which
-    object a freeing operation targets."""
-    may_free = functions_may_free(prog)
-    after_a = _reachable_after(func, loc_a)
-    for floc in _freeing_locations(prog, func, may_free):
-        if floc in after_a and loc_b in _reachable_after(func, floc):
+    may free memory: a freeing instruction lies after loc_a (later in
+    its block, or in a block reachable from it) and before loc_b
+    (earlier in its block, or loc_b's block is reachable from it).  The
+    analysis is conservative and ignores which object is freed."""
+    (la, ia), (lb, ib) = loc_a, loc_b
+    for fl, idxs in facts.frees.items():
+        past_a = fl in facts.reach[la]
+        before_b = lb in facts.reach[fl]
+        if (past_a or fl == la) and (before_b or fl == lb) and any(
+                (past_a or i > ia) and (before_b or i < ib) for i in idxs):
             return True
     return False

@@ -10,7 +10,8 @@ from __future__ import annotations
 import copy
 
 from .errors import InstrumentationError
-from .miniir import Dominance, Function, Inst, Program, may_free_between
+from .miniir import (Dominance, FreeFacts, Function, Inst, Namer, Program,
+                     functions_may_free, may_free_between)
 
 PASS_SETS = {
     "none": (),
@@ -26,14 +27,6 @@ def run_passes(prog: Program, opts: str) -> Program:
     for name in PASS_SETS[opts]:
         prog = remove_redundant_checks(prog) if name == "redundant" else same_lock_optimize(prog)
     return prog
-
-
-def _check_sites(func: Function):
-    return [
-        ((label, idx), inst)
-        for label, idx, inst in func.insts()
-        if inst.op == "check"
-    ]
 
 
 def _rpo_index(func: Function) -> dict[str, int]:
@@ -55,66 +48,63 @@ def _rpo_index(func: Function) -> dict[str, int]:
     return {label: i for i, label in enumerate(reversed(order))}
 
 
+def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key):
+    """Yield (loc, check, cover) for each check of func that a kept check
+    of the same group (by group_key(check)) dominates with no
+    possibly-freeing instruction in between.  Each group is visited in
+    reverse post-order, so every check that dominates another is decided
+    first and a cover is always a kept check.  A check holding a token
+    is never covered: a fast check elsewhere reads that token."""
+    by_key: dict = {}
+    for label, idx, inst in func.insts():
+        if inst.op == "check":
+            by_key.setdefault(group_key(inst), []).append(((label, idx), inst))
+    groups = [members for members in by_key.values() if len(members) > 1]
+    if not groups:
+        return
+    dom = Dominance(func)
+    facts = FreeFacts(prog, func, freeing)
+    rpo = _rpo_index(func)
+    for members in groups:
+        members.sort(key=lambda item: (rpo[item[0][0]], item[0][1]))
+        kept: list = []
+        for loc, inst in members:
+            # at most one kept check covers inst; the nearest is likeliest
+            cover = None if inst.result2 is not None else next(
+                (k_inst for k_loc, k_inst in reversed(kept)
+                 if dom.inst_dominates(k_loc, loc) and not may_free_between(facts, k_loc, loc)),
+                None,
+            )
+            if cover is None:
+                kept.append((loc, inst))
+            else:
+                yield loc, inst, cover
+
+
 def remove_redundant_checks(prog: Program) -> Program:
     """Delete any check dominated by another check of the same register
     and width with no possibly-freeing operation in between; uses of the
     deleted check's results are rewired to the dominating check."""
     out = copy.deepcopy(prog)
+    freeing = functions_may_free(out)
     for func in out.functions.values():
-        sites = _check_sites(func)
-        if len(sites) < 2:
+        subst = {
+            inst.result: cover.result
+            for _, inst, cover in _covered_checks(
+                out, func, freeing, lambda inst: (inst.args[0], inst.width))
+        }
+        if not subst:
             continue
-        dom = Dominance(func)
-        dead: set[int] = set()
-        subst: dict[str, str] = {}
-        groups: dict[tuple[str, int], list] = {}
-        for loc, inst in sites:
-            groups.setdefault((inst.args[0], inst.width), []).append((loc, inst))
-        for members in groups.values():
-            for loc_a, inst_a in members:
-                for loc_b, inst_b in members:
-                    if inst_a.uid == inst_b.uid or inst_b.uid in dead:
-                        continue
-                    if inst_a.uid in dead or inst_b.result2 is not None:
-                        continue  # never drop a check other code takes a token from
-                    if dom.inst_dominates(loc_a, loc_b) and \
-                            not may_free_between(out, func, loc_a, loc_b):
-                        dead.add(inst_b.uid)
-                        subst[inst_b.result] = inst_a.result
-
-        def resolve(reg: str) -> str:
-            while reg in subst:
-                reg = subst[reg]
-            return reg
-
-        for label in func.blocks:
+        for label, block in func.blocks.items():
             kept = []
-            for inst in func.blocks[label]:
-                if inst.uid in dead:
+            for inst in block:
+                if inst.result in subst:
                     continue
-                inst.args = tuple(
-                    resolve(a) if isinstance(a, str) and a.startswith("%") else a
-                    for a in inst.args
-                )
-                inst.incomings = tuple(
-                    (lbl, resolve(v) if isinstance(v, str) and v.startswith("%") else v)
-                    for lbl, v in inst.incomings
-                )
+                inst.args = tuple(subst.get(a, a) for a in inst.args)
+                inst.incomings = tuple((lbl, subst.get(v, v)) for lbl, v in inst.incomings)
                 kept.append(inst)
             func.blocks[label] = kept
     return out
-
-
-def _derivation_root(func: Function, reg: str) -> str:
-    defs = {inst.result: inst for _, _, inst in func.insts() if inst.result}
-    while True:
-        inst = defs.get(reg)
-        if inst is None or inst.op != "gep":
-            return reg
-        base = inst.args[0]
-        if not (isinstance(base, str) and base.startswith("%")):
-            return reg
-        reg = base
 
 
 def same_lock_optimize(prog: Program) -> Program:
@@ -122,56 +112,27 @@ def same_lock_optimize(prog: Program) -> Program:
     member dominated by a retained member with no free in between is
     downgraded to a fast check against the id observed there."""
     out = copy.deepcopy(prog)
+    freeing = functions_may_free(out)
     for func in out.functions.values():
-        sites = _check_sites(func)
-        if len(sites) < 2:
-            continue
-        dom = Dominance(func)
-        rpo = _rpo_index(func)
-        used = {reg for reg, _ in func.params}
-        for _, _, inst in func.insts():
-            used.update(inst.defs())
+        defs = {inst.result: inst for _, _, inst in func.insts() if inst.result}
 
-        def fresh_token() -> str:
-            counter = 0
-            while f"%tk{counter}" in used:
-                counter += 1
-            name = f"%tk{counter}"
-            used.add(name)
-            return name
+        def gep_root(inst: Inst) -> str:
+            reg = inst.args[0]
+            while reg in defs and defs[reg].op == "gep":
+                reg = defs[reg].args[0]
+            return reg
 
-        groups: dict[str, list] = {}
-        for loc, inst in sites:
-            groups.setdefault(_derivation_root(func, inst.args[0]), []).append((loc, inst))
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            members.sort(key=lambda item: (rpo[item[0][0]], item[0][1]))
-            retained: list = []
-            for loc, inst in members:
-                anchor = next(
-                    (
-                        (d_loc, d_inst)
-                        for d_loc, d_inst in retained
-                        if dom.inst_dominates(d_loc, loc)
-                        and not may_free_between(out, func, d_loc, loc)
-                    ),
-                    None,
-                )
-                if anchor is None:
-                    retained.append((loc, inst))
-                    continue
-                d_loc, d_inst = anchor
-                if d_inst.result2 is None:
-                    d_inst.result2 = fresh_token()
-                label, idx = loc
-                func.blocks[label][idx] = Inst(
-                    "fastcheck",
-                    result=inst.result,
-                    width=inst.width,
-                    args=(inst.args[0], d_inst.result2, d_inst.args[0]),
-                    uid=inst.uid,
-                )
+        namer = Namer(func)
+        for (label, idx), inst, cover in _covered_checks(out, func, freeing, gep_root):
+            if cover.result2 is None:
+                cover.result2 = namer.fresh("%tk")
+            func.blocks[label][idx] = Inst(
+                "fastcheck",
+                result=inst.result,
+                width=inst.width,
+                args=(inst.args[0], cover.result2, cover.args[0]),
+                uid=inst.uid,
+            )
     return out
 
 

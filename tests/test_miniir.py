@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from pasan.errors import ParseError, ValidationError
 from pasan.miniir import (
     Dominance,
+    FreeFacts,
     Function,
     Inst,
     Program,
     format_program,
     function_types,
+    functions_may_free,
     may_free_between,
     parse,
     validate,
@@ -304,6 +306,10 @@ def _prog_with_main(body: str, extra: str = "") -> Program:
     return prog
 
 
+def _may_free(prog: Program, func: Function, loc_a, loc_b) -> bool:
+    return may_free_between(FreeFacts(prog, func, functions_may_free(prog)), loc_a, loc_b)
+
+
 def _loc_of(func: Function, op: str, nth: int = 0) -> tuple[str, int]:
     count = 0
     for label, idx, inst in func.insts():
@@ -327,8 +333,8 @@ bb0:
     f = prog.functions["main"]
     la = _loc_of(f, "load", 0)
     lb = _loc_of(f, "load", 1)
-    assert not may_free_between(prog, f, la, lb)
-    assert may_free_between(prog, f, la, _loc_of(f, "ret"))
+    assert not _may_free(prog, f, la, lb)
+    assert _may_free(prog, f, la, _loc_of(f, "ret"))
 
 
 def test_may_free_intervening_free():
@@ -344,7 +350,7 @@ bb0:
   ret %a
 """)
     f = prog.functions["main"]
-    assert may_free_between(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
+    assert _may_free(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
 
 
 def test_external_call_is_conservatively_freeing():
@@ -358,7 +364,7 @@ bb0:
   ret %a
 """, extra="extern @ext_pure(i64) -> i64\n\n")
     f = prog.functions["main"]
-    assert may_free_between(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
+    assert _may_free(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
 
 
 def test_internal_transitive_free():
@@ -388,7 +394,7 @@ bb0:
 """)
     validate(prog)
     f = prog.functions["main"]
-    assert may_free_between(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
+    assert _may_free(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
 
 
 def test_free_on_untaken_branch_does_not_block():
@@ -410,7 +416,7 @@ bb2:
 """)
     f = prog.functions["main"]
     # the free in bb1 lies on no path between the two loads in bb2
-    assert not may_free_between(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
+    assert not _may_free(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
 
 
 def test_free_reachable_through_loop_blocks():
@@ -438,7 +444,7 @@ bb3:
 """.rstrip("}\n") + "\n")
     f = prog.functions["main"]
     # some path from the first load to the second passes the loop's free
-    assert may_free_between(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
+    assert _may_free(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
 
 
 @st.composite
@@ -489,7 +495,7 @@ def test_may_free_matches_path_oracle(case):
         return  # keep terminators intact
     marked.blocks[label][idx] = Inst("free", args=("%c0",), uid=old.uid)
     prog = Program(functions={"f": marked})
-    got = may_free_between(prog, marked, a, b)
+    got = _may_free(prog, marked, a, b)
     expected = _oracle_path_through(marked, a, f_pos, b)
     # the analysis may also see other frees (there are none) so equality holds
     assert got == expected

@@ -199,6 +199,40 @@ bb0:
     assert count_checks(out) == (2, 0)
 
 
+# Instrumented input (reachable only through the API): %c1 is dominated
+# by %c0, with %p as both its register and its gep root, but it holds
+# the token that the fast check on %q reads.
+TOKEN_HOLDER = """\
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = call @__pa_malloc(%sz)
+  %v = const.i32 1
+  %c0 = check %p, 4
+  store.i32 %c0, %v
+  %c1, %t = check %p, 4
+  store.i32 %c1, %v
+  %q = gep %p, 4
+  %c2 = fastcheck %q, %t, %p, 4
+  store.i32 %c2, %v
+  %z = const.i32 0
+  ret %z
+}
+"""
+
+
+@pytest.mark.parametrize("opt", [remove_redundant_checks, same_lock_optimize])
+def test_check_holding_a_token_is_kept(opt):
+    prog = parse(TOKEN_HOLDER)
+    validate(prog)
+    out = opt(prog)
+    validate(out)
+    assert count_checks(out) == (2, 1)
+    result = run(out, CFG, seed=0)
+    assert result.completed
+    assert (result.stats.checks_full, result.stats.checks_fast) == (2, 1)
+
+
 def test_count_checks_uninstrumented():
     prog = parse("func @main() -> i32 {\nbb0:\n  %z = const.i32 0\n  ret %z\n}\n")
     validate(prog)

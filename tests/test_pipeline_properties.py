@@ -137,3 +137,90 @@ def test_good_variants_clean_at_extreme_widths(corpus_dir):
             validate(source)
             assert run(run_passes(instrument(source), "all"), cfg, seed=1).completed, \
                 (n, path.name)
+
+
+# The loop counter is a safe (uninstrumented) stack slot multiplied by
+# 2^16 at every back edge: it wraps to 0 after three taken back edges,
+# so every generated program terminates.
+CFG_PROLOGUE = """\
+extern @ext_id(i64) -> i64
+
+func @release(%h: ptr) -> i32 {
+bb0:
+  free %h
+  %z = const.i32 0
+  ret %z
+}
+
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = malloc %sz
+  %o = malloc %sz
+  %v = const.i32 1
+  %one = const.i32 1
+  %cnt = alloca 8
+  %k0 = const.i64 1
+  store.i64 %cnt, %k0
+  %m = const.i64 65536
+  br bb1
+"""
+
+# (op, object, gep offset or None for an access through the object itself);
+# accesses are drawn three times as often as the rest
+CFG_OPS = st.tuples(
+    st.sampled_from(["load", "store"] * 3 + ["free", "release", "ext"]),
+    st.sampled_from(["%p", "%o"]),
+    st.sampled_from([None, 0, 4, 12]),
+)
+
+
+@st.composite
+def looping_cfgs(draw):
+    """A random CFG over two heap objects: accesses through gep-derived
+    pointers, frees (direct, and through the freeing @release), external
+    calls, forward skips and bounded back edges."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    lines = [CFG_PROLOGUE]
+    for i in range(1, n + 1):
+        lines.append(f"bb{i}:")
+        for j, (op, obj, offset) in enumerate(draw(st.lists(CFG_OPS, max_size=5))):
+            reg = f"%r{i}_{j}"
+            if op in ("load", "store"):
+                if offset is not None:
+                    lines.append(f"  {reg} = gep {obj}, {offset}")
+                    obj = reg
+                lines.append(f"  %x{i}_{j} = load.i32 {obj}" if op == "load"
+                             else f"  store.i32 {obj}, %v")
+            elif op == "free":
+                lines.append(f"  free {obj}")
+            elif op == "release":
+                lines.append(f"  {reg} = call @release({obj})")
+            else:
+                lines.append(f"  {reg} = call @ext_id(%sz)")
+        if i == n:
+            lines.append("  ret %v")
+            break
+        target = draw(st.integers(min_value=1, max_value=n))
+        if target <= i:
+            lines += [f"  %c{i} = load.i64 %cnt", f"  %d{i} = mul.i64 %c{i}, %m",
+                      f"  store.i64 %cnt, %d{i}", f"  cbr %d{i}, bb{target}, bb{i + 1}"]
+        elif target > i + 1:
+            lines.append(f"  cbr %one, bb{target}, bb{i + 1}")
+        else:
+            lines.append(f"  br bb{i + 1}")
+    return "\n".join(lines) + "\n}\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(looping_cfgs(), st.integers(min_value=0, max_value=2 ** 16))
+def test_optimized_verdicts_match_oracle_on_looping_cfgs(text, seed):
+    source = parse(text)
+    validate(source)
+    for n in (33, 47, 52):
+        cfg = AddressConfig(n)
+        optimized = run(run_passes(instrument(source), "all"), cfg, seed=seed)
+        oracle = run_unoptimized_oracle(source, cfg, seed=seed)
+        assert optimized.verdict == oracle.verdict, (n, text)
+        if not oracle.completed:
+            assert optimized.report.kind == oracle.report.kind, (n, text)
