@@ -30,9 +30,6 @@ class Region:
     def limit(self) -> int:
         return self.base + self.size
 
-    def contains(self, addr: int, width: int = 1) -> bool:
-        return self.base <= addr and addr + width <= self.limit
-
 
 @dataclass(frozen=True)
 class RegionMap:
@@ -59,10 +56,6 @@ def shadow_of(addr: int, cfg: AddressConfig) -> int:
     return addr | 1 << cfg.msb_bit
 
 
-def align4(addr: int) -> int:
-    return addr & ~3
-
-
 class MemSpace:
     """One interpreter run's memory.  Single-threaded mutation."""
 
@@ -74,10 +67,17 @@ class MemSpace:
             region = getattr(self.regions, name)
             if region.limit > 1 << cfg.msb_bit:
                 raise ValueError(f"{name} region extends past the program half")
+        self._spans = tuple((r.base, r.limit) for r in
+                            (self.regions.globals, self.regions.heap, self.regions.stack))
+        self._shadow_bit = 1 << cfg.msb_bit
 
     # -- raw byte store (no checks; callers enforce their own contracts) --
 
     def _load_bytes(self, addr: int, width: int) -> bytes:
+        off = addr & PAGE_MASK
+        if off + width <= PAGE_SIZE:  # within one page
+            buf = self._pages.get(addr >> 12)
+            return buf[off : off + width] if buf is not None else bytes(width)
         out = bytearray()
         while width:
             page, off = addr >> 12, addr & PAGE_MASK
@@ -89,6 +89,13 @@ class MemSpace:
         return bytes(out)
 
     def _store_bytes(self, addr: int, data: bytes) -> None:
+        off = addr & PAGE_MASK
+        if off + len(data) <= PAGE_SIZE:  # within one page
+            buf = self._pages.get(addr >> 12)
+            if buf is None:
+                buf = self._pages[addr >> 12] = bytearray(PAGE_SIZE)
+            buf[off : off + len(data)] = data
+            return
         pos = 0
         while pos < len(data):
             page, off = addr >> 12, addr & PAGE_MASK
@@ -104,10 +111,14 @@ class MemSpace:
 
     def id_at(self, addr: int) -> int:
         """The 32-bit object id shadowing addr (0 = freed or never
-        allocated).  Lookup is at the 4-aligned shadow word."""
-        return int.from_bytes(
-            self._load_bytes(shadow_of(align4(addr), self.cfg), 4), "little"
-        )
+        allocated).  Lookup is at the 4-aligned shadow word, which never
+        straddles a page."""
+        shadow = (addr | self._shadow_bit) & ~3
+        buf = self._pages.get(shadow >> 12)
+        if buf is None:
+            return 0
+        off = shadow & PAGE_MASK
+        return int.from_bytes(buf[off : off + 4], "little")
 
     def _check_shadow_range(self, base: int, size: int) -> None:
         if base & 3 or size <= 0 or size & 3:
@@ -130,8 +141,8 @@ class MemSpace:
     # -- program-visible raw access (the trap surface) --
 
     def region_of(self, addr: int) -> str | None:
-        for name in ("globals", "heap", "stack"):
-            if getattr(self.regions, name).contains(addr):
+        for name, (base, limit) in zip(("globals", "heap", "stack"), self._spans):
+            if base <= addr < limit:
                 return name
         return None
 
@@ -139,10 +150,11 @@ class MemSpace:
         # Any bit in [n, 64) — signature field or bit 55 — traps the access.
         if addr >> self.cfg.n:
             raise MemoryFault(FaultKind.POISONED_POINTER, addr)
-        if (addr >> self.cfg.msb_bit) & 1:
+        if addr & self._shadow_bit:
             raise MemoryFault(FaultKind.SHADOW_ACCESS, addr)
-        for name in ("globals", "heap", "stack"):
-            if getattr(self.regions, name).contains(addr, width):
+        end = addr + width
+        for base, limit in self._spans:
+            if base <= addr and end <= limit:
                 return
         raise MemoryFault(FaultKind.UNMAPPED, addr)
 

@@ -13,7 +13,7 @@ object id zero-extended into the address bits plus the address MSB.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import PreconditionViolated
@@ -30,32 +30,49 @@ class AddressConfig:
 
     p_override shrinks the effective signature field for statistical
     tests only; it may never exceed the derived width.
+
+    The layout is computed once here.  The signature field is
+    effective_p bits, filling [n, 55) first, then [56, 64), low to high:
+    lo_bits of them start at bit n, the remaining hi_bits at bit 56.
     """
 
     n: int = 47
     p_override: int | None = None
+    p: int = field(init=False, repr=False, compare=False)
+    effective_p: int = field(init=False, repr=False, compare=False)
+    msb_bit: int = field(init=False, repr=False, compare=False)
+    addr_mask: int = field(init=False, repr=False, compare=False)
+    lo_bits: int = field(init=False, repr=False, compare=False)
+    lo_mask: int = field(init=False, repr=False, compare=False)
+    hi_mask: int = field(init=False, repr=False, compare=False)
+    field_mask: int = field(init=False, repr=False, compare=False)
+    strip_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 33 <= self.n <= 52:
-            raise ValueError(f"virtual-address width n={self.n} outside [33, 52]")
-        if self.p_override is not None and not 1 <= self.p_override <= 63 - self.n:
-            raise ValueError(f"p_override={self.p_override} outside [1, {63 - self.n}]")
-
-    @property
-    def p(self) -> int:
-        return 63 - self.n
-
-    @property
-    def effective_p(self) -> int:
-        return self.p if self.p_override is None else self.p_override
-
-    @property
-    def msb_bit(self) -> int:
-        return self.n - 1
-
-    @property
-    def addr_mask(self) -> int:
-        return (1 << self.n) - 1
+        n = self.n
+        if not 33 <= n <= 52:
+            raise ValueError(f"virtual-address width n={n} outside [33, 52]")
+        if self.p_override is not None and not 1 <= self.p_override <= 63 - n:
+            raise ValueError(f"p_override={self.p_override} outside [1, {63 - n}]")
+        eff_p = 63 - n if self.p_override is None else self.p_override
+        lo_bits = min(eff_p, RESERVED_BIT - n)
+        lo_mask = (1 << lo_bits) - 1
+        hi_mask = (1 << (eff_p - lo_bits)) - 1
+        field_mask = lo_mask << n | hi_mask << 56
+        layout = {
+            "p": 63 - n,
+            "effective_p": eff_p,
+            "msb_bit": n - 1,
+            "addr_mask": (1 << n) - 1,
+            "lo_bits": lo_bits,
+            "lo_mask": lo_mask,
+            "hi_mask": hi_mask,
+            "field_mask": field_mask,
+            # strip clears the signature field and the reserved bit
+            "strip_mask": MASK64 & ~field_mask & ~(1 << RESERVED_BIT),
+        }
+        for name, value in layout.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -81,29 +98,15 @@ class PacKey:
         return self.key >> 64
 
 
-@lru_cache(maxsize=64)
-def _field_geometry(n: int, eff_p: int) -> tuple[int, int, int]:
-    # Signature bits fill [n, 55) first, then [56, 64), low-to-high.
-    lo_count = min(eff_p, RESERVED_BIT - n)
-    hi_count = eff_p - lo_count
-    field_mask = ((1 << lo_count) - 1) << n | ((1 << hi_count) - 1) << 56
-    return lo_count, hi_count, field_mask
-
-
 def pac_field(ptr: int, cfg: AddressConfig) -> int:
     """Extract the signature field as a compact eff_p-bit integer."""
-    lo_count, hi_count, _ = _field_geometry(cfg.n, cfg.effective_p)
-    lo = (ptr >> cfg.n) & ((1 << lo_count) - 1)
-    hi = (ptr >> 56) & ((1 << hi_count) - 1)
-    return lo | hi << lo_count
+    return (ptr >> cfg.n) & cfg.lo_mask | ((ptr >> 56) & cfg.hi_mask) << cfg.lo_bits
 
 
 def with_pac_field(ptr: int, value: int, cfg: AddressConfig) -> int:
     """Return ptr with its signature field replaced by value."""
-    lo_count, hi_count, field_mask = _field_geometry(cfg.n, cfg.effective_p)
-    lo = value & ((1 << lo_count) - 1)
-    hi = (value >> lo_count) & ((1 << hi_count) - 1)
-    return (ptr & ~field_mask & MASK64) | lo << cfg.n | hi << 56
+    return (ptr & ~cfg.field_mask & MASK64) | (value & cfg.lo_mask) << cfg.n \
+        | ((value >> cfg.lo_bits) & cfg.hi_mask) << 56
 
 
 def lock_bits(ptr: int, cfg: AddressConfig) -> int:
@@ -226,4 +229,4 @@ def is_poisoned(ptr: int, cfg: AddressConfig) -> bool:
 
 def strip(ptr: int, cfg: AddressConfig) -> int:
     """Clear the signature field and bit 55; address bits untouched."""
-    return with_pac_field(ptr, 0, cfg) & ~(1 << RESERVED_BIT)
+    return ptr & cfg.strip_mask

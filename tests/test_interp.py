@@ -142,6 +142,39 @@ bb2:
         run(prog, CFG, seed=0, limits=Limits(max_insts=1000))
 
 
+def test_instruction_budget_is_exact():
+    # 2 in bb0, three loop trips of 4 in bb1 plus 3 in @inc, 1 in bb2:
+    # 24 instructions (phis are edge moves and do not count).
+    prog = parse("""\
+func @inc(%x: i32) -> i32 {
+bb0:
+  %one = const.i32 1
+  %y = add.i32 %x, %one
+  ret %y
+}
+
+func @main() -> i32 {
+bb0:
+  %n = const.i32 3
+  br bb1
+bb1:
+  %i = phi [bb0: %n], [bb1: %in]
+  %m = const.i32 -1
+  %in = add.i32 %i, %m
+  %r = call @inc(%in)
+  cbr %in, bb1, bb2
+bb2:
+  ret %r
+}
+""")
+    validate(prog)
+    result = run(prog, CFG, seed=0, limits=Limits(max_insts=24))
+    assert result.completed and result.exit_value == 1
+    assert result.stats.insts == 24
+    with pytest.raises(LimitExceeded):
+        run(prog, CFG, seed=0, limits=Limits(max_insts=23))
+
+
 def test_stack_budget():
     prog = parse("""\
 func @rec() -> i32 {
@@ -436,3 +469,39 @@ bb0:
     assert result.report.kind is ViolationKind.SPATIAL_OOB
     assert result.report.pointer == 0x1000_0000 + 64  # heap base + heap_bytes
     assert result.report.found_id == 0
+
+
+@pytest.mark.parametrize("mode", ["raw", "all"])
+@pytest.mark.parametrize("name, params, ret", [
+    pytest.param(name, params, ret, id=name) for name, params, ret in (
+        ("ext_alloc", (), "ptr"),
+        ("ext_peek", (), "i64"),
+        ("ext_id", (), "ptr"),
+        ("ext_poke", ("ptr",), "i32"),
+        ("memcpy", ("ptr",), "ptr"),
+        ("strlen", ("ptr", "ptr"), "i64"),
+    )
+])
+def test_extern_with_mismatched_signature_is_unsimulated(mode, name, params, ret):
+    # A canned behaviour runs only for the declaration it was written
+    # for; any other declaration of the name is an unsimulated extern.
+    args = ", ".join("%p" for _ in params)
+    text = f"""\
+extern @{name}({", ".join(params)}) -> {ret}
+
+func @main() -> i32 {{
+bb0:
+  %sz = const.i64 16
+  %p = malloc %sz
+  %r = call @{name}({args})
+  %z = const.i32 0
+  ret %z
+}}
+"""
+    if mode == "raw":
+        prog = parse(text)
+        validate(prog)
+    else:
+        prog = build(text, mode)
+    result = run(prog, CFG, seed=0)
+    assert result.completed and result.exit_value == 0

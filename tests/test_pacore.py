@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pasan.errors import PreconditionViolated
 from pasan.pacore import (
+    MASK64,
     AddressConfig,
     PacKey,
     compute_pac,
@@ -251,3 +252,33 @@ def test_forgery_bound_five_sigma():
     p0 = 2.0 ** -cfg.effective_p
     sigma = (trials * p0 * (1 - p0)) ** 0.5
     assert abs(hits - trials * p0) <= 5 * sigma
+
+
+def _field_positions(cfg: AddressConfig) -> list[int]:
+    """Reference layout: the signature field is bits [n, 55) then
+    [56, 64), low to high, truncated to the effective width."""
+    return [*range(cfg.n, 55), *range(56, 64)][:cfg.effective_p]
+
+
+@pytest.mark.parametrize("n", [33, 40, 47, 52])
+@pytest.mark.parametrize("p_override", [None, 1, "low-half", "straddle"])
+def test_layout_matches_bit_position_reference(n, p_override):
+    # "low-half" fills [n, 55) exactly; "straddle" needs one bit above 55
+    p_override = {"low-half": 55 - n, "straddle": 56 - n}.get(p_override, p_override)
+    cfg = AddressConfig(n, p_override=p_override)
+    positions = _field_positions(cfg)
+    assert len(positions) == (63 - n if p_override is None else p_override)
+    rng = random.Random(n)
+    words = [0, MASK64, 1 << 55] + [rng.getrandbits(64) for _ in range(300)]
+    for ptr in words:
+        value = rng.getrandbits(64)
+        expected_field = sum((ptr >> pos & 1) << i for i, pos in enumerate(positions))
+        assert pac_field(ptr, cfg) == expected_field
+        replaced = ptr
+        for i, pos in enumerate(positions):
+            replaced = replaced & ~(1 << pos) | (value >> i & 1) << pos
+        assert with_pac_field(ptr, value, cfg) == replaced
+        stripped = ptr & ~(1 << 55)
+        for pos in positions:
+            stripped &= ~(1 << pos)
+        assert strip(ptr, cfg) == stripped
