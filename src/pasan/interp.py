@@ -210,9 +210,27 @@ def _op_call(interp, frame, regs, inst):
 
 
 def _op_call_external(interp, frame, regs, inst):
-    result = interp._external(inst.callee, [regs[a] for a in inst.args])
+    result = interp._simulate_external(inst.callee, [regs[a] for a in inst.args])
     if inst.result is not None:
         regs[inst.result] = result & MASK64
+
+
+def _op_pa_malloc(interp, frame, regs, inst):
+    result = interp.rt.protected_malloc(regs[inst.args[0]])
+    if inst.result is not None:
+        regs[inst.result] = result
+
+
+def _op_pa_free(interp, frame, regs, inst):
+    interp.rt.protected_free(regs[inst.args[0]])
+    if inst.result is not None:
+        regs[inst.result] = 0
+
+
+def _op_pa_wrapper(interp, frame, regs, inst):
+    result = interp.rt.wrapper_call(RT_WRAPPERS[inst.callee], [regs[a] for a in inst.args])
+    if inst.result is not None:
+        regs[inst.result] = result
 
 
 def _op_br(interp, frame, regs, inst):
@@ -244,6 +262,11 @@ _HANDLERS = {
     "stripcall": _op_stripcall, "resign": _op_resign, "gpptinit": _op_gpptinit,
     "call": _op_call, "br": _op_br, "cbr": _op_cbr, "ret": _op_ret,
 }
+
+# Calls outside the program bound to their handler at lowering: the
+# runtime entry points by name, any other external is simulated.
+_RUNTIME_CALLS = {RT_MALLOC: _op_pa_malloc, RT_FREE: _op_pa_free,
+                  **dict.fromkeys(RT_WRAPPERS, _op_pa_wrapper)}
 
 # Ops whose integer args are not value operands.
 _LITERAL_ARGS = {"const", "alloca", "sign"}
@@ -312,7 +335,7 @@ class Interpreter:
     def _handler(self, layout: _Layout, inst: Inst):
         op = inst.op
         if op == "call" and inst.callee not in self.prog.functions:
-            return _op_call_external
+            return _RUNTIME_CALLS.get(inst.callee, _op_call_external)
         if op == "gep" and isinstance(inst.args[1], str):
             if layout.types is None:
                 layout.types = function_types(self.prog, layout.func)
@@ -327,9 +350,7 @@ class Interpreter:
 
     def _push_frame(self, func: Function, args: list, ret_reg: str | None) -> _Frame:
         layout = self._layout(func)
-        body, moves = self._block(layout, func.entry)
-        if moves:
-            raise PasanError("interpreter cannot execute op 'phi'")
+        body, _ = self._block(layout, func.entry)  # validate rejects entry-block phis
         new_sp = self.sp - layout.frame_size
         if new_sp < self.mem.regions.stack.base:
             raise LimitExceeded("simulated stack exhausted")
@@ -399,16 +420,6 @@ class Interpreter:
         linear = {i.uid: n for n, (_, _, i) in enumerate(func.insts())}
         report.inst_index = linear.get(inst.uid, -1)
         return ExecResult("violation", stats, report=report)
-
-    def _external(self, callee: str, args: list[int]) -> int:
-        if callee == RT_MALLOC:
-            return self.rt.protected_malloc(args[0])
-        if callee == RT_FREE:
-            self.rt.protected_free(args[0])
-            return 0
-        if callee in RT_WRAPPERS:
-            return self.rt.wrapper_call(RT_WRAPPERS[callee], args)
-        return self._simulate_external(callee, args)
 
     def _simulate_external(self, name: str, args: list[int]) -> int:
         """Canned behaviors for declared externals, standing in for

@@ -475,6 +475,8 @@ def _validate_function(prog: Program, func: Function) -> None:
             if inst.op == "phi":
                 if seen_non_phi:
                     err(f"{label}: phi after non-phi instruction")
+                if label == func.entry:
+                    err(f"{label}: phi in the entry block")
             else:
                 seen_non_phi = True
     for label in func.blocks:

@@ -46,7 +46,10 @@ class AddressConfig:
     lo_mask: int = field(init=False, repr=False, compare=False)
     hi_mask: int = field(init=False, repr=False, compare=False)
     field_mask: int = field(init=False, repr=False, compare=False)
+    clear_mask: int = field(init=False, repr=False, compare=False)
     strip_mask: int = field(init=False, repr=False, compare=False)
+    pac_mask: int = field(init=False, repr=False, compare=False)
+    error_field: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -68,11 +71,16 @@ class AddressConfig:
             "lo_mask": lo_mask,
             "hi_mask": hi_mask,
             "field_mask": field_mask,
+            "clear_mask": MASK64 & ~field_mask,
             # strip clears the signature field and the reserved bit
             "strip_mask": MASK64 & ~field_mask & ~(1 << RESERVED_BIT),
+            # truncates a MAC to the signature width
+            "pac_mask": (1 << eff_p) - 1,
         }
         for name, value in layout.items():
             object.__setattr__(self, name, value)
+        # the error pattern in place in the signature field
+        object.__setattr__(self, "error_field", with_pac_field(0, error_pattern(self), self))
 
 
 @dataclass(frozen=True)
@@ -80,22 +88,18 @@ class PacKey:
     """128-bit signing secret, generated once per simulated run."""
 
     key: int
+    k0: int = field(init=False, repr=False, compare=False)  # low 64 bits
+    k1: int = field(init=False, repr=False, compare=False)  # high 64 bits
 
     def __post_init__(self):
         if not 0 <= self.key < (1 << 128):
             raise ValueError("key must be a 128-bit value")
+        object.__setattr__(self, "k0", self.key & MASK64)
+        object.__setattr__(self, "k1", self.key >> 64)
 
     @classmethod
     def generate(cls, rng) -> "PacKey":
         return cls(rng.getrandbits(128))
-
-    @property
-    def k0(self) -> int:
-        return self.key & MASK64
-
-    @property
-    def k1(self) -> int:
-        return self.key >> 64
 
 
 def pac_field(ptr: int, cfg: AddressConfig) -> int:
@@ -105,7 +109,7 @@ def pac_field(ptr: int, cfg: AddressConfig) -> int:
 
 def with_pac_field(ptr: int, value: int, cfg: AddressConfig) -> int:
     """Return ptr with its signature field replaced by value."""
-    return (ptr & ~cfg.field_mask & MASK64) | (value & cfg.lo_mask) << cfg.n \
+    return ptr & cfg.clear_mask | (value & cfg.lo_mask) << cfg.n \
         | ((value >> cfg.lo_bits) & cfg.hi_mask) << 56
 
 
@@ -131,61 +135,60 @@ def modifier_for(obj_id: int, msb: int, cfg: AddressConfig) -> int:
     return obj_id | (msb & 1) << cfg.msb_bit
 
 
-def _rotl(x: int, b: int) -> int:
-    return ((x << b) | (x >> (64 - b))) & MASK64
-
-
-def _sipround(v0: int, v1: int, v2: int, v3: int) -> tuple[int, int, int, int]:
-    v0 = (v0 + v1) & MASK64
-    v2 = (v2 + v3) & MASK64
-    v1 = _rotl(v1, 13) ^ v0
-    v3 = _rotl(v3, 16) ^ v2
-    v0 = _rotl(v0, 32)
-    v2 = (v2 + v1) & MASK64
-    v0 = (v0 + v3) & MASK64
-    v1 = _rotl(v1, 17) ^ v2
-    v3 = _rotl(v3, 21) ^ v0
-    v2 = _rotl(v2, 32)
-    return v0, v1, v2, v3
-
-
-def siphash24(k0: int, k1: int, data: bytes) -> int:
-    """SipHash-2-4 with a 64-bit result."""
+def _siphash_words(k0: int, k1: int, words) -> int:
+    """SipHash-2-4 over 64-bit little-endian message words; the last word
+    carries the message length in its top byte.  The round is written
+    out once, with rotations as shift pairs."""
+    m64 = MASK64
     v0 = 0x736F6D6570736575 ^ k0
     v1 = 0x646F72616E646F6D ^ k1
     v2 = 0x6C7967656E657261 ^ k0
     v3 = 0x7465646279746573 ^ k1
-    n_whole = len(data) // 8
-    for i in range(n_whole):
-        m = int.from_bytes(data[8 * i : 8 * i + 8], "little")
+    for m in (*words, None):
+        if m is None:  # finalization: four rounds, nothing absorbed
+            m, rounds = 0, 4
+            v2 ^= 0xFF
+        else:
+            rounds = 2
         v3 ^= m
-        v0, v1, v2, v3 = _sipround(v0, v1, v2, v3)
-        v0, v1, v2, v3 = _sipround(v0, v1, v2, v3)
+        for _ in range(rounds):
+            v0 = (v0 + v1) & m64
+            v2 = (v2 + v3) & m64
+            v1 = (v1 << 13 & m64 | v1 >> 51) ^ v0
+            v3 = (v3 << 16 & m64 | v3 >> 48) ^ v2
+            v0 = (v0 << 32 | v0 >> 32) & m64
+            v2 = (v2 + v1) & m64
+            v0 = (v0 + v3) & m64
+            v1 = (v1 << 17 & m64 | v1 >> 47) ^ v2
+            v3 = (v3 << 21 & m64 | v3 >> 43) ^ v0
+            v2 = (v2 << 32 | v2 >> 32) & m64
         v0 ^= m
-    tail = data[8 * n_whole :]
-    m = (len(data) & 0xFF) << 56 | int.from_bytes(tail, "little")
-    v3 ^= m
-    v0, v1, v2, v3 = _sipround(v0, v1, v2, v3)
-    v0, v1, v2, v3 = _sipround(v0, v1, v2, v3)
-    v0 ^= m
-    v2 ^= 0xFF
-    for _ in range(4):
-        v0, v1, v2, v3 = _sipround(v0, v1, v2, v3)
     return v0 ^ v1 ^ v2 ^ v3
+
+
+def siphash24(k0: int, k1: int, data: bytes) -> int:
+    """SipHash-2-4 with a 64-bit result."""
+    n_whole = len(data) // 8
+    words = [int.from_bytes(data[8 * i : 8 * i + 8], "little") for i in range(n_whole)]
+    words.append((len(data) & 0xFF) << 56 | int.from_bytes(data[8 * n_whole :], "little"))
+    return _siphash_words(k0, k1, words)
+
+
+# The final message word of a 16-byte message: its length, no tail bytes.
+_LENGTH_16 = 16 << 56
 
 
 @lru_cache(maxsize=1 << 16)
 def _mac(k0: int, k1: int, modifier: int, context: int) -> int:
-    msg = modifier.to_bytes(8, "little") + context.to_bytes(8, "little")
-    return siphash24(k0, k1, msg)
+    """siphash24 over modifier and context serialized little-endian, taken
+    straight from the two words."""
+    return _siphash_words(k0, k1, (modifier, context, _LENGTH_16))
 
 
 def compute_pac(obj_id: int, msb: int, key: PacKey, cfg: AddressConfig,
                 context: int = ZERO_CONTEXT) -> int:
     """The truncated signature an object with this id yields."""
-    return _mac(key.k0, key.k1, modifier_for(obj_id, msb, cfg), context) & (
-        (1 << cfg.effective_p) - 1
-    )
+    return _mac(key.k0, key.k1, modifier_for(obj_id, msb, cfg), context) & cfg.pac_mask
 
 
 def pac_sign(addr: int, obj_id: int, key: PacKey, cfg: AddressConfig,
@@ -213,18 +216,18 @@ def pac_auth(ptr: int, obj_id: int, key: PacKey, cfg: AddressConfig,
     msb = (ptr >> cfg.msb_bit) & 1
     expected = compute_pac(obj_id, msb, key, cfg, context)
     if msb == 0 and not (ptr >> RESERVED_BIT) & 1 and pac_field(ptr, cfg) == expected:
-        return with_pac_field(ptr, 0, cfg)
+        return ptr & cfg.clear_mask
     return poison(ptr, cfg)
 
 
 def poison(ptr: int, cfg: AddressConfig) -> int:
     """Overwrite the signature field with the error pattern so any later
     dereference traps."""
-    return with_pac_field(ptr, error_pattern(cfg), cfg)
+    return ptr & cfg.clear_mask | cfg.error_field
 
 
 def is_poisoned(ptr: int, cfg: AddressConfig) -> bool:
-    return pac_field(ptr, cfg) == error_pattern(cfg)
+    return ptr & cfg.field_mask == cfg.error_field
 
 
 def strip(ptr: int, cfg: AddressConfig) -> int:

@@ -251,11 +251,12 @@ class SanitizerRuntime:
         returns (raw address, shadow id, whether the signature matched).
         A pointer into the metadata half or with bit 55 set never
         authenticates; it is reported here."""
-        raw = strip(ptr, self.cfg)
+        cfg = self.cfg
+        raw = ptr & cfg.strip_mask
         found = self.mem.id_at(raw)
-        if pac_auth(ptr, found, self.key, self.cfg) == with_pac_field(ptr, 0, self.cfg):
+        if pac_auth(ptr, found, self.key, cfg) == ptr & cfg.clear_mask:
             return raw, found, True
-        if (ptr >> self.cfg.msb_bit) & 1:
+        if (ptr >> cfg.msb_bit) & 1:
             self._raise(ViolationKind.SHADOW_ACCESS, ptr, found,
                         "pointer targets the metadata half")
         if (ptr >> RESERVED_BIT) & 1:
@@ -276,15 +277,19 @@ class SanitizerRuntime:
         raw, found, authentic = self._authenticate(ptr)
         if not authentic:
             self._reject(ptr, raw, found)
-        if width > 1:
-            offsets = range(1, width) if self.bytewise else (width - 1,)
-            for off in offsets:
-                other = self.mem.id_at(raw + off)
-                if other != found:
-                    self._raise(
-                        ViolationKind.SPATIAL_OOB, ptr, other,
-                        f"{width}-byte access at 0x{raw:x} runs past the object",
-                    )
+        # The last byte needs its own shadow read only when it lies in
+        # another 4-byte granule; the per-byte oracle reads every byte.
+        if self.bytewise:
+            offsets = range(1, width)
+        else:
+            offsets = (width - 1,) if (raw & 3) + width > 4 else ()
+        for off in offsets:
+            other = self.mem.id_at(raw + off)
+            if other != found:
+                self._raise(
+                    ViolationKind.SPATIAL_OOB, ptr, other,
+                    f"{width}-byte access at 0x{raw:x} runs past the object",
+                )
         return raw
 
     def fast_check(self, ptr: int, token: int, base: int, width: int = 1) -> int:
@@ -296,9 +301,10 @@ class SanitizerRuntime:
         if lock_bits(ptr, self.cfg) != lock_bits(base, self.cfg):
             self._raise(ViolationKind.SPATIAL_OOB, ptr, self.mem.id_at(raw),
                         "derivation altered non-offset pointer bits")
-        offsets = (0, width - 1) if width > 1 else (0,)
-        if self.bytewise and width > 1:
-            offsets = tuple(range(width))
+        if self.bytewise:
+            offsets = range(width)
+        else:
+            offsets = (0, width - 1) if (raw & 3) + width > 4 else (0,)
         for off in offsets:
             found = self.mem.id_at(raw + off)
             if found != token:

@@ -96,6 +96,21 @@ def test_run_parse_failure_exit_2(tmp_path, capsys):
     assert main(["run", write(tmp_path, "bad.ir", "func nope\n")]) == 2
 
 
+def test_run_entry_block_phi_exit_2(tmp_path, capsys):
+    text = """\
+func @main() -> i32 {
+entry:
+  %x = phi [entry: %y]
+  %y = const.i32 0
+  cbr %y, entry, done
+done:
+  ret %x
+}
+"""
+    assert main(["run", write(tmp_path, "entry_phi.ir", text)]) == 2
+    assert "@main: entry: phi in the entry block" in capsys.readouterr().err
+
+
 def test_corpus_all_expectations_met(corpus_dir, tmp_path):
     out = tmp_path / "corpus.json"
     rc = main(["corpus", str(corpus_dir), "--jobs", "2", "--json", str(out)])

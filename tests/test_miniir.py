@@ -135,6 +135,25 @@ bb1:
         validate(parse(text))
 
 
+ENTRY_PHI = """\
+func @main() -> i32 {
+entry:
+  %x = phi [entry: %y]
+  %y = const.i32 0
+  cbr %y, entry, done
+done:
+  ret %x
+}
+"""
+
+
+def test_phi_in_entry_block_rejected():
+    # the entry block loops to itself, so the arms match its predecessors;
+    # a frame starts in the entry block with no incoming edge to read
+    with pytest.raises(ValidationError, match="entry: phi in the entry block"):
+        validate(parse(ENTRY_PHI))
+
+
 def test_main_required_and_shape():
     with pytest.raises(ValidationError, match="main"):
         validate(parse("func @other() -> i32 {\nbb0:\n  %z = const.i32 0\n  ret %z\n}\n"))

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from pasan.errors import PreconditionViolated
 from pasan.pacore import (
     MASK64,
+    ZERO_CONTEXT,
     AddressConfig,
     PacKey,
+    _mac,
     compute_pac,
     error_pattern,
     is_poisoned,
@@ -151,6 +153,22 @@ def test_sign_golden_value():
     assert pac_field(pac_sign(0, 0, zero_key, AddressConfig(33)), AddressConfig(33)) == (
         GOLDEN_ZERO_MAC & 0x3FFFFFFF
     )
+
+
+def test_word_mac_matches_byte_siphash():
+    # _mac hashes the two message words directly; it must equal SipHash
+    # over their little-endian bytes, address MSB set or clear, any context.
+    rng = random.Random(12)
+    for _ in range(300):
+        k0, k1 = rng.getrandbits(64), rng.getrandbits(64)
+        cfg = AddressConfig(rng.randrange(33, 53))
+        obj_id = rng.getrandbits(32)
+        for msb in (0, 1):
+            modifier = modifier_for(obj_id, msb, cfg)
+            for context in (ZERO_CONTEXT, rng.getrandbits(64) | 1):
+                data = modifier.to_bytes(8, "little") + context.to_bytes(8, "little")
+                assert _mac(k0, k1, modifier, context) == siphash24(k0, k1, data) \
+                    == siphash24_oracle(k0, k1, data)
 
 
 addrs = st.integers(min_value=0, max_value=(1 << 46) - 1)

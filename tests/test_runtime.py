@@ -223,6 +223,80 @@ def test_fast_check_never_weaker_than_full_check():
         assert not (fast_ok and not full_ok), f"fast accepted what full rejected at {off}"
 
 
+def count_shadow_reads(rt) -> list[int]:
+    """Record every address the runtime reads a shadow id at."""
+    reads, id_at = [], rt.mem.id_at
+
+    def counting(addr):
+        reads.append(addr)
+        return id_at(addr)
+
+    rt.mem.id_at = counting
+    return reads
+
+
+@pytest.mark.parametrize("offset,width", [(0, 4), (4, 4), (8, 4), (1, 2), (3, 1)])
+def test_access_within_one_granule_reads_shadow_once(offset, width):
+    rt = make_rt()
+    signed = rt.protected_malloc(12)
+    token = rt.mem.id_at(strip(signed, CFG))
+    reads = count_shadow_reads(rt)
+    assert rt.checked_access(signed + offset, width) == strip(signed, CFG) + offset
+    assert len(reads) == 1
+    reads.clear()
+    assert rt.fast_check(signed + offset, token, signed, width) == strip(signed, CFG) + offset
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("offset,width", [(2, 4), (0, 8), (4, 8)])
+def test_access_straddling_granules_reads_shadow_twice(offset, width):
+    rt = make_rt()
+    signed = rt.protected_malloc(12)
+    token = rt.mem.id_at(strip(signed, CFG))
+    reads = count_shadow_reads(rt)
+    assert rt.checked_access(signed + offset, width) == strip(signed, CFG) + offset
+    assert len(reads) == 2
+    reads.clear()
+    assert rt.fast_check(signed + offset, token, signed, width) == strip(signed, CFG) + offset
+    assert len(reads) == 2
+
+
+@pytest.mark.parametrize("neighbour", [False, True])
+@pytest.mark.parametrize("offset,width", [(10, 4), (8, 8), (6, 8)])
+def test_access_straddling_object_end_is_spatial_oob(offset, width, neighbour):
+    # the last byte lies in the granule past the object: unshadowed, or
+    # shadowed by the next object's id
+    rt = make_rt()
+    signed = rt.protected_malloc(12)
+    if neighbour:
+        rt.protected_malloc(12)
+    token = rt.mem.id_at(strip(signed, CFG))
+    reads = count_shadow_reads(rt)
+    with pytest.raises(ViolationError) as exc:
+        rt.checked_access(signed + offset, width)
+    assert kind_of(exc) is ViolationKind.SPATIAL_OOB
+    assert len(reads) == 2
+    reads.clear()
+    with pytest.raises(ViolationError) as exc:
+        rt.fast_check(signed + offset, token, signed, width)
+    assert kind_of(exc) is ViolationKind.SPATIAL_OOB
+    assert len(reads) == 2
+
+
+@pytest.mark.parametrize("offset,width", [(0, 4), (2, 4), (0, 8)])
+def test_bytewise_runtime_reads_every_byte(offset, width):
+    rt = make_rt(bytewise=True)
+    signed = rt.protected_malloc(12)
+    token = rt.mem.id_at(strip(signed, CFG))
+    reads = count_shadow_reads(rt)
+    rt.checked_access(signed + offset, width)
+    raw = strip(signed, CFG) + offset
+    assert reads == [raw + off for off in range(width)]
+    reads.clear()
+    rt.fast_check(signed + offset, token, signed, width)
+    assert reads == [raw + off for off in range(width)]
+
+
 def test_wrapper_memset_in_bounds():
     rt = make_rt()
     signed = rt.protected_malloc(16)

@@ -97,6 +97,13 @@ def test_traced_run_reconciles_with_stats():
     allocs = sum(t.totals[name].calls - t.totals[name].raised
                  for name in ALLOC_SPANS if name not in t.missing)
     assert allocs == stats["allocs"] == 3
+    # Every authentication and every signing goes through the traced
+    # pacore functions: one pac_auth per full check and per protected
+    # free, one pac_sign per protected allocation (no stack or global
+    # objects here).
+    calls = {name: t.totals[name].calls for name in t.totals}
+    assert calls["pacore.pac_auth"] == stats["checks_full"] + calls["runtime.protected_free"]
+    assert calls["pacore.pac_sign"] == calls["runtime.protected_malloc"] == 2
     for span in ("runtime.protected_malloc", "runtime.protected_free",
                  "runtime.wrapper_call", "runtime.checked_access", "runtime.fast_check",
                  "pacore.pac_auth", "pacore.pac_sign", "memspace.shadow_fill",
