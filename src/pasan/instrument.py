@@ -11,7 +11,6 @@ everything else is signed, shadowed, and checked.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from .errors import InstrumentationError
@@ -124,7 +123,7 @@ def instrument(prog: Program) -> Program:
     """Produce the instrumented program; the input is left untouched."""
     if prog.instrumented:
         raise InstrumentationError("program is already instrumented")
-    out = copy.deepcopy(prog)
+    out = prog.copy()
     roots, global_safety = _analyse(out)
     for g in out.globals:
         g.unsafe = not global_safety[g.symbol].safe

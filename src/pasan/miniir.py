@@ -1,5 +1,6 @@
 """Small SSA intermediate representation: textual format, parser,
-printer, validator, dominance, and the may-free path analysis.
+printer, validator, structural copy, dominance, and the may-free path
+analysis.
 
 The format is line-oriented; `;` starts a comment.  Programs consist of
 `global` definitions, `extern` declarations, and `func` bodies made of
@@ -13,6 +14,7 @@ source programs; a program containing them is flagged as instrumented.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, ValidationError
@@ -33,7 +35,7 @@ BUILTIN_SIGS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Inst:
     op: str
     result: str | None = None
@@ -54,6 +56,12 @@ class Inst:
 
     def defs(self):
         return [r for r in (self.result, self.result2) if r is not None]
+
+    def copy(self) -> Inst:
+        """A copy as good as a deep one: every field holds an immutable
+        value."""
+        return Inst(self.op, self.result, self.result2, self.ty, self.width,
+                    self.args, self.incomings, self.callee, self.uid)
 
 
 @dataclass
@@ -121,22 +129,40 @@ class Program:
                 return g
         raise KeyError(symbol)
 
+    def copy(self) -> Program:
+        """A copy that a pass may rewrite without touching this program:
+        new functions, block dicts and lists, instructions and globals.
+        Extern declarations are never mutated, so they are shared."""
+        return Program(
+            [replace(g) for g in self.globals],
+            dict(self.externs),
+            {name: Function(f.name, list(f.params), f.ret,
+                            {label: [inst.copy() for inst in block]
+                             for label, block in f.blocks.items()})
+             for name, f in self.functions.items()},
+            self.instrumented,
+            self.next_uid,
+        )
+
 
 class Namer:
     """Fresh register names for one function: `base`, then `base1`,
-    `base2`, ..., skipping every name already defined."""
+    `base2`, ..., skipping every name already defined.  `used` only
+    grows, so each base resumes at the counter after its last name."""
 
     def __init__(self, func: Function):
         self.used = {reg for reg, _ in func.params}
         for _, _, inst in func.insts():
             self.used.update(inst.defs())
+        self.next: dict[str, int] = {}
 
     def fresh(self, base: str) -> str:
-        name = base
-        counter = 0
+        counter = self.next.get(base, 0)
+        name = f"{base}{counter}" if counter else base
         while name in self.used:
             counter += 1
             name = f"{base}{counter}"
+        self.next[base] = counter + 1
         self.used.add(name)
         return name
 
@@ -444,7 +470,7 @@ def validate(prog: Program) -> None:
         if name in symbols:
             raise ValidationError(f"duplicate symbol @{name}")
         symbols.add(name)
-    for name in prog.functions:
+    for name in [*prog.externs, *prog.functions]:
         if name.startswith("__pa_"):
             raise ValidationError(f"@{name}: the __pa_ prefix is reserved for the runtime")
     if "main" not in prog.functions:
@@ -483,15 +509,9 @@ def _validate_function(prog: Program, func: Function) -> None:
         for succ in func.successors(label):
             if succ not in func.blocks:
                 err(f"{label}: branch to unknown block {succ!r}")
-    reachable = {func.entry}
-    frontier = [func.entry]
-    while frontier:
-        for succ in func.successors(frontier.pop()):
-            if succ not in reachable:
-                reachable.add(succ)
-                frontier.append(succ)
+    dom = Dominance(func)
     for label in func.blocks:
-        if label not in reachable:
+        if label not in dom.rpo:
             err(f"{label}: unreachable block")
 
     # SSA: single static definition.
@@ -532,7 +552,6 @@ def _validate_function(prog: Program, func: Function) -> None:
         _check_inst_types(prog, func, inst, want, type_of, err)
 
     # Defs dominate uses.
-    dom = Dominance(func)
     preds_of = func.predecessors()
     for label, idx, inst in func.insts():
         if inst.op == "phi":
@@ -652,45 +671,81 @@ def _check_inst_types(prog, func, inst: Inst, want, type_of, err) -> None:
 # Dominance
 # ---------------------------------------------------------------------------
 
+def reverse_postorder(func: Function) -> list[str]:
+    """The blocks reachable from the entry in reverse post-order of a
+    depth-first walk, kept on an explicit stack so CFG depth is not
+    bounded by the recursion limit."""
+    order: list[str] = []
+    seen = {func.entry}
+    stack = [(func.entry, iter(func.successors(func.entry)))]
+    while stack:
+        label, succs = stack[-1]
+        for succ in succs:
+            if succ not in seen:
+                seen.add(succ)
+                stack.append((succ, iter(func.successors(succ))))
+                break
+        else:
+            stack.pop()
+            order.append(label)
+    order.reverse()
+    return order
+
+
 class Dominance:
-    """Block dominator sets via iterative dataflow, plus instruction-level
-    queries by (block, index) position."""
+    """Immediate dominators by Cooper, Harvey and Kennedy's iterative
+    algorithm over reverse post-order ("A Simple, Fast Dominance
+    Algorithm", 2001).  Block dominance is answered from preorder
+    intervals on the dominator tree; instruction-level queries take
+    (block, index) positions of blocks reachable from the entry, which
+    validate requires of every block."""
 
     def __init__(self, func: Function):
-        self.func = func
-        labels = list(func.blocks)
-        entry = func.entry
+        order = reverse_postorder(func)
+        self.rpo = {label: i for i, label in enumerate(order)}
         preds = func.predecessors()
-        self.dominated_by: dict[str, set[str]] = {entry: {entry}}
-        for label in labels:
-            if label != entry:
-                self.dominated_by[label] = set(labels)
+        idom = [0] + [-1] * (len(order) - 1)
         changed = True
         while changed:
             changed = False
-            for label in labels:
-                if label == entry:
-                    continue
-                incoming = [self.dominated_by[p] for p in preds[label]]
-                new = {label} | (set.intersection(*incoming) if incoming else set())
-                if new != self.dominated_by[label]:
-                    self.dominated_by[label] = new
+            for b in range(1, len(order)):
+                new = -1
+                for pred in preds[order[b]]:
+                    p = self.rpo.get(pred, -1)  # an unreachable pred adds no path
+                    if p < 0 or idom[p] < 0:
+                        continue
+                    while new >= 0 and p != new:  # walk both up to their common dominator
+                        while p > new:
+                            p = idom[p]
+                        while new > p:
+                            new = idom[new]
+                    new = p
+                if idom[b] != new:
+                    idom[b] = new
                     changed = True
+        # Preorder of the dominator tree: an immediate dominator precedes
+        # its children in RPO, so each subtree gets a contiguous interval.
+        size = [1] * len(order)
+        for b in range(len(order) - 1, 0, -1):
+            size[idom[b]] += size[b]
+        pre = [0] * len(order)
+        slot = [1] * len(order)
+        for b in range(1, len(order)):
+            pre[b] = slot[idom[b]]
+            slot[idom[b]] += size[b]
+            slot[b] = pre[b] + 1
+        self.pre = {label: pre[b] for b, label in enumerate(order)}
+        self._end = {label: pre[b] + size[b] for b, label in enumerate(order)}
 
     def block_dominates(self, a: str, b: str) -> bool:
-        return a in self.dominated_by[b]
-
-    def strictly_dominates(self, a: str, b: str) -> bool:
-        return a != b and self.block_dominates(a, b)
+        return self.pre[a] <= self.pre[b] < self._end[a]
 
     def inst_dominates(self, loc_a: tuple[str, int], loc_b: tuple[str, int]) -> bool:
         """True iff the instruction at loc_a executes before loc_b on
         every path reaching loc_b.  Within one block this is index
         order; across blocks it is strict block dominance."""
         (la, ia), (lb, ib) = loc_a, loc_b
-        if la == lb:
-            return ia < ib
-        return self.strictly_dominates(la, lb)
+        return ia < ib if la == lb else self.block_dominates(la, lb)
 
 
 # ---------------------------------------------------------------------------
@@ -728,27 +783,55 @@ def functions_may_free(prog: Program) -> set[str]:
 class FreeFacts:
     """What may_free_between needs of one function, computed once: the
     indexes of possibly-freeing instructions in each block that has
-    any, and (only if there are such blocks) the blocks reachable from
-    each block by one or more edges."""
+    any and, only if there are such blocks, two bitsets per reachable
+    block over the block numbers in `num`: `reach`, the blocks it
+    reaches by one or more edges, and `after_free`, the blocks reached
+    by one or more edges from a freeing block in its `reach`.  Both are
+    built per strongly connected component, each after the components
+    it reaches; the components come from Kosaraju's second walk, over
+    the predecessors in reverse post-order."""
 
     def __init__(self, prog: Program, func: Function, freeing: set[str]):
         self.frees: dict[str, list[int]] = {}
         for label, idx, inst in func.insts():
             if _may_free(prog, freeing, inst):
                 self.frees.setdefault(label, []).append(idx)
-        self.reach: dict[str, set[str]] = {}
         if not self.frees:
             return  # no query can find a free
-        succs = {label: func.successors(label) for label in func.blocks}
-        for label in func.blocks:
-            seen: set[str] = set()
-            frontier = list(succs[label])
-            while frontier:
-                blk = frontier.pop()
-                if blk not in seen:
-                    seen.add(blk)
-                    frontier.extend(succs[blk])
-            self.reach[label] = seen
+        order = reverse_postorder(func)
+        self.num = num = {label: i for i, label in enumerate(order)}
+        preds = func.predecessors()
+        comps: list[list[int]] = []
+        placed: set[str] = set()
+        for root in order:
+            if root not in placed:
+                placed.add(root)
+                comp = [root]
+                for label in comp:  # every block that reaches root and is not placed
+                    for p in preds[label]:
+                        if p in num and p not in placed:
+                            placed.add(p)
+                            comp.append(p)
+                comps.append([num[label] for label in comp])
+        succs = [[num[s] for s in func.successors(label)] for label in order]
+        frees = {num[label] for label in self.frees if label in num}
+        self.reach = [0] * len(order)
+        self.after_free = [0] * len(order)
+        for comp in reversed(comps):
+            members = sum(1 << v for v in comp)
+            reach = after = 0
+            for v in comp:
+                for w in succs[v]:
+                    if not members >> w & 1:
+                        reach |= 1 << w | self.reach[w]
+                        after |= self.after_free[w] | (self.reach[w] if w in frees else 0)
+            if len(comp) > 1 or comp[0] in succs[comp[0]]:  # on a cycle: reaches itself
+                reach |= members
+                if not frees.isdisjoint(comp):
+                    after |= reach
+            for v in comp:
+                self.reach[v] = reach
+                self.after_free[v] = after
 
 
 def may_free_between(facts: FreeFacts, loc_a: tuple[str, int],
@@ -758,11 +841,16 @@ def may_free_between(facts: FreeFacts, loc_a: tuple[str, int],
     its block, or in a block reachable from it) and before loc_b
     (earlier in its block, or loc_b's block is reachable from it).  The
     analysis is conservative and ignores which object is freed."""
+    if not facts.frees:
+        return False
     (la, ia), (lb, ib) = loc_a, loc_b
-    for fl, idxs in facts.frees.items():
-        past_a = fl in facts.reach[la]
-        before_b = lb in facts.reach[fl]
-        if (past_a or fl == la) and (before_b or fl == lb) and any(
-                (past_a or i > ia) and (before_b or i < ib) for i in idxs):
-            return True
-    return False
+    a, b = facts.num[la], facts.num[lb]
+    if facts.after_free[a] >> b & 1:  # a free in a block between the two
+        return True
+    in_a, in_b = facts.frees.get(la), facts.frees.get(lb)
+    if facts.reach[a] >> b & 1 and (in_a and in_a[-1] > ia or in_b and in_b[0] < ib):
+        return True  # a free later in a's block, or earlier in b's
+    if la != lb or in_a is None:
+        return False
+    after_ia = bisect_right(in_a, ia)  # the first free in the block after loc_a
+    return after_ia < len(in_a) and in_a[after_ia] < ib

@@ -7,8 +7,6 @@ add work, so full + fast never exceeds the pre-pass full count.
 """
 from __future__ import annotations
 
-import copy
-
 from .errors import InstrumentationError
 from .miniir import (Dominance, FreeFacts, Function, Inst, Namer, Program,
                      functions_may_free, may_free_between)
@@ -29,32 +27,18 @@ def run_passes(prog: Program, opts: str) -> Program:
     return prog
 
 
-def _rpo_index(func: Function) -> dict[str, int]:
-    """Reverse post-order of a depth-first walk, kept on an explicit
-    stack so CFG depth is not bounded by the recursion limit."""
-    order: list[str] = []
-    seen = {func.entry}
-    stack = [(func.entry, iter(func.successors(func.entry)))]
-    while stack:
-        label, succs = stack[-1]
-        for succ in succs:
-            if succ not in seen:
-                seen.add(succ)
-                stack.append((succ, iter(func.successors(succ))))
-                break
-        else:
-            stack.pop()
-            order.append(label)
-    return {label: i for i, label in enumerate(reversed(order))}
-
-
 def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key):
     """Yield (loc, check, cover) for each check of func that a kept check
     of the same group (by group_key(check)) dominates with no
-    possibly-freeing instruction in between.  Each group is visited in
-    reverse post-order, so every check that dominates another is decided
-    first and a cover is always a kept check.  A check holding a token
-    is never covered: a fast check elsewhere reads that token."""
+    possibly-freeing instruction in between.  A check holding a token
+    is never covered: a fast check elsewhere reads that token.
+
+    Each group is decided in dominator-tree preorder, with a stack of
+    the kept checks that dominate the current one, so every cover is a
+    kept check.  Only the nearest of them is tried: dominators form a
+    chain, so a free between the nearest and the check also lies after
+    every farther one.  Covered checks are yielded group by group in
+    reverse post-order, the order same-lock names new tokens in."""
     by_key: dict = {}
     for label, idx, inst in func.insts():
         if inst.op == "check":
@@ -64,28 +48,29 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key)
         return
     dom = Dominance(func)
     facts = FreeFacts(prog, func, freeing)
-    rpo = _rpo_index(func)
     for members in groups:
-        members.sort(key=lambda item: (rpo[item[0][0]], item[0][1]))
-        kept: list = []
+        members.sort(key=lambda item: (dom.pre[item[0][0]], item[0][1]))
+        covers = {}
+        kept: list = []  # each dominates the next
         for loc, inst in members:
-            # at most one kept check covers inst; the nearest is likeliest
-            cover = None if inst.result2 is not None else next(
-                (k_inst for k_loc, k_inst in reversed(kept)
-                 if dom.inst_dominates(k_loc, loc) and not may_free_between(facts, k_loc, loc)),
-                None,
-            )
-            if cover is None:
-                kept.append((loc, inst))
+            while kept and not dom.inst_dominates(kept[-1][0], loc):
+                kept.pop()
+            if (inst.result2 is None and kept
+                    and not may_free_between(facts, kept[-1][0], loc)):
+                covers[loc] = kept[-1][1]
             else:
-                yield loc, inst, cover
+                kept.append((loc, inst))
+        members.sort(key=lambda item: (dom.rpo[item[0][0]], item[0][1]))
+        for loc, inst in members:
+            if loc in covers:
+                yield loc, inst, covers[loc]
 
 
 def remove_redundant_checks(prog: Program) -> Program:
     """Delete any check dominated by another check of the same register
     and width with no possibly-freeing operation in between; uses of the
     deleted check's results are rewired to the dominating check."""
-    out = copy.deepcopy(prog)
+    out = prog.copy()
     freeing = functions_may_free(out)
     for func in out.functions.values():
         subst = {
@@ -111,7 +96,7 @@ def same_lock_optimize(prog: Program) -> Program:
     """Group checks whose pointers derive from one base register; each
     member dominated by a retained member with no free in between is
     downgraded to a fast check against the id observed there."""
-    out = copy.deepcopy(prog)
+    out = prog.copy()
     freeing = functions_may_free(out)
     for func in out.functions.values():
         defs = {inst.result: inst for _, _, inst in func.insts() if inst.result}

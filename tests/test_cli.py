@@ -111,6 +111,52 @@ done:
     assert "@main: entry: phi in the entry block" in capsys.readouterr().err
 
 
+def test_run_reserved_extern_exit_2(tmp_path, capsys):
+    text = """\
+extern @__pa_malloc() -> ptr
+
+func @main() -> i32 {
+bb0:
+  %p = call @__pa_malloc()
+  %z = const.i32 0
+  ret %z
+}
+"""
+    assert main(["run", write(tmp_path, "reserved.ir", text)]) == 2
+    assert "@__pa_malloc: the __pa_ prefix is reserved" in capsys.readouterr().err
+
+
+def test_run_program_of_5000_blocks(tmp_path):
+    # A straight-line CFG storing through a gep of one heap base in each
+    # block, with an external call (which may free) every 7 blocks.
+    blocks, slots = 5000, 64
+    lines = ["extern @ext_id(ptr) -> ptr", "", "func @main() -> i32 {", "b0:",
+             f"  %sz = const.i64 {4 * slots}", "  %base = malloc %sz", "  br b1"]
+    memory = {}
+    for j in range(1, blocks + 1):
+        off, val = 4 * (j * 37 % slots), j * 7919
+        memory[off] = val
+        lines += [f"b{j}:", f"  %v{j} = const.i32 {val}", f"  %g{j} = gep %base, {off}",
+                  f"  store.i32 %g{j}, %v{j}"]
+        if j % 7 == 3:
+            lines.append(f"  %e{j} = call @ext_id(%base)")
+        lines.append(f"  br {f'b{j + 1}' if j < blocks else 'bx'}")
+    lines += ["bx:", "  %gl = gep %base, 20", "  %r = load.i32 %gl", "  free %base",
+              "  ret %r", "}"]
+    out = tmp_path / "big.json"
+    path = write(tmp_path, "big.ir", "\n".join(lines) + "\n")
+    assert main(["run", path, "--opts", "all", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    # same-lock keeps one full check per run of stores not broken by a call;
+    # the final load follows the last call, so each call starts a run
+    checks, calls = blocks + 1, (blocks - 3) // 7 + 1
+    counts = {"checks_full": 1 + calls, "checks_fast": checks - 1 - calls}
+    assert payload["verdict"] == "completed"
+    assert payload["exit_value"] == memory[20]
+    assert payload["static_checks"] == counts
+    assert {key: payload["stats"][key] for key in counts} == counts
+
+
 def test_corpus_all_expectations_met(corpus_dir, tmp_path):
     out = tmp_path / "corpus.json"
     rc = main(["corpus", str(corpus_dir), "--jobs", "2", "--json", str(out)])

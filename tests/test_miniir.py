@@ -11,6 +11,7 @@ from pasan.miniir import (
     FreeFacts,
     Function,
     Inst,
+    Namer,
     Program,
     format_program,
     function_types,
@@ -168,6 +169,26 @@ def test_reserved_prefix_rejected():
         validate(parse(text))
 
 
+@pytest.mark.parametrize("decl", [
+    "extern @__pa_malloc() -> ptr",       # a runtime entry under a wrong signature
+    "extern @__pa_malloc(i64) -> ptr",    # or under its own
+    "extern @__pa_other(ptr) -> i32",     # or a name the runtime lacks
+])
+def test_reserved_prefix_rejected_for_externs(decl):
+    name = decl.split("@")[1].split("(")[0]
+    text = f"""\
+{decl}
+
+func @main() -> i32 {{
+bb0:
+  %z = const.i32 0
+  ret %z
+}}
+"""
+    with pytest.raises(ValidationError, match=f"@{name}: the __pa_ prefix is reserved"):
+        validate(parse(text))
+
+
 def test_unreachable_block_rejected():
     text = """\
 func @main() -> i32 {
@@ -201,6 +222,38 @@ bb0:
 def test_function_types():
     prog = parse(MINIMAL)
     assert function_types(prog, prog.functions["main"]) == {"%z": "i32"}
+
+
+def test_program_copy_equals_its_source_and_shares_its_externs(corpus_dir):
+    # that the copy shares no mutable object is tested with the passes
+    for path in sorted(corpus_dir.glob("*.ir")):
+        prog = parse(path.read_text())
+        for g in prog.globals:
+            g.unsafe = True  # a filled classification slot must be copied too
+        out = prog.copy()
+        assert out == prog, path.name  # dataclass equality: every field, uid included
+        assert all(a is b for a, b in zip(out.externs.values(), prog.externs.values()))
+
+
+def test_inst_copy_keeps_every_field():
+    inst = Inst("check", result="%c", result2="%t", ty="ptr", width=8, args=("%p",),
+                incomings=(("bb0", "%q"),), callee="f", uid=7)
+    assert inst.copy() == inst and inst.copy() is not inst
+
+
+def test_namer_skips_defined_names_and_resumes():
+    prog = parse("""\
+func @main() -> i32 {
+bb0:
+  %chk = const.i32 0
+  %chk2 = const.i32 2
+  ret %chk
+}
+""")
+    namer = Namer(prog.functions["main"])
+    assert [namer.fresh("%chk") for _ in range(3)] == ["%chk1", "%chk3", "%chk4"]
+    assert namer.fresh("%tk") == "%tk"
+    assert namer.fresh("%tk") == "%tk1"
 
 
 # ---------------------------------------------------------------- dominance
@@ -518,3 +571,115 @@ def test_may_free_matches_path_oracle(case):
     expected = _oracle_path_through(marked, a, f_pos, b)
     # the analysis may also see other frees (there are none) so equality holds
     assert got == expected
+
+
+# ------------------------------------------- oracles for dominance and may-free
+#
+# The earlier implementations, kept as references: dominator sets by
+# iterative dataflow, and a may-free test that loops over every freeing
+# block with one reachability walk per block.
+
+class _OracleDominance:
+    def __init__(self, func: Function):
+        labels = list(func.blocks)
+        entry = func.entry
+        preds = func.predecessors()
+        self.dominated_by = {label: set(labels) for label in labels}
+        self.dominated_by[entry] = {entry}
+        changed = True
+        while changed:
+            changed = False
+            for label in labels:
+                if label == entry:
+                    continue
+                incoming = [self.dominated_by[p] for p in preds[label]]
+                new = {label} | (set.intersection(*incoming) if incoming else set())
+                if new != self.dominated_by[label]:
+                    self.dominated_by[label] = new
+                    changed = True
+
+    def block_dominates(self, a, b):
+        return a in self.dominated_by[b]
+
+    def inst_dominates(self, loc_a, loc_b):
+        (la, ia), (lb, ib) = loc_a, loc_b
+        if la == lb:
+            return ia < ib
+        return self.block_dominates(la, lb)
+
+
+class _OracleFreeFacts:
+    def __init__(self, func: Function):
+        self.frees: dict = {}
+        for label, idx, inst in func.insts():
+            if inst.op == "free":
+                self.frees.setdefault(label, []).append(idx)
+        self.reach = {}
+        for label in func.blocks:
+            seen: set = set()
+            frontier = list(func.successors(label))
+            while frontier:
+                blk = frontier.pop()
+                if blk not in seen:
+                    seen.add(blk)
+                    frontier.extend(func.successors(blk))
+            self.reach[label] = seen
+
+
+def _oracle_may_free_between(facts: _OracleFreeFacts, loc_a, loc_b) -> bool:
+    (la, ia), (lb, ib) = loc_a, loc_b
+    for fl, idxs in facts.frees.items():
+        past_a = fl in facts.reach[la]
+        before_b = lb in facts.reach[fl]
+        if (past_a or fl == la) and (before_b or fl == lb) and any(
+                (past_a or i > ia) and (before_b or i < ib) for i in idxs):
+            return True
+    return False
+
+
+@st.composite
+def looping_cfgs(draw):
+    """CFGs with loops, self-loops (the entry's too) and frees at varied
+    indexes in several blocks.  Block i always has an edge to block i+1,
+    so every block is reachable."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    blocks = {}
+    for i in range(n):
+        ops = draw(st.lists(st.sampled_from(["const", "free"]), max_size=4))
+        insts = [Inst("free", args=("%p",)) if op == "free"
+                 else Inst("const", result=f"%c{i}_{j}", ty="i32", args=(j,))
+                 for j, op in enumerate(ops)]
+        targets = [f"bb{draw(st.integers(0, n - 1))}" for _ in range(2)]
+        if i < n - 1:
+            insts.append(Inst("cbr", args=("%p", f"bb{i + 1}", targets[0])))
+        elif draw(st.booleans()):
+            insts.append(Inst("ret", args=("%p",)))
+        else:
+            insts.append(Inst("cbr", args=("%p", *targets)))
+        blocks[f"bb{i}"] = insts
+    return Function("f", [("%p", "ptr")], "i32", blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(looping_cfgs())
+def test_dominance_matches_set_oracle(func):
+    dom, oracle = Dominance(func), _OracleDominance(func)
+    for a in func.blocks:
+        for b in func.blocks:
+            assert dom.block_dominates(a, b) == oracle.block_dominates(a, b), (a, b)
+    positions = [(label, idx) for label, idx, _ in func.insts()]
+    for x in positions:
+        for y in positions:
+            assert dom.inst_dominates(x, y) == oracle.inst_dominates(x, y), (x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(looping_cfgs())
+def test_may_free_between_matches_block_walk_oracle(func):
+    prog = Program(functions={"f": func})
+    facts = FreeFacts(prog, func, functions_may_free(prog))
+    oracle = _OracleFreeFacts(func)
+    positions = [(label, idx) for label, idx, _ in func.insts()]
+    for x in positions:
+        for y in positions:
+            assert may_free_between(facts, x, y) == _oracle_may_free_between(oracle, x, y), (x, y)

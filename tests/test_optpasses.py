@@ -2,11 +2,16 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pasan.instrument import instrument, lint_instrumented
 from pasan.interp import run
-from pasan.miniir import parse, validate
+from pasan.miniir import (Dominance, FreeFacts, Function, Inst, Program, format_program,
+                          functions_may_free, may_free_between, parse, reverse_postorder,
+                          validate)
 from pasan.optpasses import (
+    _covered_checks,
     count_checks,
     remove_redundant_checks,
     run_passes,
@@ -276,3 +281,102 @@ def test_same_lock_on_cfg_deeper_than_recursion_limit():
     lines += [f"bb{blocks}:", "  %b = load.i32 %p", "  ret %b", "}"]
     prog = build("\n".join(lines) + "\n")
     assert count_checks(same_lock_optimize(prog)) == (1, 1)
+
+
+# ------------------------------------------------------------- cover search
+
+def _scan_covered_checks(prog, func, freeing, group_key):
+    """The earlier cover search, kept as a reference: each group in
+    reverse post-order, each check tried against every kept check of
+    its group, nearest first."""
+    rpo = {label: i for i, label in enumerate(reverse_postorder(func))}
+    by_key = {}
+    for label, idx, inst in func.insts():
+        if inst.op == "check":
+            by_key.setdefault(group_key(inst), []).append(((label, idx), inst))
+    dom = Dominance(func)
+    facts = FreeFacts(prog, func, freeing)
+    for members in by_key.values():
+        members.sort(key=lambda item: (rpo[item[0][0]], item[0][1]))
+        kept = []
+        for loc, inst in members:
+            cover = None if inst.result2 is not None else next(
+                (k_inst for k_loc, k_inst in reversed(kept)
+                 if dom.inst_dominates(k_loc, loc) and not may_free_between(facts, k_loc, loc)),
+                None,
+            )
+            if cover is None:
+                kept.append((loc, inst))
+            else:
+                yield loc, inst, cover
+
+
+@st.composite
+def checked_cfgs(draw):
+    """CFGs with loops and self-loops whose blocks hold checks of a few
+    (register, width) groups, some holding a token, and frees."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    uid = iter(range(1000))
+    blocks = {}
+    for i in range(n):
+        insts = []
+        for _ in range(draw(st.integers(0, 5))):
+            u = next(uid)
+            kind = draw(st.sampled_from(["check", "check", "check", "token", "free"]))
+            if kind == "free":
+                insts.append(Inst("free", args=("%p0",), uid=u))
+            else:
+                insts.append(Inst("check", result=f"%r{u}",
+                                  result2=f"%t{u}" if kind == "token" else None,
+                                  width=draw(st.sampled_from([4, 8])),
+                                  args=(draw(st.sampled_from(["%p0", "%p1"])),), uid=u))
+        target = f"bb{draw(st.integers(0, n - 1))}"
+        if i < n - 1:
+            insts.append(Inst("cbr", args=("%p0", f"bb{i + 1}", target), uid=next(uid)))
+        else:
+            insts.append(Inst("ret", args=("%p0",), uid=next(uid)))
+        blocks[f"bb{i}"] = insts
+    func = Function("main", [("%p0", "ptr"), ("%p1", "ptr")], "i32", blocks)
+    return Program(functions={"main": func}), func
+
+
+@settings(max_examples=200, deadline=None)
+@given(checked_cfgs())
+def test_cover_search_matches_every_kept_check_scan(case):
+    prog, func = case
+    freeing = functions_may_free(prog)
+    key = lambda inst: (inst.args[0], inst.width)  # noqa: E731
+
+    def covers(search):
+        return [(loc, cover.uid) for loc, _, cover in search(prog, func, freeing, key)]
+
+    assert covers(_covered_checks) == covers(_scan_covered_checks)
+
+
+# ----------------------------------------------------------- copy isolation
+
+def _objects(prog):
+    """ids of every mutable object of a program a pass could share."""
+    ids = {id(g) for g in prog.globals}
+    for func in prog.functions.values():
+        ids |= {id(func), id(func.blocks), id(func.params)}
+        for block in func.blocks.values():
+            ids.add(id(block))
+            ids |= {id(inst) for inst in block}
+    return ids
+
+
+def test_passes_leave_their_input_untouched(corpus_dir):
+    stages = [("copy", Program.copy), ("instrument", instrument),
+              ("redundant", remove_redundant_checks), ("samelock", same_lock_optimize),
+              ("all", lambda prog: run_passes(prog, "all"))]
+    for path in sorted(corpus_dir.glob("*.ir")):
+        source = parse(path.read_text())
+        base = instrument(source)
+        for name, stage in stages:
+            prog = source if name in ("copy", "instrument") else base
+            text, unsafe = format_program(prog), [g.unsafe for g in prog.globals]
+            out = stage(prog)
+            assert format_program(prog) == text, (path.name, name)
+            assert [g.unsafe for g in prog.globals] == unsafe, (path.name, name)
+            assert not _objects(out) & _objects(prog), (path.name, name)
