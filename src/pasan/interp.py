@@ -59,12 +59,16 @@ class ExecResult:
 @dataclass
 class _Layout:
     """One function lowered for one run.  Blocks are lowered on first
-    entry into (body, moves): body is the (handler, inst) pairs of the
-    block's non-phi instructions, moves maps each predecessor to the
-    phis' (results, incoming operands) on the edge from it.  consts is
-    the function's constant pool: every integer operand, masked to 64
-    bits and keyed by itself, so that a frame's register dict resolves
-    literals and registers alike."""
+    entry into a list [body, moves, heat, hot] (a list is the cheapest
+    mutable record to build, and straight-line code lowers every block
+    it runs): body is the (handler, inst) pairs of the block's non-phi
+    instructions, moves maps each predecessor to the phis' (results,
+    incoming operands) on the edge from it, heat counts entries through
+    the block's own back edge, and hot is the block compiled once heat
+    reaches _TIER_AT (None until then, or for good if an op has no
+    template).  consts is the function's constant pool: every integer
+    operand, masked to 64 bits and keyed by itself, so that a frame's
+    register dict resolves literals and registers alike."""
 
     func: Function
     slots: list          # (alloca result, offset from the frame base)
@@ -176,10 +180,12 @@ def _op_sign(interp, frame, regs, inst):
 
 
 def _op_check(interp, frame, regs, inst):
-    ptr = regs[inst.args[0]]
-    regs[inst.result] = interp.checked_access(ptr, inst.width)
-    if inst.result2:
-        regs[inst.result2] = interp.id_at(strip(ptr, interp.cfg))
+    regs[inst.result] = interp.checked_access(regs[inst.args[0]], inst.width)
+
+
+def _op_check_token(interp, frame, regs, inst):
+    regs[inst.result], regs[inst.result2] = interp.checked_access(
+        regs[inst.args[0]], inst.width, True)
 
 
 def _op_fastcheck(interp, frame, regs, inst):
@@ -271,6 +277,121 @@ _RUNTIME_CALLS = {RT_MALLOC: _op_pa_malloc, RT_FREE: _op_pa_free,
 # Ops whose integer args are not value operands.
 _LITERAL_ARGS = {"const", "alloca", "sign"}
 
+# -- the block compiler: a block entered _TIER_AT times through its own
+#    back edge runs as one generated Python function, its registers
+#    held in locals. --
+
+_TIER_AT = 64   # self-edge entries before a block is compiled
+
+# Each handler's expression over its operands {0}, {1}, ..., the access
+# width {w}, the result type's mask {m}, the callee {callee} and the
+# wrapped builtin {wrapped}.  A block with an op missing here (a call
+# into the program, ret, sign, alloca, gpptinit) stays on the table.
+_TEMPLATES = {
+    _op_const: "{0} & {m}",
+    _op_add: "({0} + {1}) & {m}",
+    _op_sub: "({0} - {1}) & {m}",
+    _op_mul: "({0} * {1}) & {m}",
+    _op_gep: "({0} + {1}) & 0xFFFFFFFFFFFFFFFF",
+    _op_gep_i32: "({0} + ((({1} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)) & 0xFFFFFFFFFFFFFFFF",
+    _op_globaladdr: "rt.gppt.get({0}, interp.global_addr[{0}])",
+    _op_load: "read({0}, {w})",
+    _op_store: "write({0}, {w}, {1})",
+    _op_malloc: "rt.plain_malloc({0})",
+    _op_free: "rt.plain_free({0})",
+    _op_check: "checked_access({0}, {w})",
+    _op_check_token: "checked_access({0}, {w}, True)",
+    _op_fastcheck: "fast_check({0}, {1}, {2}, {w})",
+    _op_stripcall: "strip({0}, interp.cfg)",
+    _op_resign: "rt.resign_return({0})",
+    _op_call_external: "interp._simulate_external({callee}, [{args}]) & 0xFFFFFFFFFFFFFFFF",
+    _op_pa_malloc: "rt.protected_malloc({0})",
+    _op_pa_free: "rt.protected_free({0}) or 0",
+    _op_pa_wrapper: "rt.wrapper_call({wrapped}, [{args}])",
+}
+
+# Templates that cannot raise, so need no fault index.
+_PURE = {_op_const, _op_add, _op_sub, _op_mul, _op_gep, _op_gep_i32}
+
+
+def _compile(label: str, body: list, moves: dict):
+    """The block as one function hot(interp, regs, room), or None if an
+    op has no template.  hot starts at the block's entry, its phis
+    moved, and runs at most room trips; it returns (label of the edge
+    taken, trips run).  Registers it reads are loaded from regs at
+    entry, and every phi and def is stored back on return.  Its own back
+    edge is a while loop, the edge's phi moves one tuple assignment.
+    Before each op that can raise it sets k, and an exception leaves
+    with (trips, k) as tier_fault, so the caller can count the
+    instructions run and name the one that raised.  Operands enter the
+    source only as generated locals or repr()'d literals and names."""
+    local: dict[str, str] = {}
+    loads = []
+
+    def use(operand):
+        if isinstance(operand, int):
+            return repr(operand & MASK64)  # its constant-pool value
+        if operand.startswith("@"):
+            return repr(operand[1:])       # a global's symbol
+        if operand not in local:
+            local[operand] = f"r{len(local)}"
+            loads.append(f"{local[operand]} = regs[{operand!r}]")
+        return local[operand]
+
+    def define(reg):
+        local[reg] = f"r{len(local)}"
+        stored.append(reg)
+        return local[reg]
+
+    dsts, srcs = moves.get(label, ((), ()))
+    stored = list(dsts)
+    for dst in dsts:
+        use(dst)
+    lines = []
+    *straight, (_, term) = body
+    for k, (handler, inst) in enumerate(straight):
+        template = _TEMPLATES.get(handler)
+        if template is None:
+            return None
+        ops = [use(arg) for arg in inst.args]
+        expr = template.format(*ops, w=repr(inst.width), m=repr(_TYPE_MASK.get(inst.ty)),
+                               callee=repr(inst.callee), args=", ".join(ops),
+                               wrapped=repr(RT_WRAPPERS.get(inst.callee)))
+        if handler not in _PURE:
+            lines.append(f"k = {k}")
+        defs = ", ".join(define(reg) for reg in inst.defs())
+        lines.append(f"{defs} = {expr}" if defs else expr)
+    if term.op == "br" or term.args[1] == term.args[2]:
+        exit_test = None
+    else:
+        cond, then, other = term.args
+        exit_to, exit_test = (other, f"not {use(cond)}") if then == label else (then, use(cond))
+    lines.append("trips += 1")
+    if exit_test:
+        lines.append(f"if {exit_test}: out = {exit_to!r}; break")
+    if dsts:  # one tuple assignment, trailing commas making one phi a 1-tuple
+        lines.append("".join(use(d) + ", " for d in dsts) + "= "
+                     + "".join(use(s) + ", " for s in srcs))
+    lines.append(f"if trips == room: out = {label!r}; break")
+    source = "\n".join([
+        "def hot(interp, regs, room):",
+        " rt, read, write = interp.rt, interp.read, interp.write",
+        " checked_access, fast_check = interp.checked_access, interp.fast_check",
+        " trips = k = 0",
+        " try:",
+        *("  " + line for line in loads),
+        "  while True:",
+        *("   " + line for line in lines),
+        " except PasanError as exc:",
+        "  exc.tier_fault = trips, k",
+        "  raise",
+        *(f" regs[{reg!r}] = {local[reg]}" for reg in stored),
+        " return out, trips",
+    ])
+    namespace = {"strip": strip, "PasanError": PasanError}
+    exec(compile(source, "<pasan block>", "exec"), namespace)
+    return namespace["hot"]
+
 
 class Interpreter:
     def __init__(self, prog: Program, cfg: AddressConfig, seed: int,
@@ -317,7 +438,7 @@ class Interpreter:
             layout = self.layouts[func.name] = _Layout(func, slots, offset, consts)
         return layout
 
-    def _block(self, layout: _Layout, label: str) -> tuple[list, dict]:
+    def _block(self, layout: _Layout, label: str) -> list:
         block = layout.blocks.get(label)
         if block is None:
             insts = layout.func.blocks[label]
@@ -329,13 +450,15 @@ class Interpreter:
                     dsts.append(phi.result)
                     srcs.append(operand)
             body = [(self._handler(layout, inst), inst) for inst in insts[len(phis):]]
-            block = layout.blocks[label] = (body, moves)
+            block = layout.blocks[label] = [body, moves, 0, None]
         return block
 
     def _handler(self, layout: _Layout, inst: Inst):
         op = inst.op
         if op == "call" and inst.callee not in self.prog.functions:
             return _RUNTIME_CALLS.get(inst.callee, _op_call_external)
+        if op == "check" and inst.result2:
+            return _op_check_token
         if op == "gep" and isinstance(inst.args[1], str):
             if layout.types is None:
                 layout.types = function_types(self.prog, layout.func)
@@ -350,7 +473,7 @@ class Interpreter:
 
     def _push_frame(self, func: Function, args: list, ret_reg: str | None) -> _Frame:
         layout = self._layout(func)
-        body, _ = self._block(layout, func.entry)  # validate rejects entry-block phis
+        body = self._block(layout, func.entry)[0]  # validate rejects entry-block phis
         new_sp = self.sp - layout.frame_size
         if new_sp < self.mem.regions.stack.base:
             raise LimitExceeded("simulated stack exhausted")
@@ -373,7 +496,7 @@ class Interpreter:
         # Bound once per run, so a wrapper installed on the class before
         # the run (a tracer) sees every call.
         self.checked_access, self.fast_check = rt.checked_access, rt.fast_check
-        self.read, self.write, self.id_at = mem.read, mem.write, mem.id_at
+        self.read, self.write = mem.read, mem.write
         stats = rt.stats
         limit = self.limits.max_insts
         stack = self.stack
@@ -396,11 +519,33 @@ class Interpreter:
                     frame.idx = insts - before
                     continue
                 # A branch: the target's phis all read, then all assign.
-                layout = frame.layout
-                body, moves = layout.blocks.get(out) or self._block(layout, out)
+                layout, label = frame.layout, frame.label
+                block = layout.blocks.get(out) or self._block(layout, out)
+                body, moves, heat, hot = block
                 if moves:
-                    dsts, srcs = moves[frame.label]
+                    dsts, srcs = moves[label]
                     regs.update(zip(dsts, [regs[src] for src in srcs]))
+                if out == label:
+                    # A self edge: count it until the block is compiled,
+                    # then run whole trips while the budget has room.
+                    if hot is None:
+                        block[2] = heat = heat + 1
+                        if heat == _TIER_AT:
+                            hot = block[3] = _compile(label, body, moves)
+                    if hot is not None and (room := (limit - insts) // len(body)):
+                        try:
+                            out, trips = hot(self, regs, room)
+                        except PasanError as exc:
+                            trips, k = exc.tier_fault
+                            insts += trips * len(body) + k + 1
+                            inst = body[k][1]
+                            raise
+                        insts += trips * len(body)
+                        if out != label:
+                            body, moves, _, _ = layout.blocks.get(out) or self._block(layout, out)
+                            if moves:
+                                dsts, srcs = moves[label]
+                                regs.update(zip(dsts, [regs[src] for src in srcs]))
                 frame.label, frame.body, frame.idx = out, body, 0
             return ExecResult("completed", stats, exit_value=self.exit_value)
         except ViolationError as exc:

@@ -269,10 +269,12 @@ class SanitizerRuntime:
 
     # -- the checks --
 
-    def checked_access(self, ptr: int, width: int = 1) -> int:
+    def checked_access(self, ptr: int, width: int = 1, token: bool = False):
         """Authenticate ptr against the id shadowing it, verifying the
         access stays within one uniformly-shadowed extent; returns the
-        stripped address for the raw access."""
+        stripped address for the raw access, paired with that id (the
+        token a same-lock group's fast checks compare against) when
+        token is set."""
         self.stats.checks_full += 1
         raw, found, authentic = self._authenticate(ptr)
         if not authentic:
@@ -290,7 +292,7 @@ class SanitizerRuntime:
                     ViolationKind.SPATIAL_OOB, ptr, other,
                     f"{width}-byte access at 0x{raw:x} runs past the object",
                 )
-        return raw
+        return (raw, found) if token else raw
 
     def fast_check(self, ptr: int, token: int, base: int, width: int = 1) -> int:
         """Same-lock verification: ptr must be bit-identical to an

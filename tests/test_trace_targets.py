@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from pasan.pacore import AddressConfig
 
 # the modules themselves: the package re-exports same-named functions
@@ -109,3 +111,55 @@ def test_traced_run_reconciles_with_stats():
                  "pacore.pac_auth", "pacore.pac_sign", "memspace.shadow_fill",
                  "memspace.shadow_clear", "miniir.dominance", "miniir.may_free_between"):
         assert t.totals[span].calls > 0, span
+
+
+# A loop of 100 trips, past the block compiler's threshold: under "all"
+# the store's check holds the token its fast check reads.
+LOOP = """\
+func @main() -> i32 {
+entry:
+  %sz = const.i64 400
+  %arr = malloc %sz
+  %x0 = const.i32 3
+  %n = const.i64 100
+  br loop
+loop:
+  %i = phi [entry: %n], [loop: %in]
+  %acc = phi [entry: %x0], [loop: %acc2]
+  %in = sub.i64 %i, 1
+  %off = mul.i64 %in, 4
+  %q = gep %arr, %off
+  store.i32 %q, %acc
+  %q4 = gep %arr, 4
+  %y = load.i32 %q4
+  %acc2 = add.i32 %acc, %y
+  cbr %in, loop, done
+done:
+  free %arr
+  ret %acc2
+}
+"""
+
+
+@pytest.mark.parametrize("opts", ["none", "all"])
+def test_traced_compiled_loop_reconciles_with_stats(opts):
+    prog = miniir.parse(LOOP)
+    miniir.validate(prog)
+    prog = optpasses.run_passes(instrument.instrument(prog), opts)
+    with tracer.Tracer() as t:
+        it = interp.Interpreter(prog, AddressConfig(47), 0)
+        result = it.run()
+    assert result.completed
+    _, _, _, hot = it.layouts["main"].blocks["loop"]
+    assert hot is not None  # the loop block ran compiled
+    stats = result.stats.to_json()
+    assert stats["checks_full"] + stats["checks_fast"] == 200
+    assert t.reconcile(stats, programs=0, instrumented=0) == []
+    # The compiled block calls through the attributes bound per run, so
+    # every check and authentication is traced.  Each check reads one
+    # shadow word (aligned i32 accesses never straddle two granules; a
+    # check holding a token reads it once), and a free two.
+    calls = {name: t.totals[name].calls for name in t.totals}
+    assert calls["pacore.pac_auth"] == stats["checks_full"] + stats["frees"]
+    assert calls["memspace.id_at"] == (stats["checks_full"] + stats["checks_fast"]
+                                       + 2 * stats["frees"])
