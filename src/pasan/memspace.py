@@ -167,10 +167,15 @@ class MemSpace:
         self._store_bytes(addr, (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little"))
 
     def trap_span(self, addr: int, length: int) -> int:
-        """Vet an unchecked access to [addr, addr+length) byte by byte, so
-        it traps at the first faulting byte; returns addr."""
-        for off in range(length):
-            self._check_access(addr + off, 1)
+        """Vet an unchecked access to [addr, addr+length) so it traps at
+        the first faulting byte; returns addr.  A byte that passes lies
+        in a region, as does every byte up to its limit, so only the
+        first byte and each region limit inside the range are tried: a
+        limit can be the base of an abutting region."""
+        at, end = addr, addr + length
+        while at < end:
+            self._check_access(at, 1)
+            at = next(limit for base, limit in self._spans if base <= at < limit)
         return addr
 
     def builtin(self, name: str, args: list[int], span, at) -> int:

@@ -1,10 +1,12 @@
 """Address-space split, metadata mapping, and the raw trap surface."""
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pasan.errors import AlignmentError, FaultKind, MemoryFault
-from pasan.memspace import HEAP_BASE, MemSpace, RegionMap, shadow_of
+from pasan.memspace import HEAP_BASE, MemSpace, Region, RegionMap, shadow_of
 from pasan.pacore import AddressConfig, PacKey, pac_sign, poison
 
 CFG = AddressConfig(47)
@@ -147,3 +149,33 @@ def test_region_of():
     assert mem.region_of(mem.regions.stack.base) == "stack"
     assert mem.region_of(mem.regions.globals.base) == "globals"
     assert mem.region_of(0x7000_0000) is None
+
+
+def fault_of(vet, addr, length):
+    """(kind, address) of the fault vetting [addr, addr+length) raises."""
+    try:
+        vet(addr, length)
+    except MemoryFault as exc:
+        return exc.kind, exc.addr
+    return None
+
+
+@pytest.mark.parametrize("n", [33, 47])
+def test_trap_span_faults_where_a_byte_walk_does(n):
+    # Globals run into the heap, where the walk does not fault, and the
+    # stack ends at the program half's top, past which bytes are shadow.
+    top = 1 << (n - 1)
+    mem = MemSpace(AddressConfig(n), RegionMap(globals=Region(HEAP_BASE - 256, 256),
+                                               heap=Region(HEAP_BASE, 128),
+                                               stack=Region(top - 64, 64)))
+
+    def walk(addr, length):
+        for off in range(length):
+            mem.read(addr + off, 1)
+
+    edges = [HEAP_BASE - 256, HEAP_BASE, HEAP_BASE + 128, top - 64, top, 1 << n]
+    rng = random.Random(n)
+    for _ in range(3000):
+        addr, length = rng.choice(edges) + rng.randint(-48, 48), rng.randint(0, 420)
+        assert fault_of(mem.trap_span, addr, length) == fault_of(walk, addr, length), (addr, length)
+    assert mem.trap_span(HEAP_BASE - 256, 384) == HEAP_BASE - 256

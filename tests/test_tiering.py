@@ -128,9 +128,9 @@ def test_underrun_after_the_tier_point_reports_alike(mode, n):
 
 # One loop block using every op the compiler has a template for, apart
 # from the same-lock pair (check with a token, fastcheck), which the
-# loop below has under "all".  Its two phis swap, and the exit edge moves
-# a phi, so the back edge's moves, the phis' write-back and the exit
-# edge's moves all show.
+# loop below has under "all", with calls both with and without a
+# result.  Its two phis swap, and the exit edge moves a phi, so the back
+# edge's moves, the phis' write-back and the exit edge's moves all show.
 EVERY_OP = """\
 extern @ext_id(ptr) -> ptr
 extern @memset(ptr, i32, i64) -> ptr
@@ -161,6 +161,8 @@ loop:
   %t = load.i32 %r
   %h = malloc %sz
   %s = call @memset(%h, %in, %sz)
+  call @memset(%h, %in, %sz)
+  call @ext_id(%h)
   free %h
   %acc2 = add.i64 %acc, 1
   cbr %in, loop, done
@@ -203,7 +205,7 @@ done:
 
 
 def test_every_template_runs_and_agrees():
-    seen = set()
+    seen, void = set(), set()
     for text, mode in [(EVERY_OP, "raw"), (EVERY_OP, "none"), (EVERY_OP, "all"),
                        (HOTLOOP, "all")]:
         prog = build(text, mode)
@@ -214,8 +216,23 @@ def test_every_template_runs_and_agrees():
             assert it.run().completed
         body, _, _, hot = it.layouts["main"].blocks["loop"]
         assert hot is not None, (text, mode)
-        seen |= {handler for handler, _ in body}
+        seen |= {getattr(handler, "op", None) for handler, _ in body}
+        void |= {handler.op for handler, inst in body if inst.op == "call" and not inst.result}
     assert set(interp._TEMPLATES) <= seen
+    assert {"external", "pa_wrapper"} <= void
+
+
+def test_a_block_compiles_once_per_process(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(interp, "compile", lambda *a: compiled.append(a) or compile(*a),
+                        raising=False)
+    interp._code.cache_clear()
+    prog = build(HOTLOOP, "all")
+    for _ in range(2):
+        it = interp.Interpreter(prog, AddressConfig(47), 0)
+        assert it.run().completed
+        assert it.layouts["main"].blocks["loop"][3] is not None
+    assert len(compiled) == 1
 
 
 def test_blocks_without_a_template_stay_on_the_table():
