@@ -7,9 +7,9 @@ and the remaining non-address bits hold the authentication field,
 packed low-to-high.
 
 The signature is a keyed PRF (SipHash-2-4, 128-bit key) over the
-modifier word concatenated with a 64-bit context word, both serialized
-little-endian; the context is always zero here.  The modifier is the
-object id zero-extended into the address bits plus the address MSB.
+modifier word concatenated with a zero 64-bit context word, both
+serialized little-endian.  The modifier is the object id zero-extended
+into the address bits plus the address MSB; each key tables its MACs.
 """
 from __future__ import annotations
 
@@ -90,12 +90,14 @@ class PacKey:
     key: int
     k0: int = field(init=False, repr=False, compare=False)  # low 64 bits
     k1: int = field(init=False, repr=False, compare=False)  # high 64 bits
+    macs: dict[int, int] = field(init=False, repr=False, compare=False)  # modifier -> MAC
 
     def __post_init__(self):
         if not 0 <= self.key < (1 << 128):
             raise ValueError("key must be a 128-bit value")
         object.__setattr__(self, "k0", self.key & MASK64)
         object.__setattr__(self, "k1", self.key >> 64)
+        object.__setattr__(self, "macs", {})
 
     @classmethod
     def generate(cls, rng) -> "PacKey":
@@ -135,34 +137,43 @@ def modifier_for(obj_id: int, msb: int, cfg: AddressConfig) -> int:
     return obj_id | (msb & 1) << cfg.msb_bit
 
 
-def _siphash_words(k0: int, k1: int, words) -> int:
+@lru_cache(maxsize=16)
+def _lanes(lanes: int) -> tuple[int, int, int]:
+    """(ones, ramp, mask): 1, i and MASK64 in each 128-bit lane i."""
+    ones = ((1 << 128 * lanes) - 1) // ((1 << 128) - 1)
+    return ones, sum(i << 128 * i for i in range(lanes)), MASK64 * ones
+
+
+def _siphash_words(k0: int, k1: int, words, lanes: int = 1):
     """SipHash-2-4 over 64-bit little-endian message words; the last word
-    carries the message length in its top byte.  The round is written
-    out once, with rotations as shift pairs."""
-    m64 = MASK64
-    v0 = 0x736F6D6570736575 ^ k0
-    v1 = 0x646F72616E646F6D ^ k1
-    v2 = 0x6C7967656E657261 ^ k0
-    v3 = 0x7465646279746573 ^ k1
-    for m in (*words, None):
-        if m is None:  # finalization: four rounds, nothing absorbed
-            m, rounds = 0, 4
-            v2 ^= 0xFF
+    carries the message length in its top byte.  Runs `lanes` hashes at
+    once, lane i in bits [128i, 128i+64) of each word and of the result;
+    the 64 bits above each lane catch carries and right shifts, which
+    every add and rotation masks off."""
+    ones, _, m = _lanes(lanes) if lanes > 1 else (1, 0, MASK64)
+    v0 = (0x736F6D6570736575 ^ k0) * ones
+    v1 = (0x646F72616E646F6D ^ k1) * ones
+    v2 = (0x6C7967656E657261 ^ k0) * ones
+    v3 = (0x7465646279746573 ^ k1) * ones
+    for w in (*words, None):
+        if w is None:  # finalization: four rounds, nothing absorbed
+            w, rounds = 0, 4
+            v2 ^= 0xFF * ones
         else:
             rounds = 2
-        v3 ^= m
+        v3 ^= w
         for _ in range(rounds):
-            v0 = (v0 + v1) & m64
-            v2 = (v2 + v3) & m64
-            v1 = (v1 << 13 & m64 | v1 >> 51) ^ v0
-            v3 = (v3 << 16 & m64 | v3 >> 48) ^ v2
-            v0 = (v0 << 32 | v0 >> 32) & m64
-            v2 = (v2 + v1) & m64
-            v0 = (v0 + v3) & m64
-            v1 = (v1 << 17 & m64 | v1 >> 47) ^ v2
-            v3 = (v3 << 21 & m64 | v3 >> 43) ^ v0
-            v2 = (v2 << 32 | v2 >> 32) & m64
-        v0 ^= m
+            v0 = (v0 + v1) & m
+            v2 = (v2 + v3) & m
+            v1 = (v1 << 13 | v1 >> 51) & m ^ v0
+            v3 = (v3 << 16 | v3 >> 48) & m ^ v2
+            v0 = (v0 << 32 | v0 >> 32) & m
+            v2 = (v2 + v1) & m
+            v0 = (v0 + v3) & m
+            v1 = (v1 << 17 | v1 >> 47) & m ^ v2
+            v3 = (v3 << 21 | v3 >> 43) & m ^ v0
+            v2 = (v2 << 32 | v2 >> 32) & m
+        v0 ^= w
     return v0 ^ v1 ^ v2 ^ v3
 
 
@@ -176,23 +187,33 @@ def siphash24(k0: int, k1: int, data: bytes) -> int:
 
 # The final message word of a 16-byte message: its length, no tail bytes.
 _LENGTH_16 = 16 << 56
+_BATCH_CAP = 256  # the most MACs one signing miss computes
 
 
-@lru_cache(maxsize=1 << 16)
-def _mac(k0: int, k1: int, modifier: int, context: int) -> int:
-    """siphash24 over modifier and context serialized little-endian, taken
-    straight from the two words."""
-    return _siphash_words(k0, k1, (modifier, context, _LENGTH_16))
+def _mac(key: PacKey, modifier: int, ahead: bool = False) -> int:
+    """siphash24 over modifier and the zero context, from the key's table.
+    A miss computes that MAC or, signing ahead, a batch of it and the
+    modifiers after it: a power of two up to the table's size and cap."""
+    macs = key.macs
+    if modifier not in macs:
+        lanes = min(_BATCH_CAP, 1 << len(macs).bit_length() >> 1) if ahead else 1
+        if lanes < 2:
+            macs[modifier] = _siphash_words(key.k0, key.k1, (modifier, ZERO_CONTEXT, _LENGTH_16))
+        else:
+            ones, ramp, _ = _lanes(lanes)
+            words = (modifier * ones + ramp, ZERO_CONTEXT, _LENGTH_16 * ones)
+            raw = _siphash_words(key.k0, key.k1, words, lanes).to_bytes(16 * lanes, "little")
+            macs.update((modifier + i // 16, int.from_bytes(raw[i : i + 8], "little"))
+                        for i in range(0, 16 * lanes, 16))
+    return macs[modifier]
 
 
-def compute_pac(obj_id: int, msb: int, key: PacKey, cfg: AddressConfig,
-                context: int = ZERO_CONTEXT) -> int:
+def compute_pac(obj_id: int, msb: int, key: PacKey, cfg: AddressConfig) -> int:
     """The truncated signature an object with this id yields."""
-    return _mac(key.k0, key.k1, modifier_for(obj_id, msb, cfg), context) & cfg.pac_mask
+    return _mac(key, modifier_for(obj_id, msb, cfg)) & cfg.pac_mask
 
 
-def pac_sign(addr: int, obj_id: int, key: PacKey, cfg: AddressConfig,
-             context: int = ZERO_CONTEXT) -> int:
+def pac_sign(addr: int, obj_id: int, key: PacKey, cfg: AddressConfig) -> int:
     """Sign a clean program-half address, binding it to obj_id.
 
     The address MSB is fixed to zero at signing time, so pointers into
@@ -202,11 +223,10 @@ def pac_sign(addr: int, obj_id: int, key: PacKey, cfg: AddressConfig,
         raise PreconditionViolated(
             f"cannot sign 0x{addr:x}: signature field, bit 55, and address MSB must be clear"
         )
-    return with_pac_field(addr, compute_pac(obj_id, 0, key, cfg, context), cfg)
+    return with_pac_field(addr, _mac(key, modifier_for(obj_id, 0, cfg), True) & cfg.pac_mask, cfg)
 
 
-def pac_auth(ptr: int, obj_id: int, key: PacKey, cfg: AddressConfig,
-             context: int = ZERO_CONTEXT) -> int:
+def pac_auth(ptr: int, obj_id: int, key: PacKey, cfg: AddressConfig) -> int:
     """Verify ptr's signature against obj_id.
 
     Success clears the signature field.  Failure returns the poisoned
@@ -214,7 +234,7 @@ def pac_auth(ptr: int, obj_id: int, key: PacKey, cfg: AddressConfig,
     unconditionally, which is what keeps the metadata half unreachable.
     """
     msb = (ptr >> cfg.msb_bit) & 1
-    expected = compute_pac(obj_id, msb, key, cfg, context)
+    expected = compute_pac(obj_id, msb, key, cfg)
     if msb == 0 and not (ptr >> RESERVED_BIT) & 1 and pac_field(ptr, cfg) == expected:
         return ptr & cfg.clear_mask
     return poison(ptr, cfg)

@@ -1,6 +1,10 @@
 """Interpreter semantics: determinism, trap completeness, frame hygiene."""
+import gc
+import tracemalloc
+
 import pytest
 
+from pasan import pacore
 from pasan.errors import LimitExceeded
 from pasan.instrument import instrument
 from pasan.interp import Interpreter, Limits, run, run_unoptimized_oracle
@@ -505,3 +509,58 @@ bb0:
         prog = build(text, mode)
     result = run(prog, CFG, seed=0)
     assert result.completed and result.exit_value == 0
+
+
+CHURN = """\
+extern @memset(ptr, i32, i64) -> ptr
+
+func @main() -> i32 {
+entry:
+  %sz = const.i64 24
+  %early = malloc %sz
+  free %early
+  %n = const.i64 100
+  %one = const.i64 1
+  %byte = const.i32 7
+  %p0 = malloc %sz
+  br loop
+loop:
+  %i = phi [entry: %n], [loop: %in]
+  %prev = phi [entry: %p0], [loop: %p]
+  %p = malloc %sz
+  %r = call @memset(%p, %byte, %sz)
+  %y = load.i32 %p
+  free %prev
+  %in = sub.i64 %i, %one
+  cbr %in, loop, done
+done:
+  free %p
+  %bad = load.i32 %early
+  ret %bad
+}
+"""
+
+
+def test_runs_leave_no_mac_state_behind():
+    # A run's MACs live in its key's table, so running a churn-shaped
+    # program (about 100 new ids a run) many times in one process leaves
+    # no MAC state that grows with the run count.
+    prog = build(CHURN)
+
+    def pacore_bytes():
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, pacore.__file__)])
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    tracemalloc.start()
+    try:
+        for seed in range(50):
+            result = run(prog, CFG, seed=seed)
+            assert result.report.kind is ViolationKind.USE_AFTER_FREE
+            if seed == 9:
+                after_10 = pacore_bytes()
+        after_50 = pacore_bytes()
+    finally:
+        tracemalloc.stop()
+    assert after_50 - after_10 < 4096

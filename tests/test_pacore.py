@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pasan import pacore
 from pasan.errors import PreconditionViolated
 from pasan.pacore import (
     MASK64,
     ZERO_CONTEXT,
     AddressConfig,
     PacKey,
-    _mac,
+    _siphash_words,
     compute_pac,
     error_pattern,
     is_poisoned,
@@ -25,6 +26,7 @@ from pasan.pacore import (
     strip,
     with_pac_field,
 )
+from pasan.runtime import IdGenerator
 
 CFG = AddressConfig(47)
 KEY = PacKey(0x00112233445566778899AABBCCDDEEFF)
@@ -156,8 +158,9 @@ def test_sign_golden_value():
 
 
 def test_word_mac_matches_byte_siphash():
-    # _mac hashes the two message words directly; it must equal SipHash
-    # over their little-endian bytes, address MSB set or clear, any context.
+    # The kernel hashes the two message words directly; it must equal
+    # SipHash over their little-endian bytes, address MSB set or clear,
+    # any context.
     rng = random.Random(12)
     for _ in range(300):
         k0, k1 = rng.getrandbits(64), rng.getrandbits(64)
@@ -167,8 +170,80 @@ def test_word_mac_matches_byte_siphash():
             modifier = modifier_for(obj_id, msb, cfg)
             for context in (ZERO_CONTEXT, rng.getrandbits(64) | 1):
                 data = modifier.to_bytes(8, "little") + context.to_bytes(8, "little")
-                assert _mac(k0, k1, modifier, context) == siphash24(k0, k1, data) \
+                assert _siphash_words(k0, k1, (modifier, context, 16 << 56)) \
+                    == siphash24(k0, k1, data) \
                     == siphash24_oracle(k0, k1, data)
+
+
+def _pack(values):
+    """One lane-parallel word: value i in the 128-bit lane i."""
+    return sum(v << 128 * i for i, v in enumerate(values))
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 17, 256])
+def test_lane_kernel_matches_oracle_lane_by_lane(lanes):
+    # Every lane is an independent SipHash: random keys, ids near both
+    # ends of the 32-bit range, the address MSB set or clear, and context
+    # words with their top bit set (the carries a lane must not leak).
+    rng = random.Random(lanes)
+    for _ in range(2):
+        k0, k1 = rng.getrandbits(64), rng.getrandbits(64)
+        cfg = AddressConfig(rng.randrange(33, 53))
+        messages = []
+        for _ in range(lanes):
+            obj_id = rng.choice([rng.getrandbits(32), rng.randrange(4),
+                                 (1 << 32) - 1 - rng.randrange(4)])
+            context = rng.choice([ZERO_CONTEXT, rng.getrandbits(64), MASK64])
+            messages.append((modifier_for(obj_id, rng.getrandbits(1), cfg), context))
+        got = _siphash_words(k0, k1, (_pack(m for m, _ in messages),
+                                      _pack(c for _, c in messages),
+                                      _pack([16 << 56] * lanes)), lanes)
+        expected = [siphash24_oracle(k0, k1, m.to_bytes(8, "little") + c.to_bytes(8, "little"))
+                    for m, c in messages]
+        assert got == _pack(expected)
+
+
+@pytest.mark.parametrize("n", [33, 47])
+def test_consecutive_signing_matches_cold_table(n):
+    # Signing consecutive ids fills the key's table in batches ahead of
+    # use; each pointer must equal one signed under an equal key whose
+    # table is empty.  The counter wraps past the reserved id 0.
+    cfg = AddressConfig(n)
+    key = PacKey(random.Random(n).getrandbits(128))
+    gen = IdGenerator(0xFFFFFF00)
+    ids = [gen.next() for _ in range(2000)]
+    assert 0xFFFFFFFF in ids and 0 not in ids
+    for obj_id in ids:
+        cold = PacKey(key.key)
+        assert cold == key and not cold.macs
+        assert pac_sign(0x1000, obj_id, key, cfg) == pac_sign(0x1000, obj_id, cold, cfg)
+    assert len(key.macs) < len(ids) + 256
+
+
+def test_auth_miss_computes_one_mac(monkeypatch):
+    lanes_run = []
+    kernel = pacore._siphash_words
+
+    def counting(k0, k1, words, lanes=1):
+        lanes_run.append(lanes)
+        return kernel(k0, k1, words, lanes)
+
+    monkeypatch.setattr(pacore, "_siphash_words", counting)
+    key = PacKey(0x1234)
+    gen = IdGenerator(100)
+    for _ in range(64):  # batches of 1, 1, 2, ..., 32 lanes
+        signed = pac_sign(0x1000, gen.next(), key, CFG)
+    assert len(lanes_run) == 7
+    lanes_run.clear()
+    pac_sign(0x2000, gen.next(), key, CFG)
+    assert lanes_run == [64]  # a signing miss runs a batch as large as the table
+    for ptr, found in ((0x1000, 0), (signed | 1 << 46, 139), (signed, 0xDEAD0000)):
+        lanes_run.clear()
+        assert is_poisoned(pac_auth(ptr, found, key, CFG), CFG)
+        assert lanes_run == [1]
+        lanes_run.clear()
+        pac_auth(ptr, found, key, CFG)
+        assert lanes_run == []  # now in the table
 
 
 addrs = st.integers(min_value=0, max_value=(1 << 46) - 1)
