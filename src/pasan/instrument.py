@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InstrumentationError
-from .miniir import BUILTIN_SIGS, Function, Inst, Namer, Program
+from .miniir import BUILTIN_SIGS, ExternDecl, Function, Inst, Namer, Program
 from .runtime import RT_FREE, RT_MALLOC, WRAPPED_EXTERNS, padded_size
 
 __all__ = ["SafetyClass", "classify", "classify_globals", "instrument",
-           "lint_instrumented", "padded_size"]
+           "lint_instrumented", "padded_size", "wraps_builtin"]
 
 
 @dataclass(frozen=True)
@@ -203,6 +203,13 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
         func.blocks[label] = new_block
 
 
+def wraps_builtin(ext: ExternDecl) -> bool:
+    """Whether calls to a declared external go through a checking
+    wrapper: memcpy, memset or strlen with its exact builtin signature."""
+    wrapper = WRAPPED_EXTERNS.get(ext.name)
+    return wrapper is not None and (ext.params, ext.ret) == BUILTIN_SIGS[wrapper]
+
+
 def _instrument_call(prog: Program, inst: Inst, namer: Namer) -> list[Inst]:
     callee = inst.callee
     if callee in prog.functions:
@@ -210,7 +217,7 @@ def _instrument_call(prog: Program, inst: Inst, namer: Namer) -> list[Inst]:
     ext = prog.externs.get(callee)
     if ext is None:
         raise InstrumentationError(f"call to undeclared function @{callee}")
-    if callee in WRAPPED_EXTERNS and (ext.params, ext.ret) == BUILTIN_SIGS[WRAPPED_EXTERNS[callee]]:
+    if wraps_builtin(ext):
         # Known builtin: route through the checking wrapper, signed
         # pointers and all; the wrapper returns pointers as received.
         inst.callee = WRAPPED_EXTERNS[callee]

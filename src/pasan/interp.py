@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import FaultKind, LimitExceeded, MemoryFault, PasanError
-from .instrument import instrument
+from .instrument import instrument, wraps_builtin
 from .memspace import MemSpace, RegionMap
-from .miniir import BUILTIN_SIGS, ExternDecl, Function, Inst, Program, function_types
+from .miniir import OPS, ExternDecl, Function, Inst, Program, function_types
 from .pacore import MASK64, AddressConfig, PacKey, strip
 from .runtime import (
     RT_FREE,
     RT_MALLOC,
     RT_WRAPPERS,
-    WRAPPED_EXTERNS,
     IdGenerator,
     SanitizerRuntime,
     Stats,
@@ -105,12 +104,10 @@ _CANNED_ARITY = {"ext_alloc": 1, "ext_id": 1, "ext_peek": 1, "ext_poke": 2}
 
 def _simulated(decl: ExternDecl) -> bool:
     """Whether a declared external runs its canned behaviour: memcpy,
-    memset and strlen need their exact builtin signature (the rule
-    instrument uses to route them through the wrappers), the others
-    their arity.  Any other external is unsimulated and returns 0."""
-    if decl.name in WRAPPED_EXTERNS:
-        return (decl.params, decl.ret) == BUILTIN_SIGS[WRAPPED_EXTERNS[decl.name]]
-    return len(decl.params) == _CANNED_ARITY.get(decl.name)
+    memset and strlen when instrument routes them through the wrappers
+    (wraps_builtin), the others when they have their arity.  Any other
+    external is unsimulated and returns 0."""
+    return wraps_builtin(decl) or len(decl.params) == _CANNED_ARITY.get(decl.name)
 
 
 # -- op handlers: (interp, frame, regs, inst) -> None, a branch target
@@ -198,8 +195,8 @@ _TEMPLATES = {
 # Templates that cannot raise, so need no fault index.
 _PURE = {"const", "add", "sub", "mul", "gep", "gep_i32"}
 
-# Ops whose integer args are not value operands.
-_LITERAL_ARGS = {"const", "alloca", "sign"}
+# Ops whose integer args are literals, not value operands.
+_LITERAL_ARGS = {op for op, (_, _, kinds) in OPS.items() if "literal" in kinds or "size" in kinds}
 
 # Calls outside the program bound to their op at lowering: the runtime
 # entry points by name, any other external is simulated.

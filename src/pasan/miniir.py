@@ -21,9 +21,45 @@ from .errors import ParseError, ValidationError
 
 TYPES = ("i32", "i64", "ptr")
 ACCESS_SUFFIXES = {"i8": 1, "i32": 4, "i64": 8, "ptr": 8}
-ARITH_OPS = ("add", "sub", "mul")
 TERMINATORS = ("br", "cbr", "ret")
 INSTRUMENTATION_OPS = ("sign", "check", "fastcheck", "stripcall", "resign", "gpptinit")
+
+# The one definition of every op but call and phi, which have their own
+# syntax: its type suffixes, each with the access width it fixes ({"":
+# None} for none), the types of its results (a second one is optional)
+# and the kinds of its operands.  A result or value operand has a type:
+# a type name, "suffix" (the value type the suffix moves: i8 moves an
+# i32), "ret" (the function's return type) or "int" (any integer type).
+# The other kinds are literals written in place: "literal" an integer,
+# "size" one that is not negative, "width" one kept in Inst.width (last),
+# "label" a block label and "global" a @global.
+_INT_SUFFIXES = dict.fromkeys(("i32", "i64"))
+_NO_SUFFIX = {"": None}
+OPS = {
+    "const": (_INT_SUFFIXES, ("suffix",), ("literal",)),
+    "add": (_INT_SUFFIXES, ("suffix",), ("suffix", "suffix")),
+    "sub": (_INT_SUFFIXES, ("suffix",), ("suffix", "suffix")),
+    "mul": (_INT_SUFFIXES, ("suffix",), ("suffix", "suffix")),
+    "load": (ACCESS_SUFFIXES, ("suffix",), ("ptr",)),
+    "store": (ACCESS_SUFFIXES, (), ("ptr", "suffix")),
+    "alloca": (_NO_SUFFIX, ("ptr",), ("size",)),
+    "globaladdr": (_NO_SUFFIX, ("ptr",), ("global",)),
+    "gep": (_NO_SUFFIX, ("ptr",), ("ptr", "int")),
+    "malloc": (_NO_SUFFIX, ("ptr",), ("i64",)),
+    "free": (_NO_SUFFIX, (), ("ptr",)),
+    "br": (_NO_SUFFIX, (), ("label",)),
+    "cbr": (_NO_SUFFIX, (), ("int", "label", "label")),
+    "ret": (_NO_SUFFIX, (), ("ret",)),
+    "sign": (_NO_SUFFIX, ("ptr",), ("ptr", "size")),
+    "check": (_NO_SUFFIX, ("ptr", "i32"), ("ptr", "width")),
+    "fastcheck": (_NO_SUFFIX, ("ptr",), ("ptr", "i32", "ptr", "width")),
+    "stripcall": (_NO_SUFFIX, ("ptr",), ("ptr",)),
+    "resign": (_NO_SUFFIX, ("ptr",), ("ptr",)),
+    "gpptinit": (_NO_SUFFIX, (), ("global",)),
+}
+_VALUE_TYPE = {"i8": "i32", "i32": "i32", "i64": "i64", "ptr": "ptr"}   # of a suffix
+_ACCEPTS = {"i32": ("i32", "int"), "i64": ("i64", "int"), "ptr": ("ptr",),
+            "int": ("int", "i32", "i64")}   # operand types a value type takes
 
 # Runtime entry points (reserved name prefix) and their signatures.
 BUILTIN_SIGS = {
@@ -185,22 +221,62 @@ _CALL_RE = re.compile(rf"^call\s+({_SYM})\s*\(([^)]*)\)$")
 _PHI_ARM_RE = re.compile(rf"\[\s*({_LABEL})\s*:\s*({_REG}|{_INT})\s*\]")
 
 
-def _operand(tok: str, line: int):
-    tok = tok.strip()
-    if tok.startswith("%") or tok.startswith("@"):
-        return tok
+def _integer(tok: str, line: int) -> int:
     try:
         return int(tok, 0)
     except ValueError:
         raise ParseError(f"bad operand {tok!r}", line) from None
 
 
-def _split_operands(text: str, line: int, expect: int | None = None) -> list:
-    text = text.strip()
-    ops = [] if not text else [_operand(part, line) for part in text.split(",")]
-    if expect is not None and len(ops) != expect:
-        raise ParseError(f"expected {expect} operand(s), got {len(ops)}", line)
-    return ops
+def _operand(tok: str, line: int):
+    """A value operand: a register or an integer literal."""
+    return tok if tok.startswith("%") else _integer(tok, line)
+
+
+def _matching(pattern: str, what: str):
+    regex = re.compile(pattern)
+
+    def parse(tok: str, line: int) -> str:
+        if regex.fullmatch(tok) is None:
+            raise ParseError(f"expected {what}, got {tok!r}", line)
+        return tok
+    return parse
+
+
+_LITERAL_PARSERS = {"literal": _integer, "size": _integer, "width": _integer,
+                    "label": _matching(_LABEL, "a block label"),
+                    "global": _matching(_SYM, "a @global")}
+
+
+@dataclass(frozen=True, slots=True)
+class _Op:
+    """An OPS row as the parser, printer and validator read it."""
+    suffixes: dict
+    results: tuple
+    defines: tuple          # how many result registers it may define
+    parsers: tuple          # one per operand
+    width: bool             # the last operand is Inst.width
+    values: tuple           # (arg index, type) of each value operand
+    literals: tuple         # (arg index, kind) of each size and global
+
+
+def _op(suffixes: dict, results: tuple, kinds: tuple) -> _Op:
+    width = kinds[-1] == "width"
+    args = list(enumerate(kinds[:-1] if width else kinds))
+    return _Op(suffixes, results, tuple(range(min(1, len(results)), len(results) + 1)),
+               tuple(_LITERAL_PARSERS.get(k, _operand) for k in kinds), width,
+               tuple((i, k) for i, k in args if k not in _LITERAL_PARSERS),
+               tuple((i, k) for i, k in args if k in ("size", "global")))
+
+
+_OPS = {op: _op(*row) for op, row in OPS.items()}
+
+
+def _check_defines(head: str, allowed: tuple, count: int, line: int) -> None:
+    if count not in allowed:
+        raise ParseError(f"{head} " + ("requires a result register" if count < allowed[0] else
+                                      "forbids a result register" if allowed == (0,) else
+                                      "cannot define a second result"), line)
 
 
 def parse(text: str) -> Program:
@@ -272,121 +348,39 @@ def parse(text: str) -> Program:
 
 def _parse_inst(line: str, lineno: int) -> Inst:
     result = result2 = None
+    defined = 0
     if m := _RESULT_RE.match(line):
         result, result2, line = m.group(1), m.group(2), m.group(3).strip()
+        defined = 1 if result2 is None else 2
 
     head, _, rest = line.partition(" ")
     rest = rest.strip()
-    op, _, suffix = head.partition(".")
-
-    def require_result(ok: bool = True):
-        if ok != (result is not None):
-            raise ParseError(f"{head} {'requires' if ok else 'forbids'} a result register", lineno)
-        if result2 is not None and op != "check":
-            raise ParseError("only check may define a second result", lineno)
-
-    if op == "const":
-        require_result()
-        if suffix not in ("i32", "i64"):
-            raise ParseError(f"bad const type {suffix!r}", lineno)
-        return Inst("const", result=result, ty=suffix, args=(int(rest, 0),))
-    if op in ARITH_OPS:
-        require_result()
-        if suffix not in ("i32", "i64"):
-            raise ParseError(f"bad arith type {suffix!r}", lineno)
-        args = _split_operands(rest, lineno, expect=2)
-        return Inst(op, result=result, ty=suffix, args=tuple(args))
-    if op == "load":
-        require_result()
-        if suffix not in ACCESS_SUFFIXES:
-            raise ParseError(f"bad access suffix {suffix!r}", lineno)
-        (addr,) = _split_operands(rest, lineno, expect=1)
-        return Inst("load", result=result, ty=suffix, width=ACCESS_SUFFIXES[suffix], args=(addr,))
-    if op == "store":
-        require_result(False)
-        if suffix not in ACCESS_SUFFIXES:
-            raise ParseError(f"bad access suffix {suffix!r}", lineno)
-        args = _split_operands(rest, lineno, expect=2)
-        return Inst("store", ty=suffix, width=ACCESS_SUFFIXES[suffix], args=tuple(args))
-    if suffix:
-        raise ParseError(f"unknown instruction {head!r}", lineno)
-
-    if op == "alloca":
-        require_result()
-        return Inst("alloca", result=result, args=(int(rest, 0),))
-    if op == "globaladdr":
-        require_result()
-        if not re.match(rf"^{_SYM}$", rest):
-            raise ParseError("globaladdr takes a @symbol", lineno)
-        return Inst("globaladdr", result=result, args=(rest,))
-    if op == "gep":
-        require_result()
-        args = _split_operands(rest, lineno, expect=2)
-        return Inst("gep", result=result, args=tuple(args))
-    if op == "call":
-        m = _CALL_RE.match(line)
-        if not m:
+    if head == "call":
+        _check_defines(head, (0, 1), defined, lineno)
+        if not (m := _CALL_RE.match(line)):
             raise ParseError("malformed call", lineno)
+        toks = m.group(2).split(",") if m.group(2).strip() else ()
         return Inst("call", result=result, callee=m.group(1)[1:],
-                    args=tuple(_split_operands(m.group(2), lineno)))
-    if op == "malloc":
-        require_result()
-        (size,) = _split_operands(rest, lineno, expect=1)
-        return Inst("malloc", result=result, args=(size,))
-    if op == "free":
-        require_result(False)
-        (ptr,) = _split_operands(rest, lineno, expect=1)
-        return Inst("free", args=(ptr,))
-    if op == "br":
-        require_result(False)
-        if not re.match(rf"^{_LABEL}$", rest):
-            raise ParseError("br takes a block label", lineno)
-        return Inst("br", args=(rest,))
-    if op == "cbr":
-        require_result(False)
-        parts = [p.strip() for p in rest.split(",")]
-        if len(parts) != 3:
-            raise ParseError("cbr takes cond, label, label", lineno)
-        return Inst("cbr", args=(_operand(parts[0], lineno), parts[1], parts[2]))
-    if op == "phi":
-        require_result()
+                    args=tuple(_operand(tok.strip(), lineno) for tok in toks))
+    if head == "phi":
+        _check_defines(head, (1,), defined, lineno)
         arms = _PHI_ARM_RE.findall(rest)
         if not arms or _PHI_ARM_RE.sub("", rest).replace(",", "").strip():
             raise ParseError("malformed phi arms", lineno)
         return Inst("phi", result=result,
                     incomings=tuple((lbl, _operand(val, lineno)) for lbl, val in arms))
-    if op == "ret":
-        require_result(False)
-        (val,) = _split_operands(rest, lineno, expect=1)
-        return Inst("ret", args=(val,))
-    if op == "sign":
-        require_result()
-        args = _split_operands(rest, lineno, expect=2)
-        if not isinstance(args[1], int):
-            raise ParseError("sign takes pointer, literal size", lineno)
-        return Inst("sign", result=result, args=tuple(args))
-    if op == "check":
-        require_result()
-        args = _split_operands(rest, lineno, expect=2)
-        if not isinstance(args[1], int):
-            raise ParseError("check takes pointer, literal width", lineno)
-        return Inst("check", result=result, result2=result2, width=args[1], args=(args[0],))
-    if op == "fastcheck":
-        require_result()
-        args = _split_operands(rest, lineno, expect=4)
-        if not isinstance(args[3], int):
-            raise ParseError("fastcheck takes pointer, token, base, literal width", lineno)
-        return Inst("fastcheck", result=result, width=args[3], args=tuple(args[:3]))
-    if op in ("stripcall", "resign"):
-        require_result()
-        (ptr,) = _split_operands(rest, lineno, expect=1)
-        return Inst(op, result=result, args=(ptr,))
-    if op == "gpptinit":
-        require_result(False)
-        if not re.match(rf"^{_SYM}$", rest):
-            raise ParseError("gpptinit takes a @symbol", lineno)
-        return Inst("gpptinit", args=(rest,))
-    raise ParseError(f"unknown instruction {head!r}", lineno)
+    op, _, suffix = head.partition(".")
+    spec = _OPS.get(op)
+    if spec is None or suffix not in spec.suffixes:
+        raise ParseError(f"unknown instruction {head!r}", lineno)
+    if defined not in spec.defines:
+        _check_defines(head, spec.defines, defined, lineno)
+    toks = rest.split(",") if rest else ()
+    if len(toks) != len(spec.parsers):
+        raise ParseError(f"{head} takes {len(spec.parsers)} operand(s), got {len(toks)}", lineno)
+    args = [parse(tok.strip(), lineno) for parse, tok in zip(spec.parsers, toks)]
+    width = args.pop() if spec.width else spec.suffixes[suffix]
+    return Inst(op, result, result2, suffix or None, width, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -394,32 +388,14 @@ def _parse_inst(line: str, lineno: int) -> Inst:
 # ---------------------------------------------------------------------------
 
 def format_inst(inst: Inst) -> str:
-    parts = []
-    if inst.result:
-        parts.append(inst.result + (f", {inst.result2}" if inst.result2 else "") + " = ")
+    text = f"{', '.join(inst.defs())} = " if inst.result else ""
     op = inst.op
-    if op == "const":
-        parts.append(f"const.{inst.ty} {inst.args[0]}")
-    elif op in ARITH_OPS:
-        parts.append(f"{op}.{inst.ty} {inst.args[0]}, {inst.args[1]}")
-    elif op == "load":
-        parts.append(f"load.{inst.ty} {inst.args[0]}")
-    elif op == "store":
-        parts.append(f"store.{inst.ty} {inst.args[0]}, {inst.args[1]}")
-    elif op == "call":
-        parts.append(f"call @{inst.callee}({', '.join(map(str, inst.args))})")
-    elif op == "phi":
-        arms = ", ".join(f"[{lbl}: {v}]" for lbl, v in inst.incomings)
-        parts.append(f"phi {arms}")
-    elif op == "cbr":
-        parts.append(f"cbr {inst.args[0]}, {inst.args[1]}, {inst.args[2]}")
-    elif op == "check":
-        parts.append(f"check {inst.args[0]}, {inst.width}")
-    elif op == "fastcheck":
-        parts.append(f"fastcheck {', '.join(map(str, inst.args))}, {inst.width}")
-    else:
-        parts.append(" ".join([op] + [", ".join(map(str, inst.args))]).rstrip())
-    return "".join(parts)
+    if op == "call":
+        return f"{text}call @{inst.callee}({', '.join(map(str, inst.args))})"
+    if op == "phi":
+        return text + "phi " + ", ".join(f"[{lbl}: {v}]" for lbl, v in inst.incomings)
+    operands = (*inst.args, inst.width) if _OPS[op].width else inst.args
+    return f"{text}{op}{'.' + inst.ty if inst.ty else ''} {', '.join(map(str, operands))}"
 
 
 def format_program(prog: Program) -> str:
@@ -451,9 +427,7 @@ def _callee_sig(prog: Program, name: str) -> tuple[tuple[str, ...], str] | None:
     if name in prog.externs:
         ext = prog.externs[name]
         return ext.params, ext.ret
-    if name in BUILTIN_SIGS:
-        return BUILTIN_SIGS[name]
-    return None
+    return BUILTIN_SIGS.get(name)
 
 
 def validate(prog: Program) -> None:
@@ -466,11 +440,10 @@ def validate(prog: Program) -> None:
         symbols.add(g.symbol)
         if g.size <= 0:
             raise ValidationError(f"global @{g.symbol} must have positive size")
-    for name in list(prog.externs) + list(prog.functions):
+    for name in [*prog.externs, *prog.functions]:
         if name in symbols:
             raise ValidationError(f"duplicate symbol @{name}")
         symbols.add(name)
-    for name in [*prog.externs, *prog.functions]:
         if name.startswith("__pa_"):
             raise ValidationError(f"@{name}: the __pa_ prefix is reserved for the runtime")
     if "main" not in prog.functions:
@@ -532,24 +505,32 @@ def _validate_function(prog: Program, func: Function) -> None:
         if reg not in types:
             err(f"could not infer a type for {reg} (phi cycle with no typed operand?)")
 
-    def type_of(operand) -> str:
-        if isinstance(operand, int):
-            return "int"
-        if isinstance(operand, str) and operand.startswith("%"):
-            if operand not in types:
-                err(f"use of undefined register {operand}")
-            return types[operand]
-        err(f"unexpected operand {operand!r}")
-
     def want(operand, expected: str, what: str):
-        ty = type_of(operand)
-        if ty == "int" and expected in ("i32", "i64"):
-            return
-        if ty != expected:
+        ty = "int" if isinstance(operand, int) else types.get(operand)
+        if ty is None:
+            err(f"use of undefined register {operand}")
+        if ty not in _ACCEPTS[expected]:
             err(f"{what}: expected {expected}, got {ty} ({operand!r})")
 
-    for label, idx, inst in func.insts():
-        _check_inst_types(prog, func, inst, want, type_of, err)
+    for _, _, inst in func.insts():
+        op, args = inst.op, inst.args
+        if op == "call":
+            params, _ = _callee_sig(prog, inst.callee)
+            what = f"call @{inst.callee}"
+            if len(params) != len(args):
+                err(f"{what}: expected {len(params)} args, got {len(args)}")
+            for arg, ty in zip(args, params):
+                want(arg, ty, what)
+        elif op != "phi":
+            spec = _OPS[op]
+            for i, ty in spec.values:
+                want(args[i], _VALUE_TYPE[inst.ty] if ty == "suffix" else
+                     func.ret if ty == "ret" else ty, op)
+            for i, kind in spec.literals:
+                if kind == "size" and args[i] < 0:
+                    err(f"{op} size must not be negative, got {args[i]}")
+                if kind == "global" and not any(g.symbol == args[i][1:] for g in prog.globals):
+                    err(f"{op} of unknown global {args[i]}")
 
     # Defs dominate uses.
     preds_of = func.predecessors()
@@ -584,22 +565,16 @@ def function_types(prog: Program, func: Function) -> dict[str, str]:
     types: dict[str, str] = dict(func.params)
 
     def infer(inst: Inst) -> str | None:
-        op = inst.op
-        if op == "const" or op in ARITH_OPS:
-            return inst.ty
-        if op == "load":
-            return "i32" if inst.ty == "i8" else inst.ty
-        if op in ("alloca", "globaladdr", "gep", "malloc", "sign", "check",
-                  "fastcheck", "stripcall", "resign"):
-            return "ptr"
-        if op == "call":
+        if inst.op == "call":
             sig = _callee_sig(prog, inst.callee)
             return sig[1] if sig else None
-        if op == "phi":
+        if inst.op == "phi":
             for _, val in inst.incomings:
                 if isinstance(val, str) and val in types:
                     return types[val]
-        return None
+            return None
+        ty = _OPS[inst.op].results[0]
+        return _VALUE_TYPE[inst.ty] if ty == "suffix" else ty
 
     changed = True
     while changed:
@@ -611,60 +586,9 @@ def function_types(prog: Program, func: Function) -> dict[str, str]:
                     types[inst.result] = ty
                     changed = True
             if inst.result2 and inst.result2 not in types:
-                types[inst.result2] = "i32"
+                types[inst.result2] = _OPS[inst.op].results[1]
                 changed = True
     return types
-
-
-def _check_inst_types(prog, func, inst: Inst, want, type_of, err) -> None:
-    op = inst.op
-    if op in ARITH_OPS:
-        want(inst.args[0], inst.ty, op)
-        want(inst.args[1], inst.ty, op)
-    elif op == "gep":
-        want(inst.args[0], "ptr", "gep base")
-        off_ty = type_of(inst.args[1])
-        if off_ty not in ("int", "i32", "i64"):
-            err(f"gep offset must be an integer, got {off_ty}")
-    elif op == "load":
-        want(inst.args[0], "ptr", "load address")
-    elif op == "store":
-        want(inst.args[0], "ptr", "store address")
-        value_ty = {"i8": "i32", "i32": "i32", "i64": "i64", "ptr": "ptr"}[inst.ty]
-        want(inst.args[1], value_ty, f"store.{inst.ty} value")
-    elif op == "call":
-        sig = _callee_sig(prog, inst.callee)
-        if sig is None:
-            err(f"call to unknown function @{inst.callee}")
-        params, _ = sig
-        if len(params) != len(inst.args):
-            err(f"call @{inst.callee}: expected {len(params)} args, got {len(inst.args)}")
-        for arg, ty in zip(inst.args, params):
-            want(arg, ty, f"call @{inst.callee} argument")
-    elif op == "malloc":
-        off_ty = type_of(inst.args[0]) if isinstance(inst.args[0], str) else "int"
-        if off_ty not in ("int", "i64"):
-            err("malloc size must be i64")
-    elif op == "free":
-        want(inst.args[0], "ptr", "free")
-    elif op == "cbr":
-        cond_ty = type_of(inst.args[0]) if isinstance(inst.args[0], str) else "int"
-        if cond_ty not in ("int", "i32", "i64"):
-            err("cbr condition must be an integer")
-    elif op == "ret":
-        want(inst.args[0], func.ret, "ret value")
-    elif op in ("sign", "check", "stripcall", "resign"):
-        want(inst.args[0], "ptr", op)
-    elif op == "fastcheck":
-        want(inst.args[0], "ptr", "fastcheck pointer")
-        want(inst.args[1], "i32", "fastcheck token")
-        want(inst.args[2], "ptr", "fastcheck base")
-    elif op in ("globaladdr", "gpptinit"):
-        symbol = inst.args[0][1:]
-        try:
-            prog.global_def(symbol)
-        except KeyError:
-            err(f"{op} of unknown global @{symbol}")
 
 
 # ---------------------------------------------------------------------------

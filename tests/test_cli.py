@@ -126,6 +126,21 @@ bb0:
     assert "@__pa_malloc: the __pa_ prefix is reserved" in capsys.readouterr().err
 
 
+def test_run_negative_alloca_exit_2(tmp_path, capsys):
+    # An unused alloca is never signed, so only validate stands between a
+    # negative size and the frame layout.
+    text = """\
+func @main() -> i32 {
+bb0:
+  %p = alloca -4
+  %z = const.i32 0
+  ret %z
+}
+"""
+    assert main(["run", write(tmp_path, "negative_alloca.ir", text)]) == 2
+    assert "@main: alloca size must not be negative" in capsys.readouterr().err
+
+
 def test_run_program_of_5000_blocks(tmp_path):
     # A straight-line CFG storing through a gep of one heap base in each
     # block, with an external call (which may free) every 7 blocks.

@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pasan.errors import ParseError, ValidationError
+from pasan.interp import _HANDLERS
 from pasan.miniir import (
+    INSTRUMENTATION_OPS,
+    OPS,
     Dominance,
     FreeFacts,
     Function,
     Inst,
     Namer,
     Program,
+    format_inst,
     format_program,
     function_types,
     functions_may_free,
@@ -89,6 +93,50 @@ def test_parse_error_carries_line():
     with pytest.raises(ParseError) as exc:
         parse("func @main() -> i32 {\nbb0:\n  %x = bogus 1\n}\n")
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("line", [
+    "%x = const.i32 0x",                  # an integer literal that int() rejects
+    "%p = alloca x",
+    "%a, %b = call @ext_id(%v)",          # only check defines a second result
+    "cbr %c, -4, bb2",                    # a label operand that is not a label
+    "%y = add.i32 %v, @g",                # a global where a value goes
+])
+def test_parse_errors_carry_line(line):
+    text = f"extern @ext_id(i32) -> i32\n\nfunc @main() -> i32 {{\nbb0:\n  {line}\n  ret %v\n}}\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line == 5
+
+
+# One line per op of the table, each in a function giving it operands.
+OP_LINES = [
+    "%r = const.i32 -7", "%r = const.i64 4096", "%r = add.i32 %t, 1", "%r = sub.i64 %n, %n",
+    "%r = mul.i32 %t, %t", "%r = load.i8 %p", "%r = load.ptr %p", "store.i64 %p, %n",
+    "store.i8 %p, %t", "%r = alloca 12", "%r = globaladdr @g", "%r = gep %p, %t",
+    "%r = malloc %n", "free %p", "br bb1", "cbr %t, bb1, bb1", "ret %t", "%r = sign %p, 8",
+    "%r = check %p, 1", "%r, %k = check %p, 4", "%r = fastcheck %p, %t, %p, 8",
+    "%r = stripcall %p", "%r = resign %p", "gpptinit @g",
+]
+
+
+def test_every_op_round_trips_and_type_checks():
+    ops = set()
+    for line in OP_LINES:
+        tail = ["bb1:", "  ret %t"] if line.startswith(("br", "cbr")) else ["  ret %t"]
+        text = "\n".join(["global @g 8", "func @f(%p: ptr, %t: i32, %n: i64) -> i32 {", "bb0:",
+                          f"  {line}", *(tail if line != "ret %t" else ()), "}", MINIMAL])
+        prog = parse(text)
+        inst = prog.functions["f"].blocks["bb0"][0]
+        assert format_inst(inst) == line
+        validate(prog)
+        ops.add(inst.op)
+    assert ops == set(OPS)
+
+
+def test_op_table_covers_interpreter_and_instrumentation():
+    assert set(OPS) | {"call"} <= set(_HANDLERS)
+    assert set(INSTRUMENTATION_OPS) <= set(OPS)
 
 
 @pytest.mark.parametrize("body,message", [
