@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,23 +153,12 @@ def run_corpus_file(path: str, n: int, seed: int, opts: str) -> CorpusOutcome:
     )
 
 
-def _corpus_worker(job: tuple[str, int, int, str]) -> CorpusOutcome:
-    return run_corpus_file(*job)
-
-
-def run_corpus(directory: str, n: int = 47, seed: int = 0, opts: str = "all",
-               jobs: int | None = None) -> tuple[list[CorpusOutcome], dict]:
+def run_corpus(directory: str, n: int = 47, seed: int = 0,
+               opts: str = "all") -> tuple[list[CorpusOutcome], dict]:
     files = sorted(str(p) for p in Path(directory).glob("*.ir"))
     if not files:
         raise PasanError(f"no .ir corpus files in {directory!r}")
-    jobs = jobs or min(8, os.cpu_count() or 1)
-    work = [(f, n, seed, opts) for f in files]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_corpus_worker, work))
-    else:
-        outcomes = [_corpus_worker(item) for item in work]
-    outcomes.sort(key=lambda o: o.file)
+    outcomes = [run_corpus_file(f, n, seed, opts) for f in files]
 
     categories: dict[int, dict] = {}
     for o in outcomes:
@@ -200,7 +187,7 @@ def run_corpus(directory: str, n: int = 47, seed: int = 0, opts: str = "all",
 
 def cmd_corpus(args) -> int:
     try:
-        outcomes, categories = run_corpus(args.dir, args.n, args.seed, args.opts, args.jobs)
+        outcomes, categories = run_corpus(args.dir, args.n, args.seed, args.opts)
     except (ValueError, PasanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -315,8 +302,6 @@ def main(argv: list[str] | None = None) -> int:
     p_corpus.add_argument("dir")
     common(p_corpus)
     p_corpus.add_argument("--opts", choices=sorted(PASS_SETS), default="all")
-    p_corpus.add_argument("--jobs", type=int, default=None,
-                          help="parallel workers (default: cpu count, capped at 8)")
     p_corpus.set_defaults(func=cmd_corpus)
 
     p_collide = sub.add_parser("collide", help="signature forgery statistics")

@@ -551,10 +551,7 @@ def _validate_function(prog: Program, func: Function) -> None:
             continue
         for operand in inst.operands():
             if isinstance(operand, str) and operand.startswith("%") and operand not in param_regs:
-                site = def_site.get(operand)
-                if site is None:
-                    err(f"use of undefined register {operand}")
-                if not dom.inst_dominates(site, (label, idx)):
+                if not dom.inst_dominates(def_site[operand], (label, idx)):
                     err(f"{label}:{idx}: use of {operand} not dominated by its definition")
 
 

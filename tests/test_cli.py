@@ -141,6 +141,67 @@ bb0:
     assert "@main: alloca size must not be negative" in capsys.readouterr().err
 
 
+def _main(*lines):
+    return "func @main() -> i32 {\n" + "\n".join(lines) + "\n}\n"
+
+
+RET = ("  %z = const.i32 0", "  ret %z")
+MAIN = _main("bb0:", *RET)
+
+# One program per parse or validate error message.
+FRONT_END_ERRORS = [
+    ("extern_type", "extern @f(foo) -> i32\n" + MAIN, "line 1: unknown type 'foo'"),
+    ("bad_parameter", MAIN.replace("@main()", "@main(x)"), "bad parameter 'x'"),
+    ("return_type", MAIN.replace("-> i32", "-> foo"), "unknown return type 'foo'"),
+    ("no_blocks", _main(), "function @main has no blocks"),
+    ("duplicate_function", MAIN + MAIN, "duplicate function @main"),
+    ("duplicate_block", _main("bb0:", "  br bb0", "bb0:", *RET), "duplicate block 'bb0'"),
+    ("outside_block", _main(*RET), "instruction outside a block"),
+    ("unterminated", MAIN[:-2], "unterminated function @main"),
+    ("malformed_call", _main("bb0:", "  %c = call main()", *RET), "malformed call"),
+    ("malformed_phi", _main("bb0:", "  br bb1", "bb1:", "  %x = phi bb0 0", *RET),
+     "malformed phi arms"),
+    ("operand_count", _main("bb0:", "  %a = const.i32 1, 2", *RET),
+     "const.i32 takes 1 operand(s), got 2"),
+    ("duplicate_global", "global @g 8\nglobal @g 8\n" + MAIN, "duplicate symbol @g"),
+    ("global_function_clash", "global @main 8\n" + MAIN, "duplicate symbol @main"),
+    ("global_size", "global @g 0\n" + MAIN, "global @g must have positive size"),
+    ("empty_block", _main("bb0:", "bb1:", *RET), "@main: bb0: empty block"),
+    ("mid_block_terminator", _main("bb0:", "  br bb1", *RET, "bb1:", *RET),
+     "@main: bb0: terminator in mid-block"),
+    ("phi_after_non_phi", _main("bb0:", "  br bb1", "bb1:", "  %a = const.i32 1",
+                                "  %x = phi [bb0: 0]", *RET),
+     "@main: bb1: phi after non-phi instruction"),
+    ("unknown_block", _main("bb0:", "  br nowhere"),
+     "@main: bb0: branch to unknown block 'nowhere'"),
+    ("phi_type", _main("bb0:", "  %c = const.i32 1", "  cbr %c, bb1, bb2",
+                       "bb1:", "  %a = phi [bb0: 0], [bb1: %a]", "  cbr %c, bb1, bb2",
+                       "bb2:", *RET),
+     "@main: could not infer a type for %a"),
+    ("call_arity", "func @f(%x: i32) -> i32 {\nbb0:\n  ret %x\n}\n"
+     + _main("bb0:", "  %r = call @f()", "  ret %r"), "@main: call @f: expected 1 args, got 0"),
+    ("unknown_global", _main("bb0:", "  %p = globaladdr @nope", *RET),
+     "@main: globaladdr of unknown global @nope"),
+    ("undefined_phi_operand", _main("bb0:", "  %a = const.i32 1", "  br bb1",
+                                    "bb1:", "  %x = phi [bb0: %a], [bb1: %nope]",
+                                    "  cbr %x, bb1, bb2", "bb2:", "  ret %x"),
+     "@main: use of undefined register %nope"),
+    ("phi_operand_dominance", _main("bb0:", "  %c = const.i32 1", "  cbr %c, bb1, bb2",
+                                    "bb1:", "  %a = const.i32 2", "  br bb2",
+                                    "bb2:", "  %x = phi [bb0: %a], [bb1: %a]", "  ret %x"),
+     "@main: bb2: phi operand %a does not dominate edge from bb0"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in FRONT_END_ERRORS],
+                         ids=[case[0] for case in FRONT_END_ERRORS])
+def test_run_front_end_error_exit_2(tmp_path, capsys, text, message):
+    assert main(["run", write(tmp_path, "bad.ir", text)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_run_program_of_5000_blocks(tmp_path):
     # A straight-line CFG storing through a gep of one heap base in each
     # block, with an external call (which may free) every 7 blocks.
@@ -174,7 +235,7 @@ def test_run_program_of_5000_blocks(tmp_path):
 
 def test_corpus_all_expectations_met(corpus_dir, tmp_path):
     out = tmp_path / "corpus.json"
-    rc = main(["corpus", str(corpus_dir), "--jobs", "2", "--json", str(out)])
+    rc = main(["corpus", str(corpus_dir), "--json", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["ok"] is True

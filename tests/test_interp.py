@@ -277,6 +277,55 @@ bb0:
     assert result.report.kind is ViolationKind.USE_AFTER_SCOPE
 
 
+STALE_INTERIOR_FREE = """\
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = malloc %sz
+  %q = gep %p, 4
+  free %p
+  free %q
+  %z = const.i32 0
+  ret %z
+}
+"""
+
+ALLOCA_FREE = """\
+func @main() -> i32 {
+bb0:
+  %a = alloca 16
+  free %a
+  %z = const.i32 0
+  ret %z
+}
+"""
+
+GLOBAL_FREE = """\
+global @g 16
+
+func @main() -> i32 {
+bb0:
+  %g = globaladdr @g
+  free %g
+  %z = const.i32 0
+  ret %z
+}
+"""
+
+
+@pytest.mark.parametrize("opts", ["none", "all"])
+@pytest.mark.parametrize("text, kind, narrative", [
+    (STALE_INTERIOR_FREE, ViolationKind.USE_AFTER_FREE, "free through a stale pointer"),
+    # the freed alloca escapes, so it is signed; the global is signed by gpptinit
+    (ALLOCA_FREE, ViolationKind.SPATIAL_OOB, "free target is not a live heap allocation"),
+    (GLOBAL_FREE, ViolationKind.SPATIAL_OOB, "free target is not a live heap allocation"),
+], ids=["stale_interior", "alloca", "global"])
+def test_free_of_non_heap_or_stale_pointer(text, kind, narrative, opts):
+    result = run(build(text, opts), CFG, seed=0)
+    assert result.report.kind is kind
+    assert result.report.narrative == narrative
+
+
 def test_external_alloc_interop():
     prog = build("""\
 extern @ext_alloc(i64) -> ptr

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pasan import optpasses
 from pasan.instrument import instrument, lint_instrumented
 from pasan.interp import run
 from pasan.miniir import (Dominance, FreeFacts, Function, Inst, Program, format_program,
@@ -347,10 +348,10 @@ def test_cover_search_matches_every_kept_check_scan(case):
     freeing = functions_may_free(prog)
     key = lambda inst: (inst.args[0], inst.width)  # noqa: E731
 
-    def covers(search):
-        return [(loc, cover.uid) for loc, _, cover in search(prog, func, freeing, key)]
+    def covers(search, *dom_of):
+        return [(loc, cover.uid) for loc, _, cover in search(prog, func, freeing, key, *dom_of)]
 
-    assert covers(_covered_checks) == covers(_scan_covered_checks)
+    assert covers(_covered_checks, lambda: Dominance(func)) == covers(_scan_covered_checks)
 
 
 # ----------------------------------------------------------- copy isolation
@@ -380,3 +381,51 @@ def test_passes_leave_their_input_untouched(corpus_dir):
             assert format_program(prog) == text, (path.name, name)
             assert [g.unsafe for g in prog.globals] == unsafe, (path.name, name)
             assert not _objects(out) & _objects(prog), (path.name, name)
+
+
+# ------------------------------------------------------------ pass driver
+
+def _has_check_group(func):
+    """Do two checks of func share a pointer root through geps, the
+    widest grouping either pass makes?"""
+    defs = {inst.result: inst for _, _, inst in func.insts() if inst.result}
+    roots = []
+    for _, _, inst in func.insts():
+        if inst.op == "check":
+            reg = inst.args[0]
+            while reg in defs and defs[reg].op == "gep":
+                reg = defs[reg].args[0]
+            roots.append(reg)
+    return len(roots) != len(set(roots))
+
+
+def test_run_passes_copies_once_and_answers_each_question_once(corpus_dir, monkeypatch):
+    programs = [instrument(parse(path.read_text())) for path in sorted(corpus_dir.glob("*.ir"))]
+    calls = {"copy": 0, "may_free": 0}
+    built = []
+    copy, may_free, dominance = Program.copy, functions_may_free, Dominance
+
+    def counted_copy(prog):
+        calls["copy"] += 1
+        return copy(prog)
+
+    def counted_may_free(prog):
+        calls["may_free"] += 1
+        return may_free(prog)
+
+    def counted_dominance(func):
+        built.append(func.name)
+        return dominance(func)
+
+    monkeypatch.setattr(Program, "copy", counted_copy)
+    monkeypatch.setattr(optpasses, "functions_may_free", counted_may_free)
+    monkeypatch.setattr(optpasses, "Dominance", counted_dominance)
+    for prog in programs:
+        assert run_passes(prog, "none") is prog
+        assert calls == {"copy": 0, "may_free": 0} and not built
+        run_passes(prog, "all")
+        assert calls == {"copy": 1, "may_free": 1}
+        assert sorted(built) == sorted(name for name, func in prog.functions.items()
+                                       if _has_check_group(func))
+        calls.update(copy=0, may_free=0)
+        built.clear()

@@ -352,6 +352,20 @@ def test_resign_unshadowed_memory_poisons():
     assert is_poisoned(resigned, CFG)
 
 
+def test_stray_signature_into_unshadowed_stack_is_use_after_scope():
+    # A freed heap object's signature on a stack address: no retired
+    # extent covers the address, no live object owns the signature, and
+    # nothing shadows that stack word.
+    rt = make_rt()
+    signed = rt.protected_malloc(16)
+    rt.protected_free(signed)
+    stray = with_pac_field(rt.mem.regions.stack.base + 64, pac_field(signed, CFG), CFG)
+    with pytest.raises(ViolationError) as exc_info:
+        rt.checked_access(stray, 4)
+    assert kind_of(exc_info) is ViolationKind.USE_AFTER_SCOPE
+    assert exc_info.value.report.narrative == "unshadowed stack memory"
+
+
 def test_heap_exhaustion_is_harness_error():
     rng = random.Random(0)
     mem = MemSpace(CFG, RegionMap.default(heap_size=64))
