@@ -29,6 +29,16 @@ from .pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
 from .runtime import IdGenerator, SanitizerRuntime
 
 
+def _write_json(path: str, payload: dict) -> bool:
+    """Write a --json report; on failure print the error and return False."""
+    try:
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _build(text: str, opts: str) -> Program:
     prog = parse(text)
     validate(prog)
@@ -69,8 +79,8 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = _result_json(result, prog, cfg, args.seed, args.opts)
-    if args.json:
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+    if args.json and not _write_json(args.json, payload):
+        return 2
     if result.completed:
         print(f"completed: exit value {result.exit_value}")
     else:
@@ -188,7 +198,7 @@ def run_corpus(directory: str, n: int = 47, seed: int = 0,
 def cmd_corpus(args) -> int:
     try:
         outcomes, categories = run_corpus(args.dir, args.n, args.seed, args.opts)
-    except (ValueError, PasanError) as exc:
+    except (OSError, ValueError, PasanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("CWE   ratio    bad  detected  miss-ok  good  false-pos")
@@ -211,7 +221,8 @@ def cmd_corpus(args) -> int:
             "categories": {str(k): v for k, v in sorted(categories.items())},
             "files": [vars(o) for o in outcomes],
         }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        if not _write_json(args.json, payload):
+            return 2
     if failures:
         print(f"\n{len(failures)} expectation failure(s):")
         for o in failures:
@@ -272,8 +283,8 @@ def cmd_collide(args) -> int:
     print(f"trials={stats['trials']} hits={stats['hits']} "
           f"empirical={stats['empirical_rate']:.3e} expected={stats['expected_rate']:.3e} "
           f"z={stats['z_score']:+.2f}")
-    if args.json:
-        Path(args.json).write_text(json.dumps(stats, indent=2) + "\n")
+    if args.json and not _write_json(args.json, stats):
+        return 2
     return 0 if abs(stats["z_score"]) <= 5.0 else 1
 
 

@@ -15,6 +15,7 @@ from .pacore import MASK64, AddressConfig
 
 PAGE_SIZE = 4096
 PAGE_MASK = PAGE_SIZE - 1
+_ZERO_PAGE = bytes(PAGE_SIZE)  # how an untouched page reads
 
 GLOBALS_BASE = 0x0001_0000
 HEAP_BASE = 0x1000_0000
@@ -74,28 +75,16 @@ class MemSpace:
     # -- raw byte store (no checks; callers enforce their own contracts) --
 
     def _load_bytes(self, addr: int, width: int) -> bytes:
-        off = addr & PAGE_MASK
-        if off + width <= PAGE_SIZE:  # within one page
-            buf = self._pages.get(addr >> 12)
-            return buf[off : off + width] if buf is not None else bytes(width)
         out = bytearray()
         while width:
-            page, off = addr >> 12, addr & PAGE_MASK
+            off = addr & PAGE_MASK
             chunk = min(width, PAGE_SIZE - off)
-            buf = self._pages.get(page)
-            out += buf[off : off + chunk] if buf is not None else bytes(chunk)
+            out += self._pages.get(addr >> 12, _ZERO_PAGE)[off : off + chunk]
             addr += chunk
             width -= chunk
         return bytes(out)
 
     def _store_bytes(self, addr: int, data: bytes) -> None:
-        off = addr & PAGE_MASK
-        if off + len(data) <= PAGE_SIZE:  # within one page
-            buf = self._pages.get(addr >> 12)
-            if buf is None:
-                buf = self._pages[addr >> 12] = bytearray(PAGE_SIZE)
-            buf[off : off + len(data)] = data
-            return
         pos = 0
         while pos < len(data):
             page, off = addr >> 12, addr & PAGE_MASK
@@ -158,13 +147,33 @@ class MemSpace:
                 return
         raise MemoryFault(FaultKind.UNMAPPED, addr)
 
+    # read and write move the bytes of an access within one page and one
+    # region themselves: every region lies in the program half, so such
+    # an access cannot fault.  Anything else takes _check_access.
+
     def read(self, addr: int, width: int) -> int:
+        off = addr & PAGE_MASK
+        if off + width <= PAGE_SIZE:
+            for base, limit in self._spans:
+                if base <= addr and addr + width <= limit:
+                    buf = self._pages.get(addr >> 12, _ZERO_PAGE)
+                    return int.from_bytes(buf[off : off + width], "little")
         self._check_access(addr, width)
         return int.from_bytes(self._load_bytes(addr, width), "little")
 
     def write(self, addr: int, width: int, value: int) -> None:
+        data = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
+        off = addr & PAGE_MASK
+        if off + width <= PAGE_SIZE:
+            for base, limit in self._spans:
+                if base <= addr and addr + width <= limit:
+                    buf = self._pages.get(addr >> 12)
+                    if buf is None:
+                        buf = self._pages[addr >> 12] = bytearray(PAGE_SIZE)
+                    buf[off : off + width] = data
+                    return
         self._check_access(addr, width)
-        self._store_bytes(addr, (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little"))
+        self._store_bytes(addr, data)
 
     def trap_span(self, addr: int, length: int) -> int:
         """Vet an unchecked access to [addr, addr+length) so it traps at

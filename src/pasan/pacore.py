@@ -233,10 +233,20 @@ def pac_auth(ptr: int, obj_id: int, key: PacKey, cfg: AddressConfig) -> int:
     word.  Any pointer with the address MSB or bit 55 set fails
     unconditionally, which is what keeps the metadata half unreachable.
     """
-    msb = (ptr >> cfg.msb_bit) & 1
-    expected = compute_pac(obj_id, msb, key, cfg)
-    if msb == 0 and not (ptr >> RESERVED_BIT) & 1 and pac_field(ptr, cfg) == expected:
-        return ptr & cfg.clear_mask
+    if not (ptr >> cfg.msb_bit) & 1 and not (ptr >> RESERVED_BIT) & 1 \
+            and 0 <= obj_id <= 0xFFFFFFFF:
+        # compute_pac and pac_field inlined: with the MSB clear the
+        # modifier is the id itself.
+        mac = key.macs.get(obj_id)
+        if mac is None:
+            mac = _mac(key, obj_id)
+        if (ptr >> cfg.n) & cfg.lo_mask | ((ptr >> 56) & cfg.hi_mask) << cfg.lo_bits \
+                == mac & cfg.pac_mask:
+            return ptr & cfg.clear_mask
+        return ptr & cfg.clear_mask | cfg.error_field
+    # The MSB or bit 55 is set, or the id is not 32-bit: the signature is
+    # still computed, so such an id raises PreconditionViolated.
+    compute_pac(obj_id, (ptr >> cfg.msb_bit) & 1, key, cfg)
     return poison(ptr, cfg)
 
 

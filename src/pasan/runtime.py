@@ -19,12 +19,10 @@ from .pacore import (
     RESERVED_BIT,
     PacKey,
     compute_pac,
-    lock_bits,
     pac_auth,
     pac_field,
     pac_sign,
     poison,
-    strip,
     with_pac_field,
 )
 
@@ -246,24 +244,19 @@ class SanitizerRuntime:
             return ViolationKind.USE_AFTER_FREE, "unshadowed memory"
         return ViolationKind.CRAFTED_PAC, "signature matches no live or retired object"
 
-    def _authenticate(self, ptr: int) -> tuple[int, int, bool]:
-        """Full authentication, shared by the access check and free:
-        returns (raw address, shadow id, whether the signature matched).
-        A pointer into the metadata half or with bit 55 set never
-        authenticates; it is reported here."""
-        cfg = self.cfg
-        raw = ptr & cfg.strip_mask
-        found = self.mem.id_at(raw)
-        if pac_auth(ptr, found, self.key, cfg) == ptr & cfg.clear_mask:
-            return raw, found, True
-        if (ptr >> cfg.msb_bit) & 1:
+    def _refuse_unsignable(self, ptr: int, found: int) -> None:
+        """A pointer into the metadata half or with bit 55 set never
+        authenticates; report it as such."""
+        if (ptr >> self.cfg.msb_bit) & 1:
             self._raise(ViolationKind.SHADOW_ACCESS, ptr, found,
                         "pointer targets the metadata half")
         if (ptr >> RESERVED_BIT) & 1:
             self._raise(ViolationKind.CRAFTED_PAC, ptr, found, "reserved bit 55 set")
-        return raw, found, False
 
     def _reject(self, ptr: int, raw: int, found: int) -> None:
+        """Report a failed authentication, as _refuse_unsignable or else
+        as _classify_failure attributes it."""
+        self._refuse_unsignable(ptr, found)
         kind, narrative = self._classify_failure(raw, found, pac_field(ptr, self.cfg))
         self._raise(kind, ptr, found, narrative)
 
@@ -276,22 +269,19 @@ class SanitizerRuntime:
         token a same-lock group's fast checks compare against) when
         token is set."""
         self.stats.checks_full += 1
-        raw, found, authentic = self._authenticate(ptr)
-        if not authentic:
+        cfg = self.cfg
+        raw = ptr & cfg.strip_mask
+        found = self.mem.id_at(raw)
+        if pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
             self._reject(ptr, raw, found)
         # The last byte needs its own shadow read only when it lies in
         # another 4-byte granule; the per-byte oracle reads every byte.
-        if self.bytewise:
-            offsets = range(1, width)
-        else:
-            offsets = (width - 1,) if (raw & 3) + width > 4 else ()
-        for off in offsets:
-            other = self.mem.id_at(raw + off)
-            if other != found:
-                self._raise(
-                    ViolationKind.SPATIAL_OOB, ptr, other,
-                    f"{width}-byte access at 0x{raw:x} runs past the object",
-                )
+        if self.bytewise or (raw & 3) + width > 4:
+            for off in range(1, width) if self.bytewise else (width - 1,):
+                other = self.mem.id_at(raw + off)
+                if other != found:
+                    self._raise(ViolationKind.SPATIAL_OOB, ptr, other,
+                                f"{width}-byte access at 0x{raw:x} runs past the object")
         return (raw, found) if token else raw
 
     def fast_check(self, ptr: int, token: int, base: int, width: int = 1) -> int:
@@ -299,8 +289,10 @@ class SanitizerRuntime:
         already-authenticated base above the in-object offset bits, and
         must point at memory shadowed by the id observed there."""
         self.stats.checks_fast += 1
-        raw = strip(ptr, self.cfg)
-        if lock_bits(ptr, self.cfg) != lock_bits(base, self.cfg):
+        cfg = self.cfg
+        raw = ptr & cfg.strip_mask
+        # pacore.lock_bits: every bit from the address MSB up
+        if ptr >> cfg.msb_bit != base >> cfg.msb_bit:
             self._raise(ViolationKind.SPATIAL_OOB, ptr, self.mem.id_at(raw),
                         "derivation altered non-offset pointer bits")
         if self.bytewise:
@@ -317,8 +309,11 @@ class SanitizerRuntime:
     # -- deallocation --
 
     def protected_free(self, ptr: int) -> None:
-        raw, found, authentic = self._authenticate(ptr)
-        if not authentic:
+        cfg = self.cfg
+        raw = ptr & cfg.strip_mask
+        found = self.mem.id_at(raw)
+        if pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
+            self._refuse_unsignable(ptr, found)
             if found == 0:
                 entry = self.alloc.get(raw)
                 if entry is not None and not entry.live:
@@ -347,7 +342,7 @@ class SanitizerRuntime:
         byte under the per-byte oracle; returns the raw start."""
         for off in range(length) if self.bytewise else (0, length - 1):
             self.checked_access((ptr + off) & MASK64, 1)
-        return strip(ptr, self.cfg)
+        return ptr & self.cfg.strip_mask
 
     def wrapper_call(self, name: str, args: list[int]) -> int:
         """Check-and-strip wrappers for builtins that take pointers.

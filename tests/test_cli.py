@@ -271,6 +271,13 @@ def test_corpus_rejects_unparseable_names(tmp_path):
     assert main(["corpus", str(d)]) == 2
 
 
+def test_corpus_unreadable_fixture_exit_2(tmp_path, capsys):
+    d = tmp_path / "c"
+    (d / "cwe416_x_good.ir").mkdir(parents=True)  # a directory where a fixture should be
+    assert main(["corpus", str(d)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_collide_small_run():
     stats = run_collide(trials=10 * 256, n=47, seed=0, p_override=8)
     assert stats["trials"] == 2560
@@ -291,6 +298,22 @@ def test_collide_cli_exit_zero_within_tolerance(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["expected_rate"] == pytest.approx(1 / 256)
+
+
+@pytest.mark.parametrize("command", ["run", "corpus", "collide"])
+def test_unwritable_json_report_exit_2(tmp_path, capsys, command):
+    fixtures = tmp_path / "c"
+    fixtures.mkdir()
+    argv = {
+        "run": ["run", write(fixtures, "cwe416_x_good.ir", GOOD)],
+        "corpus": ["corpus", str(fixtures)],
+        "collide": ["collide", "--trials", str(10 * 256), "--p-override", "8"],
+    }[command]
+    missing = tmp_path / "no_such_dir" / "x.json"
+    assert main(argv + ["--json", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
 
 
 def test_corpus_coverage_structure(corpus_dir):

@@ -1,0 +1,247 @@
+"""The one-frame success paths of pac_auth, the two checks and raw loads
+and stores, against references built from the slow-path primitives.
+
+pac_auth, checked_access, fast_check and MemSpace.read/write each handle
+their common case inline and hand every other input to the shared
+failure code.  The references below are those functions as written
+before the inlining, over compute_pac, pac_field, _check_access,
+_load_bytes and _store_bytes; each input must give the same value, or
+the same exception with the same report or fault fields, and leave the
+same MAC table, counters and memory behind.
+"""
+import random
+import sys
+
+import pytest
+
+from pasan.errors import MemoryFault, PreconditionViolated
+from pasan.memspace import PAGE_SIZE, MemSpace, Region, RegionMap
+from pasan.pacore import (
+    MASK64,
+    RESERVED_BIT,
+    AddressConfig,
+    PacKey,
+    compute_pac,
+    lock_bits,
+    pac_auth,
+    pac_field,
+    poison,
+    strip,
+    with_pac_field,
+)
+from pasan.runtime import (
+    IdGenerator,
+    SanitizerRuntime,
+    ViolationError,
+    ViolationKind,
+    ViolationReport,
+)
+
+# -- references: the success and failure paths as one slow path each --
+
+
+def ref_pac_auth(ptr, obj_id, key, cfg):
+    msb = (ptr >> cfg.msb_bit) & 1
+    expected = compute_pac(obj_id, msb, key, cfg)
+    if msb == 0 and not (ptr >> RESERVED_BIT) & 1 and pac_field(ptr, cfg) == expected:
+        return ptr & cfg.clear_mask
+    return poison(ptr, cfg)
+
+
+def _violation(kind, ptr, found, narrative):
+    return ViolationError(ViolationReport(kind, ptr, found, narrative))
+
+
+def ref_checked_access(rt, ptr, width, token=False):
+    rt.stats.checks_full += 1
+    cfg = rt.cfg
+    raw = strip(ptr, cfg)
+    found = rt.mem.id_at(raw)
+    if ref_pac_auth(ptr, found, rt.key, cfg) != ptr & cfg.clear_mask:
+        if (ptr >> cfg.msb_bit) & 1:
+            raise _violation(ViolationKind.SHADOW_ACCESS, ptr, found,
+                             "pointer targets the metadata half")
+        if (ptr >> RESERVED_BIT) & 1:
+            raise _violation(ViolationKind.CRAFTED_PAC, ptr, found, "reserved bit 55 set")
+        kind, narrative = rt._classify_failure(raw, found, pac_field(ptr, cfg))
+        raise _violation(kind, ptr, found, narrative)
+    if rt.bytewise:
+        offsets = range(1, width)
+    else:
+        offsets = (width - 1,) if (raw & 3) + width > 4 else ()
+    for off in offsets:
+        other = rt.mem.id_at(raw + off)
+        if other != found:
+            raise _violation(ViolationKind.SPATIAL_OOB, ptr, other,
+                             f"{width}-byte access at 0x{raw:x} runs past the object")
+    return (raw, found) if token else raw
+
+
+def ref_fast_check(rt, ptr, token, base, width):
+    rt.stats.checks_fast += 1
+    raw = strip(ptr, rt.cfg)
+    if lock_bits(ptr, rt.cfg) != lock_bits(base, rt.cfg):
+        raise _violation(ViolationKind.SPATIAL_OOB, ptr, rt.mem.id_at(raw),
+                         "derivation altered non-offset pointer bits")
+    if rt.bytewise:
+        offsets = range(width)
+    else:
+        offsets = (0, width - 1) if (raw & 3) + width > 4 else (0,)
+    for off in offsets:
+        found = rt.mem.id_at(raw + off)
+        if found != token:
+            raise _violation(ViolationKind.SPATIAL_OOB, ptr, found,
+                             f"shadow id changed under same-lock access at 0x{raw + off:x}")
+    return raw
+
+
+def ref_read(mem, addr, width):
+    mem._check_access(addr, width)
+    return int.from_bytes(mem._load_bytes(addr, width), "little")
+
+
+def ref_write(mem, addr, width, value):
+    mem._check_access(addr, width)
+    mem._store_bytes(addr, (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little"))
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the exception it raises with its fields."""
+    try:
+        return "value", fn(*args)
+    except ViolationError as exc:
+        r = exc.report
+        return "violation", r.kind, r.pointer, r.found_id, r.narrative
+    except MemoryFault as exc:
+        return "fault", exc.kind, exc.addr, exc.detail
+    except PreconditionViolated as exc:
+        return "precondition", str(exc)
+
+
+# -- one runtime state, built twice: once for the code, once for the reference --
+
+# Regions that abut mid-page: one page holds the end of one region and
+# the start of the next, so an in-page access can still leave its region.
+ABUTTING = RegionMap(Region(0x10000, 0x1800), Region(0x11800, 0x3000), Region(0x14800, 0x2000))
+SMALL = RegionMap.default(globals_size=1 << 13, heap_size=1 << 16, stack_size=1 << 14)
+
+CONFIGS = [
+    (AddressConfig(33), SMALL, 0xFFFFFFFD),   # ids 0xFFFFFFFD, 0xFFFFFFFE, 0xFFFFFFFF, 1, ...
+    (AddressConfig(47), ABUTTING, 7),
+    (AddressConfig(47, p_override=3), SMALL, 1234),  # 1 in 8 crafted fields match
+]
+
+
+def build(cfg, regions, counter, seed):
+    """A runtime with live, freed and reused heap objects (one ending at
+    the heap's limit), stack and global objects, a retired stack object,
+    and some data written; returns it with the signed pointers made."""
+    rng = random.Random(seed)
+    mem = MemSpace(cfg, regions)
+    rt = SanitizerRuntime(mem, PacKey(rng.getrandbits(128)), IdGenerator(counter))
+    heap, stack, glob = regions.heap, regions.stack, regions.globals
+    signed = [rt.protected_malloc(size) for size in (1, 6, 8, 13, 64)]
+    for victim in signed[1:3]:
+        rt.protected_free(victim)
+    signed += [rt.protected_malloc(size) for size in (6, 8)]  # reuse: the freed pointers go stale
+    # fill the heap up to a last object ending exactly at its limit
+    rt.heap_cursor = heap.limit - PAGE_SIZE - 40
+    signed.append(rt.protected_malloc(PAGE_SIZE))  # straddles a page boundary
+    signed.append(rt.protected_malloc(heap.limit - rt.heap_cursor))
+    for base, size, origin in ((stack.limit - 24, 24, "stack"), (stack.limit - 48, 16, "stack"),
+                               (glob.base, 12, "global"), (glob.limit - 8, 8, "global")):
+        obj_id, ptr = rt.register_object(base, size, origin)
+        signed.append(ptr)
+        if base == stack.limit - 48:
+            rt.retire_extent(base, size, obj_id, origin)
+    for ptr in signed:
+        raw = strip(ptr, cfg)
+        mem._store_bytes(raw, bytes(rng.getrandbits(8) for _ in range(4)))
+    return rt, signed
+
+
+def candidate_pointers(cfg, regions, signed, rng):
+    """Signed pointers at and around their objects' ends, with the MSB or
+    bit 55 set, a crafted or poisoned field; raw addresses around page
+    and region ends."""
+    ptrs = []
+    for ptr in signed:
+        for off in (0, 1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 60, 63, 64, -1, -4, PAGE_SIZE - 4):
+            moved = (ptr + off) & MASK64
+            ptrs += [moved, moved | 1 << cfg.msb_bit, moved | 1 << RESERVED_BIT,
+                     with_pac_field(moved, rng.getrandbits(cfg.effective_p), cfg)]
+        ptrs.append(poison(ptr, cfg))
+    for region in (regions.globals, regions.heap, regions.stack):
+        for edge in (region.base, region.limit, region.base + PAGE_SIZE,
+                     (region.base | (PAGE_SIZE - 1)) + 1):
+            ptrs += [(edge + off) & MASK64 for off in range(-9, 3)]
+    return ptrs
+
+
+@pytest.mark.parametrize("cfg, regions, counter", CONFIGS)
+def test_fast_paths_match_slow_path_references(cfg, regions, counter):
+    rt, signed = build(cfg, regions, counter, seed=cfg.n)
+    ref, ref_signed = build(cfg, regions, counter, seed=cfg.n)
+    assert signed == ref_signed
+    rng = random.Random(counter)
+    ptrs = candidate_pointers(cfg, regions, signed, rng)
+    bases = [(ptr, rt.mem.id_at(strip(ptr, cfg))) for ptr in signed]
+    ids = sorted({rt.mem.id_at(strip(ptr, cfg)) for ptr in signed}) + [0, 0xFFFFFFFF]
+
+    for ptr in ptrs:
+        for obj_id in (rt.mem.id_at(strip(ptr, cfg)), rng.choice(ids), 1 << 32, -1):
+            assert outcome(pac_auth, ptr, obj_id, rt.key, cfg) == \
+                outcome(ref_pac_auth, ptr, obj_id, ref.key, cfg), (hex(ptr), obj_id)
+        for bytewise in (False, True):
+            rt.bytewise = ref.bytewise = bytewise
+            width = rng.choice((1, 2, 4, 8))
+            token = rng.random() < 0.5
+            assert outcome(rt.checked_access, ptr, width, token) == \
+                outcome(ref_checked_access, ref, ptr, width, token), (hex(ptr), width, bytewise)
+            base, tok = rng.choice(bases)
+            near = (base + (ptr & 0xFF)) & MASK64 if rng.random() < 0.5 else ptr
+            assert outcome(rt.fast_check, near, tok, base, width) == \
+                outcome(ref_fast_check, ref, near, tok, base, width), (hex(near), width, bytewise)
+        for width in (1, 2, 4, 8):
+            value = rng.getrandbits(70) - (1 << 69)
+            assert outcome(rt.mem.write, ptr, width, value) == \
+                outcome(ref_write, ref.mem, ptr, width, value), (hex(ptr), width)
+            assert outcome(rt.mem.read, ptr, width) == \
+                outcome(ref_read, ref.mem, ptr, width), (hex(ptr), width)
+
+    assert rt.stats == ref.stats
+    assert rt.key.macs == ref.key.macs
+    assert rt.mem._pages == ref.mem._pages
+
+
+# -- the calls each success path makes --
+
+def python_calls(fn):
+    """The names of the Python functions a call of fn enters, fn first."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_success_paths_make_one_frame_per_traced_call():
+    cfg = AddressConfig(47)
+    rt, signed = build(cfg, RegionMap.default(), 5, seed=0)
+    ptr = signed[0]
+    raw = strip(ptr, cfg)
+    token = rt.mem.id_at(raw)
+    mem = rt.mem
+    assert python_calls(lambda: mem.write(rt.checked_access(ptr, 4), 4, 7)) == \
+        ["<lambda>", "checked_access", "id_at", "pac_auth", "write"]
+    assert python_calls(lambda: mem.read(raw, 4)) == ["<lambda>", "read"]
+    assert python_calls(lambda: mem.write(raw, 8, 1)) == ["<lambda>", "write"]
+    assert python_calls(lambda: rt.fast_check(ptr, token, ptr, 4)) == \
+        ["<lambda>", "fast_check", "id_at"]
