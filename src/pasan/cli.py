@@ -25,7 +25,7 @@ from .memspace import MemSpace, RegionMap
 from .miniir import Program, format_program, parse, validate
 from .instrument import instrument
 from .optpasses import PASS_SETS, count_checks, run_passes
-from .pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
+from .pacore import AddressConfig, PacKey, pac_auth, strip
 from .runtime import IdGenerator, SanitizerRuntime
 
 
@@ -255,8 +255,12 @@ def run_collide(trials: int, n: int = 47, seed: int = 0,
     key = rt.key
     hits = 0
     getrandbits = rng.getrandbits
+    n_bits, lo_bits, lo_mask, hi_mask = cfg.n, cfg.lo_bits, cfg.lo_mask, cfg.hi_mask
     for _ in range(trials):
-        candidate = with_pac_field(base, getrandbits(p_eff), cfg)
+        # with_pac_field(base, f, cfg) inlined: the stripped base has a
+        # clear field.
+        f = getrandbits(p_eff)
+        candidate = base | (f & lo_mask) << n_bits | (f >> lo_bits & hi_mask) << 56
         # Success clears the field, restoring the bare base address.
         if pac_auth(candidate, obj_id, key, cfg) == base:
             hits += 1

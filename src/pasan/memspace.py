@@ -117,13 +117,32 @@ class MemSpace:
         if (base + size - 1) >> self.cfg.msb_bit:
             raise AlignmentError(f"shadow range 0x{base:x}+{size} leaves the program half")
 
+    # shadow_fill and shadow_clear write a range whose shadow lies in one
+    # existing page themselves; the shadow bit is page-aligned, so the
+    # shadow offset is the program offset.  Anything else takes
+    # _check_shadow_range + _store_bytes.
+
     def shadow_fill(self, base: int, size: int, obj_id: int) -> None:
         """Write obj_id across every shadow word covering [base, base+size)."""
+        off = base & PAGE_MASK
+        if 0 <= base < self._shadow_bit and 0 < size <= PAGE_SIZE - off \
+                and not (base | size) & 3:
+            buf = self._pages.get((base | self._shadow_bit) >> 12)
+            if buf is not None:
+                buf[off : off + size] = obj_id.to_bytes(4, "little") * (size >> 2)
+                return
         self._check_shadow_range(base, size)
         word = obj_id.to_bytes(4, "little")
         self._store_bytes(shadow_of(base, self.cfg), word * (size // 4))
 
     def shadow_clear(self, base: int, size: int) -> None:
+        off = base & PAGE_MASK
+        if 0 <= base < self._shadow_bit and 0 < size <= PAGE_SIZE - off \
+                and not (base | size) & 3:
+            buf = self._pages.get((base | self._shadow_bit) >> 12)
+            if buf is not None:
+                buf[off : off + size] = bytes(size)
+                return
         self._check_shadow_range(base, size)
         self._store_bytes(shadow_of(base, self.cfg), bytes(size))
 
@@ -187,20 +206,30 @@ class MemSpace:
             at = next(limit for base, limit in self._spans if base <= at < limit)
         return addr
 
+    def move(self, name: str, dest: int, arg: int, length: int) -> None:
+        """The bytes memcpy (arg is the source) or memset (arg is the fill
+        byte) moves: length > 0 bytes at raw addresses the caller has
+        vetted.  A destination inside one existing page is written here."""
+        data = self._load_bytes(arg, length) if name == "memcpy" \
+            else bytes([arg & 0xFF]) * length
+        off = dest & PAGE_MASK
+        buf = self._pages.get(dest >> 12)
+        if buf is not None and off + length <= PAGE_SIZE:
+            buf[off : off + length] = data
+        else:
+            self._store_bytes(dest, data)
+
     def builtin(self, name: str, args: list[int], span, at) -> int:
-        """memcpy/memset/strlen semantics.  span(ptr, length) vets a range
-        and at(ptr) a single byte; each returns the raw address to move
-        bytes at, or raises.  A pointer result is returned as received."""
-        if name == "memcpy":
-            dest, src, length = args
+        """memcpy/memset/strlen semantics.  span(ptr, length) vets a
+        memcpy/memset range and at(ptr) a strlen byte; each returns the
+        raw address to move bytes at, or raises.  A pointer result is
+        returned as received.  The checked memcpy/memset wrappers vet
+        their ranges themselves and call move."""
+        if name in ("memcpy", "memset"):
+            dest, arg, length = args
             if length > 0:
                 raw_dest = span(dest, length)
-                self._store_bytes(raw_dest, self._load_bytes(span(src, length), length))
-            return dest
-        if name == "memset":
-            dest, byte, length = args
-            if length > 0:
-                self._store_bytes(span(dest, length), bytes([byte & 0xFF]) * length)
+                self.move(name, raw_dest, span(arg, length) if name == "memcpy" else arg, length)
             return dest
         if name == "strlen":
             (src,) = args

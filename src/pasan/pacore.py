@@ -223,7 +223,14 @@ def pac_sign(addr: int, obj_id: int, key: PacKey, cfg: AddressConfig) -> int:
         raise PreconditionViolated(
             f"cannot sign 0x{addr:x}: signature field, bit 55, and address MSB must be clear"
         )
-    return with_pac_field(addr, _mac(key, modifier_for(obj_id, 0, cfg), True) & cfg.pac_mask, cfg)
+    # modifier_for and with_pac_field inlined: with the MSB zero the
+    # modifier is the id itself, and the clear address keeps every field
+    # bit zero.  modifier_for raises PreconditionViolated for any other id.
+    modifier = obj_id if 0 <= obj_id <= 0xFFFFFFFF else modifier_for(obj_id, 0, cfg)
+    mac = key.macs.get(modifier)
+    if mac is None:
+        mac = _mac(key, modifier, True)
+    return addr | (mac & cfg.lo_mask) << cfg.n | (mac >> cfg.lo_bits & cfg.hi_mask) << 56
 
 
 def pac_auth(ptr: int, obj_id: int, key: PacKey, cfg: AddressConfig) -> int:

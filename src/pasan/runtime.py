@@ -337,16 +337,25 @@ class SanitizerRuntime:
 
     # -- standard-function wrappers --
 
-    def _range_check(self, ptr: int, length: int) -> int:
-        """Check [ptr, ptr+length) at its first and last byte, or at every
-        byte under the per-byte oracle; returns the raw start."""
-        for off in range(length) if self.bytewise else (0, length - 1):
-            self.checked_access((ptr + off) & MASK64, 1)
-        return ptr & self.cfg.strip_mask
-
     def wrapper_call(self, name: str, args: list[int]) -> int:
         """Check-and-strip wrappers for builtins that take pointers.
         A wrapper that would return a pointer argument returns it in its
-        signed form, exactly as received."""
-        return self.mem.builtin(name, args, self._range_check,
-                                lambda ptr: self.checked_access(ptr, 1))
+        signed form, exactly as received.  memset and memcpy check each
+        range at its first and last byte (every byte under the per-byte
+        oracle), destination first, and hand the raw addresses to
+        MemSpace.move; strlen checks each byte MemSpace.builtin reads."""
+        if name not in ("memcpy", "memset"):
+            # strlen vets single bytes only, so it takes no range vetter.
+            return self.mem.builtin(name, args, None, lambda ptr: self.checked_access(ptr, 1))
+        dest, arg, length = args
+        if length > 0:
+            check = self.checked_access
+            offsets = range(length) if self.bytewise else (0, length - 1)
+            for off in offsets:
+                check((dest + off) & MASK64, 1)
+            if name == "memcpy":
+                for off in offsets:
+                    check((arg + off) & MASK64, 1)
+                arg &= self.cfg.strip_mask
+            self.mem.move(name, dest & self.cfg.strip_mask, arg, length)
+        return dest

@@ -1,10 +1,15 @@
 """CLI surface: run/corpus/collide commands, exit codes, JSON schema."""
 import json
+import math
+import random
 import shutil
 
 import pytest
 
 from pasan.cli import main, run_collide, run_corpus
+from pasan.memspace import MemSpace, RegionMap
+from pasan.pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
+from pasan.runtime import IdGenerator, SanitizerRuntime
 
 GOOD = """\
 func @main() -> i32 {
@@ -284,6 +289,31 @@ def test_collide_small_run():
     assert abs(stats["z_score"]) <= 5.0
     assert stats["config"]["p"] == 16
     assert stats["config"]["p_effective"] == 8
+
+
+def reference_collide(trials, n, seed, p_override):
+    """run_collide's forgery loop, building each candidate with
+    with_pac_field; returns (hits, z-score)."""
+    cfg = AddressConfig(n, p_override)
+    rng = random.Random(seed)
+    mem = MemSpace(cfg, RegionMap.default(heap_size=1 << 12))
+    rt = SanitizerRuntime(mem, PacKey.generate(rng), IdGenerator.seeded(rng))
+    base = strip(rt.protected_malloc(16), cfg)
+    obj_id = mem.id_at(base)
+    hits = sum(pac_auth(with_pac_field(base, rng.getrandbits(cfg.effective_p), cfg),
+                        obj_id, rt.key, cfg) == base for _ in range(trials))
+    p0 = 1.0 / (1 << cfg.effective_p)
+    return hits, (hits - trials * p0) / math.sqrt(trials * p0 * (1.0 - p0))
+
+
+@pytest.mark.parametrize("n, p_override, seed", [(33, 6, 3), (47, 11, 2), (52, None, 4)])
+def test_collide_matches_with_pac_field_reference(n, p_override, seed):
+    # (47, 11) and (52, None) split the field across bit 55
+    trials = 10 << AddressConfig(n, p_override).effective_p
+    stats = run_collide(trials, n, seed, p_override)
+    hits, z = reference_collide(trials, n, seed, p_override)
+    assert hits > 0
+    assert (stats["hits"], stats["z_score"]) == (hits, z)
 
 
 def test_collide_rejects_insufficient_trials(capsys):

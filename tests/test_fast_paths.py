@@ -1,10 +1,11 @@
-"""The one-frame success paths of pac_auth, the two checks and raw loads
-and stores, against references built from the slow-path primitives.
+"""The one-frame success paths of pac_auth, pac_sign, the two checks, raw
+loads and stores, shadow fill and clear, and the memset/memcpy wrappers,
+against references built from the slow-path primitives.
 
-pac_auth, checked_access, fast_check and MemSpace.read/write each handle
-their common case inline and hand every other input to the shared
-failure code.  The references below are those functions as written
-before the inlining, over compute_pac, pac_field, _check_access,
+Each of these handles its common case inline and hands every other
+input to the shared failure code.  The references below are those
+functions as written before the inlining, over compute_pac, pac_field,
+modifier_for, _mac, with_pac_field, _check_access, _check_shadow_range,
 _load_bytes and _store_bytes; each input must give the same value, or
 the same exception with the same report or fault fields, and leave the
 same MAC table, counters and memory behind.
@@ -14,17 +15,20 @@ import sys
 
 import pytest
 
-from pasan.errors import MemoryFault, PreconditionViolated
-from pasan.memspace import PAGE_SIZE, MemSpace, Region, RegionMap
+from pasan.errors import AlignmentError, MemoryFault, PreconditionViolated
+from pasan.memspace import PAGE_SIZE, MemSpace, Region, RegionMap, shadow_of
 from pasan.pacore import (
     MASK64,
     RESERVED_BIT,
     AddressConfig,
     PacKey,
+    _mac,
     compute_pac,
     lock_bits,
+    modifier_for,
     pac_auth,
     pac_field,
+    pac_sign,
     poison,
     strip,
     with_pac_field,
@@ -245,3 +249,186 @@ def test_success_paths_make_one_frame_per_traced_call():
     assert python_calls(lambda: mem.write(raw, 8, 1)) == ["<lambda>", "write"]
     assert python_calls(lambda: rt.fast_check(ptr, token, ptr, 4)) == \
         ["<lambda>", "fast_check", "id_at"]
+
+
+# -- allocation, free and the memset/memcpy wrappers --
+
+
+def ref_pac_sign(addr, obj_id, key, cfg):
+    if addr >> cfg.msb_bit:
+        raise PreconditionViolated(
+            f"cannot sign 0x{addr:x}: signature field, bit 55, and address MSB must be clear"
+        )
+    return with_pac_field(addr, _mac(key, modifier_for(obj_id, 0, cfg), True) & cfg.pac_mask, cfg)
+
+
+def ref_shadow_fill(mem, base, size, obj_id):
+    mem._check_shadow_range(base, size)
+    mem._store_bytes(shadow_of(base, mem.cfg), obj_id.to_bytes(4, "little") * (size // 4))
+
+
+def ref_shadow_clear(mem, base, size):
+    mem._check_shadow_range(base, size)
+    mem._store_bytes(shadow_of(base, mem.cfg), bytes(size))
+
+
+def ref_builtin(mem, name, args, span):
+    """memcpy/memset over a range vetter, as MemSpace.builtin moved them."""
+    dest, arg, length = args
+    if length > 0:
+        raw_dest = span(dest, length)
+        data = mem._load_bytes(span(arg, length), length) if name == "memcpy" \
+            else bytes([arg & 0xFF]) * length
+        mem._store_bytes(raw_dest, data)
+    return dest
+
+
+def ref_range_check(rt, ptr, length):
+    for off in range(length) if rt.bytewise else (0, length - 1):
+        rt.checked_access((ptr + off) & MASK64, 1)
+    return ptr & rt.cfg.strip_mask
+
+
+def ref_wrapper_call(rt, name, args):
+    return ref_builtin(rt.mem, name, args, lambda ptr, length: ref_range_check(rt, ptr, length))
+
+
+def outcome_or_error(fn, *args):
+    """outcome, with a bad shadow range or an id too wide to store."""
+    try:
+        return outcome(fn, *args)
+    except (AlignmentError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("n", [33, 47, 52])
+def test_shadow_fill_and_clear_match_slow_path_references(n):
+    cfg = AddressConfig(n)
+    mem, ref = MemSpace(cfg), MemSpace(cfg)
+    top = 1 << cfg.msb_bit  # the first metadata-half address
+    page = 0x1000_0000
+    ranges = [
+        (page, 4), (page + 8, 16), (page + PAGE_SIZE - 4, 4),   # in one page, up to its end
+        (page, PAGE_SIZE), (page + PAGE_SIZE - 8, 16),           # a whole page; a straddle
+        (page + 12, 3 * PAGE_SIZE), (page + 4, PAGE_SIZE),       # across pages
+        (page + 1, 4), (page + 2, 8), (page, 6), (page, 2),      # unaligned base or size
+        (page, 0), (page, -4), (-4, 8), (-8, 4), (-PAGE_SIZE, 4),  # empty or negative
+        (top, 4), (top + 8, 8), (top - 4, 8), (top - 8, 16),     # the metadata half
+        (top - 4, 4), (top - PAGE_SIZE, PAGE_SIZE), (top - 64, 64),  # the last page below it
+        (top - PAGE_SIZE - 8, 16),
+    ]
+    rng = random.Random(n)
+    for base, size in ranges:
+        for obj_id in (rng.getrandbits(32), 0xFFFFFFFF, 0, 1 << 32):
+            assert outcome_or_error(mem.shadow_fill, base, size, obj_id) == \
+                outcome_or_error(ref_shadow_fill, ref, base, size, obj_id), (hex(base), size)
+            assert mem._pages == ref._pages, (hex(base), size, obj_id)
+        # clear a range overlapping what was filled
+        for b, s in ((base, size), (base + 4, size - 4), (base - 4, size + 8)):
+            assert outcome_or_error(mem.shadow_clear, b, s) == \
+                outcome_or_error(ref_shadow_clear, ref, b, s), (hex(b), s)
+            assert mem._pages == ref._pages, (hex(b), s)
+            mem.shadow_fill(page, 8, 1)
+            ref_shadow_fill(ref, page, 8, 1)
+
+
+@pytest.mark.parametrize("cfg", [AddressConfig(33), AddressConfig(47), AddressConfig(52),
+                                 AddressConfig(47, p_override=3)], ids=str)
+def test_pac_sign_matches_reference(cfg):
+    key, ref_key = PacKey(0x0123456789ABCDEF << 32 | 77), PacKey(0x0123456789ABCDEF << 32 | 77)
+    top = 1 << cfg.msb_bit
+    addrs = [0, 0x1000, 0x1000_0000 + 12, top - 1, top, top | 8, 1 << RESERVED_BIT,
+             1 << RESERVED_BIT | 0x1000, 1 << 63, MASK64, -1]
+    rng = random.Random(cfg.n)
+    ids = [0, 0xFFFFFFFF, 1 << 32, -1, 5, 6, 5, 0xFFFFFFFE]  # repeats: warm-table hits
+    ids += [rng.getrandbits(32) for _ in range(40)]
+    for obj_id in ids:
+        for addr in addrs:
+            assert outcome(pac_sign, addr, obj_id, key, cfg) == \
+                outcome(ref_pac_sign, addr, obj_id, ref_key, cfg), (hex(addr), obj_id)
+            assert key.macs == ref_key.macs
+        # an already signed address is refused
+        signed = pac_sign(0x2000, 9, key, cfg)
+        assert outcome(pac_sign, signed, obj_id, key, cfg) == \
+            outcome(ref_pac_sign, signed, obj_id, ref_key, cfg)
+        ref_pac_sign(0x2000, 9, ref_key, cfg)
+    assert key.macs == ref_key.macs and len(key.macs) > 40
+
+
+def _recording(rt, log):
+    """Route rt's checked_access calls through a log of their arguments."""
+    inner = rt.checked_access
+
+    def checked_access(ptr, width=1, token=False):
+        log.append((ptr, width))
+        return inner(ptr, width, token)
+
+    rt.checked_access = checked_access
+
+
+@pytest.mark.parametrize("cfg, regions, counter", CONFIGS)
+def test_memset_memcpy_wrappers_match_reference(cfg, regions, counter):
+    rt, signed = build(cfg, regions, counter, seed=cfg.n)
+    ref, _ = build(cfg, regions, counter, seed=cfg.n)
+    log, ref_log = [], []
+    _recording(rt, log)
+    _recording(ref, ref_log)
+    rng = random.Random(counter)
+    live = [ptr for ptr in signed if rt.mem.id_at(strip(ptr, cfg))]
+    stale = signed[1:3]  # freed, and their blocks reused
+    straddler = signed[7]  # a PAGE_SIZE object across a page boundary
+    cases = []
+    for dest in live + stale:
+        size = next(n for n in range(1, 2 * PAGE_SIZE + 8)
+                    if rt.mem.id_at(strip(dest, cfg) + n) != rt.mem.id_at(strip(dest, cfg)))
+        for length in (0, 1, 2, 3, size - 1, size, size + 1, -1):
+            cases.append(("memset", [dest, rng.getrandbits(32), length]))
+            src = rng.choice(live + stale)
+            cases.append(("memcpy", [dest, src, length]))
+        cases.append(("memcpy", [dest, (dest + 2) & MASK64, 4]))  # overlapping
+        cases.append(("memcpy", [straddler, dest, 8]))  # a source shorter than 8 may fail
+    cases += [("memset", [(straddler + PAGE_SIZE - 100) & MASK64, 7, 100]),
+              ("memset", [straddler | 1 << cfg.msb_bit, 1, 4]),
+              ("memcpy", [signed[0], straddler | 1 << RESERVED_BIT, 4]),
+              ("memset", [poison(signed[0], cfg), 0, 4])]
+    for bytewise in (False, True):
+        rt.bytewise = ref.bytewise = bytewise
+        for name, args in cases:
+            assert outcome(rt.wrapper_call, name, list(args)) == \
+                outcome(ref_wrapper_call, ref, name, list(args)), (name, args, bytewise)
+            assert log == ref_log, (name, args, bytewise)
+    assert rt.stats == ref.stats
+    assert rt.key.macs == ref.key.macs
+    assert rt.mem._pages == ref.mem._pages
+
+    # the uninstrumented builtins move their bytes through the same mover
+    mem, ref_mem = rt.mem, ref.mem
+    raws = [strip(ptr, cfg) for ptr in signed]
+    raws += [regions.heap.limit - 8, regions.stack.limit - 3, regions.globals.base - 4, 0]
+    for dest in raws:
+        for length in (0, 1, 9, PAGE_SIZE + 1, -3):
+            src = rng.choice(raws)
+            for name, arg in (("memset", rng.getrandbits(9)), ("memcpy", src)):
+                assert outcome(mem.builtin, name, [dest, arg, length], mem.trap_span, None) == \
+                    outcome(ref_builtin, ref_mem, name, [dest, arg, length],
+                            ref_mem.trap_span), (name, hex(dest), length)
+    assert mem._pages == ref_mem._pages
+
+
+def test_allocation_free_and_wrapper_success_paths_stay_flat():
+    cfg = AddressConfig(47)
+    rt = SanitizerRuntime(MemSpace(cfg), PacKey(99), IdGenerator(5))
+    ptr = rt.protected_malloc(64)  # its shadow page exists from here on
+    rt.wrapper_call("memset", [ptr, 0, 64])  # and so does its data page
+    malloc = ["<lambda>", "protected_malloc", "_allocate", "padded_size", "__init__",
+              "register_object", "next", "shadow_fill", "__init__", "pac_sign"]
+    _mac(rt.key, rt.gen.counter, True)  # the next id signs from a warm table
+    # a bump allocation also reads the heap's limit
+    assert python_calls(lambda: rt.protected_malloc(24)) == malloc[:4] + ["limit"] + malloc[4:]
+    assert python_calls(lambda: rt.wrapper_call("memset", [ptr, 0x41, 64])) == \
+        ["<lambda>", "wrapper_call"] + ["checked_access", "id_at", "pac_auth"] * 2 + ["move"]
+    assert python_calls(lambda: rt.protected_free(ptr)) == \
+        ["<lambda>", "protected_free", "id_at", "pac_auth", "id_at", "retire_extent",
+         "shadow_clear", "__init__", "_release"]
+    _mac(rt.key, rt.gen.counter, True)
+    assert python_calls(lambda: rt.protected_malloc(61)) == malloc  # reuses ptr's block

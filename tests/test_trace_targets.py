@@ -163,3 +163,62 @@ def test_traced_compiled_loop_reconciles_with_stats(opts):
     assert calls["pacore.pac_auth"] == stats["checks_full"] + stats["frees"]
     assert calls["memspace.id_at"] == (stats["checks_full"] + stats["checks_fast"]
                                        + 2 * stats["frees"])
+
+
+# The churn workload's loop shape: each trip allocates, fills, stores,
+# loads and frees, with the size alternating between two values so the
+# freed blocks are reused.
+CHURN_LOOP = """\
+extern @memset(ptr, i32, i64) -> ptr
+
+func @main() -> i32 {
+entry:
+  %n = const.i64 100
+  %sa = const.i64 24
+  %sb = const.i64 40
+  %byte = const.i32 90
+  %x0 = const.i32 1
+  br loop
+loop:
+  %i = phi [entry: %n], [loop: %in]
+  %s = phi [entry: %sa], [loop: %t]
+  %t = phi [entry: %sb], [loop: %s]
+  %acc = phi [entry: %x0], [loop: %acc2]
+  %p = malloc %s
+  %r = call @memset(%p, %byte, %s)
+  %q = gep %p, 8
+  store.i32 %q, %acc
+  %y = load.i32 %p
+  %acc2 = add.i32 %acc, %y
+  free %p
+  %in = sub.i64 %i, 1
+  cbr %in, loop, done
+done:
+  ret %acc2
+}
+"""
+
+
+@pytest.mark.parametrize("opts", ["none", "all"])
+def test_traced_compiled_churn_loop_counts_every_helper(opts):
+    prog = miniir.parse(CHURN_LOOP)
+    miniir.validate(prog)
+    prog = optpasses.run_passes(instrument.instrument(prog), opts)
+    with tracer.Tracer() as t:
+        it = interp.Interpreter(prog, AddressConfig(47), 0)
+        result = it.run()
+    assert result.completed
+    _, _, _, hot = it.layouts["main"].blocks["loop"]
+    assert hot is not None  # the loop block ran compiled
+    stats = result.stats.to_json()
+    assert stats["allocs"] == stats["frees"] == 100
+    # Each trip makes four full checks, under "all" too: both ends of the
+    # memset range, the store and the load.  A fast path that skipped a
+    # traced helper would break one of these.
+    calls = {name: t.totals[name].calls for name in t.totals}
+    assert (stats["checks_full"], stats["checks_fast"]) == (400, 0)
+    assert calls["runtime.wrapper_call"] == 100
+    assert calls["memspace.shadow_fill"] == calls["pacore.pac_sign"] \
+        == calls["runtime.protected_malloc"] == stats["allocs"]
+    assert calls["memspace.shadow_clear"] == stats["frees"]
+    assert calls["runtime.checked_access"] == stats["checks_full"]
