@@ -114,7 +114,7 @@ class MemSpace:
             raise AlignmentError(
                 f"shadow range base=0x{base:x} size={size} must be 4-aligned and nonzero"
             )
-        if (base + size - 1) >> self.cfg.msb_bit:
+        if base < 0 or (base + size - 1) >> self.cfg.msb_bit:
             raise AlignmentError(f"shadow range 0x{base:x}+{size} leaves the program half")
 
     # shadow_fill and shadow_clear write a range whose shadow lies in one

@@ -148,8 +148,15 @@ class SanitizerRuntime:
         self.alloc: dict[int, AllocEntry] = {}
         self.free_lists: dict[int, list[int]] = {}
         self.heap_cursor = mem.regions.heap.base
+        self.heap_limit = mem.regions.heap.limit
         self.gppt: dict[str, int] = {}
         self.live: dict[int, _Extent] = {}
+        # Each live id's signature field as pac_sign places it.  A pointer
+        # whose field, address MSB and bit 55 equal its shadow id's entry
+        # is exactly one pac_auth accepts, so the checks call pac_auth
+        # only when the table misses; failures keep their one path.
+        self.sigs: dict[int, int] = {}
+        self.sig_mask = self.cfg.field_mask | 1 << self.cfg.msb_bit | 1 << RESERVED_BIT
         self.retired: list[_Extent] = []
         self.stats = Stats()
 
@@ -166,7 +173,7 @@ class SanitizerRuntime:
             base = blocks.pop()
         else:
             base = self.heap_cursor
-            if base + padded > self.mem.regions.heap.limit:
+            if base + padded > self.heap_limit:
                 raise LimitExceeded("simulated heap exhausted")
             self.heap_cursor = base + padded
         self.alloc[base] = AllocEntry(padded, True)
@@ -183,11 +190,14 @@ class SanitizerRuntime:
         obj_id = self.gen.next()
         self.mem.shadow_fill(base, padded, obj_id)
         self.live[obj_id] = _Extent(base, padded, obj_id, origin)
-        return obj_id, pac_sign(base, obj_id, self.key, self.cfg)
+        signed = pac_sign(base, obj_id, self.key, self.cfg)
+        self.sigs[obj_id] = signed ^ base
+        return obj_id, signed
 
     def retire_extent(self, base: int, padded: int, obj_id: int, origin: str) -> None:
         self.mem.shadow_clear(base, padded)
         self.live.pop(obj_id, None)
+        self.sigs.pop(obj_id, None)
         self.retired.append(_Extent(base, padded, obj_id, origin))
 
     def protected_malloc(self, size: int) -> int:
@@ -272,7 +282,8 @@ class SanitizerRuntime:
         cfg = self.cfg
         raw = ptr & cfg.strip_mask
         found = self.mem.id_at(raw)
-        if pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
+        if self.sigs.get(found) != ptr & self.sig_mask \
+                and pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
             self._reject(ptr, raw, found)
         # The last byte needs its own shadow read only when it lies in
         # another 4-byte granule; the per-byte oracle reads every byte.
@@ -312,7 +323,8 @@ class SanitizerRuntime:
         cfg = self.cfg
         raw = ptr & cfg.strip_mask
         found = self.mem.id_at(raw)
-        if pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
+        if self.sigs.get(found) != ptr & self.sig_mask \
+                and pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
             self._refuse_unsignable(ptr, found)
             if found == 0:
                 entry = self.alloc.get(raw)

@@ -7,6 +7,7 @@ twice, so this pins the names and the span/Stats identities.
 """
 import importlib.util
 import sys
+from inspect import CO_GENERATOR
 from pathlib import Path
 
 import pytest
@@ -99,18 +100,77 @@ def test_traced_run_reconciles_with_stats():
     allocs = sum(t.totals[name].calls - t.totals[name].raised
                  for name in ALLOC_SPANS if name not in t.missing)
     assert allocs == stats["allocs"] == 3
-    # Every authentication and every signing goes through the traced
-    # pacore functions: one pac_auth per full check and per protected
-    # free, one pac_sign per protected allocation (no stack or global
-    # objects here).
+    # Every signing goes through the traced pacore functions: one
+    # pac_sign per protected allocation (no stack or global objects
+    # here).  pac_auth runs once per authentication that misses the
+    # runtime's signature table, and every pointer here is live and in
+    # bounds; test_traced_failed_authentications_call_pac_auth covers
+    # the misses.
     calls = {name: t.totals[name].calls for name in t.totals}
-    assert calls["pacore.pac_auth"] == stats["checks_full"] + calls["runtime.protected_free"]
+    assert calls["pacore.pac_auth"] == 0
     assert calls["pacore.pac_sign"] == calls["runtime.protected_malloc"] == 2
     for span in ("runtime.protected_malloc", "runtime.protected_free",
                  "runtime.wrapper_call", "runtime.checked_access", "runtime.fast_check",
-                 "pacore.pac_auth", "pacore.pac_sign", "memspace.shadow_fill",
+                 "pacore.pac_sign", "memspace.shadow_fill",
                  "memspace.shadow_clear", "miniir.dominance", "miniir.may_free_between"):
         assert t.totals[span].calls > 0, span
+
+
+# A pointer whose signature field was altered, one freed before its
+# load, and one derived past its object into the next: each makes one
+# authentication that misses the signature table.
+FORGED = """\
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = malloc %sz
+  %far = const.i64 140737488355328
+  %q = gep %p, %far
+  %x = load.i32 %q
+  ret %x
+}
+"""
+
+STALE = """\
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = malloc %sz
+  free %p
+  %x = load.i32 %p
+  ret %x
+}
+"""
+
+STRAYED = """\
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = malloc %sz
+  %r = malloc %sz
+  %q = gep %p, %sz
+  %x = load.i32 %q
+  ret %x
+}
+"""
+
+
+@pytest.mark.parametrize("text, kind", [(FORGED, "CraftedPac"), (STALE, "UseAfterFree"),
+                                        (STRAYED, "SpatialOOB")],
+                         ids=["forged", "stale", "strayed"])
+def test_traced_failed_authentications_call_pac_auth(text, kind):
+    prog = miniir.parse(text)
+    miniir.validate(prog)
+    prog = optpasses.run_passes(instrument.instrument(prog), "none")
+    with tracer.Tracer() as t:
+        result = interp.run(prog, AddressConfig(47), seed=0)
+    assert result.verdict == "violation" and result.report.kind.value == kind
+    # The free of the stale case hits the table; the one failing load
+    # misses it, calls pac_auth once and is classified once.
+    calls = {name: t.totals[name].calls for name in t.totals}
+    assert calls["pacore.pac_auth"] == 1
+    assert calls["runtime.violation"] == 1
+    assert calls["runtime.checked_access"] == result.stats.checks_full == 1
 
 
 # A loop of 100 trips, past the block compiler's threshold: under "all"
@@ -156,11 +216,12 @@ def test_traced_compiled_loop_reconciles_with_stats(opts):
     assert stats["checks_full"] + stats["checks_fast"] == 200
     assert t.reconcile(stats, programs=0, instrumented=0) == []
     # The compiled block calls through the attributes bound per run, so
-    # every check and authentication is traced.  Each check reads one
-    # shadow word (aligned i32 accesses never straddle two granules; a
-    # check holding a token reads it once), and a free two.
+    # every check is traced.  Each check reads one shadow word (aligned
+    # i32 accesses never straddle two granules; a check holding a token
+    # reads it once), and a free two.  Every authentication hits the
+    # signature table, so none calls pac_auth.
     calls = {name: t.totals[name].calls for name in t.totals}
-    assert calls["pacore.pac_auth"] == stats["checks_full"] + stats["frees"]
+    assert calls["pacore.pac_auth"] == 0
     assert calls["memspace.id_at"] == (stats["checks_full"] + stats["checks_fast"]
                                        + 2 * stats["frees"])
 
@@ -222,3 +283,48 @@ def test_traced_compiled_churn_loop_counts_every_helper(opts):
         == calls["runtime.protected_malloc"] == stats["allocs"]
     assert calls["memspace.shadow_clear"] == stats["frees"]
     assert calls["runtime.checked_access"] == stats["checks_full"]
+    assert calls["pacore.pac_auth"] == 0  # every authentication hits the table
+
+
+def _with_trips(text, trips):
+    """LOOP or CHURN_LOOP run for `trips` trips (LOOP's array resized)."""
+    return text.replace("%n = const.i64 100", f"%n = const.i64 {trips}") \
+        .replace("%sz = const.i64 400", f"%sz = const.i64 {4 * trips}")
+
+
+# A LOOP trip under "none" is two checks (`checked_access` + `id_at`
+# each), a `write` and a `read`.  A CHURN_LOOP trip is a malloc (9
+# calls), a memset (6), two checks (4), a write and a read, and a free
+# (7).
+@pytest.mark.parametrize("text, budget", [(LOOP, 6), (CHURN_LOOP, 28)],
+                         ids=["hotloop", "churn"])
+def test_compiled_loop_trips_stay_within_call_budgets(text, budget):
+    """Python calls per compiled trip under "none", taken as the
+    difference between a 400-trip and a 200-trip run so that compiling
+    and the code around the loop cancel out.  Generator steps are not
+    counted: the signing-ahead MAC batches take one per id, and where
+    the batches fall depends on the run's first id.  Half a call per
+    trip is left for those batches' amortised `_mac` calls."""
+    def calls(trips):
+        prog = miniir.parse(_with_trips(text, trips))
+        miniir.validate(prog)
+        prog = optpasses.run_passes(instrument.instrument(prog), "none")
+        it = interp.Interpreter(prog, AddressConfig(47), 0)
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call" and not frame.f_code.co_flags & CO_GENERATOR
+
+        sys.setprofile(profile)
+        try:
+            result = it.run()
+        finally:
+            sys.setprofile(None)
+        assert result.completed
+        _, _, _, hot = it.layouts["main"].blocks["loop"]
+        assert hot is not None  # the loop block ran compiled
+        return count
+
+    calls(200)  # compiles the loop block once for the process
+    assert (calls(400) - calls(200)) / 200 < budget + 0.5
