@@ -11,6 +11,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from struct import pack_into, unpack_from
 
 from .errors import FaultKind, LimitExceeded, MemoryFault, PasanError
 from .instrument import instrument, wraps_builtin
@@ -164,10 +165,11 @@ def _op_ret(interp, frame, regs, inst):
 
 
 # Each op's expression over its operands {0}, {1}, ..., all of them as a
-# list {args}, the access width {w}, the result type's mask {m}, the
-# callee {callee} and the wrapped builtin {wrapped}.  It is the op's one
-# definition: its table handler and its code in a compiled block are
-# both generated from it.
+# list {args}, the access width {w} and its struct format {fmt}, the
+# result type's mask {m}, the callee {callee} and the wrapped builtin
+# {wrapped}.  It is the op's one definition: its table handler and its
+# code in a compiled block are both generated from it.  A load or store
+# inside a 4 KiB page of MemSpace.mapped moves its bytes inline.
 _TEMPLATES = {
     "const": "{0} & {m}",
     "add": "({0} + {1}) & {m}",
@@ -177,8 +179,11 @@ _TEMPLATES = {
     "gep": "({0} + {1}) & 0xFFFFFFFFFFFFFFFF",
     "gep_i32": "({0} + ((({1} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)) & 0xFFFFFFFFFFFFFFFF",
     "globaladdr": "rt.gppt.get({0}, interp.global_addr[{0}])",
-    "load": "read({0}, {w})",
-    "store": "write({0}, {w}, {1})",
+    "load": "unpack_from({fmt}, page, off)[0] if (off := {0} & 4095) <= 4096 - {w}"
+            " and (page := mapped.get({0} >> 12)) is not None else read({0}, {w})",
+    "store": "pack_into({fmt}, page, off, {1} & (1 << 8 * {w}) - 1) if (off := {0} & 4095)"
+             " <= 4096 - {w} and (page := mapped.get({0} >> 12)) is not None"
+             " else write({0}, {w}, {1})",
     "malloc": "rt.plain_malloc({0})",
     "free": "rt.plain_free({0})",
     "check": "checked_access({0}, {w})",
@@ -191,6 +196,8 @@ _TEMPLATES = {
     "pa_free": "rt.protected_free({0}) or 0",
     "pa_wrapper": "rt.wrapper_call({wrapped}, {args})",
 }
+
+_FORMATS = {1: "<B", 4: "<I", 8: "<Q"}  # each access width's struct format
 
 # Templates that cannot raise, so need no fault index.
 _PURE = {"const", "add", "sub", "mul", "gep", "gep_i32"}
@@ -209,7 +216,7 @@ _TARGETS = {"store": "", "free": "", "check_token": "regs[inst.result], regs[ins
 
 # The interpreter's attributes bound once per run, which templates name
 # bare: a table handler reads them off interp at each call.
-_PER_RUN = ("rt", "read", "write", "checked_access", "fast_check")
+_PER_RUN = ("rt", "mapped", "read", "write", "checked_access", "fast_check")
 _ON_INTERP = re.compile(rf"(?<![\w.])({'|'.join(_PER_RUN)})\b")
 
 
@@ -235,7 +242,8 @@ def _table_handlers() -> dict:
         operand = "args[{}]" if op in _LITERAL_ARGS else "regs[args[{}]]"
         # No template names more than three operands; format ignores the rest.
         expr = template.format(*map(operand.format, range(3)), args="[regs[a] for a in args]",
-                               w="inst.width", m="_TYPE_MASK[inst.ty]", callee="inst.callee",
+                               w="inst.width", fmt="_FORMATS[inst.width]",
+                               m="_TYPE_MASK[inst.ty]", callee="inst.callee",
                                wrapped="RT_WRAPPERS[inst.callee]")
         targets = {op: _TARGETS.get(op, "regs[inst.result] = ")}
         if op in ("external", *_RUNTIME_CALLS.values()):
@@ -300,8 +308,9 @@ def _compile(label: str, body: list, moves: dict):
         if op is None:
             return None
         ops = [use(arg) for arg in inst.args]
-        expr = _TEMPLATES[op].format(*ops, w=repr(inst.width), m=repr(_TYPE_MASK.get(inst.ty)),
-                                     callee=repr(inst.callee), args=f"[{', '.join(ops)}]",
+        expr = _TEMPLATES[op].format(*ops, w=repr(inst.width), fmt=repr(_FORMATS.get(inst.width)),
+                                     m=repr(_TYPE_MASK.get(inst.ty)), callee=repr(inst.callee),
+                                     args=f"[{', '.join(ops)}]",
                                      wrapped=repr(RT_WRAPPERS.get(inst.callee)))
         if op not in _PURE:
             lines.append(f"k = {k}")
@@ -441,7 +450,7 @@ class Interpreter:
         # Bound once per run, so a wrapper installed on the class before
         # the run (a tracer) sees every call.
         self.checked_access, self.fast_check = rt.checked_access, rt.fast_check
-        self.read, self.write = mem.read, mem.write
+        self.mapped, self.read, self.write = mem.mapped, mem.read, mem.write
         stats = rt.stats
         limit = self.limits.max_insts
         stack = self.stack

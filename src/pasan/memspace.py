@@ -71,6 +71,10 @@ class MemSpace:
         self._spans = tuple((r.base, r.limit) for r in
                             (self.regions.globals, self.regions.heap, self.regions.stack))
         self._shadow_bit = 1 << cfg.msb_bit
+        # The mapped-page table: each program page wholly inside one region,
+        # the bytearray in _pages, added on creation.  An access that finds
+        # its page here and fits in it cannot fault.
+        self.mapped: dict[int, bytearray] = {}
 
     # -- raw byte store (no checks; callers enforce their own contracts) --
 
@@ -92,6 +96,9 @@ class MemSpace:
             buf = self._pages.get(page)
             if buf is None:
                 buf = self._pages[page] = bytearray(PAGE_SIZE)
+                for base, limit in self._spans:
+                    if base <= page << 12 and (page + 1) << 12 <= limit:
+                        self.mapped[page] = buf
             buf[off : off + chunk] = data[pos : pos + chunk]
             addr += chunk
             pos += chunk
@@ -167,12 +174,17 @@ class MemSpace:
         raise MemoryFault(FaultKind.UNMAPPED, addr)
 
     # read and write move the bytes of an access within one page and one
-    # region themselves: every region lies in the program half, so such
-    # an access cannot fault.  Anything else takes _check_access.
+    # region themselves, first trying the mapped-page table: every region
+    # lies in the program half, so such an access cannot fault.  A write
+    # to a page not in the table moves its bytes through _store_bytes,
+    # which creates the page.  Anything else takes _check_access.
 
     def read(self, addr: int, width: int) -> int:
         off = addr & PAGE_MASK
         if off + width <= PAGE_SIZE:
+            buf = self.mapped.get(addr >> 12)
+            if buf is not None:
+                return int.from_bytes(buf[off : off + width], "little")
             for base, limit in self._spans:
                 if base <= addr and addr + width <= limit:
                     buf = self._pages.get(addr >> 12, _ZERO_PAGE)
@@ -184,12 +196,13 @@ class MemSpace:
         data = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
         off = addr & PAGE_MASK
         if off + width <= PAGE_SIZE:
+            buf = self.mapped.get(addr >> 12)
+            if buf is not None:
+                buf[off : off + width] = data
+                return
             for base, limit in self._spans:
                 if base <= addr and addr + width <= limit:
-                    buf = self._pages.get(addr >> 12)
-                    if buf is None:
-                        buf = self._pages[addr >> 12] = bytearray(PAGE_SIZE)
-                    buf[off : off + width] = data
+                    self._store_bytes(addr, data)
                     return
         self._check_access(addr, width)
         self._store_bytes(addr, data)

@@ -150,7 +150,7 @@ class SanitizerRuntime:
         self.heap_cursor = mem.regions.heap.base
         self.heap_limit = mem.regions.heap.limit
         self.gppt: dict[str, int] = {}
-        self.live: dict[int, _Extent] = {}
+        self.live: dict[int, _Extent] = {}  # by base: ids repeat once the counter wraps
         # Each live id's signature field as pac_sign places it.  A pointer
         # whose field, address MSB and bit 55 equal its shadow id's entry
         # is exactly one pac_auth accepts, so the checks call pac_auth
@@ -189,14 +189,14 @@ class SanitizerRuntime:
         """Shadow a fresh extent with a new id; returns (id, signed base)."""
         obj_id = self.gen.next()
         self.mem.shadow_fill(base, padded, obj_id)
-        self.live[obj_id] = _Extent(base, padded, obj_id, origin)
+        self.live[base] = _Extent(base, padded, obj_id, origin)
         signed = pac_sign(base, obj_id, self.key, self.cfg)
         self.sigs[obj_id] = signed ^ base
         return obj_id, signed
 
     def retire_extent(self, base: int, padded: int, obj_id: int, origin: str) -> None:
         self.mem.shadow_clear(base, padded)
-        self.live.pop(obj_id, None)
+        self.live.pop(base, None)
         self.sigs.pop(obj_id, None)
         self.retired.append(_Extent(base, padded, obj_id, origin))
 

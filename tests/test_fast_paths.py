@@ -521,7 +521,13 @@ def test_signature_table_matches_pac_auth_reference(cfg, retire, monkeypatch):
     assert any(calls)
     assert len(calls) < len(ref_calls)
 
-    # churn: the table holds one entry per live id, each as pac_sign placed it
+    # churn: with the shared id's survivor freed and fresh ids past every
+    # one made so far, no two live extents share an id, so the table
+    # holds one entry per live extent, each as pac_sign placed it
+    survivor = pair[1] if retire == "older" else signed[0]
+    assert outcome(rt.protected_free, survivor) == outcome(ref_protected_free, ref, survivor)
+    for side in (rt, ref):
+        side.gen.counter = 0x100
     live = [ptr for ptr in signed if rt.mem.id_at(strip(ptr, cfg))]
     for _ in range(300):
         if live and rng.random() < 0.5:
@@ -533,9 +539,89 @@ def test_signature_table_matches_pac_auth_reference(cfg, retire, monkeypatch):
             assert ref.protected_malloc(size) == ptr
             live.append(ptr)
         assert len(rt.sigs) == len(rt.live)
-    assert rt.sigs == {obj_id: pac_sign(ext.base, obj_id, rt.key, cfg) ^ ext.base
-                       for obj_id, ext in rt.live.items()}
+    assert rt.sigs == {ext.obj_id: pac_sign(ext.base, ext.obj_id, rt.key, cfg) ^ ext.base
+                       for ext in rt.live.values()}
     assert rt.stats == ref.stats
     assert rt.key.macs == ref.key.macs
     assert rt.mem._pages == ref.mem._pages
     assert rt.retired == ref.retired
+
+
+# -- the mapped-page table against the span walk --
+
+
+def _spans(regions):
+    return [(r.base, r.limit) for r in (regions.globals, regions.heap, regions.stack)]
+
+
+def ref_span_read(mem, addr, width):
+    """read as it was before the mapped-page table: the span walk, then
+    _check_access."""
+    off = addr % PAGE_SIZE
+    if off + width <= PAGE_SIZE:
+        for base, limit in _spans(mem.regions):
+            if base <= addr and addr + width <= limit:
+                page = mem._pages.get(addr // PAGE_SIZE, bytes(PAGE_SIZE))
+                return int.from_bytes(page[off : off + width], "little")
+    return ref_read(mem, addr, width)
+
+
+def ref_span_write(mem, addr, width, value):
+    off = addr % PAGE_SIZE
+    if off + width <= PAGE_SIZE:
+        for base, limit in _spans(mem.regions):
+            if base <= addr and addr + width <= limit:
+                page = mem._pages.setdefault(addr // PAGE_SIZE, bytearray(PAGE_SIZE))
+                page[off : off + width] = (value % (1 << 8 * width)).to_bytes(width, "little")
+                return
+    ref_write(mem, addr, width, value)
+
+
+def assert_mapped_invariant(mem):
+    """Each mapped page is the page _pages holds, lies wholly inside one
+    region and is not a shadow page; and each such page is mapped."""
+    for page, buf in mem.mapped.items():
+        assert mem._pages[page] is buf, hex(page)
+        assert page * PAGE_SIZE < 1 << mem.cfg.msb_bit, hex(page)
+    whole = {page for page in mem._pages
+             if any(base <= page * PAGE_SIZE and (page + 1) * PAGE_SIZE <= limit
+                    for base, limit in _spans(mem.regions))}
+    assert set(mem.mapped) == whole
+
+
+# Regions ending (and the stack starting) mid-page, a heap ending 4 bytes
+# into a page; the default map's regions are all page-aligned.
+MID_PAGE = RegionMap.default(globals_size=0x2800, heap_size=0x1804, stack_size=0x2C00)
+
+
+@pytest.mark.parametrize("regions", [RegionMap.default(), ABUTTING, MID_PAGE],
+                         ids=["default", "abutting", "mid_page"])
+@pytest.mark.parametrize("n", [33, 47])
+def test_mapped_page_table_matches_the_span_walk(regions, n):
+    cfg = AddressConfig(n)
+    mem, ref = MemSpace(cfg, regions), MemSpace(cfg, regions)
+    addrs = [0, 0x8000, 0x2000_0000]  # unmapped
+    for base, limit in _spans(regions):
+        edges = {base, limit, (base | PAGE_SIZE - 1) + 1, (limit - 1) & ~(PAGE_SIZE - 1)}
+        addrs += [edge + off for edge in edges for off in range(-9, 4)]
+    addrs += [addr | bit for addr in addrs[3::5]
+              for bit in (1 << cfg.msb_bit, 1 << cfg.n, 1 << RESERVED_BIT)]
+    rng = random.Random(n)
+    ops = [(op, addr, width) for addr in addrs for width in (1, 4, 8) for op in ("read", "write")]
+    for _ in range(2):  # shuffled: pages are read both before and after they exist
+        rng.shuffle(ops)
+        for op, addr, width in ops:
+            if op == "read":
+                assert outcome(mem.read, addr, width) == \
+                    outcome(ref_span_read, ref, addr, width), (hex(addr), width)
+            else:
+                value = rng.getrandbits(70)
+                assert outcome(mem.write, addr, width, value) == \
+                    outcome(ref_span_write, ref, addr, width, value), (hex(addr), width)
+        # shadow pages, made for every region, never enter the table
+        for base, _ in _spans(regions):
+            mem.shadow_fill(base & ~3, 8, 5)
+            ref_shadow_fill(ref, base & ~3, 8, 5)
+        assert mem._pages == ref._pages
+        assert_mapped_invariant(mem)
+    assert mem.mapped

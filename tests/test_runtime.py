@@ -366,6 +366,28 @@ def test_stray_signature_into_unshadowed_stack_is_use_after_scope():
     assert exc_info.value.report.narrative == "unshadowed stack memory"
 
 
+@pytest.mark.parametrize("freed", ["older", "newer"])
+def test_strayed_pointer_of_a_wrapped_id_survivor_is_spatial_oob(freed):
+    # Once the id counter wraps past 0xFFFFFFFF, two live objects share
+    # id 1.  Freeing either one must leave the other live, so that its
+    # pointer strayed into its neighbour is still attributed to it.
+    rt = make_rt()
+    rt.gen.counter = 1
+    older = rt.protected_malloc(8)
+    rt.protected_malloc(8)  # older's neighbour
+    rt.gen.counter = 0xFFFFFFFF
+    rt.protected_malloc(8)
+    newer = rt.protected_malloc(8)
+    rt.protected_malloc(8)  # newer's neighbour
+    assert rt.mem.id_at(strip(older, CFG)) == rt.mem.id_at(strip(newer, CFG)) == 1
+    victim, survivor = (older, newer) if freed == "older" else (newer, older)
+    rt.protected_free(victim)
+    with pytest.raises(ViolationError) as exc_info:
+        rt.checked_access(survivor + 8, 4)
+    assert kind_of(exc_info) is ViolationKind.SPATIAL_OOB
+    assert f"[0x{strip(survivor, CFG):x}, " in exc_info.value.report.narrative
+
+
 def test_heap_exhaustion_is_harness_error():
     rng = random.Random(0)
     mem = MemSpace(CFG, RegionMap.default(heap_size=64))

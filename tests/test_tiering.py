@@ -38,11 +38,11 @@ def build(text: str, mode: str):
     return prog if mode == "raw" else run_passes(instrument(prog), mode)
 
 
-def execute(prog, cfg, tier_at, seed=0, bytewise=False):
+def execute(prog, cfg, tier_at, seed=0, bytewise=False, limits=None):
     """(outcome, whether a block was compiled) of one run at tier_at."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(interp, "_TIER_AT", tier_at)
-        it = interp.Interpreter(prog, cfg, seed, bytewise=bytewise)
+        it = interp.Interpreter(prog, cfg, seed, limits, bytewise=bytewise)
         result = it.run()
     report = result.report and (result.report.to_json(), result.report.inst_uid)
     compiled = any(hot for layout in it.layouts.values()
@@ -50,13 +50,13 @@ def execute(prog, cfg, tier_at, seed=0, bytewise=False):
     return (result.verdict, result.exit_value, result.stats.to_json(), report), compiled
 
 
-def assert_tiers_agree(prog, cfg, seed=0, bytewise=False):
+def assert_tiers_agree(prog, cfg, seed=0, bytewise=False, limits=None):
     """The outcome at each threshold; returns which thresholds compiled."""
-    table, compiled = execute(prog, cfg, OFF, seed, bytewise)
+    table, compiled = execute(prog, cfg, OFF, seed, bytewise, limits)
     assert not compiled
     tiered = {}
     for tier_at in (DEFAULT, FORCED):
-        got, tiered[tier_at] = execute(prog, cfg, tier_at, seed, bytewise)
+        got, tiered[tier_at] = execute(prog, cfg, tier_at, seed, bytewise, limits)
         assert got == table, tier_at
     return tiered
 
@@ -124,6 +124,93 @@ def test_underrun_after_the_tier_point_reports_alike(mode, n):
                                                  bytewise=oracle)
     assert verdict == "violation" and report["kind"] == "SpatialOOB"
     assert stats["insts"] > 5 * DEFAULT
+
+
+# Loads and stores move their bytes inline only within a page of the
+# mapped-page table; the loops below take the other paths once compiled.
+# STRADDLE steps a store and two 8-byte loads byte by byte across a page
+# boundary inside one object; they straddle it from trip 87 on.
+STRADDLE = """\
+func @main() -> i32 {
+entry:
+  %sz = const.i64 8192
+  %p = malloc %sz
+  %start = const.i64 4000
+  %n = const.i64 100
+  %zero = const.i64 0
+  br loop
+loop:
+  %i = phi [entry: %n], [loop: %in]
+  %off = phi [entry: %start], [loop: %next]
+  %acc = phi [entry: %zero], [loop: %acc2]
+  %q = gep %p, %off
+  store.i64 %q, %i
+  %x = load.i64 %q
+  %q3 = gep %q, 3
+  %y = load.i64 %q3
+  %xy = add.i64 %x, %y
+  %acc2 = add.i64 %acc, %xy
+  %next = add.i64 %off, 1
+  %in = sub.i64 %i, 1
+  cbr %in, loop, done
+done:
+  store.i64 %p, %acc2
+  %r = load.i32 %p
+  free %p
+  ret %r
+}
+"""
+
+# OFF_THE_END fills the heap with one object and stores into it 4 bytes
+# at a time, until the store just past the heap's end.
+OFF_THE_END = """\
+func @main() -> i32 {
+entry:
+  %sz = const.i64 HEAP
+  %p = malloc %sz
+  %v = const.i32 7
+  %zero = const.i64 0
+  br loop
+loop:
+  %off = phi [entry: %zero], [loop: %next]
+  %q = gep %p, %off
+  store.i32 %q, %v
+  %next = add.i64 %off, 4
+  cbr %next, loop, done
+done:
+  ret %v
+}
+"""
+
+
+def _modes(text):
+    """(program, bytewise) under raw, none, all and the bytewise oracle."""
+    yield from ((build(text, mode), False) for mode in ("raw", "none", "all"))
+    yield instrument(build(text, "raw")), True
+
+
+@pytest.mark.parametrize("n", [33, 47, 52])
+def test_page_straddling_loads_agree_with_the_table(n):
+    for prog, oracle in _modes(STRADDLE):
+        assert assert_tiers_agree(prog, AddressConfig(n), bytewise=oracle) == \
+            {DEFAULT: True, FORCED: True}
+        (verdict, exit_value, _, _), _ = execute(prog, AddressConfig(n), DEFAULT,
+                                                 bytewise=oracle)
+        assert verdict == "completed" and exit_value
+
+
+@pytest.mark.parametrize("n", [33, 47, 52])
+@pytest.mark.parametrize("heap_bytes", [0x1800, 0x2000], ids=["mid_page", "page_end"])
+def test_stores_off_the_heap_end_agree_with_the_table(heap_bytes, n):
+    limits = interp.Limits(heap_bytes=heap_bytes)
+    for prog, oracle in _modes(OFF_THE_END.replace("HEAP", str(heap_bytes))):
+        assert assert_tiers_agree(prog, AddressConfig(n), bytewise=oracle, limits=limits) == \
+            {DEFAULT: True, FORCED: True}
+        (verdict, _, stats, (report, _)), _ = execute(prog, AddressConfig(n), DEFAULT,
+                                                     bytewise=oracle, limits=limits)
+        assert verdict == "violation" and report["kind"] == "SpatialOOB"
+        assert int(report["pointer_hex"], 16) & 0xFFFFFFFF == 0x1000_0000 + heap_bytes
+        assert stats["insts"] > heap_bytes  # 4 instructions a trip, a trip per 4 bytes
 
 
 # One loop block using every op the compiler has a template for, apart

@@ -293,10 +293,10 @@ def _with_trips(text, trips):
 
 
 # A LOOP trip under "none" is two checks (`checked_access` + `id_at`
-# each), a `write` and a `read`.  A CHURN_LOOP trip is a malloc (9
-# calls), a memset (6), two checks (4), a write and a read, and a free
-# (7).
-@pytest.mark.parametrize("text, budget", [(LOOP, 6), (CHURN_LOOP, 28)],
+# each); its store and load move their bytes inline through the
+# mapped-page table and make no call.  A CHURN_LOOP trip is a malloc (9
+# calls), a memset (6), two checks (4) and a free (7).
+@pytest.mark.parametrize("text, budget", [(LOOP, 4), (CHURN_LOOP, 26)],
                          ids=["hotloop", "churn"])
 def test_compiled_loop_trips_stay_within_call_budgets(text, budget):
     """Python calls per compiled trip under "none", taken as the
