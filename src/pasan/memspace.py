@@ -173,11 +173,10 @@ class MemSpace:
                 return
         raise MemoryFault(FaultKind.UNMAPPED, addr)
 
-    # read and write move the bytes of an access within one page and one
-    # region themselves, first trying the mapped-page table: every region
-    # lies in the program half, so such an access cannot fault.  A write
-    # to a page not in the table moves its bytes through _store_bytes,
-    # which creates the page.  Anything else takes _check_access.
+    # read and write move the bytes of an access that finds its page in
+    # the mapped-page table and fits in it themselves: every region lies
+    # in the program half, so such an access cannot fault.  Anything else
+    # takes _check_access.
 
     def read(self, addr: int, width: int) -> int:
         off = addr & PAGE_MASK
@@ -185,10 +184,6 @@ class MemSpace:
             buf = self.mapped.get(addr >> 12)
             if buf is not None:
                 return int.from_bytes(buf[off : off + width], "little")
-            for base, limit in self._spans:
-                if base <= addr and addr + width <= limit:
-                    buf = self._pages.get(addr >> 12, _ZERO_PAGE)
-                    return int.from_bytes(buf[off : off + width], "little")
         self._check_access(addr, width)
         return int.from_bytes(self._load_bytes(addr, width), "little")
 
@@ -200,10 +195,6 @@ class MemSpace:
             if buf is not None:
                 buf[off : off + width] = data
                 return
-            for base, limit in self._spans:
-                if base <= addr and addr + width <= limit:
-                    self._store_bytes(addr, data)
-                    return
         self._check_access(addr, width)
         self._store_bytes(addr, data)
 

@@ -1,6 +1,5 @@
 """Small SSA intermediate representation: textual format, parser,
-printer, validator, structural copy, dominance, and the may-free path
-analysis.
+printer, validator, structural copy and dominance.
 
 The format is line-oriented; `;` starts a comment.  Programs consist of
 `global` definitions, `extern` declarations, and `func` bodies made of
@@ -14,7 +13,6 @@ source programs; a program containing them is flagged as instrumented.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, ValidationError
@@ -667,111 +665,3 @@ class Dominance:
         order; across blocks it is strict block dominance."""
         (la, ia), (lb, ib) = loc_a, loc_b
         return ia < ib if la == lb else self.block_dominates(la, lb)
-
-
-# ---------------------------------------------------------------------------
-# May-free path analysis
-# ---------------------------------------------------------------------------
-
-def _may_free(prog: Program, freeing: set[str], inst: Inst) -> bool:
-    """May inst free memory?  `free`, `__pa_free`, a call to an internal
-    function in `freeing`, and any call to code outside the program and
-    the runtime (conservatively) do."""
-    if inst.op == "free":
-        return True
-    if inst.op != "call":
-        return False
-    if inst.callee in prog.functions:
-        return inst.callee in freeing
-    return inst.callee == "__pa_free" or inst.callee not in BUILTIN_SIGS
-
-
-def functions_may_free(prog: Program) -> set[str]:
-    """Names of internal functions that may free memory, transitively:
-    the least fixpoint of _may_free over their instructions."""
-    freeing: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name, f in prog.functions.items():
-            if name not in freeing and any(
-                    _may_free(prog, freeing, inst) for _, _, inst in f.insts()):
-                freeing.add(name)
-                changed = True
-    return freeing
-
-
-class FreeFacts:
-    """What may_free_between needs of one function, computed once: the
-    indexes of possibly-freeing instructions in each block that has
-    any and, only if there are such blocks, two bitsets per reachable
-    block over the block numbers in `num`: `reach`, the blocks it
-    reaches by one or more edges, and `after_free`, the blocks reached
-    by one or more edges from a freeing block in its `reach`.  Both are
-    built per strongly connected component, each after the components
-    it reaches; the components come from Kosaraju's second walk, over
-    the predecessors in reverse post-order."""
-
-    def __init__(self, prog: Program, func: Function, freeing: set[str]):
-        self.frees: dict[str, list[int]] = {}
-        for label, idx, inst in func.insts():
-            if _may_free(prog, freeing, inst):
-                self.frees.setdefault(label, []).append(idx)
-        if not self.frees:
-            return  # no query can find a free
-        order = reverse_postorder(func)
-        self.num = num = {label: i for i, label in enumerate(order)}
-        preds = func.predecessors()
-        comps: list[list[int]] = []
-        placed: set[str] = set()
-        for root in order:
-            if root not in placed:
-                placed.add(root)
-                comp = [root]
-                for label in comp:  # every block that reaches root and is not placed
-                    for p in preds[label]:
-                        if p in num and p not in placed:
-                            placed.add(p)
-                            comp.append(p)
-                comps.append([num[label] for label in comp])
-        succs = [[num[s] for s in func.successors(label)] for label in order]
-        frees = {num[label] for label in self.frees if label in num}
-        self.reach = [0] * len(order)
-        self.after_free = [0] * len(order)
-        for comp in reversed(comps):
-            members = sum(1 << v for v in comp)
-            reach = after = 0
-            for v in comp:
-                for w in succs[v]:
-                    if not members >> w & 1:
-                        reach |= 1 << w | self.reach[w]
-                        after |= self.after_free[w] | (self.reach[w] if w in frees else 0)
-            if len(comp) > 1 or comp[0] in succs[comp[0]]:  # on a cycle: reaches itself
-                reach |= members
-                if not frees.isdisjoint(comp):
-                    after |= reach
-            for v in comp:
-                self.reach[v] = reach
-                self.after_free[v] = after
-
-
-def may_free_between(facts: FreeFacts, loc_a: tuple[str, int],
-                     loc_b: tuple[str, int]) -> bool:
-    """True iff some path from loc_a to loc_b passes an operation that
-    may free memory: a freeing instruction lies after loc_a (later in
-    its block, or in a block reachable from it) and before loc_b
-    (earlier in its block, or loc_b's block is reachable from it).  The
-    analysis is conservative and ignores which object is freed."""
-    if not facts.frees:
-        return False
-    (la, ia), (lb, ib) = loc_a, loc_b
-    a, b = facts.num[la], facts.num[lb]
-    if facts.after_free[a] >> b & 1:  # a free in a block between the two
-        return True
-    in_a, in_b = facts.frees.get(la), facts.frees.get(lb)
-    if facts.reach[a] >> b & 1 and (in_a and in_a[-1] > ia or in_b and in_b[0] < ib):
-        return True  # a free later in a's block, or earlier in b's
-    if la != lb or in_a is None:
-        return False
-    after_ia = bisect_right(in_a, ia)  # the first free in the block after loc_a
-    return after_ia < len(in_a) and in_a[after_ia] < ib

@@ -1,17 +1,15 @@
 """Check-reduction passes: redundant check removal and same-lock fast
 verification.  Both are gated on instruction-level dominance and on the
-absence of possibly-freeing operations along every covered path.
+absence of possibly-freeing operations along every covered path, which
+one forward bitset dataflow per function decides.
 
 Passes only delete checks or downgrade them to fast checks; they never
 add work, so full + fast never exceeds the pre-pass full count.
 """
 from __future__ import annotations
 
-from functools import cache, partial
-
 from .errors import InstrumentationError
-from .miniir import (Dominance, FreeFacts, Function, Inst, Namer, Program,
-                     functions_may_free, may_free_between)
+from .miniir import BUILTIN_SIGS, Function, Inst, Namer, Program, reverse_postorder
 
 PASS_SETS = {
     "none": (),
@@ -23,8 +21,8 @@ PASS_SETS = {
 
 def run_passes(prog: Program, opts: str) -> Program:
     """Run the selected passes in order on one copy of prog (prog itself
-    if none is selected).  No pass changes the CFG or adds a free, so the
-    freeing functions and each function's Dominance are computed once."""
+    if none is selected).  No pass adds a free, so the freeing functions
+    are computed once."""
     if opts not in PASS_SETS:
         raise InstrumentationError(f"unknown optimization selection {opts!r}")
     passes = PASS_SETS[opts]
@@ -33,12 +31,11 @@ def run_passes(prog: Program, opts: str) -> Program:
     out = prog.copy()
     freeing = functions_may_free(out)
     for func in out.functions.values():
-        dom_of = cache(partial(Dominance, func))  # built when a check group first needs it
         if "redundant" in passes:
             subst = {
                 inst.result: cover.result
                 for _, inst, cover in _covered_checks(
-                    out, func, freeing, lambda inst: (inst.args[0], inst.width), dom_of)
+                    out, func, freeing, lambda inst: (inst.args[0], inst.width))
             }
             if subst:
                 for label, block in func.blocks.items():
@@ -56,7 +53,7 @@ def run_passes(prog: Program, opts: str) -> Program:
                 return reg
 
             namer = Namer(func)
-            for (label, idx), inst, cover in _covered_checks(out, func, freeing, gep_root, dom_of):
+            for (label, idx), inst, cover in _covered_checks(out, func, freeing, gep_root):
                 if cover.result2 is None:
                     cover.result2 = namer.fresh("%tk")
                 func.blocks[label][idx] = Inst(
@@ -83,44 +80,120 @@ def same_lock_optimize(prog: Program) -> Program:
     return run_passes(prog, "samelock")
 
 
-def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key, dom_of):
+def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key):
     """Yield (loc, check, cover) for each check of func that a kept check
     of the same group (by group_key(check)) dominates with no
-    possibly-freeing instruction in between.  A check holding a token
-    is never covered: a fast check elsewhere reads that token.  dom_of()
-    gives func's Dominance; it is called only when some group needs it.
+    possibly-freeing instruction on any path between them.  A check
+    holding a token is never covered: a fast check elsewhere reads that
+    token.
 
-    Each group is decided in dominator-tree preorder, with a stack of
-    the kept checks that dominate the current one, so every cover is a
-    kept check.  Only the nearest of them is tried: dominators form a
-    chain, so a free between the nearest and the check also lies after
-    every farther one.  Covered checks are yielded group by group in
-    reverse post-order, the order same-lock names new tokens in."""
+    One forward dataflow over Python-int bitsets decides this (available
+    expressions: Aho, Lam, Sethi and Ullman, Compilers, 9.2.6).  The
+    checks are numbered in reverse post-order, and three sets of them
+    are carried to a fixpoint: `done`, those run on every path to a
+    point, which are exactly the checks dominating it; `seen`, those
+    run on some path to it; and `freed`, those with a possibly-freeing
+    instruction on some path from them to it.  A walk in reverse
+    post-order then covers a check by the highest bit of done & ~freed
+    & kept & its group: its nearest kept dominator, numbered after
+    every farther one.  Only the nearest counts: a free after it also
+    lies after every farther one.  Covered checks are yielded group by
+    group in reverse post-order, the order same-lock names new tokens
+    in."""
     by_key: dict = {}
     for label, idx, inst in func.insts():
         if inst.op == "check":
-            by_key.setdefault(group_key(inst), []).append(((label, idx), inst))
-    groups = [members for members in by_key.values() if len(members) > 1]
-    if not groups:
+            by_key.setdefault(group_key(inst), []).append((label, idx))
+    if all(len(locs) == 1 for locs in by_key.values()):
         return
-    dom = dom_of()
-    facts = FreeFacts(prog, func, freeing)
-    for members in groups:
-        members.sort(key=lambda item: (dom.pre[item[0][0]], item[0][1]))
-        covers = {}
-        kept: list = []  # each dominates the next
-        for loc, inst in members:
-            while kept and not dom.inst_dominates(kept[-1][0], loc):
-                kept.pop()
-            if (inst.result2 is None and kept
-                    and not may_free_between(facts, kept[-1][0], loc)):
-                covers[loc] = kept[-1][1]
+    order = reverse_postorder(func)
+    rpo = {label: i for i, label in enumerate(order)}
+    locs = sorted((loc for group in by_key.values() for loc in group),
+                  key=lambda loc: (rpo[loc[0]], loc[1]))
+    bit = {loc: 1 << i for i, loc in enumerate(locs)}
+    mask = {}
+    for group in by_key.values():
+        mask.update(dict.fromkeys(group, sum(map(bit.__getitem__, group))))
+    # Per block: its checks and possibly-freeing instructions in order
+    # (a free as None), every check's bit, and those before its last free.
+    events, gen, before_free = {}, {}, {}
+    for label in order:
+        events[label] = [(label, idx) if inst.op == "check" else None
+                         for idx, inst in enumerate(func.blocks[label])
+                         if inst.op == "check" or _may_free(prog, freeing, inst)]
+        gen[label] = 0
+        for loc in events[label]:
+            if loc is None:
+                before_free[label] = gen[label]
             else:
-                kept.append((loc, inst))
-        members.sort(key=lambda item: (dom.rpo[item[0][0]], item[0][1]))
-        for loc, inst in members:
+                gen[label] |= bit[loc]
+    preds = {label: [p for p in ps if p in rpo] for label, ps in func.predecessors().items()}
+    ins: dict = {}
+    outs = {label: (-1, 0, 0) for label in order}  # done starts full: a must-set
+    changed = True
+    while changed:
+        changed = False
+        for label in order:
+            done, seen, freed = 0 if label == func.entry else -1, 0, 0
+            for p in preds[label]:
+                done &= outs[p][0]
+                seen |= outs[p][1]
+                freed |= outs[p][2]
+            ins[label] = done, seen, freed
+            if label in before_free:
+                freed |= seen | before_free[label]
+            out = (done | gen[label], seen | gen[label], freed)
+            if out != outs[label]:
+                outs[label] = out
+                changed = True
+    covers, kept = {}, 0
+    for label in order:
+        done, seen, freed = ins[label]
+        for loc in events[label]:
+            if loc is None:
+                freed |= seen
+                continue
+            inst = func.blocks[label][loc[1]]
+            avail = done & ~freed & kept & mask[loc]
+            if inst.result2 is None and avail:
+                cover = locs[avail.bit_length() - 1]
+                covers[loc] = func.blocks[cover[0]][cover[1]]
+            else:
+                kept |= bit[loc]
+            done |= bit[loc]
+            seen |= bit[loc]
+    for group in by_key.values():
+        for loc in sorted(group, key=bit.__getitem__):
             if loc in covers:
-                yield loc, inst, covers[loc]
+                yield loc, func.blocks[loc[0]][loc[1]], covers[loc]
+
+
+def _may_free(prog: Program, freeing: set[str], inst: Inst) -> bool:
+    """May inst free memory?  `free`, `__pa_free`, a call to an internal
+    function in `freeing`, and any call to code outside the program and
+    the runtime (conservatively) do."""
+    if inst.op == "free":
+        return True
+    if inst.op != "call":
+        return False
+    if inst.callee in prog.functions:
+        return inst.callee in freeing
+    return inst.callee == "__pa_free" or inst.callee not in BUILTIN_SIGS
+
+
+def functions_may_free(prog: Program) -> set[str]:
+    """Names of internal functions that may free memory, transitively:
+    the least fixpoint of _may_free over their instructions."""
+    freeing: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for name, f in prog.functions.items():
+            if name not in freeing and any(
+                    _may_free(prog, freeing, inst) for _, _, inst in f.insts()):
+                freeing.add(name)
+                changed = True
+    return freeing
 
 
 def count_checks(prog: Program) -> tuple[int, int]:

@@ -3,10 +3,11 @@ pass line with its measured numbers.  Run with `pytest -v -s` to see the
 lines; tolerances and runtime bounds are asserted, not just reported.
 """
 import math
+import random
 import time
 from pathlib import Path
 
-from pasan.cli import run_collide, run_corpus
+from pasan.cli import accepted_fields, run_collide, run_corpus
 from pasan.instrument import instrument
 from pasan.interp import run, run_unoptimized_oracle
 from pasan.miniir import parse, validate
@@ -84,6 +85,11 @@ def test_criterion_4_forgery_statistics():
     assert full["expected_rate"] == 1 / 65536
     assert math.isclose(full["expected_rate"], 1.52e-5, rel_tol=5e-3)
     assert abs(full["z_score"]) <= 5.0
+    # the hits sample one accepted field among 2^p: enumerating every
+    # field shows the authenticator accepts exactly one for each object
+    for p_override in (11, None):
+        cfg = AddressConfig(47, p_override)
+        assert len(accepted_fields(cfg, random.Random(0))) == 1
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"collision statistics took {elapsed:.1f}s"
     print(f"ACCEPTANCE 4 PASS: p=11 z={small['z_score']:+.2f}, "

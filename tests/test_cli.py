@@ -263,6 +263,19 @@ def test_corpus_detects_harness_failures(corpus_dir, tmp_path, capsys):
     assert "false positive" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, text, problem", [
+    ("cwe416_x_bad.ir", GOOD, "bad variant completed without detection"),
+    ("cwe416_x_bad_expect=SpatialOOB.ir", UAF, "expected SpatialOOB, detected UseAfterFree"),
+])
+def test_corpus_reports_a_missed_or_misclassified_bad_variant(tmp_path, capsys, name, text,
+                                                              problem):
+    fixtures = tmp_path / "c"
+    fixtures.mkdir()
+    write(fixtures, name, text)
+    assert main(["corpus", str(fixtures)]) == 1
+    assert f"  {name}: {problem}\n" in capsys.readouterr().out
+
+
 def test_corpus_empty_dir_is_error(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

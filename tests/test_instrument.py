@@ -364,6 +364,26 @@ def test_lint_accepts_all_instrumented_corpus(corpus_dir):
         assert lint_instrumented(out) == [], path.name
 
 
+def test_lint_reports_an_access_whose_check_is_removed():
+    prog = instrument(build("""\
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 8
+  %p = malloc %sz
+  %x = load.i32 %p
+  free %p
+  ret %x
+}
+"""))
+    block = prog.functions["main"].blocks["bb0"]
+    (idx, check), = [(idx, inst) for idx, inst in enumerate(block) if inst.op == "check"]
+    del block[idx]
+    for inst in block:  # the access now goes through the unchecked pointer
+        inst.args = tuple(check.args[0] if a == check.result else a for a in inst.args)
+    assert lint_instrumented(prog) == [
+        f"@main bb0:{idx}: unchecked access through {check.args[0]}"]
+
+
 def test_emit_round_trips(corpus_dir):
     for path in sorted(corpus_dir.glob("*.ir"))[:10]:
         out = instrument(build(path.read_text()))

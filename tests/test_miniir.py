@@ -1,4 +1,5 @@
-"""Parser, printer, validator, dominance, and may-free analysis."""
+"""Parser, printer, validator, dominance, and the may-free rule as the
+cover search asks it."""
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,6 @@ from pasan.miniir import (
     INSTRUMENTATION_OPS,
     OPS,
     Dominance,
-    FreeFacts,
     Function,
     Inst,
     Namer,
@@ -19,11 +19,10 @@ from pasan.miniir import (
     format_inst,
     format_program,
     function_types,
-    functions_may_free,
-    may_free_between,
     parse,
     validate,
 )
+from pasan.optpasses import _covered_checks, functions_may_free
 
 MINIMAL = """\
 func @main() -> i32 {
@@ -427,7 +426,21 @@ def _prog_with_main(body: str, extra: str = "") -> Program:
 
 
 def _may_free(prog: Program, func: Function, loc_a, loc_b) -> bool:
-    return may_free_between(FreeFacts(prog, func, functions_may_free(prog)), loc_a, loc_b)
+    """Does some path from just after loc_a to loc_b, which loc_a
+    dominates, pass an instruction that may free?  Asked of the cover
+    search: a probe check placed after loc_a leaves one placed at loc_b
+    uncovered."""
+    assert Dominance(func).inst_dominates(loc_a, loc_b)
+    (la, ia), (lb, ib) = loc_a, loc_b
+    probe_a, probe_b = (Inst("check", result=reg, width=8, args=("%probe",))
+                        for reg in ("%probe_a", "%probe_b"))
+    probed = Function(func.name, func.params, func.ret,
+                      {label: list(block) for label, block in func.blocks.items()})
+    probed.blocks[lb].insert(ib, probe_b)
+    probed.blocks[la].insert(ia + 1, probe_a)
+    covers = _covered_checks(prog, probed, functions_may_free(prog),
+                             lambda inst: (inst.args[0], inst.width))
+    return not any(inst is probe_b for _, inst, _ in covers)
 
 
 def _loc_of(func: Function, op: str, nth: int = 0) -> tuple[str, int]:
@@ -567,65 +580,10 @@ bb3:
     assert _may_free(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
 
 
-@st.composite
-def cfgs_with_marks(draw):
-    """Random CFG plus random positions for A, a freeing inst, and B."""
-    func = draw(random_cfgs())
-    positions = [(label, idx) for label, idx, _ in func.insts()]
-    a = draw(st.sampled_from(positions))
-    b = draw(st.sampled_from(positions))
-    f_pos = draw(st.sampled_from(positions))
-    return func, a, b, f_pos
-
-
-def _oracle_path_through(func: Function, a, f_pos, b) -> bool:
-    """Path existence a -> f -> b via two simple-path segments."""
-
-    def seg(x, y):
-        # positions reachable strictly after x, by DFS over blocks
-        (xl, xi), (yl, yi) = x, y
-        if xl == yl and yi > xi:
-            return True
-        seen = set()
-        frontier = list(func.successors(xl))
-        while frontier:
-            blk = frontier.pop()
-            if blk in seen:
-                continue
-            seen.add(blk)
-            if blk == yl:
-                return True
-            frontier.extend(func.successors(blk))
-        return False
-
-    return seg(a, f_pos) and seg(f_pos, b)
-
-
-@settings(max_examples=200, deadline=None)
-@given(cfgs_with_marks())
-def test_may_free_matches_path_oracle(case):
-    func, a, b, f_pos = case
-    label, idx = f_pos
-    marked = Function(func.name, func.params, func.ret,
-                      {lbl: list(insts) for lbl, insts in func.blocks.items()})
-    # replace the marked instruction with a free of a dummy register;
-    # may_free_between only looks at opcodes and positions
-    old = marked.blocks[label][idx]
-    if old.op in ("ret", "cbr", "br"):
-        return  # keep terminators intact
-    marked.blocks[label][idx] = Inst("free", args=("%c0",), uid=old.uid)
-    prog = Program(functions={"f": marked})
-    got = _may_free(prog, marked, a, b)
-    expected = _oracle_path_through(marked, a, f_pos, b)
-    # the analysis may also see other frees (there are none) so equality holds
-    assert got == expected
-
-
-# ------------------------------------------- oracles for dominance and may-free
+# ------------------------------------------------- oracle for dominance
 #
-# The earlier implementations, kept as references: dominator sets by
-# iterative dataflow, and a may-free test that loops over every freeing
-# block with one reachability walk per block.
+# The earlier implementation, kept as a reference: dominator sets by
+# iterative dataflow.
 
 class _OracleDominance:
     def __init__(self, func: Function):
@@ -654,35 +612,6 @@ class _OracleDominance:
         if la == lb:
             return ia < ib
         return self.block_dominates(la, lb)
-
-
-class _OracleFreeFacts:
-    def __init__(self, func: Function):
-        self.frees: dict = {}
-        for label, idx, inst in func.insts():
-            if inst.op == "free":
-                self.frees.setdefault(label, []).append(idx)
-        self.reach = {}
-        for label in func.blocks:
-            seen: set = set()
-            frontier = list(func.successors(label))
-            while frontier:
-                blk = frontier.pop()
-                if blk not in seen:
-                    seen.add(blk)
-                    frontier.extend(func.successors(blk))
-            self.reach[label] = seen
-
-
-def _oracle_may_free_between(facts: _OracleFreeFacts, loc_a, loc_b) -> bool:
-    (la, ia), (lb, ib) = loc_a, loc_b
-    for fl, idxs in facts.frees.items():
-        past_a = fl in facts.reach[la]
-        before_b = lb in facts.reach[fl]
-        if (past_a or fl == la) and (before_b or fl == lb) and any(
-                (past_a or i > ia) and (before_b or i < ib) for i in idxs):
-            return True
-    return False
 
 
 @st.composite
@@ -719,15 +648,3 @@ def test_dominance_matches_set_oracle(func):
     for x in positions:
         for y in positions:
             assert dom.inst_dominates(x, y) == oracle.inst_dominates(x, y), (x, y)
-
-
-@settings(max_examples=200, deadline=None)
-@given(looping_cfgs())
-def test_may_free_between_matches_block_walk_oracle(func):
-    prog = Program(functions={"f": func})
-    facts = FreeFacts(prog, func, functions_may_free(prog))
-    oracle = _OracleFreeFacts(func)
-    positions = [(label, idx) for label, idx, _ in func.insts()]
-    for x in positions:
-        for y in positions:
-            assert may_free_between(facts, x, y) == _oracle_may_free_between(oracle, x, y), (x, y)

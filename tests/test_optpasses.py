@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pasan import optpasses
+from pasan import miniir, optpasses
 from pasan.instrument import instrument, lint_instrumented
 from pasan.interp import run
-from pasan.miniir import (Dominance, FreeFacts, Function, Inst, Program, format_program,
-                          functions_may_free, may_free_between, parse, reverse_postorder,
-                          validate)
+from pasan.miniir import Function, Inst, Program, format_program, parse, validate
 from pasan.optpasses import (
     _covered_checks,
     count_checks,
+    functions_may_free,
     remove_redundant_checks,
     run_passes,
     same_lock_optimize,
 )
 from pasan.pacore import AddressConfig
+from test_miniir import _OracleDominance
 
 CFG = AddressConfig(47)
 
@@ -286,24 +286,75 @@ def test_same_lock_on_cfg_deeper_than_recursion_limit():
 
 # ------------------------------------------------------------- cover search
 
-def _scan_covered_checks(prog, func, freeing, group_key):
-    """The earlier cover search, kept as a reference: each group in
-    reverse post-order, each check tried against every kept check of
-    its group, nearest first."""
-    rpo = {label: i for i, label in enumerate(reverse_postorder(func))}
+def _oracle_rpo(func):
+    """Reverse post-order of a recursive depth-first walk, successors in
+    order."""
+    post, seen = [], set()
+
+    def visit(label):
+        seen.add(label)
+        for succ in func.successors(label):
+            if succ not in seen:
+                visit(succ)
+        post.append(label)
+
+    visit(func.entry)
+    return post[::-1]
+
+
+class _OracleFreeFacts:
+    """The freeing positions of func, by the frees(inst) rule, and the
+    blocks each block reaches by one or more edges, one walk per block."""
+
+    def __init__(self, func: Function, frees):
+        self.frees: dict = {}
+        for label, idx, inst in func.insts():
+            if frees(inst):
+                self.frees.setdefault(label, []).append(idx)
+        self.reach = {}
+        for label in func.blocks:
+            seen: set = set()
+            frontier = list(func.successors(label))
+            while frontier:
+                blk = frontier.pop()
+                if blk not in seen:
+                    seen.add(blk)
+                    frontier.extend(func.successors(blk))
+            self.reach[label] = seen
+
+
+def _oracle_may_free_between(facts: _OracleFreeFacts, loc_a, loc_b) -> bool:
+    """Does some path from loc_a to loc_b pass a freeing position?  One
+    test per freeing block."""
+    (la, ia), (lb, ib) = loc_a, loc_b
+    for fl, idxs in facts.frees.items():
+        past_a = fl in facts.reach[la]
+        before_b = lb in facts.reach[fl]
+        if (past_a or fl == la) and (before_b or fl == lb) and any(
+                (past_a or i > ia) and (before_b or i < ib) for i in idxs):
+            return True
+    return False
+
+
+def _scan_covered_checks(func, frees, group_key):
+    """The earlier cover search, kept as a reference on the test-side
+    oracles: each group in reverse post-order, each check tried against
+    every kept check of its group, nearest first."""
+    rpo = {label: i for i, label in enumerate(_oracle_rpo(func))}
     by_key = {}
     for label, idx, inst in func.insts():
         if inst.op == "check":
             by_key.setdefault(group_key(inst), []).append(((label, idx), inst))
-    dom = Dominance(func)
-    facts = FreeFacts(prog, func, freeing)
+    dom = _OracleDominance(func)
+    facts = _OracleFreeFacts(func, frees)
     for members in by_key.values():
         members.sort(key=lambda item: (rpo[item[0][0]], item[0][1]))
         kept = []
         for loc, inst in members:
             cover = None if inst.result2 is not None else next(
                 (k_inst for k_loc, k_inst in reversed(kept)
-                 if dom.inst_dominates(k_loc, loc) and not may_free_between(facts, k_loc, loc)),
+                 if dom.inst_dominates(k_loc, loc)
+                 and not _oracle_may_free_between(facts, k_loc, loc)),
                 None,
             )
             if cover is None:
@@ -312,10 +363,23 @@ def _scan_covered_checks(prog, func, freeing, group_key):
                 yield loc, inst, cover
 
 
+# The callees checked_cfgs draws, each with whether a call to it may
+# free: an internal function that frees, one that calls it, one that
+# frees nothing, an undeclared extern (code outside the program) and a
+# runtime entry point that frees nothing.
+CALLEES = {"freer": True, "outer": True, "pure": False, "opaque": True, "__pa_memset": False}
+
+
+def _callee(name, body):
+    ret = Inst("ret", args=("%z",))
+    return Function(name, [("%x", "ptr")], "i32", {"bb0": [*body, ret]})
+
+
 @st.composite
 def checked_cfgs(draw):
     """CFGs with loops and self-loops whose blocks hold checks of a few
-    (register, width) groups, some holding a token, and frees."""
+    (register, width) groups, some holding a token, frees, and calls to
+    the CALLEES."""
     n = draw(st.integers(min_value=1, max_value=8))
     uid = iter(range(1000))
     blocks = {}
@@ -323,9 +387,12 @@ def checked_cfgs(draw):
         insts = []
         for _ in range(draw(st.integers(0, 5))):
             u = next(uid)
-            kind = draw(st.sampled_from(["check", "check", "check", "token", "free"]))
+            kind = draw(st.sampled_from(["check", "check", "check", "token", "free", "call"]))
             if kind == "free":
                 insts.append(Inst("free", args=("%p0",), uid=u))
+            elif kind == "call":
+                insts.append(Inst("call", callee=draw(st.sampled_from(sorted(CALLEES))),
+                                  args=("%p0",), uid=u))
             else:
                 insts.append(Inst("check", result=f"%r{u}",
                                   result2=f"%t{u}" if kind == "token" else None,
@@ -338,20 +405,23 @@ def checked_cfgs(draw):
             insts.append(Inst("ret", args=("%p0",), uid=next(uid)))
         blocks[f"bb{i}"] = insts
     func = Function("main", [("%p0", "ptr"), ("%p1", "ptr")], "i32", blocks)
-    return Program(functions={"main": func}), func
+    return Program(functions={
+        "main": func,
+        "freer": _callee("freer", [Inst("free", args=("%x",))]),
+        "outer": _callee("outer", [Inst("call", callee="freer", args=("%x",))]),
+        "pure": _callee("pure", []),
+    }), func
 
 
 @settings(max_examples=200, deadline=None)
 @given(checked_cfgs())
 def test_cover_search_matches_every_kept_check_scan(case):
     prog, func = case
-    freeing = functions_may_free(prog)
     key = lambda inst: (inst.args[0], inst.width)  # noqa: E731
-
-    def covers(search, *dom_of):
-        return [(loc, cover.uid) for loc, _, cover in search(prog, func, freeing, key, *dom_of)]
-
-    assert covers(_covered_checks, lambda: Dominance(func)) == covers(_scan_covered_checks)
+    frees = lambda inst: inst.op == "free" or inst.op == "call" and CALLEES[inst.callee]  # noqa: E731
+    got = _covered_checks(prog, func, functions_may_free(prog), key)
+    assert [(loc, cover.uid) for loc, _, cover in got] == \
+        [(loc, cover.uid) for loc, _, cover in _scan_covered_checks(func, frees, key)]
 
 
 # ----------------------------------------------------------- copy isolation
@@ -385,25 +455,10 @@ def test_passes_leave_their_input_untouched(corpus_dir):
 
 # ------------------------------------------------------------ pass driver
 
-def _has_check_group(func):
-    """Do two checks of func share a pointer root through geps, the
-    widest grouping either pass makes?"""
-    defs = {inst.result: inst for _, _, inst in func.insts() if inst.result}
-    roots = []
-    for _, _, inst in func.insts():
-        if inst.op == "check":
-            reg = inst.args[0]
-            while reg in defs and defs[reg].op == "gep":
-                reg = defs[reg].args[0]
-            roots.append(reg)
-    return len(roots) != len(set(roots))
-
-
 def test_run_passes_copies_once_and_answers_each_question_once(corpus_dir, monkeypatch):
-    programs = [instrument(parse(path.read_text())) for path in sorted(corpus_dir.glob("*.ir"))]
     calls = {"copy": 0, "may_free": 0}
     built = []
-    copy, may_free, dominance = Program.copy, functions_may_free, Dominance
+    copy, may_free, dominance = Program.copy, functions_may_free, miniir.Dominance
 
     def counted_copy(prog):
         calls["copy"] += 1
@@ -419,13 +474,18 @@ def test_run_passes_copies_once_and_answers_each_question_once(corpus_dir, monke
 
     monkeypatch.setattr(Program, "copy", counted_copy)
     monkeypatch.setattr(optpasses, "functions_may_free", counted_may_free)
-    monkeypatch.setattr(optpasses, "Dominance", counted_dominance)
-    for prog in programs:
+    monkeypatch.setattr(miniir, "Dominance", counted_dominance)
+    for path in sorted(corpus_dir.glob("*.ir")):
+        prog = parse(path.read_text())
+        validate(prog)
+        assert sorted(built) == sorted(prog.functions), path.name  # one each
+        prog = instrument(prog)
+        calls["copy"] = 0
         assert run_passes(prog, "none") is prog
-        assert calls == {"copy": 0, "may_free": 0} and not built
+        assert calls == {"copy": 0, "may_free": 0}
         run_passes(prog, "all")
-        assert calls == {"copy": 1, "may_free": 1}
-        assert sorted(built) == sorted(name for name, func in prog.functions.items()
-                                       if _has_check_group(func))
+        assert calls == {"copy": 1, "may_free": 1}, path.name
+        # the passes build no Dominance, so a compile builds validate's only
+        assert sorted(built) == sorted(prog.functions), path.name
         calls.update(copy=0, may_free=0)
         built.clear()

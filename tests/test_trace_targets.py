@@ -31,7 +31,7 @@ PUBLISHED_SPANS = {
     "memspace.id_at", "memspace.read", "memspace.write",
     "memspace.shadow_fill", "memspace.shadow_clear",
     "pacore.pac_auth", "pacore.pac_sign",
-    "miniir.may_free_between", "miniir.dominance",
+    "miniir.dominance",
     "miniir.parse", "miniir.validate", "instrument.instrument",
     "optpasses.run_passes", "optpasses.redundant", "optpasses.samelock", "interp.run",
 }
@@ -112,7 +112,7 @@ def test_traced_run_reconciles_with_stats():
     for span in ("runtime.protected_malloc", "runtime.protected_free",
                  "runtime.wrapper_call", "runtime.checked_access", "runtime.fast_check",
                  "pacore.pac_sign", "memspace.shadow_fill",
-                 "memspace.shadow_clear", "miniir.dominance", "miniir.may_free_between"):
+                 "memspace.shadow_clear", "miniir.dominance"):
         assert t.totals[span].calls > 0, span
 
 
