@@ -124,32 +124,14 @@ class MemSpace:
         if base < 0 or (base + size - 1) >> self.cfg.msb_bit:
             raise AlignmentError(f"shadow range 0x{base:x}+{size} leaves the program half")
 
-    # shadow_fill and shadow_clear write a range whose shadow lies in one
-    # existing page themselves; the shadow bit is page-aligned, so the
-    # shadow offset is the program offset.  Anything else takes
-    # _check_shadow_range + _store_bytes.
+    # The runtime writes a range whose shadow lies in one existing page.
 
     def shadow_fill(self, base: int, size: int, obj_id: int) -> None:
         """Write obj_id across every shadow word covering [base, base+size)."""
-        off = base & PAGE_MASK
-        if 0 <= base < self._shadow_bit and 0 < size <= PAGE_SIZE - off \
-                and not (base | size) & 3:
-            buf = self._pages.get((base | self._shadow_bit) >> 12)
-            if buf is not None:
-                buf[off : off + size] = obj_id.to_bytes(4, "little") * (size >> 2)
-                return
         self._check_shadow_range(base, size)
-        word = obj_id.to_bytes(4, "little")
-        self._store_bytes(shadow_of(base, self.cfg), word * (size // 4))
+        self._store_bytes(shadow_of(base, self.cfg), obj_id.to_bytes(4, "little") * (size // 4))
 
     def shadow_clear(self, base: int, size: int) -> None:
-        off = base & PAGE_MASK
-        if 0 <= base < self._shadow_bit and 0 < size <= PAGE_SIZE - off \
-                and not (base | size) & 3:
-            buf = self._pages.get((base | self._shadow_bit) >> 12)
-            if buf is not None:
-                buf[off : off + size] = bytes(size)
-                return
         self._check_shadow_range(base, size)
         self._store_bytes(shadow_of(base, self.cfg), bytes(size))
 

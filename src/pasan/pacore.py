@@ -227,9 +227,7 @@ def pac_sign(addr: int, obj_id: int, key: PacKey, cfg: AddressConfig) -> int:
     # modifier is the id itself, and the clear address keeps every field
     # bit zero.  modifier_for raises PreconditionViolated for any other id.
     modifier = obj_id if 0 <= obj_id <= 0xFFFFFFFF else modifier_for(obj_id, 0, cfg)
-    mac = key.macs.get(modifier)
-    if mac is None:
-        mac = _mac(key, modifier, True)
+    mac = _mac(key, modifier, True)
     return addr | (mac & cfg.lo_mask) << cfg.n | (mac >> cfg.lo_bits & cfg.hi_mask) << 56
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from struct import unpack_from
 
 from .errors import FaultKind, LimitExceeded, MemoryFault, PasanError
-from .memspace import MemSpace
+from .memspace import PAGE_MASK, PAGE_SIZE, MemSpace
 from .pacore import (
     MASK64,
     RESERVED_BIT,
@@ -125,7 +126,7 @@ class Stats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Extent:
     base: int
     size: int
@@ -159,6 +160,10 @@ class SanitizerRuntime:
         self.sig_mask = self.cfg.field_mask | 1 << self.cfg.msb_bit | 1 << RESERVED_BIT
         self.retired: list[_Extent] = []
         self.stats = Stats()
+        # MemSpace's page dict: the success paths read and write shadow
+        # words in it (at their program address's page offset) themselves.
+        self.pages = mem._pages
+        self.shadow_bit = 1 << self.cfg.msb_bit
 
     # -- allocation: one carve -> record -> count path; protection is
     #    register_object layered on top --
@@ -167,16 +172,17 @@ class SanitizerRuntime:
         """Carve a padded heap block (bump, or eager exact-size reuse: the
         adversarial case for temporal safety), record it live and count
         it; returns (base, padded size)."""
-        padded = padded_size(size)
+        padded = (size + 3) & ~3 if size > 0 else padded_size(size)
         blocks = self.free_lists.get(padded)
         if blocks:
             base = blocks.pop()
+            self.alloc[base].live = True  # the entry _release left behind
         else:
             base = self.heap_cursor
             if base + padded > self.heap_limit:
                 raise LimitExceeded("simulated heap exhausted")
             self.heap_cursor = base + padded
-        self.alloc[base] = AllocEntry(padded, True)
+            self.alloc[base] = AllocEntry(padded, True)
         self.stats.allocs += 1
         return base, padded
 
@@ -186,19 +192,39 @@ class SanitizerRuntime:
         self.stats.frees += 1
 
     def register_object(self, base: int, padded: int, origin: str) -> tuple[int, int]:
-        """Shadow a fresh extent with a new id; returns (id, signed base)."""
+        """Shadow a fresh extent with a new id; returns (id, signed base).
+        A slice in one existing shadow page is written here, as a MAC the
+        key's table has is placed; MemSpace and pac_sign take the rest."""
         obj_id = self.gen.next()
-        self.mem.shadow_fill(base, padded, obj_id)
+        off = base & PAGE_MASK
+        page = self.pages.get((base | self.shadow_bit) >> 12)
+        if page is not None and base < self.shadow_bit and 0 < padded <= PAGE_SIZE - off \
+                and not (base | padded) & 3:
+            page[off : off + padded] = obj_id.to_bytes(4, "little") * (padded >> 2)
+        else:
+            self.mem.shadow_fill(base, padded, obj_id)
         self.live[base] = _Extent(base, padded, obj_id, origin)
-        signed = pac_sign(base, obj_id, self.key, self.cfg)
-        self.sigs[obj_id] = signed ^ base
-        return obj_id, signed
+        cfg = self.cfg  # base passed the fill, so pac_sign would accept it
+        mac = self.key.macs.get(obj_id)
+        sig = pac_sign(base, obj_id, self.key, cfg) ^ base if mac is None \
+            else (mac & cfg.lo_mask) << cfg.n | (mac >> cfg.lo_bits & cfg.hi_mask) << 56
+        self.sigs[obj_id] = sig
+        return obj_id, base | sig
 
     def retire_extent(self, base: int, padded: int, obj_id: int, origin: str) -> None:
-        self.mem.shadow_clear(base, padded)
-        self.live.pop(base, None)
+        """Unshadow an extent; file live's _Extent if it is this one."""
+        off = base & PAGE_MASK
+        page = self.pages.get((base | self.shadow_bit) >> 12)
+        if page is not None and base < self.shadow_bit and 0 < padded <= PAGE_SIZE - off \
+                and not (base | padded) & 3:
+            page[off : off + padded] = bytes(padded)
+        else:
+            self.mem.shadow_clear(base, padded)
+        ext = self.live.pop(base, None)
         self.sigs.pop(obj_id, None)
-        self.retired.append(_Extent(base, padded, obj_id, origin))
+        if ext is None or (ext.size, ext.obj_id, ext.origin) != (padded, obj_id, origin):
+            ext = _Extent(base, padded, obj_id, origin)
+        self.retired.append(ext)
 
     def protected_malloc(self, size: int) -> int:
         base, padded = self._allocate(size)
@@ -281,7 +307,9 @@ class SanitizerRuntime:
         self.stats.checks_full += 1
         cfg = self.cfg
         raw = ptr & cfg.strip_mask
-        found = self.mem.id_at(raw)
+        shadow = raw | self.shadow_bit
+        page = self.pages.get(shadow >> 12)
+        found = 0 if page is None else unpack_from("<I", page, shadow & 0xFFC)[0]
         if self.sigs.get(found) != ptr & self.sig_mask \
                 and pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
             self._reject(ptr, raw, found)
@@ -306,11 +334,12 @@ class SanitizerRuntime:
         if ptr >> cfg.msb_bit != base >> cfg.msb_bit:
             self._raise(ViolationKind.SPATIAL_OOB, ptr, self.mem.id_at(raw),
                         "derivation altered non-offset pointer bits")
-        if self.bytewise:
-            offsets = range(width)
-        else:
-            offsets = (0, width - 1) if (raw & 3) + width > 4 else (0,)
-        for off in offsets:
+        if (raw & 3) + width <= 4 and not self.bytewise:  # one granule: read it here
+            shadow = raw | self.shadow_bit
+            page = self.pages.get(shadow >> 12)
+            if page is not None and unpack_from("<I", page, shadow & 0xFFC)[0] == token:
+                return raw
+        for off in range(width) if self.bytewise else (0, width - 1):
             found = self.mem.id_at(raw + off)
             if found != token:
                 self._raise(ViolationKind.SPATIAL_OOB, ptr, found,
@@ -322,7 +351,10 @@ class SanitizerRuntime:
     def protected_free(self, ptr: int) -> None:
         cfg = self.cfg
         raw = ptr & cfg.strip_mask
-        found = self.mem.id_at(raw)
+        shadow = raw | self.shadow_bit
+        off = shadow & 0xFFC
+        page = self.pages.get(shadow >> 12)
+        found = 0 if page is None else unpack_from("<I", page, off)[0]
         if self.sigs.get(found) != ptr & self.sig_mask \
                 and pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
             self._refuse_unsignable(ptr, found)
@@ -337,7 +369,9 @@ class SanitizerRuntime:
         # Begin-of-object: the shadow word below the base must differ.
         # A zero guard word sits below the heap base, so the first block
         # passes; interior pointers see their own id below and fail.
-        if self.mem.id_at(raw - 4) == found:
+        below = self.mem.id_at(raw - 4) if page is None or not off \
+            else unpack_from("<I", page, off - 4)[0]
+        if below == found:
             self._raise(ViolationKind.FREE_INSIDE_BUFFER, ptr, found,
                         f"free target 0x{raw:x} is not the start of the object")
         entry = self.alloc.get(raw)

@@ -1,15 +1,17 @@
 """The one-frame success paths of pac_auth, pac_sign, the two checks and
 the signature table the full check and protected free consult, raw
-loads and stores, shadow fill and clear, and the memset/memcpy wrappers,
+loads and stores, the runtime's shadow reads and writes in allocation,
+registration, retirement and free, and the memset/memcpy wrappers,
 against references built from the slow-path primitives.
 
 Each of these handles its common case inline and hands every other
 input to the shared failure code.  The references below are those
 functions as written before the inlining, over compute_pac, pac_field,
 modifier_for, _mac, with_pac_field, _check_access, _check_shadow_range,
-_load_bytes and _store_bytes; each input must give the same value, or
-the same exception with the same report or fault fields, and leave the
-same MAC table, counters and memory behind.
+_load_bytes, _store_bytes, id_at, shadow_fill and shadow_clear; each
+input must give the same value, or the same exception with the same
+report or fault fields, and leave the same MAC table, counters and
+memory behind.
 """
 import random
 import sys
@@ -17,7 +19,7 @@ import sys
 import pytest
 
 from pasan import runtime as runtime_module
-from pasan.errors import AlignmentError, MemoryFault, PreconditionViolated
+from pasan.errors import AlignmentError, LimitExceeded, MemoryFault, PreconditionViolated
 from pasan.memspace import PAGE_SIZE, MemSpace, Region, RegionMap, shadow_of
 from pasan.pacore import (
     MASK64,
@@ -36,11 +38,14 @@ from pasan.pacore import (
     with_pac_field,
 )
 from pasan.runtime import (
+    AllocEntry,
     IdGenerator,
     SanitizerRuntime,
     ViolationError,
     ViolationKind,
     ViolationReport,
+    _Extent,
+    padded_size,
 )
 
 # -- references: the success and failure paths as one slow path each --
@@ -246,11 +251,11 @@ def test_success_paths_make_one_frame_per_traced_call():
     token = rt.mem.id_at(raw)
     mem = rt.mem
     assert python_calls(lambda: mem.write(rt.checked_access(ptr, 4), 4, 7)) == \
-        ["<lambda>", "checked_access", "id_at", "write"]
+        ["<lambda>", "checked_access", "write"]
     assert python_calls(lambda: mem.read(raw, 4)) == ["<lambda>", "read"]
     assert python_calls(lambda: mem.write(raw, 8, 1)) == ["<lambda>", "write"]
     assert python_calls(lambda: rt.fast_check(ptr, token, ptr, 4)) == \
-        ["<lambda>", "fast_check", "id_at"]
+        ["<lambda>", "fast_check"]
 
 
 # -- allocation, free and the memset/memcpy wrappers --
@@ -422,15 +427,20 @@ def test_allocation_free_and_wrapper_success_paths_stay_flat():
     rt = SanitizerRuntime(MemSpace(cfg), PacKey(99), IdGenerator(5))
     ptr = rt.protected_malloc(64)  # its shadow page exists from here on
     rt.wrapper_call("memset", [ptr, 0, 64])  # and so does its data page
-    malloc = ["<lambda>", "protected_malloc", "_allocate", "padded_size", "__init__",
-              "register_object", "next", "shadow_fill", "__init__", "pac_sign"]
+    # the AllocEntry is made for a bump only, and the _Extent once
+    malloc = ["<lambda>", "protected_malloc", "_allocate", "register_object", "next", "__init__"]
     _mac(rt.key, rt.gen.counter, True)  # the next id signs from a warm table
-    assert python_calls(lambda: rt.protected_malloc(24)) == malloc  # a bump
+    after = rt.protected_malloc(24)
+    _mac(rt.key, rt.gen.counter, True)
+    assert python_calls(lambda: rt.protected_malloc(24)) == \
+        malloc[:3] + ["__init__"] + malloc[3:]  # a bump
     assert python_calls(lambda: rt.wrapper_call("memset", [ptr, 0x41, 64])) == \
-        ["<lambda>", "wrapper_call"] + ["checked_access", "id_at"] * 2 + ["move"]
-    assert python_calls(lambda: rt.protected_free(ptr)) == \
-        ["<lambda>", "protected_free", "id_at", "id_at", "retire_extent",
-         "shadow_clear", "__init__", "_release"]
+        ["<lambda>", "wrapper_call", "checked_access", "checked_access", "move"]
+    free = ["<lambda>", "protected_free", "retire_extent", "_release"]
+    assert python_calls(lambda: rt.protected_free(after)) == free
+    # ptr is the heap's first block: the word below it lies in the page
+    # below, which id_at reads
+    assert python_calls(lambda: rt.protected_free(ptr)) == free[:2] + ["id_at"] + free[2:]
     _mac(rt.key, rt.gen.counter, True)
     assert python_calls(lambda: rt.protected_malloc(61)) == malloc  # reuses ptr's block
 
@@ -459,8 +469,41 @@ def ref_protected_free(rt, ptr):
     if entry is None or not entry.live:
         raise _violation(ViolationKind.SPATIAL_OOB, ptr, found,
                          "free target is not a live heap allocation")
-    rt.retire_extent(raw, entry.size, found, "heap")
-    rt._release(raw, entry)
+    ref_retire_extent(rt, raw, entry.size, found, "heap")
+    entry.live = False
+    rt.free_lists.setdefault(entry.size, []).append(raw)
+    rt.stats.frees += 1
+
+
+def ref_register_object(rt, base, padded, origin):
+    obj_id = rt.gen.next()
+    rt.mem.shadow_fill(base, padded, obj_id)
+    rt.live[base] = _Extent(base, padded, obj_id, origin)
+    signed = pac_sign(base, obj_id, rt.key, rt.cfg)
+    rt.sigs[obj_id] = signed ^ base
+    return obj_id, signed
+
+
+def ref_retire_extent(rt, base, padded, obj_id, origin):
+    rt.mem.shadow_clear(base, padded)
+    rt.live.pop(base, None)
+    rt.sigs.pop(obj_id, None)
+    rt.retired.append(_Extent(base, padded, obj_id, origin))
+
+
+def ref_protected_malloc(rt, size):
+    padded = padded_size(size)
+    blocks = rt.free_lists.get(padded)
+    if blocks:
+        base = blocks.pop()
+    else:
+        base = rt.heap_cursor
+        if base + padded > rt.heap_limit:
+            raise LimitExceeded("simulated heap exhausted")
+        rt.heap_cursor = base + padded
+    rt.alloc[base] = AllocEntry(padded, True)
+    rt.stats.allocs += 1
+    return ref_register_object(rt, base, padded, "heap")[1]
 
 
 @pytest.mark.parametrize("cfg", [AddressConfig(33), AddressConfig(47), AddressConfig(52),
@@ -545,6 +588,123 @@ def test_signature_table_matches_pac_auth_reference(cfg, retire, monkeypatch):
     assert rt.key.macs == ref.key.macs
     assert rt.mem._pages == ref.mem._pages
     assert rt.retired == ref.retired
+
+
+# -- allocation, registration, checks and frees in seeded sequences --
+
+
+def full_outcome(fn, *args):
+    """outcome_or_error, with an exhausted heap."""
+    try:
+        return outcome_or_error(fn, *args)
+    except LimitExceeded as exc:
+        return "limit", str(exc)
+
+
+def runtime_state(rt):
+    return (rt.mem._pages, rt.sigs, rt.live, rt.retired, rt.alloc, rt.free_lists, rt.stats,
+            rt.heap_cursor, rt.gen.counter, rt.key.macs)
+
+
+# The heap, globals and stack of SMALL start page-aligned, so the first
+# heap block's guard word and each region's first object's word below
+# lie in another page, which may not exist yet.
+@pytest.mark.parametrize("cfg, counter", [(AddressConfig(33), 0xFFFFFFF0),
+                                          (AddressConfig(47), 7),
+                                          (AddressConfig(47, p_override=3), 0xFFFFFFFF)],
+                         ids=["n33-wrap", "n47", "p3-wrap"])
+@pytest.mark.parametrize("seed", range(3))
+def test_runtime_sequences_match_slow_path_references(cfg, counter, seed):
+    """protected_malloc, protected_free, checked_access, fast_check,
+    register_object and retire_extent read and write shadow words in
+    their own frame.  Seeded sequences of them, run against references
+    built from id_at, shadow_fill, shadow_clear and pac_sign, must give
+    the same value, or the same exception with the same report, at every
+    step, and leave the same shadow bytes, tables, histories and Stats.
+    The counter wraps through 0 in two configurations; sizes up to
+    two pages make slices that straddle pages and pages not yet made,
+    and freed sizes recur, so blocks are reused."""
+    rng = random.Random(seed * 1000 + cfg.n)
+    key = rng.getrandbits(128)
+    rt = SanitizerRuntime(MemSpace(cfg, SMALL), PacKey(key), IdGenerator(counter))
+    ref = SanitizerRuntime(MemSpace(cfg, SMALL), PacKey(key), IdGenerator(counter))
+    heap, stack, glob = SMALL.heap, SMALL.stack, SMALL.globals
+    sizes = (0, 1, 4, 13, 24, 24, 60, 60, 100, 1000, PAGE_SIZE - 4, PAGE_SIZE, 5000)
+    seen = set()     # the cases the sequence reached
+    slow_fills = []
+    fill = rt.mem.shadow_fill
+    rt.mem.shadow_fill = lambda *args: slow_fills.append(args) or fill(*args)
+    ptrs = []        # every pointer made, stale ones too
+    heap_live = []   # the live heap pointers among them
+    extents = []     # (base, padded, id, origin) of registered stack/global objects
+    slots = [stack.base, stack.limit - 4, stack.limit - PAGE_SIZE - 8, stack.base + 4092,
+             glob.base, glob.base + PAGE_SIZE - 8, glob.limit - 12,
+             glob.base | 1 << cfg.msb_bit]  # the globals' shadow: refused
+    for step in range(600):
+        rt.bytewise = ref.bytewise = rng.random() < 0.2
+        op = rng.choice(("malloc", "malloc", "free", "check", "check", "fast", "register",
+                         "retire"))
+        if op == "malloc" or not ptrs:
+            size = rng.choice(sizes)
+            reuse = bool(rt.free_lists.get(padded_size(size)))
+            got = full_outcome(rt.protected_malloc, size)
+            assert got == full_outcome(ref_protected_malloc, ref, size), (step, size)
+            if got[0] == "value":
+                ptrs.append(got[1])
+                heap_live.append(got[1])
+                seen.add("reuse" if reuse else "bump")
+                raw = strip(got[1], cfg)
+                seen.add(("offset 0" if raw % PAGE_SIZE == 0 else "mid-page")
+                         if raw % PAGE_SIZE + padded_size(size) <= PAGE_SIZE else "straddle")
+        elif op == "free":
+            if heap_live and rng.random() < 0.7:
+                ptr = heap_live.pop(rng.randrange(len(heap_live)))
+            else:
+                ptr = rng.choice(ptrs)
+                ptr = rng.choice((ptr, (ptr + rng.choice((4, 8, -4))) & MASK64,
+                                  with_pac_field(ptr, rng.getrandbits(cfg.effective_p), cfg)))
+            got = full_outcome(rt.protected_free, ptr)
+            assert got == full_outcome(ref_protected_free, ref, ptr), (step, hex(ptr))
+            if got[0] == "value" and strip(ptr, cfg) == heap.base:
+                seen.add("first block freed")
+        elif op in ("check", "fast"):
+            base = rng.choice(ptrs)
+            ptr = (base + rng.choice((0, 1, 3, 4, 8, 12, 20, 59, 60, 96, 4092, 4096, -4))) \
+                & MASK64
+            width = rng.choice((1, 2, 4, 8))
+            if op == "check":
+                token = rng.random() < 0.5
+                assert full_outcome(rt.checked_access, ptr, width, token) == \
+                    full_outcome(ref_checked_access, ref, ptr, width, token), (step, hex(ptr))
+            else:
+                tok = ref.mem.id_at(strip(base, cfg)) if rng.random() < 0.9 \
+                    else rng.getrandbits(32)
+                assert full_outcome(rt.fast_check, ptr, tok, base, width) == \
+                    full_outcome(ref_fast_check, ref, ptr, tok, base, width), (step, hex(ptr))
+        elif op == "register":
+            base = rng.choice(slots) + rng.choice((0, 0, 0, 2))
+            padded = rng.choice((4, 8, 12, 16, 64, PAGE_SIZE, 6, 0))
+            origin = rng.choice(("stack", "global"))
+            got = full_outcome(rt.register_object, base, padded, origin)
+            assert got == full_outcome(ref_register_object, ref, base, padded, origin), \
+                (step, hex(base), padded)
+            if got[0] == "value":
+                extents.append((base, padded, got[1][0], origin))
+                ptrs.append(got[1][1])
+        elif extents:
+            base, padded, obj_id, origin = extents.pop(rng.randrange(len(extents)))
+            if rng.random() < 0.2:  # an extent live no longer holds as given
+                obj_id, origin = rng.choice(((obj_id + 1, origin), (obj_id, "heap")))
+            if rng.random() < 0.2:  # a range MemSpace refuses
+                base, padded = rng.choice(((base + 2, padded), (base, padded + 2), (base, 0)))
+            assert full_outcome(rt.retire_extent, base, padded, obj_id, origin) == \
+                full_outcome(ref_retire_extent, ref, base, padded, obj_id, origin), step
+        if step % 50 == 0:
+            assert runtime_state(rt) == runtime_state(ref), step
+    assert runtime_state(rt) == runtime_state(ref)
+    assert seen >= {"bump", "reuse", "offset 0", "mid-page", "straddle", "first block freed"}
+    assert slow_fills and rt.stats.frees > 20
+    assert rt.gen.counter < counter or counter < 0xFFFFFF00  # wrapped, where it could
 
 
 # -- the mapped-page table against the span walk --

@@ -365,6 +365,58 @@ bb0:
     assert result.exit_value == 513
 
 
+# ext_poke writes 0x0123456789ABCDEF through a stripped pointer and
+# ext_peek reads it back; a second ext_peek, 256 MiB past the object,
+# lands between the heap and the stack.
+PEEK = """\
+extern @ext_poke(ptr, i64) -> i32
+extern @ext_peek(ptr) -> i64
+
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = malloc %sz
+  %v = const.i64 81985529216486895
+  %q = gep %p, 8
+  %r = call @ext_poke(%q, %v)
+  %x = call @ext_peek(%q)
+  store.i64 %p, %x
+  %far = const.i64 FAR
+  %u = gep %p, %far
+  %y = call @ext_peek(%u)
+  %lo = load.i32 %p
+  %p4 = gep %p, 4
+  %hi = load.i32 %p4
+  %s = add.i32 %lo, %hi
+  ret %s
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["raw", "none", "all"])
+def test_external_peek_reads_back_a_poke_and_faults_off_the_map(mode):
+    def program(far):
+        text = PEEK.replace("FAR", str(far))
+        if mode != "raw":
+            return build(text, mode)
+        prog = parse(text)
+        validate(prog)
+        return prog
+
+    result = run(program(0), CFG, seed=0)  # the second peek reads the object too
+    assert result.completed
+    assert result.exit_value == (0x0123_4567 + 0x89AB_CDEF) & 0xFFFF_FFFF
+    prog = program(1 << 28)
+    result = run(prog, CFG, seed=0)
+    report = result.report
+    assert result.verdict == "violation" and report.kind is ViolationKind.SPATIAL_OOB
+    assert report.pointer == 0x1000_0000 + (1 << 28)
+    assert report.found_id == 0
+    assert report.narrative == "raw access fault: Unmapped"
+    faulting = [inst for _, _, inst in prog.functions["main"].insts()][report.inst_index]
+    assert faulting.op == "call" and faulting.callee == "ext_peek"
+
+
 def test_resign_of_never_allocated_pointer_traps_on_use():
     prog = build("""\
 extern @ext_id(ptr) -> ptr

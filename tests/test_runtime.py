@@ -223,8 +223,23 @@ def test_fast_check_never_weaker_than_full_check():
         assert not (fast_ok and not full_ok), f"fast accepted what full rejected at {off}"
 
 
-def count_shadow_reads(rt) -> list[int]:
-    """Record every address the runtime reads a shadow id at."""
+class _CountingPages(dict):
+    """A page table that records each page looked up in it."""
+
+    def __init__(self, pages, reads):
+        super().__init__(pages)
+        self.reads = reads
+
+    def get(self, page, default=None):
+        self.reads.append(("page", page))
+        return super().get(page, default)
+
+
+def count_shadow_reads(rt) -> list:
+    """Record every shadow id the runtime reads: the address of each
+    MemSpace.id_at call, and ("page", n) for each shadow page it looks up
+    in its own page table.  That table becomes a counting copy holding
+    the same page objects, so it sees every page made so far."""
     reads, id_at = [], rt.mem.id_at
 
     def counting(addr):
@@ -232,6 +247,7 @@ def count_shadow_reads(rt) -> list[int]:
         return id_at(addr)
 
     rt.mem.id_at = counting
+    rt.pages = _CountingPages(rt.pages, reads)
     return reads
 
 
@@ -291,7 +307,9 @@ def test_bytewise_runtime_reads_every_byte(offset, width):
     reads = count_shadow_reads(rt)
     rt.checked_access(signed + offset, width)
     raw = strip(signed, CFG) + offset
-    assert reads == [raw + off for off in range(width)]
+    # the first byte's word from the page table, every other byte's by id_at
+    shadow_page = (raw | 1 << CFG.msb_bit) >> 12
+    assert reads == [("page", shadow_page)] + [raw + off for off in range(1, width)]
     reads.clear()
     rt.fast_check(signed + offset, token, signed, width)
     assert reads == [raw + off for off in range(width)]

@@ -368,3 +368,47 @@ def test_budget_runs_out_at_the_same_instruction():
         assert runs[0] == ((None, max_insts + 1) if max_insts < total else (0, total))
     _, _, _, hot = it.layouts["main"].blocks["loop"]
     assert hot is not None
+
+
+# A self-loop closed by `br`: no exit edge, so only the instruction
+# budget stops it.  Each trip stores, loads and (under "none" and "all")
+# checks both accesses.
+SPIN = """\
+func @main() -> i32 {
+entry:
+  %sz = const.i64 64
+  %p = malloc %sz
+  %v = const.i32 7
+  br loop
+loop:
+  %i = phi [entry: %v], [loop: %in]
+  %in = add.i32 %i, 1
+  store.i32 %p, %in
+  %q = gep %p, 4
+  %x = load.i32 %q
+  br loop
+}
+"""
+
+
+@pytest.mark.parametrize("max_insts", [1000, 1001, 1003])
+@pytest.mark.parametrize("mode", ["raw", "none", "all"])
+def test_br_closed_self_loop_stops_at_the_budget_alike(mode, max_insts):
+    """LimitExceeded leaves the same instruction and check counts whether
+    the loop ran compiled or on the table."""
+    prog = build(SPIN, mode)
+    counts = {}
+    for tier_at in (OFF, DEFAULT, FORCED):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interp, "_TIER_AT", tier_at)
+            it = interp.Interpreter(prog, AddressConfig(47), 0,
+                                    interp.Limits(max_insts=max_insts))
+            with pytest.raises(LimitExceeded):
+                it.run()
+        stats = it.rt.stats
+        counts[tier_at] = stats.insts, stats.checks_full, stats.checks_fast
+        _, _, _, hot = it.layouts["main"].blocks["loop"]
+        assert (hot is not None) == (tier_at != OFF), tier_at
+    assert counts[DEFAULT] == counts[FORCED] == counts[OFF]
+    assert counts[OFF][0] == max_insts + 1  # the instruction over the budget counts
+    assert (counts[OFF][1] + counts[OFF][2] > 0) == (mode != "raw")
