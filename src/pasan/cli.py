@@ -30,14 +30,8 @@ from .pacore import AddressConfig, PacKey, pac_auth, strip
 from .runtime import IdGenerator, SanitizerRuntime
 
 
-def _write_json(path: str, payload: dict) -> bool:
-    """Write a --json report; on failure print the error and return False."""
-    try:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+def _write_json(path: str, payload: dict) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _build(text: str, opts: str) -> Program:
@@ -65,23 +59,14 @@ def _result_json(result: ExecResult, prog: Program, cfg: AddressConfig,
 
 
 def cmd_run(args) -> int:
-    try:
-        text = Path(args.file).read_text()
-        cfg = AddressConfig(args.n)
-        prog = _build(text, args.opts)
-    except (OSError, ValueError, PasanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    text = Path(args.file).read_text()
+    cfg = AddressConfig(args.n)
+    prog = _build(text, args.opts)
     if args.emit:
         print(format_program(prog), end="")
-    try:
-        result = run(prog, cfg, args.seed)
-    except PasanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = _result_json(result, prog, cfg, args.seed, args.opts)
-    if args.json and not _write_json(args.json, payload):
-        return 2
+    result = run(prog, cfg, args.seed)
+    if args.json:
+        _write_json(args.json, _result_json(result, prog, cfg, args.seed, args.opts))
     if result.completed:
         print(f"completed: exit value {result.exit_value}")
     else:
@@ -197,11 +182,7 @@ def run_corpus(directory: str, n: int = 47, seed: int = 0,
 
 
 def cmd_corpus(args) -> int:
-    try:
-        outcomes, categories = run_corpus(args.dir, args.n, args.seed, args.opts)
-    except (OSError, ValueError, PasanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    outcomes, categories = run_corpus(args.dir, args.n, args.seed, args.opts)
     print("CWE   ratio    bad  detected  miss-ok  good  false-pos")
     for cwe in sorted(categories):
         c = categories[cwe]
@@ -216,14 +197,12 @@ def cmd_corpus(args) -> int:
               f"{o.static_full:>4}/{o.static_fast:<4} {o.dynamic_full:>4}/{o.dynamic_fast:<4}")
     failures = [o for o in outcomes if not o.ok]
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "ok": not failures,
             "config": {"n": args.n, "seed": args.seed, "opts": args.opts},
             "categories": {str(k): v for k, v in sorted(categories.items())},
             "files": [vars(o) for o in outcomes],
-        }
-        if not _write_json(args.json, payload):
-            return 2
+        })
     if failures:
         print(f"\n{len(failures)} expectation failure(s):")
         for o in failures:
@@ -292,16 +271,12 @@ def run_collide(trials: int, n: int = 47, seed: int = 0,
 
 
 def cmd_collide(args) -> int:
-    try:
-        stats = run_collide(args.trials, args.n, args.seed, args.p_override)
-    except (PasanError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    stats = run_collide(args.trials, args.n, args.seed, args.p_override)
     print(f"trials={stats['trials']} hits={stats['hits']} "
           f"empirical={stats['empirical_rate']:.3e} expected={stats['expected_rate']:.3e} "
           f"z={stats['z_score']:+.2f}")
-    if args.json and not _write_json(args.json, stats):
-        return 2
+    if args.json:
+        _write_json(args.json, stats)
     return 0 if abs(stats["z_score"]) <= 5.0 else 1
 
 
@@ -340,7 +315,11 @@ def main(argv: list[str] | None = None) -> int:
     p_collide.set_defaults(func=cmd_collide)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, PasanError) as exc:  # a tool error, not a verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,9 +35,8 @@ class MemoryFault(PasanError):
 
 
 class ParseError(PasanError):
-    def __init__(self, msg: str, line: int, col: int = 0):
+    def __init__(self, msg: str, line: int):
         self.line = line
-        self.col = col
         super().__init__(f"line {line}: {msg}")
 
 

@@ -535,8 +535,14 @@ class Interpreter:
             return 0
         if name == "ext_peek":
             return self.mem.read(args[0], 8)
-        return self.mem.builtin(name, args, self.mem.trap_span,
-                                lambda ptr: self.mem.trap_span(ptr, 1))
+        mem = self.mem
+        if name == "strlen":
+            return mem.strlen(args[0], lambda ptr: mem.trap_span(ptr, 1))
+        dest, arg, length = args  # memcpy (arg is the source) or memset
+        if length > 0:
+            mem.move(name, mem.trap_span(dest, length),
+                     mem.trap_span(arg, length) if name == "memcpy" else arg, length)
+        return dest
 
 
 def run(prog: Program, cfg: AddressConfig, seed: int = 0,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlignmentError, FaultKind, MemoryFault, PasanError
+from .errors import AlignmentError, FaultKind, MemoryFault
 from .pacore import MASK64, AddressConfig
 
 PAGE_SIZE = 4096
@@ -205,22 +205,10 @@ class MemSpace:
         else:
             self._store_bytes(dest, data)
 
-    def builtin(self, name: str, args: list[int], span, at) -> int:
-        """memcpy/memset/strlen semantics.  span(ptr, length) vets a
-        memcpy/memset range and at(ptr) a strlen byte; each returns the
-        raw address to move bytes at, or raises.  A pointer result is
-        returned as received.  The checked memcpy/memset wrappers vet
-        their ranges themselves and call move."""
-        if name in ("memcpy", "memset"):
-            dest, arg, length = args
-            if length > 0:
-                raw_dest = span(dest, length)
-                self.move(name, raw_dest, span(arg, length) if name == "memcpy" else arg, length)
-            return dest
-        if name == "strlen":
-            (src,) = args
-            length = 0
-            while self._load_bytes(at((src + length) & MASK64), 1)[0]:
-                length += 1
-            return length
-        raise PasanError(f"no wrapper registered for {name!r}")
+    def strlen(self, src: int, at) -> int:
+        """The length of the NUL-terminated string at src; at(ptr) vets
+        each byte read and returns its raw address, or raises."""
+        length = 0
+        while self._load_bytes(at((src + length) & MASK64), 1)[0]:
+            length += 1
+        return length

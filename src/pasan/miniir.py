@@ -519,7 +519,10 @@ def _validate_function(prog: Program, func: Function) -> None:
                 err(f"{what}: expected {len(params)} args, got {len(args)}")
             for arg, ty in zip(args, params):
                 want(arg, ty, what)
-        elif op != "phi":
+        elif op == "phi":
+            for _, val in inst.incomings:
+                want(val, types[inst.result], "phi")
+        else:
             spec = _OPS[op]
             for i, ty in spec.values:
                 want(args[i], _VALUE_TYPE[inst.ty] if ty == "suffix" else
@@ -555,34 +558,34 @@ def _validate_function(prog: Program, func: Function) -> None:
 
 def function_types(prog: Program, func: Function) -> dict[str, str]:
     """Register types for a function: params plus inferred definition
-    types.  Registers whose type cannot be resolved (a phi cycle with no
-    typed operand) are absent from the result."""
+    types.  A phi takes the type of an arm that has one, so phis are
+    typed by a worklist over each register's phi users once every other
+    definition is.  Registers whose type cannot be resolved (a phi cycle
+    with no typed operand) are absent from the result."""
     types: dict[str, str] = dict(func.params)
-
-    def infer(inst: Inst) -> str | None:
-        if inst.op == "call":
-            sig = _callee_sig(prog, inst.callee)
-            return sig[1] if sig else None
+    users: dict[str, list[Inst]] = {}  # register -> the phis it is an arm of
+    for _, _, inst in func.insts():
         if inst.op == "phi":
             for _, val in inst.incomings:
-                if isinstance(val, str) and val in types:
-                    return types[val]
-            return None
-        ty = _OPS[inst.op].results[0]
-        return _VALUE_TYPE[inst.ty] if ty == "suffix" else ty
-
-    changed = True
-    while changed:
-        changed = False
-        for _, _, inst in func.insts():
-            if inst.result and inst.result not in types:
-                ty = infer(inst)
-                if ty is not None:
-                    types[inst.result] = ty
-                    changed = True
-            if inst.result2 and inst.result2 not in types:
-                types[inst.result2] = _OPS[inst.op].results[1]
-                changed = True
+                users.setdefault(val, []).append(inst)
+            continue
+        if inst.result:
+            if inst.op == "call":
+                sig = _callee_sig(prog, inst.callee)
+                ty = sig[1] if sig else None
+            else:
+                ty = _OPS[inst.op].results[0]
+                ty = _VALUE_TYPE[inst.ty] if ty == "suffix" else ty
+            if ty is not None:
+                types.setdefault(inst.result, ty)
+        if inst.result2:
+            types.setdefault(inst.result2, _OPS[inst.op].results[1])
+    work = list(types)
+    for reg in work:  # grows as phis are typed
+        for phi in users.pop(reg, ()):
+            if phi.result not in types:
+                types[phi.result] = types[reg]
+                work.append(phi.result)
     return types
 
 

@@ -21,8 +21,11 @@ PASS_SETS = {
 
 def run_passes(prog: Program, opts: str) -> Program:
     """Run the selected passes in order on one copy of prog (prog itself
-    if none is selected).  No pass adds a free, so the freeing functions
-    are computed once."""
+    if none is selected).  "redundant" deletes a check that one of the
+    same register and width covers and rewires its results to the cover;
+    "samelock" downgrades a check that one of the same gep root covers to
+    a fast check against the id the cover observed.  No pass adds a free,
+    so the freeing functions are computed once."""
     if opts not in PASS_SETS:
         raise InstrumentationError(f"unknown optimization selection {opts!r}")
     passes = PASS_SETS[opts]
@@ -64,20 +67,6 @@ def run_passes(prog: Program, opts: str) -> Program:
                     uid=inst.uid,
                 )
     return out
-
-
-def remove_redundant_checks(prog: Program) -> Program:
-    """Delete any check dominated by another check of the same register
-    and width with no possibly-freeing operation in between; uses of the
-    deleted check's results are rewired to the dominating check."""
-    return run_passes(prog, "redundant")
-
-
-def same_lock_optimize(prog: Program) -> Program:
-    """Group checks whose pointers derive from one base register; each
-    member dominated by a retained member with no free in between is
-    downgraded to a fast check against the id observed there."""
-    return run_passes(prog, "samelock")
 
 
 def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key):

@@ -9,7 +9,7 @@ faults.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from struct import unpack_from
 
@@ -31,7 +31,7 @@ from .pacore import (
 RT_MALLOC = "__pa_malloc"
 RT_FREE = "__pa_free"
 RT_WRAPPERS = {"__pa_memcpy": "memcpy", "__pa_memset": "memset", "__pa_strlen": "strlen"}
-WRAPPED_EXTERNS = {"memcpy": "__pa_memcpy", "memset": "__pa_memset", "strlen": "__pa_strlen"}
+WRAPPED_EXTERNS = {name: wrapper for wrapper, name in RT_WRAPPERS.items()}
 
 
 def padded_size(size: int) -> int:
@@ -117,13 +117,7 @@ class Stats:
     insts: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "checks_full": self.checks_full,
-            "checks_fast": self.checks_fast,
-            "allocs": self.allocs,
-            "frees": self.frees,
-            "insts": self.insts,
-        }
+        return asdict(self)
 
 
 @dataclass(slots=True)
@@ -369,8 +363,9 @@ class SanitizerRuntime:
         # Begin-of-object: the shadow word below the base must differ.
         # A zero guard word sits below the heap base, so the first block
         # passes; interior pointers see their own id below and fail.
-        below = self.mem.id_at(raw - 4) if page is None or not off \
-            else unpack_from("<I", page, off - 4)[0]
+        if not off:  # the word below lies in the shadow page below
+            page, off = self.pages.get(((raw - 4) | self.shadow_bit) >> 12), PAGE_SIZE
+        below = 0 if page is None else unpack_from("<I", page, off - 4)[0]
         if below == found:
             self._raise(ViolationKind.FREE_INSIDE_BUFFER, ptr, found,
                         f"free target 0x{raw:x} is not the start of the object")
@@ -389,10 +384,9 @@ class SanitizerRuntime:
         signed form, exactly as received.  memset and memcpy check each
         range at its first and last byte (every byte under the per-byte
         oracle), destination first, and hand the raw addresses to
-        MemSpace.move; strlen checks each byte MemSpace.builtin reads."""
-        if name not in ("memcpy", "memset"):
-            # strlen vets single bytes only, so it takes no range vetter.
-            return self.mem.builtin(name, args, None, lambda ptr: self.checked_access(ptr, 1))
+        MemSpace.move; strlen checks each byte MemSpace.strlen reads."""
+        if name == "strlen":
+            return self.mem.strlen(args[0], self.checked_access)
         dest, arg, length = args
         if length > 0:
             check = self.checked_access

@@ -7,6 +7,8 @@ import shutil
 import pytest
 
 from pasan.cli import main, run_collide, run_corpus
+from pasan.errors import PasanError
+from pasan.interp import Interpreter
 from pasan.memspace import MemSpace, RegionMap
 from pasan.pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
 from pasan.runtime import IdGenerator, SanitizerRuntime
@@ -195,6 +197,10 @@ FRONT_END_ERRORS = [
                                     "bb1:", "  %a = const.i32 2", "  br bb2",
                                     "bb2:", "  %x = phi [bb0: %a], [bb1: %a]", "  ret %x"),
      "@main: bb2: phi operand %a does not dominate edge from bb0"),
+    ("phi_arm_type", _main("bb0:", "  %c = const.i32 1", "  %p = alloca 4", "  cbr %c, bb1, bb2",
+                           "bb1:", "  br bb3", "bb2:", "  br bb3",
+                           "bb3:", "  %m = phi [bb1: %c], [bb2: %p]", "  ret %m"),
+     "@main: phi: expected i32, got ptr ('%p')"),
 ]
 
 
@@ -357,6 +363,19 @@ def test_unwritable_json_report_exit_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "corpus"])
+@pytest.mark.parametrize("error", [PasanError, OSError, ValueError])
+def test_error_raised_while_running_exit_2(tmp_path, capsys, monkeypatch, command, error):
+    def fail(self):
+        raise error("the interpreter gave up")
+
+    monkeypatch.setattr(Interpreter, "run", fail)
+    path = write(tmp_path, "cwe416_x_good.ir", GOOD)
+    assert main([command, path if command == "run" else str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: the interpreter gave up\n")
 
 
 def test_corpus_coverage_structure(corpus_dir):

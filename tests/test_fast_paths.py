@@ -15,11 +15,13 @@ memory behind.
 """
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from pasan import runtime as runtime_module
 from pasan.errors import AlignmentError, LimitExceeded, MemoryFault, PreconditionViolated
+from pasan.interp import Interpreter
 from pasan.memspace import PAGE_SIZE, MemSpace, Region, RegionMap, shadow_of
 from pasan.pacore import (
     MASK64,
@@ -280,7 +282,7 @@ def ref_shadow_clear(mem, base, size):
 
 
 def ref_builtin(mem, name, args, span):
-    """memcpy/memset over a range vetter, as MemSpace.builtin moved them."""
+    """memcpy/memset over a range vetter, moving bytes with no fast path."""
     dest, arg, length = args
     if length > 0:
         raw_dest = span(dest, length)
@@ -408,15 +410,17 @@ def test_memset_memcpy_wrappers_match_reference(cfg, regions, counter):
     assert rt.key.macs == ref.key.macs
     assert rt.mem._pages == ref.mem._pages
 
-    # the uninstrumented builtins move their bytes through the same mover
+    # the simulated raw externals move their bytes through the same mover
     mem, ref_mem = rt.mem, ref.mem
+    interp = SimpleNamespace(simulated={"memcpy", "memset"}, mem=mem)
     raws = [strip(ptr, cfg) for ptr in signed]
     raws += [regions.heap.limit - 8, regions.stack.limit - 3, regions.globals.base - 4, 0]
     for dest in raws:
         for length in (0, 1, 9, PAGE_SIZE + 1, -3):
             src = rng.choice(raws)
             for name, arg in (("memset", rng.getrandbits(9)), ("memcpy", src)):
-                assert outcome(mem.builtin, name, [dest, arg, length], mem.trap_span, None) == \
+                assert outcome(Interpreter._simulate_external, interp, name,
+                               [dest, arg, length]) == \
                     outcome(ref_builtin, ref_mem, name, [dest, arg, length],
                             ref_mem.trap_span), (name, hex(dest), length)
     assert mem._pages == ref_mem._pages
@@ -439,8 +443,8 @@ def test_allocation_free_and_wrapper_success_paths_stay_flat():
     free = ["<lambda>", "protected_free", "retire_extent", "_release"]
     assert python_calls(lambda: rt.protected_free(after)) == free
     # ptr is the heap's first block: the word below it lies in the page
-    # below, which id_at reads
-    assert python_calls(lambda: rt.protected_free(ptr)) == free[:2] + ["id_at"] + free[2:]
+    # below, which protected_free reads too
+    assert python_calls(lambda: rt.protected_free(ptr)) == free
     _mac(rt.key, rt.gen.counter, True)
     assert python_calls(lambda: rt.protected_malloc(61)) == malloc  # reuses ptr's block
 

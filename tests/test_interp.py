@@ -576,6 +576,30 @@ bb0:
     assert result.report.found_id == 0
 
 
+def test_raw_strlen_past_heap_end_faults_at_first_unmapped_byte():
+    # no zero byte before the heap ends: the read of the next one traps
+    prog = parse("""\
+extern @memset(ptr, i32, i64) -> ptr
+extern @strlen(ptr) -> i64
+
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 64
+  %p = malloc %sz
+  %fill = const.i32 65
+  %r = call @memset(%p, %fill, %sz)
+  %n = call @strlen(%p)
+  %zero = const.i32 0
+  ret %zero
+}
+""")
+    validate(prog)
+    result = run(prog, CFG, seed=0, limits=Limits(heap_bytes=64))
+    assert result.report.kind is ViolationKind.SPATIAL_OOB
+    assert result.report.pointer == 0x1000_0000 + 64
+    assert result.report.narrative == "raw access fault: Unmapped"
+
+
 @pytest.mark.parametrize("mode", ["raw", "all"])
 @pytest.mark.parametrize("name, params, ret", [
     pytest.param(name, params, ret, id=name) for name, params, ret in (

@@ -1,5 +1,6 @@
 """Parser, printer, validator, dominance, and the may-free rule as the
 cover search asks it."""
+import time
 from pathlib import Path
 
 import pytest
@@ -269,6 +270,31 @@ bb0:
 def test_function_types():
     prog = parse(MINIMAL)
     assert function_types(prog, prog.functions["main"]) == {"%z": "i32"}
+
+
+def _loop_nest(k):
+    """k nested loops; each header's phi is typed only by its arm from
+    the next loop's header phi, which comes later in the text."""
+    lines = ["func @main() -> i32 {", "bb0:", "  br h1"]
+    for i in range(1, k):
+        lines += [f"h{i}:", f"  %p{i} = phi [{f'h{i - 1}' if i > 1 else 'bb0'}: 0], "
+                  f"[l{i}: %p{i + 1}]", f"  br h{i + 1}"]
+    lines += [f"h{k}:", f"  %p{k} = phi [h{k - 1}: 0], [l{k}: %v]", "  %v = const.i32 1",
+              f"  br l{k}", f"l{k}:", f"  cbr %v, h{k}, l{k - 1}"]
+    for i in range(k - 1, 0, -1):
+        lines += [f"l{i}:", f"  cbr %p{i + 1}, h{i}, {f'l{i - 1}' if i > 1 else 'done'}"]
+    return "\n".join(lines + ["done:", "  ret %p1", "}"]) + "\n"
+
+
+def test_function_types_is_linear_in_a_phi_chain():
+    # a fixpoint that rescans the function once per phi is quadratic
+    # here: about 18 s
+    prog = parse(_loop_nest(4000))
+    start = time.monotonic()
+    validate(prog)
+    assert time.monotonic() - start < 2.0
+    types = function_types(prog, prog.functions["main"])
+    assert all(types[f"%p{i}"] == "i32" for i in range(1, 4001))
 
 
 def test_program_copy_equals_its_source_and_shares_its_externs(corpus_dir):

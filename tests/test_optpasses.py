@@ -13,9 +13,7 @@ from pasan.optpasses import (
     _covered_checks,
     count_checks,
     functions_may_free,
-    remove_redundant_checks,
     run_passes,
-    same_lock_optimize,
 )
 from pasan.pacore import AddressConfig
 from test_miniir import _OracleDominance
@@ -45,7 +43,7 @@ bb0:
 def test_consecutive_same_register_checks_collapse():
     prog = build(TWO_LOADS)
     assert count_checks(prog) == (2, 0)
-    out = remove_redundant_checks(prog)
+    out = run_passes(prog, "redundant")
     validate(out)
     assert count_checks(out) == (1, 0)
     result = run(out, CFG, seed=0)
@@ -64,7 +62,7 @@ bb0:
   ret %a
 }
 """)
-    out = remove_redundant_checks(prog)
+    out = run_passes(prog, "redundant")
     assert count_checks(out) == (2, 0)
     result = run(out, CFG, seed=0)
     assert not result.completed  # the kept check still fires
@@ -90,7 +88,7 @@ bb3:
   ret %z
 }
 """)
-    out = remove_redundant_checks(prog)
+    out = run_passes(prog, "redundant")
     assert count_checks(out) == (2, 0)
 
 
@@ -113,7 +111,7 @@ bb3:
   ret %e
 }
 """)
-    out = remove_redundant_checks(prog)
+    out = run_passes(prog, "redundant")
     validate(out)
     assert count_checks(out) == (1, 0)
     assert run(out, CFG, seed=0).completed
@@ -131,14 +129,14 @@ bb0:
   ret %a
 }
 """)
-    out = remove_redundant_checks(prog)
+    out = run_passes(prog, "redundant")
     assert count_checks(out) == (2, 0)
 
 
 def test_removal_is_idempotent():
     prog = build(TWO_LOADS)
-    once = remove_redundant_checks(prog)
-    twice = remove_redundant_checks(once)
+    once = run_passes(prog, "redundant")
+    twice = run_passes(once, "redundant")
     assert count_checks(once) == count_checks(twice)
 
 
@@ -165,7 +163,7 @@ bb0:
 def test_same_lock_unrolled_accesses():
     prog = build(UNROLLED)
     assert count_checks(prog) == (4, 0)
-    out = same_lock_optimize(prog)
+    out = run_passes(prog, "samelock")
     validate(out)
     assert count_checks(out) == (1, 3)
     assert lint_instrumented(out) == []
@@ -201,7 +199,7 @@ bb0:
   ret %z
 }
 """)
-    out = same_lock_optimize(prog)
+    out = run_passes(prog, "samelock")
     assert count_checks(out) == (2, 0)
 
 
@@ -227,11 +225,11 @@ bb0:
 """
 
 
-@pytest.mark.parametrize("opt", [remove_redundant_checks, same_lock_optimize])
-def test_check_holding_a_token_is_kept(opt):
+@pytest.mark.parametrize("opts", ["redundant", "samelock"])
+def test_check_holding_a_token_is_kept(opts):
     prog = parse(TOKEN_HOLDER)
     validate(prog)
-    out = opt(prog)
+    out = run_passes(prog, opts)
     validate(out)
     assert count_checks(out) == (2, 1)
     result = run(out, CFG, seed=0)
@@ -281,7 +279,7 @@ def test_same_lock_on_cfg_deeper_than_recursion_limit():
         lines += [f"bb{i}:", f"  br bb{i + 1}"]
     lines += [f"bb{blocks}:", "  %b = load.i32 %p", "  ret %b", "}"]
     prog = build("\n".join(lines) + "\n")
-    assert count_checks(same_lock_optimize(prog)) == (1, 1)
+    assert count_checks(run_passes(prog, "samelock")) == (1, 1)
 
 
 # ------------------------------------------------------------- cover search
@@ -439,7 +437,8 @@ def _objects(prog):
 
 def test_passes_leave_their_input_untouched(corpus_dir):
     stages = [("copy", Program.copy), ("instrument", instrument),
-              ("redundant", remove_redundant_checks), ("samelock", same_lock_optimize),
+              ("redundant", lambda prog: run_passes(prog, "redundant")),
+              ("samelock", lambda prog: run_passes(prog, "samelock")),
               ("all", lambda prog: run_passes(prog, "all"))]
     for path in sorted(corpus_dir.glob("*.ir")):
         source = parse(path.read_text())

@@ -153,6 +153,17 @@ def test_free_inside_buffer():
     assert kind_of(exc) is ViolationKind.FREE_INSIDE_BUFFER
 
 
+@pytest.mark.parametrize("offset", [4096, 4098])
+def test_free_inside_buffer_at_a_page_start(offset):
+    # the heap base is page-aligned, so the object's second page starts
+    # at 4096 and the shadow word below it lies in the page below
+    rt = make_rt()
+    signed = rt.protected_malloc(3 * 4096)
+    with pytest.raises(ViolationError) as exc:
+        rt.protected_free(signed + offset)
+    assert kind_of(exc) is ViolationKind.FREE_INSIDE_BUFFER
+
+
 def test_double_free():
     rt = make_rt()
     signed = rt.protected_malloc(12)

@@ -33,7 +33,7 @@ PUBLISHED_SPANS = {
     "pacore.pac_auth", "pacore.pac_sign",
     "miniir.dominance",
     "miniir.parse", "miniir.validate", "instrument.instrument",
-    "optpasses.run_passes", "optpasses.redundant", "optpasses.samelock", "interp.run",
+    "optpasses.run_passes", "interp.run",
 }
 ALLOC_SPANS = ("runtime.protected_malloc", "runtime.external_alloc", "runtime.plain_malloc")
 
@@ -110,16 +110,16 @@ def test_traced_run_reconciles_with_stats():
     # test_traced_failed_authentications_call_pac_auth covers the misses.
     # The runtime writes a shadow slice in an existing page itself, so
     # only the first allocation, whose shadow page is new, calls
-    # shadow_fill, and the free calls no shadow_clear.  The checks read
-    # their shadow words themselves; id_at reads the word below the
-    # freed first heap block, which lies in the page below, and the word
-    # resign_return re-signs ext_alloc's pointer from.
+    # shadow_fill, and the free calls no shadow_clear.  The checks and
+    # the free read their shadow words themselves, the word below the
+    # freed first heap block in the page below too; id_at reads only the
+    # word resign_return re-signs ext_alloc's pointer from.
     calls = {name: t.totals[name].calls for name in t.totals}
     assert calls["pacore.pac_auth"] == 0
     assert calls["pacore.pac_sign"] == calls["runtime.protected_malloc"] == 2
     assert calls["memspace.shadow_fill"] == 1
     assert calls["memspace.shadow_clear"] == 0
-    assert calls["memspace.id_at"] == 2
+    assert calls["memspace.id_at"] == 1
     for span in ("runtime.protected_malloc", "runtime.protected_free",
                  "runtime.wrapper_call", "runtime.checked_access", "runtime.fast_check",
                  "miniir.dominance"):
@@ -228,14 +228,14 @@ def test_traced_compiled_loop_reconciles_with_stats(opts):
     # The compiled block calls through the attributes bound per run, so
     # every check is traced.  Each check reads its one shadow word itself
     # (aligned i32 accesses never straddle two granules), as a free reads
-    # its own; id_at runs only for the word below the freed array, which
-    # lies in the page below, as the array is the first heap block.
+    # its own and the word below it, here in the page below, as the array
+    # is the first heap block: none calls id_at.
     # Every authentication hits the signature table, so none calls
     # pac_auth.
     calls = {name: t.totals[name].calls for name in t.totals}
     assert calls["pacore.pac_auth"] == 0
     assert stats["frees"] == 1
-    assert calls["memspace.id_at"] == 1
+    assert calls["memspace.id_at"] == 0
 
 
 # The churn workload's loop shape: each trip allocates, fills, stores,
@@ -300,13 +300,13 @@ def test_traced_compiled_churn_loop_counts_every_helper(opts):
     # an id's MAC is not in the key's table yet; the table signs ahead in
     # batches that double (1, 1, 2, 4, ..., 64 MACs), so the 100
     # consecutive ids miss 8 times.  The checks and frees read their
-    # shadow words themselves, but the word below the block at the
-    # page-aligned heap base lies in the page below: id_at reads it at
-    # each of that block's 50 frees.
+    # shadow words themselves, the frees of the block at the
+    # page-aligned heap base the word below it in the page below too:
+    # no id_at.
     assert calls["memspace.shadow_fill"] == 1
     assert calls["memspace.shadow_clear"] == 0
     assert calls["pacore.pac_sign"] == 8
-    assert calls["memspace.id_at"] == stats["frees"] // 2
+    assert calls["memspace.id_at"] == 0
 
 
 def _with_trips(text, trips):
@@ -318,13 +318,11 @@ def _with_trips(text, trips):
 # A LOOP trip under "none" is two `checked_access` calls, each reading
 # its shadow word itself; its store and load move their bytes inline
 # through the mapped-page table and make no call.  A CHURN_LOOP trip
-# (14.5 measured) is a malloc (`protected_malloc` → `_allocate`,
+# (14 measured) is a malloc (`protected_malloc` → `_allocate`,
 # `register_object` → `IdGenerator.next`, the `_Extent`: 5 calls), a
 # memset (`wrapper_call`, two `checked_access`, `move`: 4), two checks
-# (2) and a free (`protected_free`, `retire_extent`, `_release`, and
-# every other trip `id_at` for the word below the block at the heap's
-# base: 3.5).
-@pytest.mark.parametrize("text, budget", [(LOOP, 2), (CHURN_LOOP, 15)],
+# (2) and a free (`protected_free`, `retire_extent`, `_release`: 3).
+@pytest.mark.parametrize("text, budget", [(LOOP, 2), (CHURN_LOOP, 14)],
                          ids=["hotloop", "churn"])
 def test_compiled_loop_trips_stay_within_call_budgets(text, budget):
     """Python calls per compiled trip under "none", taken as the
