@@ -12,9 +12,10 @@ everything else is signed, shadowed, and checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InstrumentationError
-from .miniir import BUILTIN_SIGS, ExternDecl, Function, Inst, Namer, Program
+from .miniir import BUILTIN_SIGS, ExternDecl, Function, GlobalDef, Inst, Namer, Program
 from .runtime import RT_FREE, RT_MALLOC, WRAPPED_EXTERNS, padded_size
 
 __all__ = ["SafetyClass", "classify", "classify_globals", "instrument",
@@ -29,7 +30,7 @@ class SafetyClass:
 
 def _use_map(func: Function) -> dict[str, list[Inst]]:
     uses: dict[str, list[Inst]] = {}
-    for _, _, inst in func.insts():
+    for inst in chain.from_iterable(func.blocks.values()):
         for operand in inst.operands():
             if isinstance(operand, str) and operand.startswith("%"):
                 uses.setdefault(operand, []).append(inst)
@@ -70,18 +71,20 @@ def _escape_analysis(uses: dict[str, list[Inst]], root: str,
 _Roots = dict[str, tuple[Inst, SafetyClass, set[str]]]
 
 
-def _escape_roots(func: Function, prog: Program) -> _Roots:
+def _escape_roots(func: Function, globals_: dict[str, GlobalDef]) -> _Roots:
     """Every alloca and globaladdr root of func, classified once from one
-    use map."""
-    uses = _use_map(func)
+    use map, built at the first root: a function without one needs none."""
+    uses = None
     roots: _Roots = {}
-    for _, _, inst in func.insts():
+    for inst in chain.from_iterable(func.blocks.values()):
         if inst.op == "alloca":
             size = inst.args[0]
         elif inst.op == "globaladdr":
-            size = prog.global_def(inst.args[0][1:]).size
+            size = globals_[inst.args[0][1:]].size
         else:
             continue
+        if uses is None:
+            uses = _use_map(func)
         roots[inst.result] = (inst, *_escape_analysis(uses, inst.result, size))
     return roots
 
@@ -99,8 +102,9 @@ def _safe_direct_regs(roots: _Roots, global_safety: dict[str, SafetyClass]) -> s
 def _analyse(prog: Program) -> tuple[dict[str, _Roots], dict[str, SafetyClass]]:
     """Escape roots per function, and each global's safety derived from
     them: a global is unsafe if any function uses its address unsafely."""
-    roots = {name: _escape_roots(func, prog) for name, func in prog.functions.items()}
-    safety = {g.symbol: SafetyClass(True, "safe") for g in prog.globals}
+    globals_ = {g.symbol: g for g in prog.globals}
+    roots = {name: _escape_roots(func, globals_) for name, func in prog.functions.items()}
+    safety = dict.fromkeys(globals_, SafetyClass(True, "safe"))
     for func_roots in roots.values():
         for inst, cls, _ in func_roots.values():
             if inst.op == "globaladdr" and not cls.safe and safety[inst.args[0][1:]].safe:
@@ -110,7 +114,8 @@ def _analyse(prog: Program) -> tuple[dict[str, _Roots], dict[str, SafetyClass]]:
 
 def classify(func: Function, prog: Program) -> dict[str, SafetyClass]:
     """Per-alloca safety classification for one function."""
-    return {reg: cls for reg, (inst, cls, _) in _escape_roots(func, prog).items()
+    globals_ = {g.symbol: g for g in prog.globals}
+    return {reg: cls for reg, (inst, cls, _) in _escape_roots(func, globals_).items()
             if inst.op == "alloca"}
 
 
@@ -132,11 +137,8 @@ def instrument(prog: Program) -> Program:
         _instrument_function(out, func, roots[name], global_safety)
 
     main = out.functions["main"]
-    gppt_setup = [
-        Inst("gpptinit", args=(f"@{g.symbol}",), uid=out.new_uid())
-        for g in out.globals
-        if g.unsafe
-    ]
+    gppt_setup = [Inst("gpptinit", args=(f"@{g.symbol}",), uid=out.new_uid())
+                  for g in out.globals if g.unsafe]
     entry = main.entry
     main.blocks[entry] = gppt_setup + main.blocks[entry]
     out.instrumented = True
@@ -145,24 +147,29 @@ def instrument(prog: Program) -> Program:
 
 def _instrument_function(prog: Program, func: Function, roots: _Roots,
                          global_safety: dict[str, SafetyClass]) -> None:
-    namer = Namer(func)
+    namer = None
+
+    def fresh(base: str) -> str:  # the Namer is built at the first fresh name
+        nonlocal namer
+        namer = namer or Namer(func)
+        return namer.fresh(base)
+
     safe_direct = _safe_direct_regs(roots, global_safety)
 
     # Unsafe allocas get a signed alias; all other insts use the alias.
     rename: dict[str, str] = {}
     sign_after: dict[str, tuple[str, int]] = {}
-    for _, _, inst in func.insts():
-        if inst.op == "alloca" and not roots[inst.result][1].safe:
+    for inst, cls, _ in roots.values():  # in instruction order
+        if inst.op == "alloca" and not cls.safe:
             padded = padded_size(inst.args[0])
             inst.args = (padded,)
-            alias = namer.fresh(inst.result + ".s")
+            alias = fresh(inst.result + ".s")
             rename[inst.result] = alias
             sign_after[inst.result] = (alias, padded)
-
-    def renamed(operand):
-        if isinstance(operand, str) and operand.startswith("%"):
-            return rename.get(operand, operand)
-        return operand
+    if rename:
+        for inst in chain.from_iterable(func.blocks.values()):
+            inst.args = tuple(rename.get(a, a) for a in inst.args)
+            inst.incomings = tuple((lbl, rename.get(v, v)) for lbl, v in inst.incomings)
 
     for label in list(func.blocks):
         new_block: list[Inst] = []
@@ -175,15 +182,10 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
                     new_block.append(Inst("sign", result=alias,
                                           args=(inst.result, padded), uid=prog.new_uid()))
                 continue
-            if op == "phi":
-                inst.incomings = tuple((lbl, renamed(v)) for lbl, v in inst.incomings)
-                new_block.append(inst)
-                continue
-            inst.args = tuple(renamed(a) for a in inst.args)
             if op in ("load", "store"):
                 addr = inst.args[0]
                 if addr not in safe_direct:
-                    raw = namer.fresh("%chk")
+                    raw = fresh("%chk")
                     new_block.append(Inst("check", result=raw, width=inst.width,
                                           args=(addr,), uid=prog.new_uid()))
                     inst.args = (raw,) + inst.args[1:]
@@ -197,7 +199,7 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
                 new_block.append(Inst("call", callee=RT_FREE, args=inst.args, uid=inst.uid))
                 continue
             if op == "call":
-                new_block.extend(_instrument_call(prog, inst, namer))
+                new_block.extend(_instrument_call(prog, inst, fresh))
                 continue
             new_block.append(inst)
         func.blocks[label] = new_block
@@ -210,7 +212,7 @@ def wraps_builtin(ext: ExternDecl) -> bool:
     return wrapper is not None and (ext.params, ext.ret) == BUILTIN_SIGS[wrapper]
 
 
-def _instrument_call(prog: Program, inst: Inst, namer: Namer) -> list[Inst]:
+def _instrument_call(prog: Program, inst: Inst, fresh) -> list[Inst]:
     callee = inst.callee
     if callee in prog.functions:
         return [inst]
@@ -228,7 +230,7 @@ def _instrument_call(prog: Program, inst: Inst, namer: Namer) -> list[Inst]:
     new_args = []
     for arg, ty in zip(inst.args, ext.params):
         if ty == "ptr":
-            stripped = namer.fresh("%ext")
+            stripped = fresh("%ext")
             emitted.append(Inst("stripcall", result=stripped, args=(arg,),
                                 uid=prog.new_uid()))
             new_args.append(stripped)
@@ -236,7 +238,7 @@ def _instrument_call(prog: Program, inst: Inst, namer: Namer) -> list[Inst]:
             new_args.append(arg)
     inst.args = tuple(new_args)
     if ext.ret == "ptr" and inst.result is not None:
-        raw_result = namer.fresh(inst.result + ".x")
+        raw_result = fresh(inst.result + ".x")
         resign = Inst("resign", result=inst.result, args=(raw_result,), uid=prog.new_uid())
         inst.result = raw_result
         emitted.extend([inst, resign])
@@ -254,9 +256,8 @@ def lint_instrumented(prog: Program) -> list[str]:
     roots, global_safety = _analyse(prog)
     for name, func in prog.functions.items():
         safe_direct = _safe_direct_regs(roots[name], global_safety)
-        check_results = {
-            inst.result for _, _, inst in func.insts() if inst.op in ("check", "fastcheck")
-        }
+        check_results = {inst.result for inst in chain.from_iterable(func.blocks.values())
+                         if inst.op in ("check", "fastcheck")}
         for label, idx, inst in func.insts():
             if inst.op in ("load", "store"):
                 addr = inst.args[0]

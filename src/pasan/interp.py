@@ -11,6 +11,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from struct import pack_into, unpack_from
 
 from .errors import FaultKind, LimitExceeded, MemoryFault, PasanError
@@ -131,9 +132,8 @@ def _op_sign(interp, frame, regs, inst):
 
 def _op_gpptinit(interp, frame, regs, inst):
     sym = inst.args[0][1:]
-    g = interp.prog.global_def(sym)
-    _, signed = interp.rt.register_object(interp.global_addr[sym], padded_size(g.size), "global")
-    interp.rt.gppt[sym] = signed
+    addr, size = interp.global_addr[sym], interp.global_size[sym]
+    interp.rt.gppt[sym] = interp.rt.register_object(addr, size, "global")[1]
 
 
 def _op_call(interp, frame, regs, inst):
@@ -362,13 +362,14 @@ class Interpreter:
         self.layouts: dict[str, _Layout] = {}
         self.stack: list[_Frame] = []
         self.exit_value: int | None = None
-        self.global_addr: dict[str, int] = {}
+        self.global_addr, self.global_size = {}, {}   # symbol -> address, padded size
         cursor = regions.globals.base
         for g in prog.globals:
             padded = padded_size(g.size)
             if cursor + padded > regions.globals.limit:
                 raise LimitExceeded("globals region exhausted")
             self.global_addr[g.symbol] = cursor
+            self.global_size[g.symbol] = padded
             cursor += padded
 
     # -- lowering --
@@ -378,7 +379,7 @@ class Interpreter:
         if layout is None:
             slots, consts = [], {}
             offset = 4  # 4-byte guard below the slots
-            for _, _, inst in func.insts():
+            for inst in chain.from_iterable(func.blocks.values()):
                 if inst.op == "alloca":
                     slots.append((inst.result, offset))
                     offset += padded_size(inst.args[0])
@@ -516,7 +517,7 @@ class Interpreter:
         func = stack[-1].layout.func
         report.function = func.name
         report.inst_uid = inst.uid  # the instruction that raised
-        linear = {i.uid: n for n, (_, _, i) in enumerate(func.insts())}
+        linear = {i.uid: n for n, i in enumerate(chain.from_iterable(func.blocks.values()))}
         report.inst_index = linear.get(inst.uid, -1)
         return ExecResult("violation", stats, report=report)
 

@@ -13,6 +13,7 @@ source programs; a program containing them is flagged as instrumented.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, ValidationError
@@ -157,12 +158,6 @@ class Program:
         self.next_uid += 1
         return uid
 
-    def global_def(self, symbol: str) -> GlobalDef:
-        for g in self.globals:
-            if g.symbol == symbol:
-                return g
-        raise KeyError(symbol)
-
     def copy(self) -> Program:
         """A copy that a pass may rewrite without touching this program:
         new functions, block dicts and lists, instructions and globals.
@@ -185,9 +180,9 @@ class Namer:
     grows, so each base resumes at the counter after its last name."""
 
     def __init__(self, func: Function):
-        self.used = {reg for reg, _ in func.params}
-        for _, _, inst in func.insts():
-            self.used.update(inst.defs())
+        self.used = {reg for block in func.blocks.values() for inst in block
+                     for reg in (inst.result, inst.result2) if reg is not None}
+        self.used.update(reg for reg, _ in func.params)
         self.next: dict[str, int] = {}
 
     def fresh(self, base: str) -> str:
@@ -298,6 +293,8 @@ def parse(text: str) -> Program:
                 for p in params + (m.group(3),):
                     if p not in TYPES:
                         raise ParseError(f"unknown type {p!r}", lineno)
+                if m.group(1)[1:] in prog.externs:
+                    raise ParseError(f"duplicate extern {m.group(1)}", lineno)
                 prog.externs[m.group(1)[1:]] = ExternDecl(m.group(1)[1:], params, m.group(3))
                 continue
             if m := _FUNC_RE.match(line):
@@ -339,7 +336,7 @@ def parse(text: str) -> Program:
     prog.instrumented = any(
         inst.op in INSTRUMENTATION_OPS
         for f in prog.functions.values()
-        for _, _, inst in f.insts()
+        for inst in chain.from_iterable(f.blocks.values())
     )
     return prog
 
@@ -431,13 +428,14 @@ def _callee_sig(prog: Program, name: str) -> tuple[tuple[str, ...], str] | None:
 def validate(prog: Program) -> None:
     """Reject programs the interpreter cannot execute: symbol clashes,
     non-SSA register use, type errors, malformed control flow."""
-    symbols: set[str] = set()
+    globals_: dict[str, GlobalDef] = {}
     for g in prog.globals:
-        if g.symbol in symbols:
+        if g.symbol in globals_:
             raise ValidationError(f"duplicate symbol @{g.symbol}")
-        symbols.add(g.symbol)
+        globals_[g.symbol] = g
         if g.size <= 0:
             raise ValidationError(f"global @{g.symbol} must have positive size")
+    symbols = set(globals_)
     for name in [*prog.externs, *prog.functions]:
         if name in symbols:
             raise ValidationError(f"duplicate symbol @{name}")
@@ -450,10 +448,10 @@ def validate(prog: Program) -> None:
     if main.params or main.ret != "i32":
         raise ValidationError("@main must take no parameters and return i32")
     for func in prog.functions.values():
-        _validate_function(prog, func)
+        _validate_function(prog, func, globals_)
 
 
-def _validate_function(prog: Program, func: Function) -> None:
+def _validate_function(prog: Program, func: Function, globals_: dict[str, GlobalDef]) -> None:
     def err(msg: str):
         raise ValidationError(f"@{func.name}: {msg}")
 
@@ -494,7 +492,7 @@ def _validate_function(prog: Program, func: Function) -> None:
                 err(f"register {reg} defined more than once")
             def_site[reg] = (label, idx)
 
-    for _, _, inst in func.insts():
+    for inst in chain.from_iterable(func.blocks.values()):
         if inst.op == "call" and _callee_sig(prog, inst.callee) is None:
             err(f"call to unknown function @{inst.callee}")
 
@@ -510,7 +508,7 @@ def _validate_function(prog: Program, func: Function) -> None:
         if ty not in _ACCEPTS[expected]:
             err(f"{what}: expected {expected}, got {ty} ({operand!r})")
 
-    for _, _, inst in func.insts():
+    for inst in chain.from_iterable(func.blocks.values()):
         op, args = inst.op, inst.args
         if op == "call":
             params, _ = _callee_sig(prog, inst.callee)
@@ -530,7 +528,7 @@ def _validate_function(prog: Program, func: Function) -> None:
             for i, kind in spec.literals:
                 if kind == "size" and args[i] < 0:
                     err(f"{op} size must not be negative, got {args[i]}")
-                if kind == "global" and not any(g.symbol == args[i][1:] for g in prog.globals):
+                if kind == "global" and args[i][1:] not in globals_:
                     err(f"{op} of unknown global {args[i]}")
 
     # Defs dominate uses.
@@ -564,7 +562,7 @@ def function_types(prog: Program, func: Function) -> dict[str, str]:
     with no typed operand) are absent from the result."""
     types: dict[str, str] = dict(func.params)
     users: dict[str, list[Inst]] = {}  # register -> the phis it is an arm of
-    for _, _, inst in func.insts():
+    for inst in chain.from_iterable(func.blocks.values()):
         if inst.op == "phi":
             for _, val in inst.incomings:
                 users.setdefault(val, []).append(inst)

@@ -8,6 +8,8 @@ add work, so full + fast never exceeds the pre-pass full count.
 """
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import InstrumentationError
 from .miniir import BUILTIN_SIGS, Function, Inst, Namer, Program, reverse_postorder
 
@@ -43,11 +45,12 @@ def run_passes(prog: Program, opts: str) -> Program:
             if subst:
                 for label, block in func.blocks.items():
                     func.blocks[label] = [inst for inst in block if inst.result not in subst]
-                for _, _, inst in func.insts():
+                for inst in chain.from_iterable(func.blocks.values()):
                     inst.args = tuple(subst.get(a, a) for a in inst.args)
                     inst.incomings = tuple((lbl, subst.get(v, v)) for lbl, v in inst.incomings)
         if "samelock" in passes:
-            defs = {inst.result: inst for _, _, inst in func.insts() if inst.result}
+            defs = {inst.result: inst for inst in chain.from_iterable(func.blocks.values())
+                    if inst.result}
 
             def gep_root(inst: Inst) -> str:
                 reg = inst.args[0]
@@ -55,9 +58,10 @@ def run_passes(prog: Program, opts: str) -> Program:
                     reg = defs[reg].args[0]
                 return reg
 
-            namer = Namer(func)
+            namer = None
             for (label, idx), inst, cover in _covered_checks(out, func, freeing, gep_root):
                 if cover.result2 is None:
+                    namer = namer or Namer(func)
                     cover.result2 = namer.fresh("%tk")
                 func.blocks[label][idx] = Inst(
                     "fastcheck",
@@ -179,7 +183,8 @@ def functions_may_free(prog: Program) -> set[str]:
         changed = False
         for name, f in prog.functions.items():
             if name not in freeing and any(
-                    _may_free(prog, freeing, inst) for _, _, inst in f.insts()):
+                    _may_free(prog, freeing, inst)
+                    for inst in chain.from_iterable(f.blocks.values())):
                 freeing.add(name)
                 changed = True
     return freeing
@@ -187,11 +192,6 @@ def functions_may_free(prog: Program) -> set[str]:
 
 def count_checks(prog: Program) -> tuple[int, int]:
     """Static (full, fast) check counts."""
-    full = fast = 0
-    for func in prog.functions.values():
-        for _, _, inst in func.insts():
-            if inst.op == "check":
-                full += 1
-            elif inst.op == "fastcheck":
-                fast += 1
-    return full, fast
+    ops = [inst.op for func in prog.functions.values()
+           for inst in chain.from_iterable(func.blocks.values())]
+    return ops.count("check"), ops.count("fastcheck")

@@ -162,6 +162,8 @@ FRONT_END_ERRORS = [
     ("return_type", MAIN.replace("-> i32", "-> foo"), "unknown return type 'foo'"),
     ("no_blocks", _main(), "function @main has no blocks"),
     ("duplicate_function", MAIN + MAIN, "duplicate function @main"),
+    ("duplicate_extern", "extern @ext_id(i64) -> i64\nextern @ext_id(i64) -> i64\n" + MAIN,
+     "line 2: duplicate extern @ext_id"),
     ("duplicate_block", _main("bb0:", "  br bb0", "bb0:", *RET), "duplicate block 'bb0'"),
     ("outside_block", _main(*RET), "instruction outside a block"),
     ("unterminated", MAIN[:-2], "unterminated function @main"),

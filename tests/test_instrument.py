@@ -275,7 +275,7 @@ bb0:
     entry = out.functions["main"].blocks[out.functions["main"].entry]
     assert entry[0].op == "gpptinit"
     assert count_op(out, "gpptinit") == 1
-    assert out.global_def("g").unsafe is True
+    assert [(g.symbol, g.unsafe) for g in out.globals] == [("g", True)]
 
 
 def test_instrumentation_is_guarded_against_reentry():

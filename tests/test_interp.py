@@ -1,5 +1,6 @@
 """Interpreter semantics: determinism, trap completeness, frame hygiene."""
 import gc
+import time
 import tracemalloc
 
 import pytest
@@ -689,3 +690,24 @@ def test_runs_leave_no_mac_state_behind():
     finally:
         tracemalloc.stop()
     assert after_50 - after_10 < 4096
+
+
+def test_many_globals_compile_and_run_in_linear_time():
+    # one scan of the globals per globaladdr (validate, instrument) and
+    # per gpptinit (run) is quadratic here: about 8 s
+    k = 8000
+    lines = [f"global @g{i} 4" for i in range(k)]
+    lines += ["func @main() -> i32 {", "bb0:", "  %i = const.i64 0"]
+    for i in range(k):
+        lines.append(f"  %a{i} = globaladdr @g{i}")
+        if i % 2:  # a variable offset makes the global unsafe
+            lines += [f"  %q{i} = gep %a{i}, %i", f"  store.i32 %q{i}, 1"]
+        else:
+            lines.append(f"  store.i32 %a{i}, 1")
+    text = "\n".join(lines + ["  %z = const.i32 0", "  ret %z", "}"]) + "\n"
+    start = time.monotonic()
+    prog = build(text)
+    result = run(prog, CFG)
+    assert time.monotonic() - start < 3.0
+    assert result.verdict == "completed" and result.exit_value == 0
+    assert sum(g.unsafe for g in prog.globals) == k // 2

@@ -488,3 +488,57 @@ def test_run_passes_copies_once_and_answers_each_question_once(corpus_dir, monke
         assert sorted(built) == sorted(prog.functions), path.name
         calls.update(copy=0, may_free=0)
         built.clear()
+
+
+NO_ROOT_OR_ONE_CHECK = """\
+func @f(%p: ptr) -> i32 {
+bb0:
+  %v = load.i32 %p
+  ret %v
+}
+
+func @g() -> i32 {
+bb0:
+  %a = alloca 4
+  store.i32 %a, 7
+  %v = load.i32 %a
+  ret %v
+}
+
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = malloc %sz
+  %q = gep %p, 8
+  store.i32 %q, 1
+  %v = load.i32 %p
+  %r = call @f(%p)
+  %s = call @g()
+  free %p
+  ret %v
+}
+"""
+
+
+def test_analyses_run_only_where_they_can_find_something(monkeypatch):
+    instrument_module = sys.modules["pasan.instrument"]  # pasan.instrument is the function
+    uses, namers = [], []
+    use_map, namer = instrument_module._use_map, optpasses.Namer
+
+    def counted_use_map(func):
+        uses.append(func.name)
+        return use_map(func)
+
+    def counted_namer(func):
+        namers.append(func.name)
+        return namer(func)
+
+    monkeypatch.setattr(instrument_module, "_use_map", counted_use_map)
+    monkeypatch.setattr(optpasses, "Namer", counted_namer)
+    prog = build(NO_ROOT_OR_ONE_CHECK)
+    assert uses == ["g"]  # the one function with an alloca or globaladdr
+    assert count_checks(prog) == (3, 0)  # @f: one, @g: none, @main: two
+    assert count_checks(run_passes(prog, "redundant")) == (3, 0)
+    assert namers == []  # redundant removal names nothing
+    assert count_checks(run_passes(prog, "all")) == (2, 1)
+    assert namers == ["main"]  # @f and @g have fewer than two checks
