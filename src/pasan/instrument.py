@@ -128,25 +128,24 @@ def instrument(prog: Program) -> Program:
     """Produce the instrumented program; the input is left untouched."""
     if prog.instrumented:
         raise InstrumentationError("program is already instrumented")
-    out = prog.copy()
-    roots, global_safety = _analyse(out)
-    for g in out.globals:
-        g.unsafe = not global_safety[g.symbol].safe
-
-    for name, func in out.functions.items():
-        _instrument_function(out, func, roots[name], global_safety)
+    roots, global_safety = _analyse(prog)
+    out = Program([GlobalDef(g.symbol, g.size, not global_safety[g.symbol].safe)
+                   for g in prog.globals], dict(prog.externs), {}, True, prog.next_uid)
+    for name, func in prog.functions.items():
+        out.functions[name] = _instrument_function(out, func, roots[name], global_safety)
 
     main = out.functions["main"]
     gppt_setup = [Inst("gpptinit", args=(f"@{g.symbol}",), uid=out.new_uid())
                   for g in out.globals if g.unsafe]
     entry = main.entry
     main.blocks[entry] = gppt_setup + main.blocks[entry]
-    out.instrumented = True
     return out
 
 
 def _instrument_function(prog: Program, func: Function, roots: _Roots,
-                         global_safety: dict[str, SafetyClass]) -> None:
+                         global_safety: dict[str, SafetyClass]) -> Function:
+    """The instrumented copy of func, each instruction copied once as the
+    rewrite visits it; func itself is only read."""
     namer = None
 
     def fresh(base: str) -> str:  # the Namer is built at the first fresh name
@@ -161,24 +160,24 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
     sign_after: dict[str, tuple[str, int]] = {}
     for inst, cls, _ in roots.values():  # in instruction order
         if inst.op == "alloca" and not cls.safe:
-            padded = padded_size(inst.args[0])
-            inst.args = (padded,)
             alias = fresh(inst.result + ".s")
             rename[inst.result] = alias
-            sign_after[inst.result] = (alias, padded)
-    if rename:
-        for inst in chain.from_iterable(func.blocks.values()):
-            inst.args = tuple(rename.get(a, a) for a in inst.args)
-            inst.incomings = tuple((lbl, rename.get(v, v)) for lbl, v in inst.incomings)
+            sign_after[inst.result] = (alias, padded_size(inst.args[0]))
 
-    for label in list(func.blocks):
-        new_block: list[Inst] = []
-        for inst in func.blocks[label]:
+    blocks: dict[str, list[Inst]] = {}
+    for label, block in func.blocks.items():
+        blocks[label] = new_block = []
+        for inst in block:
+            inst = inst.copy()
+            if rename:
+                inst.args = tuple(rename.get(a, a) for a in inst.args)
+                inst.incomings = tuple((lbl, rename.get(v, v)) for lbl, v in inst.incomings)
             op = inst.op
             if op == "alloca":
                 new_block.append(inst)
                 if inst.result in sign_after:
                     alias, padded = sign_after[inst.result]
+                    inst.args = (padded,)
                     new_block.append(Inst("sign", result=alias,
                                           args=(inst.result, padded), uid=prog.new_uid()))
                 continue
@@ -191,18 +190,13 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
                     inst.args = (raw,) + inst.args[1:]
                 new_block.append(inst)
                 continue
-            if op == "malloc":
-                new_block.append(Inst("call", result=inst.result, callee=RT_MALLOC,
-                                      args=inst.args, uid=inst.uid))
-                continue
-            if op == "free":
-                new_block.append(Inst("call", callee=RT_FREE, args=inst.args, uid=inst.uid))
-                continue
-            if op == "call":
+            if op in ("malloc", "free"):
+                inst.op, inst.callee = "call", RT_MALLOC if op == "malloc" else RT_FREE
+            elif op == "call":
                 new_block.extend(_instrument_call(prog, inst, fresh))
                 continue
             new_block.append(inst)
-        func.blocks[label] = new_block
+    return Function(func.name, list(func.params), func.ret, blocks)
 
 
 def wraps_builtin(ext: ExternDecl) -> bool:

@@ -21,7 +21,7 @@ from .errors import ParseError, ValidationError
 TYPES = ("i32", "i64", "ptr")
 ACCESS_SUFFIXES = {"i8": 1, "i32": 4, "i64": 8, "ptr": 8}
 TERMINATORS = ("br", "cbr", "ret")
-INSTRUMENTATION_OPS = ("sign", "check", "fastcheck", "stripcall", "resign", "gpptinit")
+INSTRUMENTATION_OPS = frozenset(("sign", "check", "fastcheck", "stripcall", "resign", "gpptinit"))
 
 # The one definition of every op but call and phi, which have their own
 # syntax: its type suffixes, each with the access width it fixes ({"":
@@ -208,6 +208,7 @@ _INT = r"-?(?:0[xX][0-9a-fA-F]+|\d+)"
 _GLOBAL_RE = re.compile(rf"^global\s+({_SYM})\s+({_INT})$")
 _EXTERN_RE = re.compile(rf"^extern\s+({_SYM})\s*\(([^)]*)\)\s*->\s*(\w+)$")
 _FUNC_RE = re.compile(rf"^func\s+({_SYM})\s*\(([^)]*)\)\s*->\s*(\w+)\s*\{{$")
+_PARAM_RE = re.compile(rf"^({_REG})\s*:\s*(\w+)$")
 _BLOCK_RE = re.compile(rf"^({_LABEL}):$")
 _RESULT_RE = re.compile(rf"^({_REG})\s*(?:,\s*({_REG})\s*)?=\s*(.+)$")
 _CALL_RE = re.compile(rf"^call\s+({_SYM})\s*\(([^)]*)\)$")
@@ -277,10 +278,11 @@ def parse(text: str) -> Program:
     line number; semantic errors are left to validate()."""
     prog = Program()
     func: Function | None = None
-    label: str | None = None
+    block: list[Inst] | None = None
+    uid = 0
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split(";", 1)[0].strip()
+        line = raw_line.partition(";")[0].strip()
         if not line:
             continue
 
@@ -300,14 +302,14 @@ def parse(text: str) -> Program:
             if m := _FUNC_RE.match(line):
                 params = []
                 for part in (p.strip() for p in m.group(2).split(",") if p.strip()):
-                    pm = re.match(rf"^({_REG})\s*:\s*(\w+)$", part)
+                    pm = _PARAM_RE.match(part)
                     if not pm or pm.group(2) not in TYPES:
                         raise ParseError(f"bad parameter {part!r}", lineno)
                     params.append((pm.group(1), pm.group(2)))
                 if m.group(3) not in TYPES:
                     raise ParseError(f"unknown return type {m.group(3)!r}", lineno)
                 func = Function(m.group(1)[1:], params, m.group(3))
-                label = None
+                block = None
                 continue
             raise ParseError(f"expected global/extern/func, got {line!r}", lineno)
 
@@ -319,51 +321,48 @@ def parse(text: str) -> Program:
             prog.functions[func.name] = func
             func = None
             continue
-        if m := _BLOCK_RE.match(line):
-            label = m.group(1)
-            if label in func.blocks:
-                raise ParseError(f"duplicate block {label!r}", lineno)
-            func.blocks[label] = []
+        if line[-1] == ":" and (m := _BLOCK_RE.match(line)):
+            if m.group(1) in func.blocks:
+                raise ParseError(f"duplicate block {m.group(1)!r}", lineno)
+            block = func.blocks[m.group(1)] = []
             continue
-        if label is None:
+        if block is None:
             raise ParseError("instruction outside a block", lineno)
-        inst = _parse_inst(line, lineno)
-        inst.uid = prog.new_uid()
-        func.blocks[label].append(inst)
+        inst = _parse_inst(line, lineno, uid)
+        uid += 1
+        if inst.op in INSTRUMENTATION_OPS:
+            prog.instrumented = True
+        block.append(inst)
 
     if func is not None:
         raise ParseError(f"unterminated function @{func.name}", len(text.splitlines()))
-    prog.instrumented = any(
-        inst.op in INSTRUMENTATION_OPS
-        for f in prog.functions.values()
-        for inst in chain.from_iterable(f.blocks.values())
-    )
+    prog.next_uid = uid
     return prog
 
 
-def _parse_inst(line: str, lineno: int) -> Inst:
+def _parse_inst(line: str, lineno: int, uid: int) -> Inst:
     result = result2 = None
     defined = 0
-    if m := _RESULT_RE.match(line):
-        result, result2, line = m.group(1), m.group(2), m.group(3).strip()
+    if line[0] == "%" and (m := _RESULT_RE.match(line)):
+        result, result2, line = m.groups()  # the line is stripped: so is each group
         defined = 1 if result2 is None else 2
 
-    head, _, rest = line.partition(" ")
-    rest = rest.strip()
+    parts = line.split(None, 1)
+    head, rest = parts[0], parts[1] if len(parts) > 1 else ""
     if head == "call":
         _check_defines(head, (0, 1), defined, lineno)
         if not (m := _CALL_RE.match(line)):
             raise ParseError("malformed call", lineno)
         toks = m.group(2).split(",") if m.group(2).strip() else ()
-        return Inst("call", result=result, callee=m.group(1)[1:],
-                    args=tuple(_operand(tok.strip(), lineno) for tok in toks))
+        return Inst("call", result=result, callee=m.group(1)[1:], uid=uid,
+                    args=tuple([_operand(tok.strip(), lineno) for tok in toks]))
     if head == "phi":
         _check_defines(head, (1,), defined, lineno)
         arms = _PHI_ARM_RE.findall(rest)
         if not arms or _PHI_ARM_RE.sub("", rest).replace(",", "").strip():
             raise ParseError("malformed phi arms", lineno)
-        return Inst("phi", result=result,
-                    incomings=tuple((lbl, _operand(val, lineno)) for lbl, val in arms))
+        return Inst("phi", result=result, uid=uid,
+                    incomings=tuple([(lbl, _operand(val, lineno)) for lbl, val in arms]))
     op, _, suffix = head.partition(".")
     spec = _OPS.get(op)
     if spec is None or suffix not in spec.suffixes:
@@ -373,9 +372,12 @@ def _parse_inst(line: str, lineno: int) -> Inst:
     toks = rest.split(",") if rest else ()
     if len(toks) != len(spec.parsers):
         raise ParseError(f"{head} takes {len(spec.parsers)} operand(s), got {len(toks)}", lineno)
-    args = [parse(tok.strip(), lineno) for parse, tok in zip(spec.parsers, toks)]
+    args = []
+    for parse, tok in zip(spec.parsers, toks):
+        tok = tok.strip()
+        args.append(tok if parse is _operand and tok[:1] == "%" else parse(tok, lineno))
     width = args.pop() if spec.width else spec.suffixes[suffix]
-    return Inst(op, result, result2, suffix or None, width, tuple(args))
+    return Inst(op, result, result2, suffix or None, width, tuple(args), (), None, uid)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +459,7 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
 
     if not func.blocks:
         err("no blocks")
+    entry = func.entry
     for label, block in func.blocks.items():
         if not block:
             err(f"{label}: empty block")
@@ -470,7 +473,7 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
             if inst.op == "phi":
                 if seen_non_phi:
                     err(f"{label}: phi after non-phi instruction")
-                if label == func.entry:
+                if label == entry:
                     err(f"{label}: phi in the entry block")
             else:
                 seen_non_phi = True
@@ -483,18 +486,24 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
         if label not in dom.rpo:
             err(f"{label}: unreachable block")
 
-    # SSA: single static definition.
+    # Two walks, each reporting what the checks it fuses would have
+    # reported one after the other: the first fault of the earlier kind,
+    # else the first of the later kind, which is held until then.
+    # Walk 1: each register is defined once (SSA), then every callee is known.
     def_site: dict[str, tuple[str, int]] = {}
     param_regs = {reg for reg, _ in func.params}
-    for label, idx, inst in func.insts():
-        for reg in inst.defs():
-            if reg in param_regs or reg in def_site:
-                err(f"register {reg} defined more than once")
-            def_site[reg] = (label, idx)
-
-    for inst in chain.from_iterable(func.blocks.values()):
-        if inst.op == "call" and _callee_sig(prog, inst.callee) is None:
-            err(f"call to unknown function @{inst.callee}")
+    held = None
+    for label, block in func.blocks.items():
+        for idx, inst in enumerate(block):
+            for reg in (inst.result, inst.result2):
+                if reg is not None:
+                    if reg in param_regs or reg in def_site:
+                        err(f"register {reg} defined more than once")
+                    def_site[reg] = (label, idx)
+            if inst.op == "call" and held is None and _callee_sig(prog, inst.callee) is None:
+                held = f"call to unknown function @{inst.callee}"
+    if held:
+        err(held)
 
     types = function_types(prog, func)
     for reg in def_site:
@@ -508,50 +517,53 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
         if ty not in _ACCEPTS[expected]:
             err(f"{what}: expected {expected}, got {ty} ({operand!r})")
 
-    for inst in chain.from_iterable(func.blocks.values()):
-        op, args = inst.op, inst.args
-        if op == "call":
-            params, _ = _callee_sig(prog, inst.callee)
-            what = f"call @{inst.callee}"
-            if len(params) != len(args):
-                err(f"{what}: expected {len(params)} args, got {len(args)}")
-            for arg, ty in zip(args, params):
-                want(arg, ty, what)
-        elif op == "phi":
-            for _, val in inst.incomings:
-                want(val, types[inst.result], "phi")
-        else:
-            spec = _OPS[op]
-            for i, ty in spec.values:
-                want(args[i], _VALUE_TYPE[inst.ty] if ty == "suffix" else
-                     func.ret if ty == "ret" else ty, op)
-            for i, kind in spec.literals:
-                if kind == "size" and args[i] < 0:
-                    err(f"{op} size must not be negative, got {args[i]}")
-                if kind == "global" and args[i][1:] not in globals_:
-                    err(f"{op} of unknown global {args[i]}")
-
-    # Defs dominate uses.
-    preds_of = func.predecessors()
-    for label, idx, inst in func.insts():
-        if inst.op == "phi":
-            preds = preds_of[label]
-            arm_labels = [lbl for lbl, _ in inst.incomings]
-            if sorted(arm_labels) != sorted(preds):
-                err(f"{label}: phi arms {arm_labels} do not match predecessors {preds}")
-            for lbl, val in inst.incomings:
-                if isinstance(val, str) and val.startswith("%") and val not in param_regs:
-                    site = def_site.get(val)
-                    if site is None:
-                        err(f"use of undefined register {val}")
-                    end = (lbl, len(func.blocks[lbl]) - 1)
-                    if not (site == end or dom.inst_dominates(site, end)):
-                        err(f"{label}: phi operand {val} does not dominate edge from {lbl}")
-            continue
-        for operand in inst.operands():
-            if isinstance(operand, str) and operand.startswith("%") and operand not in param_regs:
-                if not dom.inst_dominates(def_site[operand], (label, idx)):
-                    err(f"{label}:{idx}: use of {operand} not dominated by its definition")
+    # Walk 2: operand types, then phi arms and defs dominating uses.  A
+    # definition dominates a use in another block when the use's block
+    # lies in the preorder interval of the definition's block on the
+    # dominator tree (the DFS numbering LLVM's DomTree answers from).
+    pre, end = dom.pre, dom._end
+    for label, block in func.blocks.items():
+        here = pre[label]
+        for idx, inst in enumerate(block):
+            op, args = inst.op, inst.args
+            if op == "phi":
+                for _, val in inst.incomings:
+                    want(val, types[inst.result], "phi")
+                if held is None:
+                    arms, preds = [lbl for lbl, _ in inst.incomings], dom.preds[label]
+                    if sorted(arms) != sorted(preds):
+                        held = f"{label}: phi arms {arms} do not match predecessors {preds}"
+                    for lbl, val in inst.incomings:
+                        site = def_site.get(val)
+                        if held is None and site and not pre[site[0]] <= pre[lbl] < end[site[0]]:
+                            held = f"{label}: phi operand {val} does not dominate edge from {lbl}"
+                continue
+            if op == "call":
+                params, _ = _callee_sig(prog, inst.callee)
+                what = f"call @{inst.callee}"
+                if len(params) != len(args):
+                    err(f"{what}: expected {len(params)} args, got {len(args)}")
+                for arg, ty in zip(args, params):
+                    want(arg, ty, what)
+            else:
+                spec = _OPS[op]
+                for i, ty in spec.values:
+                    want(args[i], _VALUE_TYPE[inst.ty] if ty == "suffix" else
+                         func.ret if ty == "ret" else ty, op)
+                for i, kind in spec.literals:
+                    if kind == "size" and args[i] < 0:
+                        err(f"{op} size must not be negative, got {args[i]}")
+                    if kind == "global" and args[i][1:] not in globals_:
+                        err(f"{op} of unknown global {args[i]}")
+            if held is None:
+                for arg in args:  # a register's def site, or None
+                    site = def_site.get(arg)
+                    if site and not (site[1] < idx if site[0] == label else
+                                     pre[site[0]] <= here < end[site[0]]):
+                        held = f"{label}:{idx}: use of {arg} not dominated by its definition"
+                        break
+    if held:
+        err(held)
 
 
 def function_types(prog: Program, func: Function) -> dict[str, str]:
@@ -623,7 +635,7 @@ class Dominance:
     def __init__(self, func: Function):
         order = reverse_postorder(func)
         self.rpo = {label: i for i, label in enumerate(order)}
-        preds = func.predecessors()
+        self.preds = preds = func.predecessors()
         idom = [0] + [-1] * (len(order) - 1)
         changed = True
         while changed:

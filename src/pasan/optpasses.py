@@ -36,11 +36,12 @@ def run_passes(prog: Program, opts: str) -> Program:
     out = prog.copy()
     freeing = functions_may_free(out)
     for func in out.functions.values():
+        flow = []  # no pass changes the CFG: both share its order and predecessors
         if "redundant" in passes:
             subst = {
                 inst.result: cover.result
                 for _, inst, cover in _covered_checks(
-                    out, func, freeing, lambda inst: (inst.args[0], inst.width))
+                    out, func, freeing, lambda inst: (inst.args[0], inst.width), flow)
             }
             if subst:
                 for label, block in func.blocks.items():
@@ -49,36 +50,31 @@ def run_passes(prog: Program, opts: str) -> Program:
                     inst.args = tuple(subst.get(a, a) for a in inst.args)
                     inst.incomings = tuple((lbl, subst.get(v, v)) for lbl, v in inst.incomings)
         if "samelock" in passes:
-            defs = {inst.result: inst for inst in chain.from_iterable(func.blocks.values())
-                    if inst.result}
+            geps = {inst.result: inst.args[0] for inst in chain.from_iterable(func.blocks.values())
+                    if inst.op == "gep"}
 
             def gep_root(inst: Inst) -> str:
                 reg = inst.args[0]
-                while reg in defs and defs[reg].op == "gep":
-                    reg = defs[reg].args[0]
+                while reg in geps:
+                    reg = geps[reg]
                 return reg
 
             namer = None
-            for (label, idx), inst, cover in _covered_checks(out, func, freeing, gep_root):
+            for _, inst, cover in _covered_checks(out, func, freeing, gep_root, flow):
                 if cover.result2 is None:
                     namer = namer or Namer(func)
                     cover.result2 = namer.fresh("%tk")
-                func.blocks[label][idx] = Inst(
-                    "fastcheck",
-                    result=inst.result,
-                    width=inst.width,
-                    args=(inst.args[0], cover.result2, cover.args[0]),
-                    uid=inst.uid,
-                )
+                inst.op, inst.args = "fastcheck", (inst.args[0], cover.result2, cover.args[0])
     return out
 
 
-def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key):
+def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key, flow: list):
     """Yield (loc, check, cover) for each check of func that a kept check
     of the same group (by group_key(check)) dominates with no
     possibly-freeing instruction on any path between them.  A check
     holding a token is never covered: a fast check elsewhere reads that
-    token.
+    token.  `flow` is empty, or as an earlier call on the same CFG left it:
+    its reverse post-order and each block's reachable predecessors.
 
     One forward dataflow over Python-int bitsets decides this (available
     expressions: Aho, Lam, Sethi and Ullman, Compilers, 9.2.6).  The
@@ -93,41 +89,47 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key)
     lies after every farther one.  Covered checks are yielded group by
     group in reverse post-order, the order same-lock names new tokens
     in."""
-    by_key: dict = {}
-    for label, idx, inst in func.insts():
-        if inst.op == "check":
-            by_key.setdefault(group_key(inst), []).append((label, idx))
+    # Per block: its checks and possibly-freeing instructions in order
+    # (a free as None).
+    by_key, events = {}, {}
+    for label, block in func.blocks.items():
+        events[label] = block_events = []
+        for idx, inst in enumerate(block):
+            if inst.op == "check":
+                loc = (label, idx)
+                by_key.setdefault(group_key(inst), []).append(loc)
+                block_events.append(loc)
+            elif inst.op in ("call", "free") and _may_free(prog, freeing, inst):
+                block_events.append(None)
     if all(len(locs) == 1 for locs in by_key.values()):
         return
-    order = reverse_postorder(func)
-    rpo = {label: i for i, label in enumerate(order)}
-    locs = sorted((loc for group in by_key.values() for loc in group),
-                  key=lambda loc: (rpo[loc[0]], loc[1]))
+    if not flow:
+        order = reverse_postorder(func)
+        reached = set(order)
+        flow += [order, {label: [p for p in ps if p in reached]
+                         for label, ps in func.predecessors().items()}]
+    order, preds = flow
+    locs = [loc for label in order for loc in events[label] if loc is not None]
     bit = {loc: 1 << i for i, loc in enumerate(locs)}
     mask = {}
     for group in by_key.values():
         mask.update(dict.fromkeys(group, sum(map(bit.__getitem__, group))))
-    # Per block: its checks and possibly-freeing instructions in order
-    # (a free as None), every check's bit, and those before its last free.
-    events, gen, before_free = {}, {}, {}
+    # Per block: every check's bit, and those before its last free.
+    gen, before_free = {}, {}
     for label in order:
-        events[label] = [(label, idx) if inst.op == "check" else None
-                         for idx, inst in enumerate(func.blocks[label])
-                         if inst.op == "check" or _may_free(prog, freeing, inst)]
         gen[label] = 0
         for loc in events[label]:
             if loc is None:
                 before_free[label] = gen[label]
             else:
                 gen[label] |= bit[loc]
-    preds = {label: [p for p in ps if p in rpo] for label, ps in func.predecessors().items()}
     ins: dict = {}
     outs = {label: (-1, 0, 0) for label in order}  # done starts full: a must-set
     changed = True
     while changed:
         changed = False
         for label in order:
-            done, seen, freed = 0 if label == func.entry else -1, 0, 0
+            done, seen, freed = 0 if label == order[0] else -1, 0, 0
             for p in preds[label]:
                 done &= outs[p][0]
                 seen |= outs[p][1]
@@ -162,13 +164,11 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key)
 
 
 def _may_free(prog: Program, freeing: set[str], inst: Inst) -> bool:
-    """May inst free memory?  `free`, `__pa_free`, a call to an internal
-    function in `freeing`, and any call to code outside the program and
-    the runtime (conservatively) do."""
+    """May inst, a `free` or a `call`, free memory?  `free`, `__pa_free`,
+    a call to an internal function in `freeing`, and any call to code
+    outside the program and the runtime (conservatively) do."""
     if inst.op == "free":
         return True
-    if inst.op != "call":
-        return False
     if inst.callee in prog.functions:
         return inst.callee in freeing
     return inst.callee == "__pa_free" or inst.callee not in BUILTIN_SIGS
@@ -183,7 +183,7 @@ def functions_may_free(prog: Program) -> set[str]:
         changed = False
         for name, f in prog.functions.items():
             if name not in freeing and any(
-                    _may_free(prog, freeing, inst)
+                    inst.op in ("call", "free") and _may_free(prog, freeing, inst)
                     for inst in chain.from_iterable(f.blocks.values())):
                 freeing.add(name)
                 changed = True

@@ -3,13 +3,16 @@ import json
 import math
 import random
 import shutil
+import sys
+from collections import Counter
 
 import pytest
 
-from pasan.cli import main, run_collide, run_corpus
+from pasan.cli import _build, main, run_collide, run_corpus
 from pasan.errors import PasanError
 from pasan.interp import Interpreter
 from pasan.memspace import MemSpace, RegionMap
+from pasan.miniir import Dominance, Function, Inst, Program
 from pasan.pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
 from pasan.runtime import IdGenerator, SanitizerRuntime
 
@@ -215,10 +218,11 @@ def test_run_front_end_error_exit_2(tmp_path, capsys, text, message):
     assert "Traceback" not in err
 
 
-def test_run_program_of_5000_blocks(tmp_path):
-    # A straight-line CFG storing through a gep of one heap base in each
-    # block, with an external call (which may free) every 7 blocks.
-    blocks, slots = 5000, 64
+def straight_line_program(blocks):
+    """A straight-line CFG storing through a gep of one heap base in each
+    block, with an external call (which may free) every 7 blocks; and
+    the memory it leaves, by offset."""
+    slots = 64
     lines = ["extern @ext_id(ptr) -> ptr", "", "func @main() -> i32 {", "b0:",
              f"  %sz = const.i64 {4 * slots}", "  %base = malloc %sz", "  br b1"]
     memory = {}
@@ -232,8 +236,14 @@ def test_run_program_of_5000_blocks(tmp_path):
         lines.append(f"  br {f'b{j + 1}' if j < blocks else 'bx'}")
     lines += ["bx:", "  %gl = gep %base, 20", "  %r = load.i32 %gl", "  free %base",
               "  ret %r", "}"]
+    return "\n".join(lines) + "\n", memory
+
+
+def test_run_program_of_5000_blocks(tmp_path):
+    blocks = 5000
+    text, memory = straight_line_program(blocks)
     out = tmp_path / "big.json"
-    path = write(tmp_path, "big.ir", "\n".join(lines) + "\n")
+    path = write(tmp_path, "big.ir", text)
     assert main(["run", path, "--opts", "all", "--json", str(out)]) == 0
     payload = json.loads(out.read_text())
     # same-lock keeps one full check per run of stores not broken by a call;
@@ -246,6 +256,35 @@ def test_run_program_of_5000_blocks(tmp_path):
     assert {key: payload["stats"][key] for key in counts} == counts
 
 
+def _calls_while(fn, *args):
+    """How often fn(*args) enters each Python function, by code object."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_compile_visits_each_instruction_once_per_layer():
+    # parse, validate, instrument and the passes walk blocks and indexes
+    # themselves: no generator or operand-list helper per instruction,
+    # no instruction-level dominance query, one copy (the passes'), and
+    # a function's entry block is looked up a fixed number of times.
+    never = [Function.insts, Inst.operands, Inst.defs, Dominance.inst_dominates]
+    entries = []
+    for blocks in (20, 100):
+        calls = _calls_while(_build, straight_line_program(blocks)[0], "all")
+        assert [calls[f.__code__] for f in never] == [0, 0, 0, 0]
+        assert calls[Program.copy.__code__] == 1
+        entries.append(calls[Function.entry.fget.__code__])
+    assert entries[0] == entries[1] <= 8
 def test_corpus_all_expectations_met(corpus_dir, tmp_path):
     out = tmp_path / "corpus.json"
     rc = main(["corpus", str(corpus_dir), "--json", str(out)])

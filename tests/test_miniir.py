@@ -89,6 +89,15 @@ def test_round_trip_all_corpus_files(corpus_dir):
         validate(parse(canon))
 
 
+def test_tabs_separate_tokens_as_spaces_do(corpus_dir, data_dir):
+    # `%a = const.i32<TAB>5` once read "const.i32\t5" as the op's name.
+    assert parse("func @main() -> i32 {\nbb0:\n  %a = const.i32\t5\n  ret\t%a\n}\n") == \
+        parse("func @main() -> i32 {\nbb0:\n  %a = const.i32 5\n  ret %a\n}\n")
+    for path in sorted([*corpus_dir.glob("*.ir"), *data_dir.glob("*.ir")]):
+        text = path.read_text()
+        assert parse(text.replace(" ", "\t")) == parse(text), path.name
+
+
 def test_parse_error_carries_line():
     with pytest.raises(ParseError) as exc:
         parse("func @main() -> i32 {\nbb0:\n  %x = bogus 1\n}\n")
@@ -465,7 +474,7 @@ def _may_free(prog: Program, func: Function, loc_a, loc_b) -> bool:
     probed.blocks[lb].insert(ib, probe_b)
     probed.blocks[la].insert(ia + 1, probe_a)
     covers = _covered_checks(prog, probed, functions_may_free(prog),
-                             lambda inst: (inst.args[0], inst.width))
+                             lambda inst: (inst.args[0], inst.width), [])
     return not any(inst is probe_b for _, inst, _ in covers)
 
 

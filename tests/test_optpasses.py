@@ -417,7 +417,7 @@ def test_cover_search_matches_every_kept_check_scan(case):
     prog, func = case
     key = lambda inst: (inst.args[0], inst.width)  # noqa: E731
     frees = lambda inst: inst.op == "free" or inst.op == "call" and CALLEES[inst.callee]  # noqa: E731
-    got = _covered_checks(prog, func, functions_may_free(prog), key)
+    got = _covered_checks(prog, func, functions_may_free(prog), key, [])
     assert [(loc, cover.uid) for loc, _, cover in got] == \
         [(loc, cover.uid) for loc, _, cover in _scan_covered_checks(func, frees, key)]
 
