@@ -144,8 +144,7 @@ def instrument(prog: Program) -> Program:
 
 def _instrument_function(prog: Program, func: Function, roots: _Roots,
                          global_safety: dict[str, SafetyClass]) -> Function:
-    """The instrumented copy of func, each instruction copied once as the
-    rewrite visits it; func itself is only read."""
+    """func's instrumented copy, each instruction copied as the rewrite visits it."""
     namer = None
 
     def fresh(base: str) -> str:  # the Namer is built at the first fresh name
@@ -170,7 +169,7 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
         for inst in block:
             inst = inst.copy()
             if rename:
-                inst.args = tuple(rename.get(a, a) for a in inst.args)
+                inst.args = tuple(map(rename.get, inst.args, inst.args))
                 inst.incomings = tuple((lbl, rename.get(v, v)) for lbl, v in inst.incomings)
             op = inst.op
             if op == "alloca":

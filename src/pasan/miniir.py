@@ -13,7 +13,7 @@ source programs; a program containing them is flagged as instrumented.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, count
 from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, ValidationError
@@ -279,7 +279,7 @@ def parse(text: str) -> Program:
     prog = Program()
     func: Function | None = None
     block: list[Inst] | None = None
-    uid = 0
+    uids = count()
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.partition(";")[0].strip()
@@ -328,15 +328,14 @@ def parse(text: str) -> Program:
             continue
         if block is None:
             raise ParseError("instruction outside a block", lineno)
-        inst = _parse_inst(line, lineno, uid)
-        uid += 1
+        inst = _parse_inst(line, lineno, next(uids))
         if inst.op in INSTRUMENTATION_OPS:
             prog.instrumented = True
         block.append(inst)
 
     if func is not None:
         raise ParseError(f"unterminated function @{func.name}", len(text.splitlines()))
-    prog.next_uid = uid
+    prog.next_uid = next(uids)
     return prog
 
 
@@ -486,20 +485,17 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
         if label not in dom.rpo:
             err(f"{label}: unreachable block")
 
-    # Two walks, each reporting what the checks it fuses would have
-    # reported one after the other: the first fault of the earlier kind,
-    # else the first of the later kind, which is held until then.
-    # Walk 1: each register is defined once (SSA), then every callee is known.
-    def_site: dict[str, tuple[str, int]] = {}
-    param_regs = {reg for reg, _ in func.params}
+    # Two walks.  Each reports the first fault of the check it runs first,
+    # holding a later check's first fault until the walk ends without one.
+    # Walk 1: each register is defined once (SSA); every callee is known.
+    def_site = dict.fromkeys(reg for reg, _ in func.params)  # (label, index); None: a param
     held = None
     for label, block in func.blocks.items():
         for idx, inst in enumerate(block):
-            for reg in (inst.result, inst.result2):
-                if reg is not None:
-                    if reg in param_regs or reg in def_site:
-                        err(f"register {reg} defined more than once")
-                    def_site[reg] = (label, idx)
+            for reg in filter(None, (inst.result, inst.result2)):
+                if reg in def_site:
+                    err(f"register {reg} defined more than once")
+                def_site[reg] = (label, idx)
             if inst.op == "call" and held is None and _callee_sig(prog, inst.callee) is None:
                 held = f"call to unknown function @{inst.callee}"
     if held:
@@ -517,10 +513,9 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
         if ty not in _ACCEPTS[expected]:
             err(f"{what}: expected {expected}, got {ty} ({operand!r})")
 
-    # Walk 2: operand types, then phi arms and defs dominating uses.  A
-    # definition dominates a use in another block when the use's block
-    # lies in the preorder interval of the definition's block on the
-    # dominator tree (the DFS numbering LLVM's DomTree answers from).
+    # Walk 2: operand types; phi arms and defs dominating uses.  A def in
+    # another block dominates a use in the preorder interval of its block
+    # on the dominator tree (the DFS numbers LLVM's DomTree answers from).
     pre, end = dom.pre, dom._end
     for label, block in func.blocks.items():
         here = pre[label]
@@ -556,7 +551,7 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
                     if kind == "global" and args[i][1:] not in globals_:
                         err(f"{op} of unknown global {args[i]}")
             if held is None:
-                for arg in args:  # a register's def site, or None
+                for arg in args:
                     site = def_site.get(arg)
                     if site and not (site[1] < idx if site[0] == label else
                                      pre[site[0]] <= here < end[site[0]]):

@@ -47,7 +47,7 @@ def run_passes(prog: Program, opts: str) -> Program:
                 for label, block in func.blocks.items():
                     func.blocks[label] = [inst for inst in block if inst.result not in subst]
                 for inst in chain.from_iterable(func.blocks.values()):
-                    inst.args = tuple(subst.get(a, a) for a in inst.args)
+                    inst.args = tuple(map(subst.get, inst.args, inst.args))
                     inst.incomings = tuple((lbl, subst.get(v, v)) for lbl, v in inst.incomings)
         if "samelock" in passes:
             geps = {inst.result: inst.args[0] for inst in chain.from_iterable(func.blocks.values())
@@ -74,7 +74,8 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key,
     possibly-freeing instruction on any path between them.  A check
     holding a token is never covered: a fast check elsewhere reads that
     token.  `flow` is empty, or as an earlier call on the same CFG left it:
-    its reverse post-order and each block's reachable predecessors.
+    its reverse post-order, each block's reachable predecessors, and the
+    sources of its back edges.
 
     One forward dataflow over Python-int bitsets decides this (available
     expressions: Aho, Lam, Sethi and Ullman, Compilers, 9.2.6).  The
@@ -89,8 +90,7 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key,
     lies after every farther one.  Covered checks are yielded group by
     group in reverse post-order, the order same-lock names new tokens
     in."""
-    # Per block: its checks and possibly-freeing instructions in order
-    # (a free as None).
+    # Per block: its checks and possibly-freeing instructions (None), in order.
     by_key, events = {}, {}
     for label, block in func.blocks.items():
         events[label] = block_events = []
@@ -105,10 +105,10 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key,
         return
     if not flow:
         order = reverse_postorder(func)
-        reached = set(order)
-        flow += [order, {label: [p for p in ps if p in reached]
-                         for label, ps in func.predecessors().items()}]
-    order, preds = flow
+        rpo = {label: i for i, label in enumerate(order)}
+        preds = {label: [p for p in ps if p in rpo] for label, ps in func.predecessors().items()}
+        flow += [order, preds, {p for b in order for p in preds[b] if rpo[p] >= rpo[b]}]
+    order, preds, latches = flow
     locs = [loc for label in order for loc in events[label] if loc is not None]
     bit = {loc: 1 << i for i, loc in enumerate(locs)}
     mask = {}
@@ -140,7 +140,7 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key,
             out = (done | gen[label], seen | gen[label], freed)
             if out != outs[label]:
                 outs[label] = out
-                changed = True
+                changed = changed or label in latches  # else every reader saw it this pass
     covers, kept = {}, 0
     for label in order:
         done, seen, freed = ins[label]
