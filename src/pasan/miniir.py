@@ -620,12 +620,12 @@ def reverse_postorder(func: Function) -> list[str]:
 
 
 class Dominance:
-    """Immediate dominators by Cooper, Harvey and Kennedy's iterative
-    algorithm over reverse post-order ("A Simple, Fast Dominance
-    Algorithm", 2001).  Block dominance is answered from preorder
-    intervals on the dominator tree; instruction-level queries take
-    (block, index) positions of blocks reachable from the entry, which
-    validate requires of every block."""
+    """Immediate dominators, from each block's `preds`, by Cooper, Harvey
+    and Kennedy's iterative algorithm over reverse post-order ("A Simple,
+    Fast Dominance Algorithm", 2001).  Block dominance is answered from
+    preorder intervals on the dominator tree; instruction-level queries
+    take (block, index) positions of blocks reachable from the entry,
+    which validate requires of every block."""
 
     def __init__(self, func: Function):
         order = reverse_postorder(func)
