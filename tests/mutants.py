@@ -14,7 +14,6 @@ HOSTILE = ["0", "-1", "-4", "4294967295", "18446744073709551616", "%undefined", 
            "i64", "ptr", "{", "}", ",", "=", "[", "]"]
 
 TESTS_DIR = Path(__file__).resolve().parent
-SOURCES = sorted([*(TESTS_DIR.parent / "corpus").glob("*.ir"), *(TESTS_DIR / "data").glob("*.ir")])
 
 
 def _token_class(piece):
@@ -51,7 +50,8 @@ def mutate(pieces, rng):
 def mutants(per_program, rng):
     """Yield (source, k, text, opts, n) for per_program mutants of each
     shipped program in turn, every draw taken from rng."""
-    for source in SOURCES:
+    for source in sorted([*(TESTS_DIR.parent / "corpus").glob("*.ir"),
+                          *(TESTS_DIR / "data").glob("*.ir")]):
         pieces = PIECE.findall(source.read_text())
         for k in range(per_program):
             text = mutate(pieces, rng)
