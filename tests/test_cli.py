@@ -285,6 +285,8 @@ def test_compile_visits_each_instruction_once_per_layer():
         assert calls[Program.copy.__code__] == 1
         entries.append(calls[Function.entry.fget.__code__])
     assert entries[0] == entries[1] <= 8
+
+
 def test_corpus_all_expectations_met(corpus_dir, tmp_path):
     out = tmp_path / "corpus.json"
     rc = main(["corpus", str(corpus_dir), "--json", str(out)])
