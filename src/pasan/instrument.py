@@ -18,8 +18,8 @@ from .errors import InstrumentationError
 from .miniir import BUILTIN_SIGS, ExternDecl, Function, GlobalDef, Inst, Namer, Program
 from .runtime import RT_FREE, RT_MALLOC, WRAPPED_EXTERNS, padded_size
 
-__all__ = ["SafetyClass", "classify", "classify_globals", "instrument",
-           "lint_instrumented", "padded_size", "wraps_builtin"]
+__all__ = ["SafetyClass", "classify", "classify_globals", "instrument", "padded_size",
+           "wraps_builtin"]
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,6 @@ def _escape_analysis(uses: dict[str, list[Inst]], root: str,
     worklist: list[tuple[str, int]] = [(root, 0)]
     while worklist:
         reg, offset = worklist.pop()
-        if reg in chain:
-            continue
         chain.add(reg)
         for inst in uses.get(reg, ()):
             op = inst.op
@@ -238,24 +236,3 @@ def _instrument_call(prog: Program, inst: Inst, fresh) -> list[Inst]:
     else:
         emitted.append(inst)
     return emitted
-
-
-def lint_instrumented(prog: Program) -> list[str]:
-    """Completeness lint over instrumented output: every load/store
-    address must be either a Safe-object direct access or the result of
-    a check/fastcheck (whose definition dominates the access by SSA
-    validity)."""
-    problems: list[str] = []
-    roots, global_safety = _analyse(prog)
-    for name, func in prog.functions.items():
-        safe_direct = _safe_direct_regs(roots[name], global_safety)
-        check_results = {inst.result for inst in chain.from_iterable(func.blocks.values())
-                         if inst.op in ("check", "fastcheck")}
-        for label, idx, inst in func.insts():
-            if inst.op in ("load", "store"):
-                addr = inst.args[0]
-                if addr not in safe_direct and addr not in check_results:
-                    problems.append(
-                        f"@{func.name} {label}:{idx}: unchecked access through {addr}"
-                    )
-    return problems

@@ -17,7 +17,7 @@ from struct import pack_into, unpack_from
 from .errors import FaultKind, LimitExceeded, MemoryFault, PasanError
 from .instrument import instrument, wraps_builtin
 from .memspace import MemSpace, RegionMap
-from .miniir import OPS, ExternDecl, Function, Inst, Program, function_types
+from .miniir import OPS, ExternDecl, Function, Program, function_types
 from .pacore import MASK64, AddressConfig, PacKey, strip
 from .runtime import (
     RT_FREE,
@@ -61,25 +61,24 @@ class ExecResult:
 
 @dataclass
 class _Layout:
-    """One function lowered for one run.  Blocks are lowered on first
-    entry into a list [body, moves, heat, hot] (a list is the cheapest
-    mutable record to build, and straight-line code lowers every block
-    it runs): body is the (handler, inst) pairs of the block's non-phi
-    instructions, moves maps each predecessor to the phis' (results,
-    incoming operands) on the edge from it, heat counts entries through
-    the block's own back edge, and hot is the block compiled once heat
-    reaches _TIER_AT (None until then, or for good if an op has no
-    template).  consts is the function's constant pool: every integer
-    operand masked to 64 bits and every global operand's symbol, each
-    keyed by the operand, so that a frame's register dict resolves
+    """One function lowered for one run, in one walk at its first call.
+    blocks maps each label to a list [body, moves, heat, hot] (a list is
+    the cheapest mutable record): body is the (handler, inst) pairs of
+    the block's non-phi instructions, moves maps each predecessor to the
+    phis' (results, incoming operands) on the edge from it, heat counts
+    entries through the block's own back edge, and hot is the block
+    compiled once heat reaches _TIER_AT (None until then, or for good if
+    an op has no template).  slots maps each alloca result to its offset
+    from the frame base.  consts is the function's constant pool: every
+    integer operand masked to 64 bits and every global operand's symbol,
+    each keyed by the operand, so that a frame's register dict resolves
     literals, globals and registers alike."""
 
     func: Function
-    slots: list          # (alloca result, offset from the frame base)
+    slots: dict
     frame_size: int
     consts: dict
-    blocks: dict = field(default_factory=dict)
-    types: dict | None = None   # register types, only once a gep needs them
+    blocks: dict
 
 
 @dataclass(slots=True)
@@ -88,8 +87,7 @@ class _Frame:
     label: str
     body: list
     regs: dict
-    slots: dict
-    sp_restore: int
+    base: int                    # the frame's lowest address, sp while it is on top
     ret_reg: str | None          # caller register receiving the return value
     idx: int = 0                 # where in body to resume after a call
     signed: list = field(default_factory=list)  # (base, size, obj_id)
@@ -119,7 +117,7 @@ def _simulated(decl: ExternDecl) -> bool:
 #    these have none, so a block holding one stays on the table. --
 
 def _op_alloca(interp, frame, regs, inst):
-    regs[inst.result] = frame.slots[inst.result]
+    regs[inst.result] = frame.base + frame.layout.slots[inst.result]
 
 
 def _op_sign(interp, frame, regs, inst):
@@ -374,75 +372,62 @@ class Interpreter:
 
     # -- lowering --
 
-    def _layout(self, func: Function) -> _Layout:
-        layout = self.layouts.get(func.name)
-        if layout is None:
-            slots, consts = [], {}
-            offset = 4  # 4-byte guard below the slots
-            for inst in chain.from_iterable(func.blocks.values()):
-                if inst.op == "alloca":
-                    slots.append((inst.result, offset))
-                    offset += padded_size(inst.args[0])
-                elif inst.op not in _LITERAL_ARGS:
+    def _lower(self, func: Function) -> _Layout:
+        """func's layout, built in one walk, each instruction bound to its handler."""
+        slots, consts, blocks, types = {}, {}, {}, None
+        offset = 4  # 4-byte guard below the slots
+        for label, insts in func.blocks.items():
+            body, moves = [], {}
+            for inst in insts:
+                op = inst.op
+                if op not in _LITERAL_ARGS:
                     for operand in inst.operands():
                         if isinstance(operand, int):
                             consts[operand] = operand & MASK64
                         elif operand[0] == "@":
                             consts[operand] = operand[1:]
-            layout = self.layouts[func.name] = _Layout(func, slots, offset, consts)
+                if op == "phi":
+                    for pred, operand in inst.incomings:
+                        dsts, srcs = moves.setdefault(pred, ([], []))
+                        dsts.append(inst.result)
+                        srcs.append(operand)
+                    continue
+                if op == "alloca":
+                    slots[inst.result] = offset
+                    offset += padded_size(inst.args[0])
+                elif op == "call" and inst.callee not in self.prog.functions:
+                    op = _RUNTIME_CALLS.get(inst.callee, "external") + "_void" * (not inst.result)
+                elif op == "check" and inst.result2:
+                    op = "check_token"
+                elif op == "gep" and isinstance(inst.args[1], str):
+                    if types is None:
+                        types = function_types(self.prog, func)
+                    if types.get(inst.args[1]) == "i32":
+                        op = "gep_i32"
+                if op not in _HANDLERS:
+                    raise PasanError(f"interpreter cannot execute op {op!r}")
+                body.append((_HANDLERS[op], inst))
+            blocks[label] = [body, moves, 0, None]
+        layout = self.layouts[func.name] = _Layout(func, slots, offset, consts, blocks)
         return layout
-
-    def _block(self, layout: _Layout, label: str) -> list:
-        block = layout.blocks.get(label)
-        if block is None:
-            insts = layout.func.blocks[label]
-            phis = [inst for inst in insts if inst.op == "phi"]
-            moves = {}
-            for phi in phis:
-                for pred, operand in phi.incomings:
-                    dsts, srcs = moves.setdefault(pred, ([], []))
-                    dsts.append(phi.result)
-                    srcs.append(operand)
-            body = [(self._handler(layout, inst), inst) for inst in insts[len(phis):]]
-            block = layout.blocks[label] = [body, moves, 0, None]
-        return block
-
-    def _handler(self, layout: _Layout, inst: Inst):
-        op = inst.op
-        if op == "call" and inst.callee not in self.prog.functions:
-            op = _RUNTIME_CALLS.get(inst.callee, "external")
-            return _HANDLERS[op if inst.result else op + "_void"]
-        if op == "check" and inst.result2:
-            return _HANDLERS["check_token"]
-        if op == "gep" and isinstance(inst.args[1], str):
-            if layout.types is None:
-                layout.types = function_types(self.prog, layout.func)
-            if layout.types.get(inst.args[1]) == "i32":
-                return _HANDLERS["gep_i32"]
-        handler = _HANDLERS.get(op)
-        if handler is None:
-            raise PasanError(f"interpreter cannot execute op {op!r}")
-        return handler
 
     # -- frames --
 
     def _push_frame(self, func: Function, args: list, ret_reg: str | None) -> _Frame:
-        layout = self._layout(func)
-        body = self._block(layout, func.entry)[0]  # validate rejects entry-block phis
-        new_sp = self.sp - layout.frame_size
-        if new_sp < self.mem.regions.stack.base:
+        layout = self.layouts.get(func.name) or self._lower(func)
+        base = self.sp - layout.frame_size
+        if base < self.mem.regions.stack.base:
             raise LimitExceeded("simulated stack exhausted")
         regs = dict(layout.consts)
         regs.update(zip((reg for reg, _ in func.params), args))
-        slots = {reg: new_sp + offset for reg, offset in layout.slots}
-        frame = _Frame(layout, func.entry, body, regs, slots, self.sp, ret_reg)
-        self.sp = new_sp
-        return frame
+        self.sp = base
+        # validate rejects entry-block phis
+        return _Frame(layout, func.entry, layout.blocks[func.entry][0], regs, base, ret_reg)
 
     def _pop_frame(self, frame: _Frame) -> None:
         for base, size, obj_id in reversed(frame.signed):
             self.rt.retire_extent(base, size, obj_id, "stack")
-        self.sp = frame.sp_restore
+        self.sp = frame.base + frame.layout.frame_size
 
     # -- execution --
 
@@ -475,7 +460,7 @@ class Interpreter:
                     continue
                 # A branch: the target's phis all read, then all assign.
                 layout, label = frame.layout, frame.label
-                block = layout.blocks.get(out) or self._block(layout, out)
+                block = layout.blocks[out]
                 body, moves, heat, hot = block
                 if moves:
                     dsts, srcs = moves[label]
@@ -497,7 +482,7 @@ class Interpreter:
                             raise
                         insts += trips * len(body)
                         if out != label:
-                            body, moves, _, _ = layout.blocks.get(out) or self._block(layout, out)
+                            body, moves, _, _ = layout.blocks[out]
                             if moves:
                                 dsts, srcs = moves[label]
                                 regs.update(zip(dsts, [regs[src] for src in srcs]))

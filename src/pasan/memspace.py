@@ -9,6 +9,7 @@ space fits in host memory; untouched pages read as zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import AlignmentError, FaultKind, MemoryFault
 from .pacore import MASK64, AddressConfig
@@ -64,12 +65,14 @@ class MemSpace:
         self.cfg = cfg
         self.regions = regions or RegionMap.default()
         self._pages: dict[int, bytearray] = {}
-        for name in ("globals", "heap", "stack"):
-            region = getattr(self.regions, name)
-            if region.limit > 1 << cfg.msb_bit:
-                raise ValueError(f"{name} region extends past the program half")
-        self._spans = tuple((r.base, r.limit) for r in
-                            (self.regions.globals, self.regions.heap, self.regions.stack))
+        named = [(name, getattr(self.regions, name)) for name in ("globals", "heap", "stack")]
+        for name, region in named:
+            if region.base < 0 or region.limit > 1 << cfg.msb_bit:
+                raise ValueError(f"{name} region lies outside the program half")
+        for (a, ra), (b, rb) in combinations(named, 2):
+            if ra.base < rb.limit and rb.base < ra.limit:
+                raise ValueError(f"{a} and {b} regions overlap")
+        self._spans = tuple((r.base, r.limit) for _, r in named)
         self._shadow_bit = 1 << cfg.msb_bit
         # The mapped-page table: each program page wholly inside one region,
         # the bytearray in _pages, added on creation.  An access that finds

@@ -124,11 +124,6 @@ class Function:
     def entry(self) -> str:
         return next(iter(self.blocks))
 
-    def insts(self):
-        for label, block in self.blocks.items():
-            for idx, inst in enumerate(block):
-                yield label, idx, inst
-
     def successors(self, label: str) -> tuple[str, ...]:
         term = self.blocks[label][-1]
         if term.op == "br":
@@ -666,10 +661,3 @@ class Dominance:
 
     def block_dominates(self, a: str, b: str) -> bool:
         return self.pre[a] <= self.pre[b] < self._end[a]
-
-    def inst_dominates(self, loc_a: tuple[str, int], loc_b: tuple[str, int]) -> bool:
-        """True iff the instruction at loc_a executes before loc_b on
-        every path reaching loc_b.  Within one block this is index
-        order; across blocks it is strict block dominance."""
-        (la, ia), (lb, ib) = loc_a, loc_b
-        return ia < ib if la == lb else self.block_dominates(la, lb)

@@ -261,10 +261,6 @@ def poison(ptr: int, cfg: AddressConfig) -> int:
     return ptr & cfg.clear_mask | cfg.error_field
 
 
-def is_poisoned(ptr: int, cfg: AddressConfig) -> bool:
-    return ptr & cfg.field_mask == cfg.error_field
-
-
 def strip(ptr: int, cfg: AddressConfig) -> int:
     """Clear the signature field and bit 55; address bits untouched."""
     return ptr & cfg.strip_mask

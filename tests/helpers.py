@@ -1,0 +1,47 @@
+"""Queries the tests make of programs, dominance and pointers that no
+part of pasan needs itself: an instruction walk, instruction-level
+dominance, a poisoned-pointer test and the completeness lint over
+instrumented output."""
+from itertools import chain
+
+from pasan.instrument import _analyse, _safe_direct_regs
+
+
+def insts(func):
+    """Every (label, index, instruction) of func, in block order."""
+    for label, block in func.blocks.items():
+        for idx, inst in enumerate(block):
+            yield label, idx, inst
+
+
+def inst_dominates(dom, loc_a, loc_b):
+    """True iff the instruction at loc_a executes before loc_b on every
+    path reaching loc_b.  Within one block this is index order; across
+    blocks it is strict block dominance."""
+    (la, ia), (lb, ib) = loc_a, loc_b
+    return ia < ib if la == lb else dom.block_dominates(la, lb)
+
+
+def is_poisoned(ptr, cfg):
+    return ptr & cfg.field_mask == cfg.error_field
+
+
+def lint_instrumented(prog):
+    """Completeness lint over instrumented output: every load/store
+    address must be either a Safe-object direct access or the result of
+    a check/fastcheck (whose definition dominates the access by SSA
+    validity)."""
+    problems = []
+    roots, global_safety = _analyse(prog)
+    for name, func in prog.functions.items():
+        safe_direct = _safe_direct_regs(roots[name], global_safety)
+        check_results = {inst.result for inst in chain.from_iterable(func.blocks.values())
+                         if inst.op in ("check", "fastcheck")}
+        for label, idx, inst in insts(func):
+            if inst.op in ("load", "store"):
+                addr = inst.args[0]
+                if addr not in safe_direct and addr not in check_results:
+                    problems.append(
+                        f"@{func.name} {label}:{idx}: unchecked access through {addr}"
+                    )
+    return problems

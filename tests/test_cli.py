@@ -1,13 +1,17 @@
 """CLI surface: run/corpus/collide commands, exit codes, JSON schema."""
 import json
 import math
+import os
 import random
 import shutil
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import pasan
 from pasan.cli import _build, main, run_collide, run_corpus
 from pasan.errors import PasanError
 from pasan.interp import Interpreter
@@ -274,14 +278,15 @@ def _calls_while(fn, *args):
 
 def test_compile_visits_each_instruction_once_per_layer():
     # parse, validate, instrument and the passes walk blocks and indexes
-    # themselves: no generator or operand-list helper per instruction,
-    # no instruction-level dominance query, one copy (the passes'), and
-    # a function's entry block is looked up a fixed number of times.
-    never = [Function.insts, Inst.operands, Inst.defs, Dominance.inst_dominates]
+    # themselves: no operand-list helper per instruction, no dominance
+    # query (validate reads the dominator tree's preorder intervals), one
+    # copy (the passes'), and a function's entry block is looked up a
+    # fixed number of times.
+    never = [Inst.operands, Inst.defs, Dominance.block_dominates]
     entries = []
     for blocks in (20, 100):
         calls = _calls_while(_build, straight_line_program(blocks)[0], "all")
-        assert [calls[f.__code__] for f in never] == [0, 0, 0, 0]
+        assert [calls[f.__code__] for f in never] == [0, 0, 0]
         assert calls[Program.copy.__code__] == 1
         entries.append(calls[Function.entry.fget.__code__])
     assert entries[0] == entries[1] <= 8
@@ -419,6 +424,22 @@ def test_error_raised_while_running_exit_2(tmp_path, capsys, monkeypatch, comman
     assert main([command, path if command == "run" else str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: the interpreter gave up\n")
+
+
+def test_globals_past_their_region_exit_2(tmp_path, capsys):
+    # The default globals region holds 64 KiB.
+    assert main(["run", write(tmp_path, "big.ir", "global @g 70000\n" + MAIN)]) == 2
+    assert capsys.readouterr() == ("", "error: globals region exhausted\n")
+
+
+def test_module_runs_main(tmp_path):
+    path = write(tmp_path, "main.ir", MAIN)
+    src = str(Path(pasan.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-m", "pasan.cli", "run", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout.splitlines()[0]) == (0, "completed: exit value 0")
 
 
 def test_corpus_coverage_structure(corpus_dir):

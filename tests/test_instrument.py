@@ -1,13 +1,13 @@
 """Safety classification and the instrumentation rewrite."""
 import pytest
 
+from helpers import insts, lint_instrumented
 from pasan.errors import InstrumentationError
 from pasan.instrument import (
     SafetyClass,
     classify,
     classify_globals,
     instrument,
-    lint_instrumented,
     padded_size,
 )
 from pasan.miniir import format_program, parse, validate
@@ -20,7 +20,7 @@ def build(text):
 
 
 def insts_of(prog, fn="main"):
-    return [inst for _, _, inst in prog.functions[fn].insts()]
+    return [inst for _, _, inst in insts(prog.functions[fn])]
 
 
 def count_op(prog, op, fn=None):
@@ -28,7 +28,7 @@ def count_op(prog, op, fn=None):
     for name, func in prog.functions.items():
         if fn is not None and name != fn:
             continue
-        total += sum(1 for _, _, inst in func.insts() if inst.op == op)
+        total += sum(1 for _, _, inst in insts(func) if inst.op == op)
     return total
 
 
@@ -244,7 +244,7 @@ bb0:
     out = instrument(prog)
     validate(out)
     main = out.functions["main"]
-    ops = [inst for _, _, inst in main.insts()]
+    ops = [inst for _, _, inst in insts(main)]
     alloca = next(i for i in ops if i.op == "alloca")
     assert alloca.args == (12,)  # padded
     sign = next(i for i in ops if i.op == "sign")
@@ -291,6 +291,13 @@ bb0:
         instrument(out)
 
 
+def test_call_to_undeclared_callee_rejected():
+    # validate rejects this program first; instrument guards on its own.
+    prog = parse("func @main() -> i32 {\nbb0:\n  %r = call @nope()\n  ret %r\n}\n")
+    with pytest.raises(InstrumentationError, match="undeclared function @nope"):
+        instrument(prog)
+
+
 def test_external_call_strips_and_resigns():
     prog = build("""\
 extern @ext_id(ptr) -> ptr
@@ -306,7 +313,7 @@ bb0:
 """)
     out = instrument(prog)
     validate(out)
-    ops = [inst for _, _, inst in out.functions["main"].insts()]
+    ops = [inst for _, _, inst in insts(out.functions["main"])]
     strip_inst = next(i for i in ops if i.op == "stripcall")
     call = next(i for i in ops if i.op == "call" and i.callee == "ext_id")
     resign = next(i for i in ops if i.op == "resign")
@@ -331,7 +338,7 @@ bb0:
 }
 """)
     out = instrument(prog)
-    call = next(i for _, _, i in out.functions["main"].insts()
+    call = next(i for _, _, i in insts(out.functions["main"])
                 if i.op == "call" and i.callee == "__pa_memcpy")
     assert call.args == ("%d", "%s", "%n")
     assert count_op(out, "stripcall") == 0
@@ -351,7 +358,7 @@ bb0:
 }
 """)
     out = instrument(prog)
-    calls = [i for _, _, i in out.functions["main"].insts() if i.op == "call"]
+    calls = [i for _, _, i in insts(out.functions["main"]) if i.op == "call"]
     assert any(i.callee == "memcpy" for i in calls)
     assert count_op(out, "stripcall") == 1  # treated as plain external
 

@@ -5,8 +5,9 @@ import tracemalloc
 
 import pytest
 
+from helpers import insts
 from pasan import pacore
-from pasan.errors import LimitExceeded
+from pasan.errors import LimitExceeded, PasanError
 from pasan.instrument import instrument
 from pasan.interp import Interpreter, Limits, run, run_unoptimized_oracle
 from pasan.miniir import parse, validate
@@ -198,6 +199,87 @@ bb0:
     validate(prog)
     with pytest.raises(LimitExceeded):
         run(prog, CFG, seed=0, limits=Limits(stack_bytes=1 << 12))
+
+
+# Under a 1 GiB heap, which would reach into the stack, the second block's
+# +240 is the alloca's slot: unchecked, the program would return 99, not 7.
+HEAP_INTO_STACK = """\
+func @main() -> i32 {
+bb0:
+  %a = alloca 16
+  %seven = const.i32 7
+  store.i32 %a, %seven
+  %big = const.i64 536870656
+  %p = malloc %big
+  %n = const.i64 256
+  %q = malloc %n
+  %at = gep %q, 240
+  %v = const.i32 99
+  store.i32 %at, %v
+  %r = load.i32 %a
+  ret %r
+}
+"""
+
+
+@pytest.mark.parametrize("opts", [None, "none", "all"])
+def test_limits_that_overlap_regions_are_rejected(opts):
+    prog = parse(HEAP_INTO_STACK)
+    validate(prog)
+    if opts:
+        prog = run_passes(instrument(prog), opts)
+    with pytest.raises(ValueError, match="heap and stack regions overlap"):
+        run(prog, CFG, seed=0, limits=Limits(heap_bytes=1 << 30))
+    with pytest.raises(ValueError, match="stack region lies outside the program half"):
+        run(prog, CFG, seed=0, limits=Limits(stack_bytes=1 << 30))
+
+
+def test_a_function_is_lowered_whole_at_its_first_call():
+    prog = build("""\
+func @twice(%x: i32) -> i32 {
+bb0:
+  %y = add.i32 %x, %x
+  ret %y
+}
+
+func @main() -> i32 {
+bb0:
+  %one = const.i32 1
+  %a = call @twice(%one)
+  %b = call @twice(%a)
+  cbr %b, done, never
+never:
+  %z = const.i32 0
+  br done
+done:
+  %r = phi [bb0: %b], [never: %z]
+  ret %r
+}
+""")
+    it = Interpreter(prog, CFG, seed=0)
+    result = it.run()
+    assert (result.verdict, result.exit_value) == ("completed", 4)
+    for name, func in prog.functions.items():
+        assert list(it.layouts[name].blocks) == list(func.blocks)
+
+
+def test_an_op_without_a_handler_fails_at_the_first_call():
+    # The op sits in a block that never runs.
+    prog = build("""\
+func @main() -> i32 {
+bb0:
+  %z = const.i32 0
+  cbr %z, dead, done
+dead:
+  %d = const.i32 1
+  br done
+done:
+  ret %z
+}
+""")
+    prog.functions["main"].blocks["dead"][0].op = "bogus"
+    with pytest.raises(PasanError, match="interpreter cannot execute op 'bogus'"):
+        run(prog, CFG, seed=0)
 
 
 def test_raw_program_runs_unchecked():
@@ -414,7 +496,7 @@ def test_external_peek_reads_back_a_poke_and_faults_off_the_map(mode):
     assert report.pointer == 0x1000_0000 + (1 << 28)
     assert report.found_id == 0
     assert report.narrative == "raw access fault: Unmapped"
-    faulting = [inst for _, _, inst in prog.functions["main"].insts()][report.inst_index]
+    faulting = [inst for _, _, inst in insts(prog.functions["main"])][report.inst_index]
     assert faulting.op == "call" and faulting.callee == "ext_peek"
 
 

@@ -167,6 +167,25 @@ def test_region_of():
     assert mem.region_of(0x7000_0000) is None
 
 
+def test_regions_lie_in_the_program_half_and_do_not_overlap():
+    cfg, top = AddressConfig(33), 1 << 32
+    heap = Region(HEAP_BASE, 128)
+    cases = [
+        (Region(HEAP_BASE - 256, 256), heap, Region(top - 64, 128),
+         "stack region lies outside the program half"),
+        (Region(-16, 32), heap, Region(top - 64, 64), "globals region lies outside"),
+        (Region(HEAP_BASE - 256, 257), heap, Region(top - 64, 64),
+         "globals and heap regions overlap"),
+        (Region(HEAP_BASE - 256, 256), heap, Region(HEAP_BASE + 64, 64),
+         "heap and stack regions overlap"),
+    ]
+    for *regions, message in cases:
+        with pytest.raises(ValueError, match=message):
+            MemSpace(cfg, RegionMap(*regions))
+    # Abutting regions, the stack ending at the top of the program half.
+    MemSpace(cfg, RegionMap(Region(HEAP_BASE - 256, 256), heap, Region(top - 64, 64)))
+
+
 def fault_of(vet, addr, length):
     """(kind, address) of the fault vetting [addr, addr+length) raises."""
     try:

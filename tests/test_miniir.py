@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import inst_dominates, insts
 from pasan.errors import ParseError, ValidationError
 from pasan.interp import _HANDLERS
 from pasan.miniir import (
@@ -220,6 +221,14 @@ def test_main_required_and_shape():
             "func @main(%a: i32) -> i32 {\nbb0:\n  ret %a\n}\n"))
 
 
+def test_function_without_blocks_rejected():
+    # parse rejects such a function; validate guards built programs too.
+    prog = parse(MINIMAL)
+    prog.functions["f"] = Function("f", [], "i32")
+    with pytest.raises(ValidationError, match="@f: no blocks"):
+        validate(prog)
+
+
 def test_reserved_prefix_rejected():
     text = "func @__pa_thing() -> i32 {\nbb0:\n  %z = const.i32 0\n  ret %z\n}\n" + MINIMAL
     with pytest.raises(ValidationError, match="reserved"):
@@ -352,8 +361,8 @@ def test_dominance_straight_line():
     dom = Dominance(f)
     for i in range(4):
         for j in range(i + 1, 5):
-            assert dom.inst_dominates(("bb0", i), ("bb0", j))
-            assert not dom.inst_dominates(("bb0", j), ("bb0", i))
+            assert inst_dominates(dom, ("bb0", i), ("bb0", j))
+            assert not inst_dominates(dom, ("bb0", j), ("bb0", i))
 
 
 def _diamond() -> Function:
@@ -465,7 +474,7 @@ def _may_free(prog: Program, func: Function, loc_a, loc_b) -> bool:
     dominates, pass an instruction that may free?  Asked of the cover
     search: a probe check placed after loc_a leaves one placed at loc_b
     uncovered."""
-    assert Dominance(func).inst_dominates(loc_a, loc_b)
+    assert inst_dominates(Dominance(func), loc_a, loc_b)
     (la, ia), (lb, ib) = loc_a, loc_b
     probe_a, probe_b = (Inst("check", result=reg, width=8, args=("%probe",))
                         for reg in ("%probe_a", "%probe_b"))
@@ -480,7 +489,7 @@ def _may_free(prog: Program, func: Function, loc_a, loc_b) -> bool:
 
 def _loc_of(func: Function, op: str, nth: int = 0) -> tuple[str, int]:
     count = 0
-    for label, idx, inst in func.insts():
+    for label, idx, inst in insts(func):
         if inst.op == op:
             if count == nth:
                 return label, idx
@@ -679,7 +688,7 @@ def test_dominance_matches_set_oracle(func):
     for a in func.blocks:
         for b in func.blocks:
             assert dom.block_dominates(a, b) == oracle.block_dominates(a, b), (a, b)
-    positions = [(label, idx) for label, idx, _ in func.insts()]
+    positions = [(label, idx) for label, idx, _ in insts(func)]
     for x in positions:
         for y in positions:
-            assert dom.inst_dominates(x, y) == oracle.inst_dominates(x, y), (x, y)
+            assert inst_dominates(dom, x, y) == oracle.inst_dominates(x, y), (x, y)

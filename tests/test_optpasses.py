@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import insts, lint_instrumented
 from pasan import miniir, optpasses
-from pasan.instrument import instrument, lint_instrumented
+from pasan.errors import InstrumentationError
+from pasan.instrument import instrument
 from pasan.interp import run
 from pasan.miniir import Function, Inst, Program, format_program, parse, validate
 from pasan.optpasses import (
@@ -38,6 +40,11 @@ bb0:
   ret %a
 }
 """
+
+
+def test_unknown_selection_rejected():
+    with pytest.raises(InstrumentationError, match="unknown optimization selection 'bogus'"):
+        run_passes(build(TWO_LOADS), "bogus")
 
 
 def test_consecutive_same_register_checks_collapse():
@@ -306,7 +313,7 @@ class _OracleFreeFacts:
 
     def __init__(self, func: Function, frees):
         self.frees: dict = {}
-        for label, idx, inst in func.insts():
+        for label, idx, inst in insts(func):
             if frees(inst):
                 self.frees.setdefault(label, []).append(idx)
         self.reach = {}
@@ -340,7 +347,7 @@ def _scan_covered_checks(func, frees, group_key):
     every kept check of its group, nearest first."""
     rpo = {label: i for i, label in enumerate(_oracle_rpo(func))}
     by_key = {}
-    for label, idx, inst in func.insts():
+    for label, idx, inst in insts(func):
         if inst.op == "check":
             by_key.setdefault(group_key(inst), []).append(((label, idx), inst))
     dom = _OracleDominance(func)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_poisoned
 from pasan import pacore
 from pasan.errors import PreconditionViolated
 from pasan.pacore import (
@@ -15,7 +16,6 @@ from pasan.pacore import (
     _siphash_words,
     compute_pac,
     error_pattern,
-    is_poisoned,
     lock_bits,
     modifier_for,
     pac_auth,
@@ -108,6 +108,13 @@ def test_config_bounds():
         AddressConfig(47, p_override=17)
     assert AddressConfig(47, p_override=8).effective_p == 8
     assert AddressConfig(47, p_override=16).effective_p == 16
+
+
+def test_key_must_be_128_bits():
+    for key in (-1, 1 << 128):
+        with pytest.raises(ValueError, match="128-bit"):
+            PacKey(key)
+    assert PacKey((1 << 128) - 1).k1 == MASK64
 
 
 def test_prf_input_width_exceeds_pac_width():

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from helpers import is_poisoned
 from pasan.errors import LimitExceeded
 from pasan.memspace import MemSpace, RegionMap
 from pasan.pacore import (
     AddressConfig,
     PacKey,
-    is_poisoned,
     lock_bits,
     pac_field,
     strip,
