@@ -130,7 +130,8 @@ def instrument(prog: Program) -> Program:
     out = Program([GlobalDef(g.symbol, g.size, not global_safety[g.symbol].safe)
                    for g in prog.globals], dict(prog.externs), {}, True, prog.next_uid)
     for name, func in prog.functions.items():
-        out.functions[name] = _instrument_function(out, func, roots[name], global_safety)
+        out.functions[name] = _instrument_function(prog, func, roots[name], global_safety,
+                                                   out.new_uid)
 
     main = out.functions["main"]
     gppt_setup = [Inst("gpptinit", args=(f"@{g.symbol}",), uid=out.new_uid())
@@ -141,8 +142,8 @@ def instrument(prog: Program) -> Program:
 
 
 def _instrument_function(prog: Program, func: Function, roots: _Roots,
-                         global_safety: dict[str, SafetyClass]) -> Function:
-    """func's instrumented copy, each instruction copied as the rewrite visits it."""
+                         global_safety: dict[str, SafetyClass], new_uid) -> Function:
+    """func's instrumented copy, sharing each instruction it leaves as it is."""
     namer = None
 
     def fresh(base: str) -> str:  # the Namer is built at the first fresh name
@@ -164,33 +165,31 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
     blocks: dict[str, list[Inst]] = {}
     for label, block in func.blocks.items():
         blocks[label] = new_block = []
-        for inst in block:
-            inst = inst.copy()
-            if rename:
-                inst.args = tuple(map(rename.get, inst.args, inst.args))
-                inst.incomings = tuple((lbl, rename.get(v, v)) for lbl, v in inst.incomings)
+        for src in block:
+            inst = src.renamed(rename) if rename else src
             op = inst.op
-            if op == "alloca":
-                new_block.append(inst)
-                if inst.result in sign_after:
-                    alias, padded = sign_after[inst.result]
-                    inst.args = (padded,)
-                    new_block.append(Inst("sign", result=alias,
-                                          args=(inst.result, padded), uid=prog.new_uid()))
+            if op == "alloca" and inst.result in sign_after:  # its size is never renamed
+                alias, padded = sign_after[inst.result]
+                inst = inst.copy()
+                inst.args = (padded,)
+                new_block += inst, Inst("sign", result=alias, args=(inst.result, padded),
+                                        uid=new_uid())
                 continue
             if op in ("load", "store"):
                 addr = inst.args[0]
                 if addr not in safe_direct:
                     raw = fresh("%chk")
                     new_block.append(Inst("check", result=raw, width=inst.width,
-                                          args=(addr,), uid=prog.new_uid()))
+                                          args=(addr,), uid=new_uid()))
+                    inst = inst.copy() if inst is src else inst
                     inst.args = (raw,) + inst.args[1:]
                 new_block.append(inst)
                 continue
             if op in ("malloc", "free"):
+                inst = inst.copy() if inst is src else inst
                 inst.op, inst.callee = "call", RT_MALLOC if op == "malloc" else RT_FREE
-            elif op == "call":
-                new_block.extend(_instrument_call(prog, inst, fresh))
+            elif op == "call" and inst.callee not in prog.functions:
+                new_block += _instrument_call(prog, inst, inst is not src, fresh, new_uid)
                 continue
             new_block.append(inst)
     return Function(func.name, list(func.params), func.ret, blocks)
@@ -203,14 +202,18 @@ def wraps_builtin(ext: ExternDecl) -> bool:
     return wrapper is not None and (ext.params, ext.ret) == BUILTIN_SIGS[wrapper]
 
 
-def _instrument_call(prog: Program, inst: Inst, fresh) -> list[Inst]:
+def _instrument_call(prog: Program, inst: Inst, owned: bool, fresh, new_uid) -> list[Inst]:
+    """What replaces inst, a call to a function prog does not define; inst
+    is copied before a field is set unless it is `owned`, this stage's copy."""
     callee = inst.callee
-    if callee in prog.functions:
-        return [inst]
     ext = prog.externs.get(callee)
     if ext is None:
         raise InstrumentationError(f"call to undeclared function @{callee}")
-    if wraps_builtin(ext):
+    wrapped = wraps_builtin(ext)
+    if not (wrapped or "ptr" in ext.params or ext.ret == "ptr" and inst.result is not None):
+        return [inst]  # no pointer crosses the boundary
+    inst = inst if owned else inst.copy()
+    if wrapped:
         # Known builtin: route through the checking wrapper, signed
         # pointers and all; the wrapper returns pointers as received.
         inst.callee = WRAPPED_EXTERNS[callee]
@@ -223,14 +226,14 @@ def _instrument_call(prog: Program, inst: Inst, fresh) -> list[Inst]:
         if ty == "ptr":
             stripped = fresh("%ext")
             emitted.append(Inst("stripcall", result=stripped, args=(arg,),
-                                uid=prog.new_uid()))
+                                uid=new_uid()))
             new_args.append(stripped)
         else:
             new_args.append(arg)
     inst.args = tuple(new_args)
     if ext.ret == "ptr" and inst.result is not None:
         raw_result = fresh(inst.result + ".x")
-        resign = Inst("resign", result=inst.result, args=(raw_result,), uid=prog.new_uid())
+        resign = Inst("resign", result=inst.result, args=(raw_result,), uid=new_uid())
         inst.result = raw_result
         emitted.extend([inst, resign])
     else:

@@ -1,5 +1,5 @@
 """Small SSA intermediate representation: textual format, parser,
-printer, validator, structural copy and dominance.
+printer, validator and dominance.
 
 The format is line-oriented; `;` starts a comment.  Programs consist of
 `global` definitions, `extern` declarations, and `func` bodies made of
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, count
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
 
@@ -98,6 +98,16 @@ class Inst:
         return Inst(self.op, self.result, self.result2, self.ty, self.width,
                     self.args, self.incomings, self.callee, self.uid)
 
+    def renamed(self, subst: dict) -> Inst:
+        """Itself if subst holds none of its operands, else a copy with
+        each operand in subst replaced by its image."""
+        if subst.keys().isdisjoint(chain(self.args, (v for _, v in self.incomings))):
+            return self
+        inst = self.copy()
+        inst.args = tuple(map(subst.get, self.args, self.args))
+        inst.incomings = tuple((lbl, subst.get(v, v)) for lbl, v in self.incomings)
+        return inst
+
 
 @dataclass
 class GlobalDef:
@@ -152,21 +162,6 @@ class Program:
         uid = self.next_uid
         self.next_uid += 1
         return uid
-
-    def copy(self) -> Program:
-        """A copy that a pass may rewrite without touching this program:
-        new functions, block dicts and lists, instructions and globals.
-        Extern declarations are never mutated, so they are shared."""
-        return Program(
-            [replace(g) for g in self.globals],
-            dict(self.externs),
-            {name: Function(f.name, list(f.params), f.ret,
-                            {label: [inst.copy() for inst in block]
-                             for label, block in f.blocks.items()})
-             for name, f in self.functions.items()},
-            self.instrumented,
-            self.next_uid,
-        )
 
 
 class Namer:
@@ -511,7 +506,7 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
     # Walk 2: operand types; phi arms and defs dominating uses.  A def in
     # another block dominates a use in the preorder interval of its block
     # on the dominator tree (the DFS numbers LLVM's DomTree answers from).
-    pre, end = dom.pre, dom._end
+    pre, end = dom.pre, dom.end
     for label, block in func.blocks.items():
         here = pre[label]
         for idx, inst in enumerate(block):
@@ -617,10 +612,9 @@ def reverse_postorder(func: Function) -> list[str]:
 class Dominance:
     """Immediate dominators, from each block's `preds`, by Cooper, Harvey
     and Kennedy's iterative algorithm over reverse post-order ("A Simple,
-    Fast Dominance Algorithm", 2001).  Block dominance is answered from
-    preorder intervals on the dominator tree; instruction-level queries
-    take (block, index) positions of blocks reachable from the entry,
-    which validate requires of every block."""
+    Fast Dominance Algorithm", 2001).  Block a dominates block b iff
+    pre[a] <= pre[b] < end[a]: the preorder interval of a on the
+    dominator tree holds exactly the blocks a dominates."""
 
     def __init__(self, func: Function):
         order = reverse_postorder(func)
@@ -657,7 +651,4 @@ class Dominance:
             slot[idom[b]] += size[b]
             slot[b] = pre[b] + 1
         self.pre = {label: pre[b] for b, label in enumerate(order)}
-        self._end = {label: pre[b] + size[b] for b, label in enumerate(order)}
-
-    def block_dominates(self, a: str, b: str) -> bool:
-        return self.pre[a] <= self.pre[b] < self._end[a]
+        self.end = {label: pre[b] + size[b] for b, label in enumerate(order)}

@@ -22,35 +22,35 @@ PASS_SETS = {
 
 
 def run_passes(prog: Program, opts: str) -> Program:
-    """Run the selected passes in order on one copy of prog (prog itself
-    if none is selected).  "redundant" deletes a check that one of the
-    same register and width covers and rewires its results to the cover;
-    "samelock" downgrades a check that one of the same gep root covers to
-    a fast check against the id the cover observed.  No pass adds a free,
-    so the freeing functions are computed once."""
+    """Run the selected passes in order into a new program that shares
+    each instruction they leave as it is (prog itself if none is
+    selected).  "redundant" deletes a check that one of the same register
+    and width covers and rewires its results to the cover; "samelock"
+    downgrades a check that one of the same gep root covers to a fast
+    check against the id the cover observed.  No pass adds a free, so
+    the freeing functions are computed once, from prog."""
     if opts not in PASS_SETS:
         raise InstrumentationError(f"unknown optimization selection {opts!r}")
     passes = PASS_SETS[opts]
     if not passes:
         return prog
-    out = prog.copy()
-    freeing = functions_may_free(out)
-    for func in out.functions.values():
+    out = Program(list(prog.globals), dict(prog.externs), {}, prog.instrumented, prog.next_uid)
+    freeing = functions_may_free(prog)
+    for name, src in prog.functions.items():
+        blocks = {label: list(block) for label, block in src.blocks.items()}
+        func = out.functions[name] = Function(src.name, list(src.params), src.ret, blocks)
         flow = []  # no pass changes the CFG: both share its order and predecessors
         if "redundant" in passes:
             subst = {
-                inst.result: cover.result
-                for _, inst, cover in _covered_checks(
-                    out, func, freeing, lambda inst: (inst.args[0], inst.width), flow)
+                inst.result: blocks[label][idx].result
+                for _, inst, (label, idx) in _covered_checks(
+                    prog, func, freeing, lambda inst: (inst.args[0], inst.width), flow)
             }
             if subst:
-                for label, block in func.blocks.items():
-                    func.blocks[label] = [inst for inst in block if inst.result not in subst]
-                for inst in chain.from_iterable(func.blocks.values()):
-                    inst.args = tuple(map(subst.get, inst.args, inst.args))
-                    inst.incomings = tuple((lbl, subst.get(v, v)) for lbl, v in inst.incomings)
+                for label, block in blocks.items():
+                    blocks[label] = [i.renamed(subst) for i in block if i.result not in subst]
         if "samelock" in passes:
-            geps = {inst.result: inst.args[0] for inst in chain.from_iterable(func.blocks.values())
+            geps = {inst.result: inst.args[0] for inst in chain.from_iterable(blocks.values())
                     if inst.op == "gep"}
 
             def gep_root(inst: Inst) -> str:
@@ -60,16 +60,19 @@ def run_passes(prog: Program, opts: str) -> Program:
                 return reg
 
             namer = None
-            for _, inst, cover in _covered_checks(out, func, freeing, gep_root, flow):
-                if cover.result2 is None:
+            for (lb, i), inst, (cl, ci) in _covered_checks(prog, func, freeing, gep_root, flow):
+                cover = blocks[cl][ci]
+                if cover.result2 is None:  # the cover's copy takes its place
+                    cover = blocks[cl][ci] = cover.copy()
                     namer = namer or Namer(func)
                     cover.result2 = namer.fresh("%tk")
-                inst.op, inst.args = "fastcheck", (inst.args[0], cover.result2, cover.args[0])
+                fast = blocks[lb][i] = inst.copy()
+                fast.op, fast.args = "fastcheck", (inst.args[0], cover.result2, cover.args[0])
     return out
 
 
 def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key, flow: list):
-    """Yield (loc, check, cover) for each check of func that a kept check
+    """Yield (loc, check, cover loc) for each check of func that a kept check
     of the same group (by group_key(check)) dominates with no
     possibly-freeing instruction on any path between them.  A check
     holding a token is never covered: a fast check elsewhere reads that
@@ -151,8 +154,7 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key,
             inst = func.blocks[label][loc[1]]
             avail = done & ~freed & kept & mask[loc]
             if inst.result2 is None and avail:
-                cover = locs[avail.bit_length() - 1]
-                covers[loc] = func.blocks[cover[0]][cover[1]]
+                covers[loc] = locs[avail.bit_length() - 1]
             else:
                 kept |= bit[loc]
             done |= bit[loc]

@@ -115,13 +115,6 @@ def with_pac_field(ptr: int, value: int, cfg: AddressConfig) -> int:
         | ((value >> cfg.lo_bits) & cfg.hi_mask) << 56
 
 
-def lock_bits(ptr: int, cfg: AddressConfig) -> int:
-    """Everything above the in-object offset bits: address MSB, reserved
-    bit, and the full signature region.  Legal derivation never changes
-    these, so equality here is the fast-path identity test."""
-    return ptr >> cfg.msb_bit
-
-
 def error_pattern(cfg: AddressConfig) -> int:
     """Field value written on failed authentication: nonzero for every
     legal width, and distinctive for diagnostics."""

@@ -324,7 +324,7 @@ class SanitizerRuntime:
         self.stats.checks_fast += 1
         cfg = self.cfg
         raw = ptr & cfg.strip_mask
-        # pacore.lock_bits: every bit from the address MSB up
+        # the lock bits: every bit from the address MSB up, which derivation keeps
         if ptr >> cfg.msb_bit != base >> cfg.msb_bit:
             self._raise(ViolationKind.SPATIAL_OOB, ptr, self.mem.id_at(raw),
                         "derivation altered non-offset pointer bits")

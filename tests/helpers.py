@@ -1,7 +1,7 @@
 """Queries the tests make of programs, dominance and pointers that no
-part of pasan needs itself: an instruction walk, instruction-level
-dominance, a poisoned-pointer test and the completeness lint over
-instrumented output."""
+part of pasan needs itself: an instruction walk, block and
+instruction-level dominance, a pointer's lock bits, a poisoned-pointer
+test and the completeness lint over instrumented output."""
 from itertools import chain
 
 from pasan.instrument import _analyse, _safe_direct_regs
@@ -14,12 +14,25 @@ def insts(func):
             yield label, idx, inst
 
 
+def block_dominates(dom, a, b):
+    """True iff block a dominates block b: b lies in a's preorder
+    interval on the dominator tree."""
+    return dom.pre[a] <= dom.pre[b] < dom.end[a]
+
+
 def inst_dominates(dom, loc_a, loc_b):
     """True iff the instruction at loc_a executes before loc_b on every
     path reaching loc_b.  Within one block this is index order; across
     blocks it is strict block dominance."""
     (la, ia), (lb, ib) = loc_a, loc_b
-    return ia < ib if la == lb else dom.block_dominates(la, lb)
+    return ia < ib if la == lb else block_dominates(dom, la, lb)
+
+
+def lock_bits(ptr, cfg):
+    """Everything above the in-object offset bits: address MSB, reserved
+    bit, and the full signature region.  Legal derivation never changes
+    these, so equality here is the fast-path identity test."""
+    return ptr >> cfg.msb_bit
 
 
 def is_poisoned(ptr, cfg):

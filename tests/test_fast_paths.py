@@ -19,6 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from helpers import lock_bits
 from pasan import runtime as runtime_module
 from pasan.errors import AlignmentError, LimitExceeded, MemoryFault, PreconditionViolated
 from pasan.interp import Interpreter
@@ -30,7 +31,6 @@ from pasan.pacore import (
     PacKey,
     _mac,
     compute_pac,
-    lock_bits,
     modifier_for,
     pac_auth,
     pac_field,

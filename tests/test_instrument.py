@@ -10,7 +10,10 @@ from pasan.instrument import (
     instrument,
     padded_size,
 )
+from pasan.interp import run, run_unoptimized_oracle
 from pasan.miniir import format_program, parse, validate
+from pasan.optpasses import run_passes
+from pasan.pacore import AddressConfig
 
 
 def build(text):
@@ -398,3 +401,142 @@ def test_emit_round_trips(corpus_dir):
         again = parse(text)
         validate(again)
         assert format_program(again) == text
+
+
+# Calls to a function defined later in the file: @main calling one
+# defined after it, a function calling itself, and two calling each
+# other.  Each program's exit value.
+LATER_CALLEES = {
+    "forward": ("""\
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 4
+  %p = malloc %sz
+  %r = call @seven(%p)
+  free %p
+  ret %r
+}
+
+func @seven(%p: ptr) -> i32 {
+bb0:
+  %v = const.i32 7
+  store.i32 %p, %v
+  %r = load.i32 %p
+  ret %r
+}
+""", 7),
+    "self": ("""\
+func @sum(%p: ptr, %n: i32) -> i32 {
+bb0:
+  cbr %n, bb1, bb2
+bb1:
+  %one = const.i32 1
+  %m = sub.i32 %n, %one
+  %r = call @sum(%p, %m)
+  %v = load.i32 %p
+  %s = add.i32 %r, %v
+  ret %s
+bb2:
+  %z = const.i32 0
+  ret %z
+}
+
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 4
+  %p = malloc %sz
+  %v = const.i32 3
+  store.i32 %p, %v
+  %n = const.i32 4
+  %r = call @sum(%p, %n)
+  free %p
+  ret %r
+}
+""", 12),
+    "mutual": ("""\
+func @odd(%p: ptr) -> i32 {
+bb0:
+  %n = load.i32 %p
+  cbr %n, bb1, bb2
+bb1:
+  %one = const.i32 1
+  %m = sub.i32 %n, %one
+  store.i32 %p, %m
+  %r = call @even(%p)
+  ret %r
+bb2:
+  %z = const.i32 0
+  ret %z
+}
+
+func @even(%p: ptr) -> i32 {
+bb0:
+  %n = load.i32 %p
+  cbr %n, bb1, bb2
+bb1:
+  %one = const.i32 1
+  %m = sub.i32 %n, %one
+  store.i32 %p, %m
+  %r = call @odd(%p)
+  ret %r
+bb2:
+  %t = const.i32 1
+  ret %t
+}
+
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 4
+  %p = malloc %sz
+  %n = const.i32 5
+  store.i32 %p, %n
+  %r = call @odd(%p)
+  free %p
+  ret %r
+}
+""", 1),
+}
+
+# @main frees through a function defined after it, then loads: the call
+# may free, so no pass may let the store's check cover the load
+FORWARD_FREE = """\
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 4
+  %p = malloc %sz
+  %v = const.i32 3
+  store.i32 %p, %v
+  %r = call @drop(%p)
+  %x = load.i32 %p
+  ret %x
+}
+
+func @drop(%h: ptr) -> i32 {
+bb0:
+  free %h
+  %z = const.i32 0
+  ret %z
+}
+"""
+
+
+def _every_mode(source):
+    """source run raw, instrumented under none and all, and under the oracle."""
+    cfg = AddressConfig(47)
+    return [run(source, cfg), *(run(run_passes(instrument(source), opts), cfg)
+                                 for opts in ("none", "all")),
+            run_unoptimized_oracle(source, cfg)]
+
+
+@pytest.mark.parametrize("name", sorted(LATER_CALLEES))
+def test_calls_to_later_functions_run_alike_in_every_mode(name):
+    text, exit_value = LATER_CALLEES[name]
+    results = _every_mode(build(text))
+    assert [(r.verdict, r.exit_value) for r in results] == [("completed", exit_value)] * 4
+
+
+def test_a_free_through_a_later_function_is_seen_by_every_checked_mode():
+    _, *checked = _every_mode(build(FORWARD_FREE))
+    assert [(r.verdict, r.report.kind.value) for r in checked] == \
+        [("violation", "UseAfterFree")] * 3
+    assert len({r.report.inst_uid for r in checked}) == 1

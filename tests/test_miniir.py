@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import inst_dominates, insts
+from helpers import block_dominates, inst_dominates, insts
 from pasan.errors import ParseError, ValidationError
 from pasan.interp import _HANDLERS
 from pasan.miniir import (
@@ -315,21 +315,21 @@ def test_function_types_is_linear_in_a_phi_chain():
     assert all(types[f"%p{i}"] == "i32" for i in range(1, 4001))
 
 
-def test_program_copy_equals_its_source_and_shares_its_externs(corpus_dir):
-    # that the copy shares no mutable object is tested with the passes
-    for path in sorted(corpus_dir.glob("*.ir")):
-        prog = parse(path.read_text())
-        for g in prog.globals:
-            g.unsafe = True  # a filled classification slot must be copied too
-        out = prog.copy()
-        assert out == prog, path.name  # dataclass equality: every field, uid included
-        assert all(a is b for a, b in zip(out.externs.values(), prog.externs.values()))
-
-
 def test_inst_copy_keeps_every_field():
     inst = Inst("check", result="%c", result2="%t", ty="ptr", width=8, args=("%p",),
                 incomings=(("bb0", "%q"),), callee="f", uid=7)
     assert inst.copy() == inst and inst.copy() is not inst
+
+
+def test_renamed_copies_only_an_instruction_it_changes():
+    phi = Inst("phi", result="%x", incomings=(("bb0", "%a"), ("bb1", 1)), uid=3)
+    call = Inst("call", result="%r", args=("%a", 2), callee="f", uid=4)
+    assert phi.renamed({"%b": "%c"}) is phi and call.renamed({"%x": "%a"}) is call
+    assert phi.renamed({"%a": "%b"}) == Inst("phi", result="%x", uid=3,
+                                             incomings=(("bb0", "%b"), ("bb1", 1)))
+    assert call.renamed({"%a": "%b"}) == Inst("call", result="%r", args=("%b", 2), callee="f",
+                                              uid=4)
+    assert phi.incomings == (("bb0", "%a"), ("bb1", 1)) and call.args == ("%a", 2)
 
 
 def test_namer_skips_defined_names_and_resumes():
@@ -378,9 +378,9 @@ def _diamond() -> Function:
 
 def test_dominance_diamond():
     dom = Dominance(_diamond())
-    assert dom.block_dominates("bb0", "bb3")
-    assert not dom.block_dominates("bb1", "bb3")
-    assert not dom.block_dominates("bb2", "bb3")
+    assert block_dominates(dom, "bb0", "bb3")
+    assert not block_dominates(dom, "bb1", "bb3")
+    assert not block_dominates(dom, "bb2", "bb3")
 
 
 def _loop() -> Function:
@@ -396,9 +396,9 @@ def _loop() -> Function:
 
 def test_dominance_loop():
     dom = Dominance(_loop())
-    assert dom.block_dominates("bb1", "bb2")  # header dominates body
-    assert dom.block_dominates("bb1", "bb3")
-    assert not dom.block_dominates("bb2", "bb3")
+    assert block_dominates(dom, "bb1", "bb2")  # header dominates body
+    assert block_dominates(dom, "bb1", "bb3")
+    assert not block_dominates(dom, "bb2", "bb3")
 
 
 @st.composite
@@ -443,7 +443,7 @@ def test_dominance_matches_reachability_oracle(func):
     labels = list(func.blocks)
     for a in labels:
         for b in labels:
-            assert dom.block_dominates(a, b) == _oracle_dominates(func, a, b)
+            assert block_dominates(dom, a, b) == _oracle_dominates(func, a, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -452,13 +452,13 @@ def test_dominance_order_properties(func):
     dom = Dominance(func)
     labels = list(func.blocks)
     for a in labels:
-        assert dom.block_dominates(a, a)
+        assert block_dominates(dom, a, a)
         for b in labels:
-            if a != b and dom.block_dominates(a, b):
-                assert not dom.block_dominates(b, a) or a == b
+            if a != b and block_dominates(dom, a, b):
+                assert not block_dominates(dom, b, a) or a == b
             for c in labels:
-                if dom.block_dominates(a, b) and dom.block_dominates(b, c):
-                    assert dom.block_dominates(a, c)
+                if block_dominates(dom, a, b) and block_dominates(dom, b, c):
+                    assert block_dominates(dom, a, c)
 
 
 # ---------------------------------------------------------------- may-free
@@ -482,9 +482,11 @@ def _may_free(prog: Program, func: Function, loc_a, loc_b) -> bool:
                       {label: list(block) for label, block in func.blocks.items()})
     probed.blocks[lb].insert(ib, probe_b)
     probed.blocks[la].insert(ia + 1, probe_a)
-    covers = _covered_checks(prog, probed, functions_may_free(prog),
-                             lambda inst: (inst.args[0], inst.width), [])
-    return not any(inst is probe_b for _, inst, _ in covers)
+    covers = {loc: cover for loc, _, cover in _covered_checks(
+        prog, probed, functions_may_free(prog), lambda inst: (inst.args[0], inst.width), [])}
+    at_a, at_b = ((label, probed.blocks[label].index(probe))
+                  for probe, label in ((probe_a, la), (probe_b, lb)))
+    return covers.get(at_b) != at_a
 
 
 def _loc_of(func: Function, op: str, nth: int = 0) -> tuple[str, int]:
@@ -687,7 +689,7 @@ def test_dominance_matches_set_oracle(func):
     dom, oracle = Dominance(func), _OracleDominance(func)
     for a in func.blocks:
         for b in func.blocks:
-            assert dom.block_dominates(a, b) == oracle.block_dominates(a, b), (a, b)
+            assert block_dominates(dom, a, b) == oracle.block_dominates(a, b), (a, b)
     positions = [(label, idx) for label, idx, _ in insts(func)]
     for x in positions:
         for y in positions:

@@ -1,5 +1,6 @@
 """Redundant check removal and same-lock fast verification."""
 import sys
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from pasan.optpasses import (
     run_passes,
 )
 from pasan.pacore import AddressConfig
+from test_cli import _calls_while, straight_line_program
 from test_miniir import _OracleDominance
 
 CFG = AddressConfig(47)
@@ -357,7 +359,7 @@ def _scan_covered_checks(func, frees, group_key):
         kept = []
         for loc, inst in members:
             cover = None if inst.result2 is not None else next(
-                (k_inst for k_loc, k_inst in reversed(kept)
+                (k_loc for k_loc, _ in reversed(kept)
                  if dom.inst_dominates(k_loc, loc)
                  and not _oracle_may_free_between(facts, k_loc, loc)),
                 None,
@@ -425,50 +427,67 @@ def test_cover_search_matches_every_kept_check_scan(case):
     key = lambda inst: (inst.args[0], inst.width)  # noqa: E731
     frees = lambda inst: inst.op == "free" or inst.op == "call" and CALLEES[inst.callee]  # noqa: E731
     got = _covered_checks(prog, func, functions_may_free(prog), key, [])
-    assert [(loc, cover.uid) for loc, _, cover in got] == \
-        [(loc, cover.uid) for loc, _, cover in _scan_covered_checks(func, frees, key)]
+    assert [(loc, cover) for loc, _, cover in got] == \
+        [(loc, cover) for loc, _, cover in _scan_covered_checks(func, frees, key)]
 
 
 # ----------------------------------------------------------- copy isolation
 
-def _objects(prog):
-    """ids of every mutable object of a program a pass could share."""
-    ids = {id(g) for g in prog.globals}
+def _containers(prog):
+    """ids of every container of a program: a stage builds its own and
+    shares only the instructions, globals and externs it leaves as they are."""
+    ids = {id(prog), id(prog.globals), id(prog.externs), id(prog.functions)}
     for func in prog.functions.values():
         ids |= {id(func), id(func.blocks), id(func.params)}
-        for block in func.blocks.values():
-            ids.add(id(block))
-            ids |= {id(inst) for inst in block}
+        ids |= {id(block) for block in func.blocks.values()}
     return ids
 
 
+def _fields(prog):
+    """Every instruction, global and extern of prog, each with all its
+    fields (uid included) as they are now."""
+    objects = [*prog.globals, *prog.externs.values(),
+               *(inst for func in prog.functions.values() for _, _, inst in insts(func))]
+    return [(obj, astuple(obj)) for obj in objects]
+
+
+STAGES = [("instrument", instrument),
+          ("redundant", lambda prog: run_passes(prog, "redundant")),
+          ("samelock", lambda prog: run_passes(prog, "samelock")),
+          ("all", lambda prog: run_passes(prog, "all"))]
+
+
+def assert_stages_leave_their_input_untouched(source, where):
+    prog = source  # instrument's input, then the input of each pass selection
+    for name, stage in STAGES:
+        text, fields = format_program(prog), _fields(prog)
+        unsafe = [g.unsafe for g in prog.globals]
+        out = stage(prog)
+        assert format_program(prog) == text, (where, name)
+        assert [g.unsafe for g in prog.globals] == unsafe, (where, name)
+        assert [astuple(obj) for obj, _ in fields] == [before for _, before in fields], \
+            (where, name)
+        assert not _containers(out) & _containers(prog), (where, name)
+        if name == "instrument":
+            prog = out
+
+
 def test_passes_leave_their_input_untouched(corpus_dir):
-    stages = [("copy", Program.copy), ("instrument", instrument),
-              ("redundant", lambda prog: run_passes(prog, "redundant")),
-              ("samelock", lambda prog: run_passes(prog, "samelock")),
-              ("all", lambda prog: run_passes(prog, "all"))]
     for path in sorted(corpus_dir.glob("*.ir")):
-        source = parse(path.read_text())
-        base = instrument(source)
-        for name, stage in stages:
-            prog = source if name in ("copy", "instrument") else base
-            text, unsafe = format_program(prog), [g.unsafe for g in prog.globals]
-            out = stage(prog)
-            assert format_program(prog) == text, (path.name, name)
-            assert [g.unsafe for g in prog.globals] == unsafe, (path.name, name)
-            assert not _objects(out) & _objects(prog), (path.name, name)
+        assert_stages_leave_their_input_untouched(parse(path.read_text()), path.name)
 
 
 # ------------------------------------------------------------ pass driver
 
-def test_run_passes_copies_once_and_answers_each_question_once(corpus_dir, monkeypatch):
-    calls = {"copy": 0, "may_free": 0}
-    built = []
-    copy, may_free, dominance = Program.copy, functions_may_free, miniir.Dominance
+def _copies_while(fn, *args):
+    """How often fn(*args) calls Inst.copy."""
+    return _calls_while(fn, *args)[Inst.copy.__code__]
 
-    def counted_copy(prog):
-        calls["copy"] += 1
-        return copy(prog)
+
+def test_run_passes_copies_once_and_answers_each_question_once(corpus_dir, monkeypatch):
+    calls = {"may_free": 0}
+    built = []
+    may_free, dominance = functions_may_free, miniir.Dominance
 
     def counted_may_free(prog):
         calls["may_free"] += 1
@@ -478,7 +497,6 @@ def test_run_passes_copies_once_and_answers_each_question_once(corpus_dir, monke
         built.append(func.name)
         return dominance(func)
 
-    monkeypatch.setattr(Program, "copy", counted_copy)
     monkeypatch.setattr(optpasses, "functions_may_free", counted_may_free)
     monkeypatch.setattr(miniir, "Dominance", counted_dominance)
     for path in sorted(corpus_dir.glob("*.ir")):
@@ -486,15 +504,25 @@ def test_run_passes_copies_once_and_answers_each_question_once(corpus_dir, monke
         validate(prog)
         assert sorted(built) == sorted(prog.functions), path.name  # one each
         prog = instrument(prog)
-        calls["copy"] = 0
-        assert run_passes(prog, "none") is prog
-        assert calls == {"copy": 0, "may_free": 0}
-        run_passes(prog, "all")
-        assert calls == {"copy": 1, "may_free": 1}, path.name
+        outs = []
+        assert _copies_while(lambda: outs.append(run_passes(prog, "none"))) == 0
+        assert outs.pop() is prog
+        assert calls == {"may_free": 0}
+        copies = _copies_while(lambda: outs.append(run_passes(prog, "all")))
+        assert calls == {"may_free": 1}, path.name
+        # one copy for each instruction the passes changed, and none for the rest
+        shared = {id(inst) for func in prog.functions.values() for _, _, inst in insts(func)}
+        assert copies == sum(id(inst) not in shared for func in outs.pop().functions.values()
+                             for _, _, inst in insts(func)), path.name
         # the passes build no Dominance, so a compile builds validate's only
         assert sorted(built) == sorted(prog.functions), path.name
-        calls.update(copy=0, may_free=0)
+        calls.update(may_free=0)
         built.clear()
+    # straight_line_program(b): b + 1 checks, each covered one downgraded
+    # and each cover given a token; nothing else is copied
+    for blocks, copies in ((20, 21), (100, 101)):
+        prog = instrument(parse(straight_line_program(blocks)[0]))
+        assert _copies_while(run_passes, prog, "all") == copies
 
 
 NO_ROOT_OR_ONE_CHECK = """\

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_poisoned
+from helpers import is_poisoned, lock_bits
 from pasan import pacore
 from pasan.errors import PreconditionViolated
 from pasan.pacore import (
@@ -16,7 +16,6 @@ from pasan.pacore import (
     _siphash_words,
     compute_pac,
     error_pattern,
-    lock_bits,
     modifier_for,
     pac_auth,
     pac_field,

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from pasan.instrument import instrument
 from pasan.interp import run, run_unoptimized_oracle
 from pasan.miniir import parse, validate
-from pasan.optpasses import run_passes
+from pasan.optpasses import count_checks, run_passes
 from pasan.pacore import AddressConfig
+from test_optpasses import assert_stages_leave_their_input_untouched
 
 WIDTHS = {1: "i8", 4: "i32", 8: "i64"}
 
@@ -139,12 +140,9 @@ def test_good_variants_clean_at_extreme_widths(corpus_dir):
                 (n, path.name)
 
 
-# The loop counter is a safe (uninstrumented) stack slot multiplied by
-# 2^16 at every back edge: it wraps to 0 after three taken back edges,
-# so every generated program terminates.
-CFG_PROLOGUE = """\
-extern @ext_id(i64) -> i64
-
+# The callees of the generated @main: @release frees its argument, @keep
+# does not.
+CFG_CALLEES = """\
 func @release(%h: ptr) -> i32 {
 bb0:
   free %h
@@ -152,6 +150,17 @@ bb0:
   ret %z
 }
 
+func @keep(%h: ptr) -> i32 {
+bb0:
+  %z = const.i32 0
+  ret %z
+}
+"""
+
+# @main's loop counter is a safe (uninstrumented) stack slot multiplied
+# by 2^16 at every back edge: it wraps to 0 after three taken back
+# edges, so every generated program terminates.
+CFG_PROLOGUE = """\
 func @main() -> i32 {
 bb0:
   %sz = const.i64 16
@@ -169,17 +178,18 @@ bb0:
 # (op, object, gep offset or None for an access through the object itself);
 # accesses are drawn three times as often as the rest
 CFG_OPS = st.tuples(
-    st.sampled_from(["load", "store"] * 3 + ["free", "release", "ext"]),
+    st.sampled_from(["load", "store"] * 3 + ["free", "release", "keep", "ext"]),
     st.sampled_from(["%p", "%o"]),
     st.sampled_from([None, 0, 4, 12]),
 )
 
 
 @st.composite
-def looping_cfgs(draw):
-    """A random CFG over two heap objects: accesses through gep-derived
-    pointers, frees (direct, and through the freeing @release), external
-    calls, forward skips and bounded back edges."""
+def looping_mains(draw):
+    """The @main of a random CFG over two heap objects: accesses through
+    gep-derived pointers, frees (direct, and through the freeing
+    @release), calls to the non-freeing @keep and to external code,
+    forward skips and bounded back edges."""
     n = draw(st.integers(min_value=2, max_value=6))
     lines = [CFG_PROLOGUE]
     for i in range(1, n + 1):
@@ -194,8 +204,8 @@ def looping_cfgs(draw):
                              else f"  store.i32 {obj}, %v")
             elif op == "free":
                 lines.append(f"  free {obj}")
-            elif op == "release":
-                lines.append(f"  {reg} = call @release({obj})")
+            elif op in ("release", "keep"):
+                lines.append(f"  {reg} = call @{op}({obj})")
             else:
                 lines.append(f"  {reg} = call @ext_id(%sz)")
         if i == n:
@@ -212,6 +222,17 @@ def looping_cfgs(draw):
     return "\n".join(lines) + "\n}\n"
 
 
+def looping_program(main, callees_first):
+    """main with @release and @keep defined before it or after it."""
+    funcs = [CFG_CALLEES, main] if callees_first else [main, CFG_CALLEES]
+    return "extern @ext_id(i64) -> i64\n\n" + "\n".join(funcs)
+
+
+def looping_cfgs():
+    """Random looping CFGs, the callees placed before or after @main."""
+    return st.builds(looping_program, looping_mains(), st.booleans())
+
+
 @settings(max_examples=40, deadline=None)
 @given(looping_cfgs(), st.integers(min_value=0, max_value=2 ** 16))
 def test_optimized_verdicts_match_oracle_on_looping_cfgs(text, seed):
@@ -224,3 +245,24 @@ def test_optimized_verdicts_match_oracle_on_looping_cfgs(text, seed):
         assert optimized.verdict == oracle.verdict, (n, text)
         if not oracle.completed:
             assert optimized.report.kind == oracle.report.kind, (n, text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(looping_mains())
+def test_function_order_leaves_check_counts_alone(main):
+    # a may-free question asked of a program still being built sees a
+    # callee defined after @main as missing, and counts change
+    counts = []
+    for callees_first in (True, False):
+        source = parse(looping_program(main, callees_first))
+        validate(source)
+        counts.append(count_checks(run_passes(instrument(source), "all")))
+    assert counts[0] == counts[1], main
+
+
+@settings(max_examples=40, deadline=None)
+@given(looping_cfgs())
+def test_stages_leave_looping_cfgs_untouched(text):
+    source = parse(text)
+    validate(source)
+    assert_stages_leave_their_input_untouched(source, text)

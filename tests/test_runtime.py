@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from helpers import is_poisoned
+from helpers import is_poisoned, lock_bits
 from pasan.errors import LimitExceeded
 from pasan.memspace import MemSpace, RegionMap
 from pasan.pacore import (
     AddressConfig,
     PacKey,
-    lock_bits,
     pac_field,
     strip,
     with_pac_field,
