@@ -17,7 +17,6 @@ import random
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import PasanError
@@ -90,20 +89,16 @@ _CORPUS_RE = re.compile(
 )
 
 
-@dataclass
 class CorpusOutcome:
-    file: str
-    cwe: int
-    variant: str
-    expect: str | None
-    verdict: str
-    kind: str | None
-    ok: bool
-    problem: str
-    static_full: int
-    static_fast: int
-    dynamic_full: int
-    dynamic_fast: int
+    """One fixture's outcome; vars() is its --json record, in this order."""
+
+    def __init__(self, file: str, cwe: int, variant: str, expect: str | None, verdict: str,
+                 kind: str | None, ok: bool, problem: str, static_full: int, static_fast: int,
+                 dynamic_full: int, dynamic_fast: int):
+        self.file, self.cwe, self.variant, self.expect = file, cwe, variant, expect
+        self.verdict, self.kind, self.ok, self.problem = verdict, kind, ok, problem
+        self.static_full, self.static_fast = static_full, static_fast
+        self.dynamic_full, self.dynamic_fast = dynamic_full, dynamic_fast
 
 
 def _judge(variant: str, expect: str | None, result: ExecResult) -> tuple[bool, str]:

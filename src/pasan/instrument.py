@@ -11,7 +11,6 @@ everything else is signed, shadowed, and checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import InstrumentationError
@@ -22,10 +21,9 @@ __all__ = ["SafetyClass", "classify", "classify_globals", "instrument", "padded_
            "wraps_builtin"]
 
 
-@dataclass(frozen=True)
 class SafetyClass:
-    safe: bool
-    reason: str  # safe | address-taken | non-static-bounds
+    def __init__(self, safe: bool, reason: str):
+        self.safe, self.reason = safe, reason  # safe | address-taken | non-static-bounds
 
 
 def _use_map(func: Function) -> dict[str, list[Inst]]:

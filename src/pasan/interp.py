@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from struct import pack_into, unpack_from
@@ -39,27 +38,24 @@ _FAULT_KIND_MAP = {
 }
 
 
-@dataclass(frozen=True)
 class Limits:
-    max_insts: int = 10_000_000
-    heap_bytes: int = 64 << 20
-    stack_bytes: int = 1 << 20
-    globals_bytes: int = 1 << 16
+    def __init__(self, max_insts: int = 10_000_000, heap_bytes: int = 64 << 20,
+                 stack_bytes: int = 1 << 20, globals_bytes: int = 1 << 16):
+        self.max_insts, self.heap_bytes = max_insts, heap_bytes
+        self.stack_bytes, self.globals_bytes = stack_bytes, globals_bytes
 
 
-@dataclass
 class ExecResult:
-    verdict: str  # completed | violation
-    stats: Stats
-    exit_value: int | None = None
-    report: ViolationReport | None = None
+    def __init__(self, verdict: str, stats: Stats, exit_value: int | None = None,
+                 report: ViolationReport | None = None):
+        self.verdict = verdict  # completed | violation
+        self.stats, self.exit_value, self.report = stats, exit_value, report
 
     @property
     def completed(self) -> bool:
         return self.verdict == "completed"
 
 
-@dataclass
 class _Layout:
     """One function lowered for one run, in one walk at its first call.
     blocks maps each label to a list [body, moves, heat, hot] (a list is
@@ -74,23 +70,25 @@ class _Layout:
     each keyed by the operand, so that a frame's register dict resolves
     literals, globals and registers alike."""
 
-    func: Function
-    slots: dict
-    frame_size: int
-    consts: dict
-    blocks: dict
+    def __init__(self, func: Function, slots: dict, frame_size: int, consts: dict,
+                 blocks: dict):
+        self.func, self.slots, self.frame_size = func, slots, frame_size
+        self.consts, self.blocks = consts, blocks
 
 
-@dataclass(slots=True)
 class _Frame:
-    layout: _Layout
-    label: str
-    body: list
-    regs: dict
-    base: int                    # the frame's lowest address, sp while it is on top
-    ret_reg: str | None          # caller register receiving the return value
-    idx: int = 0                 # where in body to resume after a call
-    signed: list = field(default_factory=list)  # (base, size, obj_id)
+    __slots__ = ("layout", "label", "body", "regs", "base", "ret_reg", "idx", "signed")
+
+    def __init__(self, layout: _Layout, label: str, body: list, regs: dict, base: int,
+                 ret_reg: str | None, idx: int = 0, signed: list | None = None):
+        self.layout = layout
+        self.label = label
+        self.body = body
+        self.regs = regs
+        self.base = base        # the frame's lowest address, sp while it is on top
+        self.ret_reg = ret_reg  # caller register receiving the return value
+        self.idx = idx          # where in body to resume after a call
+        self.signed = [] if signed is None else signed  # (base, size, obj_id)
 
 
 # A call or a return changed the top frame.

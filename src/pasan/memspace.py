@@ -8,7 +8,6 @@ space fits in host memory; untouched pages read as zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import AlignmentError, FaultKind, MemoryFault
@@ -23,23 +22,16 @@ HEAP_BASE = 0x1000_0000
 STACK_TOP = 0x3000_0000
 
 
-@dataclass(frozen=True)
 class Region:
-    base: int
-    size: int
-
-    @property
-    def limit(self) -> int:
-        return self.base + self.size
+    def __init__(self, base: int, size: int):
+        self.base, self.size, self.limit = base, size, base + size
 
 
-@dataclass(frozen=True)
 class RegionMap:
     """Disjoint program-half regions; the stack grows down from its limit."""
 
-    globals: Region
-    heap: Region
-    stack: Region
+    def __init__(self, globals: Region, heap: Region, stack: Region):
+        self.globals, self.heap, self.stack = globals, heap, stack
 
     @classmethod
     def default(cls, globals_size: int = 1 << 16, heap_size: int = 64 << 20,

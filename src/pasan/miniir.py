@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from itertools import chain, count
-from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
 
@@ -70,17 +69,21 @@ BUILTIN_SIGS = {
 }
 
 
-@dataclass(slots=True)
 class Inst:
-    op: str
-    result: str | None = None
-    result2: str | None = None          # token output of an extended check
-    ty: str | None = None               # result type / access suffix
-    width: int | None = None            # access width for load/store/check/fastcheck
-    args: tuple = ()                    # '%reg' | '@sym' | int | block label
-    incomings: tuple = ()               # phi: ((pred_label, operand), ...)
-    callee: str | None = None
-    uid: int = -1
+    __slots__ = ("op", "result", "result2", "ty", "width", "args", "incomings", "callee", "uid")
+
+    def __init__(self, op: str, result: str | None = None, result2: str | None = None,
+                 ty: str | None = None, width: int | None = None, args: tuple = (),
+                 incomings: tuple = (), callee: str | None = None, uid: int = -1):
+        self.op = op
+        self.result = result
+        self.result2 = result2      # token output of an extended check
+        self.ty = ty                # result type / access suffix
+        self.width = width          # access width for load/store/check/fastcheck
+        self.args = args            # '%reg' | '@sym' | int | block label
+        self.incomings = incomings  # phi: ((pred_label, operand), ...)
+        self.callee = callee
+        self.uid = uid
 
     def operands(self):
         """All value operands (registers or literals), including phi
@@ -109,26 +112,22 @@ class Inst:
         return inst
 
 
-@dataclass
 class GlobalDef:
-    symbol: str
-    size: int
-    unsafe: bool | None = None          # classification slot, filled by instrument
+    def __init__(self, symbol: str, size: int, unsafe: bool | None = None):
+        self.symbol, self.size = symbol, size
+        self.unsafe = unsafe  # classification slot, filled by instrument
 
 
-@dataclass
 class ExternDecl:
-    name: str
-    params: tuple[str, ...]
-    ret: str
+    def __init__(self, name: str, params: tuple[str, ...], ret: str):
+        self.name, self.params, self.ret = name, params, ret
 
 
-@dataclass
 class Function:
-    name: str
-    params: list[tuple[str, str]]
-    ret: str
-    blocks: dict[str, list[Inst]] = field(default_factory=dict)
+    def __init__(self, name: str, params: list[tuple[str, str]], ret: str,
+                 blocks: dict[str, list[Inst]] | None = None):
+        self.name, self.params, self.ret = name, params, ret
+        self.blocks = {} if blocks is None else blocks
 
     @property
     def entry(self) -> str:
@@ -150,13 +149,15 @@ class Function:
         return preds
 
 
-@dataclass
 class Program:
-    globals: list[GlobalDef] = field(default_factory=list)
-    externs: dict[str, ExternDecl] = field(default_factory=dict)
-    functions: dict[str, Function] = field(default_factory=dict)
-    instrumented: bool = False
-    next_uid: int = 0
+    def __init__(self, globals: list[GlobalDef] | None = None,
+                 externs: dict[str, ExternDecl] | None = None,
+                 functions: dict[str, Function] | None = None,
+                 instrumented: bool = False, next_uid: int = 0):
+        self.globals = [] if globals is None else globals
+        self.externs = {} if externs is None else externs
+        self.functions = {} if functions is None else functions
+        self.instrumented, self.next_uid = instrumented, next_uid
 
     def new_uid(self) -> int:
         uid = self.next_uid
@@ -232,28 +233,24 @@ _LITERAL_PARSERS = {"literal": _integer, "size": _integer, "width": _integer,
                     "global": _matching(_SYM, "a @global")}
 
 
-@dataclass(frozen=True, slots=True)
 class _Op:
     """An OPS row as the parser, printer and validator read it."""
-    suffixes: dict
-    results: tuple
-    defines: tuple          # how many result registers it may define
-    parsers: tuple          # one per operand
-    width: bool             # the last operand is Inst.width
-    values: tuple           # (arg index, type) of each value operand
-    literals: tuple         # (arg index, kind) of each size and global
+
+    __slots__ = ("suffixes", "results", "defines", "parsers", "width", "values", "literals")
+
+    def __init__(self, suffixes: dict, results: tuple, kinds: tuple):
+        self.suffixes, self.results = suffixes, results
+        # how many result registers it may define
+        self.defines = tuple(range(min(1, len(results)), len(results) + 1))
+        self.parsers = tuple(_LITERAL_PARSERS.get(k, _operand) for k in kinds)  # one per operand
+        self.width = width = kinds[-1] == "width"  # the last operand is Inst.width
+        args = list(enumerate(kinds[:-1] if width else kinds))
+        # (arg index, type) of each value operand; (arg index, kind) of each size and global
+        self.values = tuple((i, k) for i, k in args if k not in _LITERAL_PARSERS)
+        self.literals = tuple((i, k) for i, k in args if k in ("size", "global"))
 
 
-def _op(suffixes: dict, results: tuple, kinds: tuple) -> _Op:
-    width = kinds[-1] == "width"
-    args = list(enumerate(kinds[:-1] if width else kinds))
-    return _Op(suffixes, results, tuple(range(min(1, len(results)), len(results) + 1)),
-               tuple(_LITERAL_PARSERS.get(k, _operand) for k in kinds), width,
-               tuple((i, k) for i, k in args if k not in _LITERAL_PARSERS),
-               tuple((i, k) for i, k in args if k in ("size", "global")))
-
-
-_OPS = {op: _op(*row) for op, row in OPS.items()}
+_OPS = {op: _Op(*row) for op, row in OPS.items()}
 
 
 def _check_defines(head: str, allowed: tuple, count: int, line: int) -> None:
@@ -413,7 +410,7 @@ def _callee_sig(prog: Program, name: str) -> tuple[tuple[str, ...], str] | None:
     if name in prog.externs:
         ext = prog.externs[name]
         return ext.params, ext.ret
-    return BUILTIN_SIGS.get(name)
+    return BUILTIN_SIGS.get(name) if prog.instrumented else None  # only instrument calls them
 
 
 def validate(prog: Program) -> None:
@@ -488,6 +485,8 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
                 def_site[reg] = (label, idx)
             if inst.op == "call" and held is None and _callee_sig(prog, inst.callee) is None:
                 held = f"call to unknown function @{inst.callee}"
+                if inst.callee.startswith("__pa_") and not prog.instrumented:
+                    held = f"@{inst.callee}: the __pa_ prefix is reserved for the runtime"
     if held:
         err(held)
 

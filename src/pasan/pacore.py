@@ -13,7 +13,6 @@ into the address bits plus the address MSB; each key tables its MACs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import PreconditionViolated
@@ -24,7 +23,6 @@ ID_BITS = 32
 ZERO_CONTEXT = 0
 
 
-@dataclass(frozen=True)
 class AddressConfig:
     """Virtual-address width n and the derived signature width p = 63 - n.
 
@@ -36,68 +34,35 @@ class AddressConfig:
     lo_bits of them start at bit n, the remaining hi_bits at bit 56.
     """
 
-    n: int = 47
-    p_override: int | None = None
-    p: int = field(init=False, repr=False, compare=False)
-    effective_p: int = field(init=False, repr=False, compare=False)
-    msb_bit: int = field(init=False, repr=False, compare=False)
-    addr_mask: int = field(init=False, repr=False, compare=False)
-    lo_bits: int = field(init=False, repr=False, compare=False)
-    lo_mask: int = field(init=False, repr=False, compare=False)
-    hi_mask: int = field(init=False, repr=False, compare=False)
-    field_mask: int = field(init=False, repr=False, compare=False)
-    clear_mask: int = field(init=False, repr=False, compare=False)
-    strip_mask: int = field(init=False, repr=False, compare=False)
-    pac_mask: int = field(init=False, repr=False, compare=False)
-    error_field: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int = 47, p_override: int | None = None):
         if not 33 <= n <= 52:
             raise ValueError(f"virtual-address width n={n} outside [33, 52]")
-        if self.p_override is not None and not 1 <= self.p_override <= 63 - n:
-            raise ValueError(f"p_override={self.p_override} outside [1, {63 - n}]")
-        eff_p = 63 - n if self.p_override is None else self.p_override
-        lo_bits = min(eff_p, RESERVED_BIT - n)
-        lo_mask = (1 << lo_bits) - 1
-        hi_mask = (1 << (eff_p - lo_bits)) - 1
-        field_mask = lo_mask << n | hi_mask << 56
-        layout = {
-            "p": 63 - n,
-            "effective_p": eff_p,
-            "msb_bit": n - 1,
-            "addr_mask": (1 << n) - 1,
-            "lo_bits": lo_bits,
-            "lo_mask": lo_mask,
-            "hi_mask": hi_mask,
-            "field_mask": field_mask,
-            "clear_mask": MASK64 & ~field_mask,
-            # strip clears the signature field and the reserved bit
-            "strip_mask": MASK64 & ~field_mask & ~(1 << RESERVED_BIT),
-            # truncates a MAC to the signature width
-            "pac_mask": (1 << eff_p) - 1,
-        }
-        for name, value in layout.items():
-            object.__setattr__(self, name, value)
+        if p_override is not None and not 1 <= p_override <= 63 - n:
+            raise ValueError(f"p_override={p_override} outside [1, {63 - n}]")
+        self.n, self.p_override, self.p = n, p_override, 63 - n
+        self.effective_p = eff_p = 63 - n if p_override is None else p_override
+        self.msb_bit, self.addr_mask = n - 1, (1 << n) - 1
+        self.lo_bits = lo_bits = min(eff_p, RESERVED_BIT - n)
+        self.lo_mask = (1 << lo_bits) - 1
+        self.hi_mask = (1 << (eff_p - lo_bits)) - 1
+        self.field_mask = self.lo_mask << n | self.hi_mask << 56
+        self.clear_mask = MASK64 & ~self.field_mask
+        # strip clears the signature field and the reserved bit
+        self.strip_mask = self.clear_mask & ~(1 << RESERVED_BIT)
+        self.pac_mask = (1 << eff_p) - 1  # truncates a MAC to the signature width
         # the error pattern in place in the signature field
-        object.__setattr__(self, "error_field", with_pac_field(0, error_pattern(self), self))
+        self.error_field = with_pac_field(0, error_pattern(self), self)
 
 
-@dataclass(frozen=True)
 class PacKey:
-    """128-bit signing secret, generated once per simulated run."""
+    """128-bit signing secret, generated once per simulated run, with its
+    64-bit halves k0 (low) and k1 (high) and its table of MACs by modifier."""
 
-    key: int
-    k0: int = field(init=False, repr=False, compare=False)  # low 64 bits
-    k1: int = field(init=False, repr=False, compare=False)  # high 64 bits
-    macs: dict[int, int] = field(init=False, repr=False, compare=False)  # modifier -> MAC
-
-    def __post_init__(self):
-        if not 0 <= self.key < (1 << 128):
+    def __init__(self, key: int):
+        if not 0 <= key < (1 << 128):
             raise ValueError("key must be a 128-bit value")
-        object.__setattr__(self, "k0", self.key & MASK64)
-        object.__setattr__(self, "k1", self.key >> 64)
-        object.__setattr__(self, "macs", {})
+        self.key, self.k0, self.k1 = key, key & MASK64, key >> 64
+        self.macs: dict[int, int] = {}
 
     @classmethod
     def generate(cls, rng) -> "PacKey":

@@ -9,7 +9,6 @@ faults.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from enum import Enum
 from struct import unpack_from
 
@@ -54,15 +53,11 @@ class ViolationKind(str, Enum):
     CRAFTED_PAC = "CraftedPac"
 
 
-@dataclass
 class ViolationReport:
-    kind: ViolationKind
-    pointer: int
-    found_id: int
-    narrative: str
-    function: str = ""
-    inst_index: int = -1
-    inst_uid: int = -1
+    def __init__(self, kind: ViolationKind, pointer: int, found_id: int, narrative: str,
+                 function: str = "", inst_index: int = -1, inst_uid: int = -1):
+        self.kind, self.pointer, self.found_id, self.narrative = kind, pointer, found_id, narrative
+        self.function, self.inst_index, self.inst_uid = function, inst_index, inst_uid
 
     def to_json(self) -> dict:
         return {
@@ -83,12 +78,12 @@ class ViolationError(PasanError):
         super().__init__(f"{report.kind.value}: {report.narrative}")
 
 
-@dataclass
 class IdGenerator:
     """32-bit allocation counter, randomly initialized per run; wraps
     modulo 2^32 skipping the reserved freed marker 0."""
 
-    counter: int
+    def __init__(self, counter: int):
+        self.counter = counter
 
     @classmethod
     def seeded(cls, rng) -> "IdGenerator":
@@ -102,30 +97,29 @@ class IdGenerator:
         return value
 
 
-@dataclass
 class AllocEntry:
-    size: int
-    live: bool
+    def __init__(self, size: int, live: bool):
+        self.size, self.live = size, live
 
 
-@dataclass
 class Stats:
-    checks_full: int = 0
-    checks_fast: int = 0
-    allocs: int = 0
-    frees: int = 0
-    insts: int = 0
+    def __init__(self, checks_full: int = 0, checks_fast: int = 0, allocs: int = 0,
+                 frees: int = 0, insts: int = 0):
+        self.checks_full, self.checks_fast = checks_full, checks_fast
+        self.allocs, self.frees, self.insts = allocs, frees, insts
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # in the order __init__ sets them
 
 
-@dataclass(slots=True)
 class _Extent:
-    base: int
-    size: int
-    obj_id: int
-    origin: str  # heap | stack | global
+    __slots__ = ("base", "size", "obj_id", "origin")
+
+    def __init__(self, base: int, size: int, obj_id: int, origin: str):
+        self.base = base
+        self.size = size
+        self.obj_id = obj_id
+        self.origin = origin  # heap | stack | global
 
 
 class SanitizerRuntime:

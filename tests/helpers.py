@@ -1,10 +1,34 @@
 """Queries the tests make of programs, dominance and pointers that no
 part of pasan needs itself: an instruction walk, block and
 instruction-level dominance, a pointer's lock bits, a poisoned-pointer
-test and the completeness lint over instrumented output."""
+test, the completeness lint over instrumented output, and value
+snapshots of pasan's records."""
+from enum import Enum
 from itertools import chain
 
 from pasan.instrument import _analyse, _safe_direct_regs
+
+
+def fields(value):
+    """value as a snapshot to compare by value: each pasan record in it,
+    however deep, becomes its class name and every field it holds;
+    tuples, lists and dicts are copied as they are walked, and anything
+    else stands for itself."""
+    if isinstance(value, tuple):
+        return tuple(map(fields, value))
+    if isinstance(value, list):
+        return list(map(fields, value))
+    if isinstance(value, dict):
+        return {key: fields(item) for key, item in value.items()}
+    if type(value).__module__.startswith("pasan.") and not isinstance(value, Enum):
+        names = getattr(type(value), "__slots__", None) or vars(value)
+        return type(value).__name__, {name: fields(getattr(value, name)) for name in names}
+    return value
+
+
+def config_id(cfg):
+    """An AddressConfig's test id."""
+    return f"AddressConfig(n={cfg.n}, p_override={cfg.p_override})"
 
 
 def insts(func):

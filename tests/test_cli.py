@@ -140,6 +140,23 @@ bb0:
     assert "@__pa_malloc: the __pa_ prefix is reserved" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("opts", ["none", "redundant", "samelock", "all"])
+def test_run_reserved_callee_exit_2(tmp_path, capsys, opts):
+    text = """\
+func @main() -> i32 {
+bb0:
+  %n = const.i64 8
+  %p = call @__pa_malloc(%n)
+  %z = const.i32 0
+  ret %z
+}
+"""
+    assert main(["run", write(tmp_path, "reserved.ir", text), "--opts", opts]) == 2
+    err = capsys.readouterr().err
+    assert "@main: @__pa_malloc: the __pa_ prefix is reserved for the runtime" in err
+    assert "Traceback" not in err
+
+
 def test_run_negative_alloca_exit_2(tmp_path, capsys):
     # An unused alloca is never signed, so only validate stands between a
     # negative size and the frame layout.
@@ -441,6 +458,17 @@ def test_module_runs_main(tmp_path):
     done = subprocess.run([sys.executable, "-m", "pasan.cli", "run", path],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout.splitlines()[0]) == (0, "completed: exit value 0")
+
+
+def test_import_synthesizes_no_dataclass_code():
+    # Every process that runs pasan imports it, so its records are plain
+    # classes: no import-time generation and exec of dataclass methods.
+    src = str(Path(pasan.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c",
+                           "import sys, pasan.cli; print('dataclasses' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_corpus_coverage_structure(corpus_dir):

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import lock_bits
+from helpers import config_id, fields, lock_bits
 from pasan import runtime as runtime_module
 from pasan.errors import AlignmentError, LimitExceeded, MemoryFault, PreconditionViolated
 from pasan.interp import Interpreter
@@ -222,7 +222,7 @@ def test_fast_paths_match_slow_path_references(cfg, regions, counter):
             assert outcome(rt.mem.read, ptr, width) == \
                 outcome(ref_read, ref.mem, ptr, width), (hex(ptr), width)
 
-    assert rt.stats == ref.stats
+    assert fields(rt.stats) == fields(ref.stats)
     assert rt.key.macs == ref.key.macs
     assert rt.mem._pages == ref.mem._pages
 
@@ -342,7 +342,7 @@ def test_shadow_fill_and_clear_match_slow_path_references(n):
 
 
 @pytest.mark.parametrize("cfg", [AddressConfig(33), AddressConfig(47), AddressConfig(52),
-                                 AddressConfig(47, p_override=3)], ids=str)
+                                 AddressConfig(47, p_override=3)], ids=config_id)
 def test_pac_sign_matches_reference(cfg):
     key, ref_key = PacKey(0x0123456789ABCDEF << 32 | 77), PacKey(0x0123456789ABCDEF << 32 | 77)
     top = 1 << cfg.msb_bit
@@ -406,7 +406,7 @@ def test_memset_memcpy_wrappers_match_reference(cfg, regions, counter):
             assert outcome(rt.wrapper_call, name, list(args)) == \
                 outcome(ref_wrapper_call, ref, name, list(args)), (name, args, bytewise)
             assert log == ref_log, (name, args, bytewise)
-    assert rt.stats == ref.stats
+    assert fields(rt.stats) == fields(ref.stats)
     assert rt.key.macs == ref.key.macs
     assert rt.mem._pages == ref.mem._pages
 
@@ -511,7 +511,7 @@ def ref_protected_malloc(rt, size):
 
 
 @pytest.mark.parametrize("cfg", [AddressConfig(33), AddressConfig(47), AddressConfig(52),
-                                 AddressConfig(47, p_override=3)], ids=str)
+                                 AddressConfig(47, p_override=3)], ids=config_id)
 @pytest.mark.parametrize("retire", ["older", "newer"])
 def test_signature_table_matches_pac_auth_reference(cfg, retire, monkeypatch):
     """checked_access and protected_free accept a pointer on a table hit
@@ -588,10 +588,10 @@ def test_signature_table_matches_pac_auth_reference(cfg, retire, monkeypatch):
         assert len(rt.sigs) == len(rt.live)
     assert rt.sigs == {ext.obj_id: pac_sign(ext.base, ext.obj_id, rt.key, cfg) ^ ext.base
                        for ext in rt.live.values()}
-    assert rt.stats == ref.stats
+    assert fields(rt.stats) == fields(ref.stats)
     assert rt.key.macs == ref.key.macs
     assert rt.mem._pages == ref.mem._pages
-    assert rt.retired == ref.retired
+    assert fields(rt.retired) == fields(ref.retired)
 
 
 # -- allocation, registration, checks and frees in seeded sequences --
@@ -606,8 +606,8 @@ def full_outcome(fn, *args):
 
 
 def runtime_state(rt):
-    return (rt.mem._pages, rt.sigs, rt.live, rt.retired, rt.alloc, rt.free_lists, rt.stats,
-            rt.heap_cursor, rt.gen.counter, rt.key.macs)
+    return fields((rt.mem._pages, rt.sigs, rt.live, rt.retired, rt.alloc, rt.free_lists,
+                   rt.stats, rt.heap_cursor, rt.gen.counter, rt.key.macs))
 
 
 # The heap, globals and stack of SMALL start page-aligned, so the first

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_dominates, inst_dominates, insts
+from helpers import block_dominates, fields, inst_dominates, insts
 from pasan.errors import ParseError, ValidationError
 from pasan.interp import _HANDLERS
 from pasan.miniir import (
@@ -92,11 +92,11 @@ def test_round_trip_all_corpus_files(corpus_dir):
 
 def test_tabs_separate_tokens_as_spaces_do(corpus_dir, data_dir):
     # `%a = const.i32<TAB>5` once read "const.i32\t5" as the op's name.
-    assert parse("func @main() -> i32 {\nbb0:\n  %a = const.i32\t5\n  ret\t%a\n}\n") == \
-        parse("func @main() -> i32 {\nbb0:\n  %a = const.i32 5\n  ret %a\n}\n")
+    assert fields(parse("func @main() -> i32 {\nbb0:\n  %a = const.i32\t5\n  ret\t%a\n}\n")) == \
+        fields(parse("func @main() -> i32 {\nbb0:\n  %a = const.i32 5\n  ret %a\n}\n"))
     for path in sorted([*corpus_dir.glob("*.ir"), *data_dir.glob("*.ir")]):
         text = path.read_text()
-        assert parse(text.replace(" ", "\t")) == parse(text), path.name
+        assert fields(parse(text.replace(" ", "\t"))) == fields(parse(text)), path.name
 
 
 def test_parse_error_carries_line():
@@ -255,6 +255,17 @@ bb0:
         validate(parse(text))
 
 
+@pytest.mark.parametrize("call", ["%p = call @__pa_malloc(%sz)", "%p = call @__pa_other(%sz)"])
+def test_reserved_prefix_rejected_for_callees_of_a_source_program(call):
+    # Only instrument emits runtime calls; a source program has no
+    # signature for them, so instrument would find no declaration.
+    text = f"func @main() -> i32 {{\nbb0:\n  %sz = const.i64 8\n  {call}\n  ret 0\n}}\n"
+    prog = parse(text)
+    assert not prog.instrumented
+    with pytest.raises(ValidationError, match=r"@main: @__pa_\w+: the __pa_ prefix is reserved"):
+        validate(prog)
+
+
 def test_unreachable_block_rejected():
     text = """\
 func @main() -> i32 {
@@ -318,17 +329,17 @@ def test_function_types_is_linear_in_a_phi_chain():
 def test_inst_copy_keeps_every_field():
     inst = Inst("check", result="%c", result2="%t", ty="ptr", width=8, args=("%p",),
                 incomings=(("bb0", "%q"),), callee="f", uid=7)
-    assert inst.copy() == inst and inst.copy() is not inst
+    assert fields(inst.copy()) == fields(inst) and inst.copy() is not inst
 
 
 def test_renamed_copies_only_an_instruction_it_changes():
     phi = Inst("phi", result="%x", incomings=(("bb0", "%a"), ("bb1", 1)), uid=3)
     call = Inst("call", result="%r", args=("%a", 2), callee="f", uid=4)
     assert phi.renamed({"%b": "%c"}) is phi and call.renamed({"%x": "%a"}) is call
-    assert phi.renamed({"%a": "%b"}) == Inst("phi", result="%x", uid=3,
-                                             incomings=(("bb0", "%b"), ("bb1", 1)))
-    assert call.renamed({"%a": "%b"}) == Inst("call", result="%r", args=("%b", 2), callee="f",
-                                              uid=4)
+    assert fields(phi.renamed({"%a": "%b"})) == fields(Inst("phi", result="%x", uid=3,
+                                                             incomings=(("bb0", "%b"), ("bb1", 1))))
+    assert fields(call.renamed({"%a": "%b"})) == fields(Inst("call", result="%r", args=("%b", 2),
+                                                              callee="f", uid=4))
     assert phi.incomings == (("bb0", "%a"), ("bb1", 1)) and call.args == ("%a", 2)
 
 

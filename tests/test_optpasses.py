@@ -1,12 +1,11 @@
 """Redundant check removal and same-lock fast verification."""
 import sys
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import insts, lint_instrumented
+from helpers import fields, insts, lint_instrumented
 from pasan import miniir, optpasses
 from pasan.errors import InstrumentationError
 from pasan.instrument import instrument
@@ -448,7 +447,7 @@ def _fields(prog):
     fields (uid included) as they are now."""
     objects = [*prog.globals, *prog.externs.values(),
                *(inst for func in prog.functions.values() for _, _, inst in insts(func))]
-    return [(obj, astuple(obj)) for obj in objects]
+    return [(obj, fields(obj)) for obj in objects]
 
 
 STAGES = [("instrument", instrument),
@@ -460,12 +459,12 @@ STAGES = [("instrument", instrument),
 def assert_stages_leave_their_input_untouched(source, where):
     prog = source  # instrument's input, then the input of each pass selection
     for name, stage in STAGES:
-        text, fields = format_program(prog), _fields(prog)
+        text, snapshot = format_program(prog), _fields(prog)
         unsafe = [g.unsafe for g in prog.globals]
         out = stage(prog)
         assert format_program(prog) == text, (where, name)
         assert [g.unsafe for g in prog.globals] == unsafe, (where, name)
-        assert [astuple(obj) for obj, _ in fields] == [before for _, before in fields], \
+        assert [fields(obj) for obj, _ in snapshot] == [before for _, before in snapshot], \
             (where, name)
         assert not _containers(out) & _containers(prog), (where, name)
         if name == "instrument":

@@ -221,7 +221,7 @@ def test_consecutive_signing_matches_cold_table(n):
     assert 0xFFFFFFFF in ids and 0 not in ids
     for obj_id in ids:
         cold = PacKey(key.key)
-        assert cold == key and not cold.macs
+        assert cold.key == key.key and not cold.macs
         assert pac_sign(0x1000, obj_id, key, cfg) == pac_sign(0x1000, obj_id, cold, cfg)
     assert len(key.macs) < len(ids) + 256
 
