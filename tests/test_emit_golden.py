@@ -1,6 +1,7 @@
 """Byte-for-byte snapshot of the instrumented program text.
 
-Every corpus fixture and `loop1000.ir` goes through parse, validate,
+Every corpus fixture, `loop1000.ir` and `names.ir` (whose registers
+take the names the compiler invents) goes through parse, validate,
 instrument and the check-reduction passes under `--opts
 {none,redundant,samelock,all}`, and the `format_program` text of the
 result is pinned.  Register names the compiler invents (`%chk`, `%tk`,
@@ -24,7 +25,8 @@ from pasan.optpasses import PASS_SETS
 
 TESTS_DIR = Path(__file__).resolve().parent
 GOLDEN = TESTS_DIR / "data" / "emit_golden.json"
-INPUTS = sorted((TESTS_DIR.parent / "corpus").glob("*.ir")) + [TESTS_DIR / "data" / "loop1000.ir"]
+INPUTS = sorted((TESTS_DIR.parent / "corpus").glob("*.ir")) + [TESTS_DIR / "data" / "loop1000.ir",
+                                                             TESTS_DIR / "data" / "names.ir"]
 OPTS = ("none", "redundant", "samelock", "all")
 
 
