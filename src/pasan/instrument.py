@@ -17,8 +17,7 @@ from .errors import InstrumentationError
 from .miniir import BUILTIN_SIGS, ExternDecl, Function, GlobalDef, Inst, Namer, Program
 from .runtime import RT_FREE, RT_MALLOC, WRAPPED_EXTERNS, padded_size
 
-__all__ = ["SafetyClass", "classify", "classify_globals", "instrument", "padded_size",
-           "wraps_builtin"]
+__all__ = ["SafetyClass", "instrument", "padded_size", "wraps_builtin"]
 
 
 class SafetyClass:
@@ -108,18 +107,6 @@ def _analyse(prog: Program) -> tuple[dict[str, _Roots], dict[str, SafetyClass]]:
     return roots, safety
 
 
-def classify(func: Function, prog: Program) -> dict[str, SafetyClass]:
-    """Per-alloca safety classification for one function."""
-    globals_ = {g.symbol: g for g in prog.globals}
-    return {reg: cls for reg, (inst, cls, _) in _escape_roots(func, globals_).items()
-            if inst.op == "alloca"}
-
-
-def classify_globals(prog: Program) -> dict[str, SafetyClass]:
-    """A global is unsafe if any function uses its address unsafely."""
-    return _analyse(prog)[1]
-
-
 def instrument(prog: Program) -> Program:
     """Produce the instrumented program; the input is left untouched."""
     if prog.instrumented:
@@ -190,7 +177,8 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
                 new_block += _instrument_call(prog, inst, inst is not src, fresh, new_uid)
                 continue
             new_block.append(inst)
-    return Function(func.name, list(func.params), func.ret, blocks)
+    return Function(func.name, list(func.params), func.ret, blocks, func.dom,
+                    func.names if namer is None else namer.used)
 
 
 def wraps_builtin(ext: ExternDecl) -> bool:

@@ -150,30 +150,18 @@ class MemSpace:
                 return
         raise MemoryFault(FaultKind.UNMAPPED, addr)
 
-    # read and write move the bytes of an access that finds its page in
-    # the mapped-page table and fits in it themselves: every region lies
-    # in the program half, so such an access cannot fault.  Anything else
-    # takes _check_access.
+    # The interpreter's load and store move the bytes of an access that
+    # finds its page in the mapped-page table and fits in it themselves
+    # (every region lies in the program half, so such an access cannot
+    # fault), and call read and write for anything else.
 
     def read(self, addr: int, width: int) -> int:
-        off = addr & PAGE_MASK
-        if off + width <= PAGE_SIZE:
-            buf = self.mapped.get(addr >> 12)
-            if buf is not None:
-                return int.from_bytes(buf[off : off + width], "little")
         self._check_access(addr, width)
         return int.from_bytes(self._load_bytes(addr, width), "little")
 
     def write(self, addr: int, width: int, value: int) -> None:
-        data = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
-        off = addr & PAGE_MASK
-        if off + width <= PAGE_SIZE:
-            buf = self.mapped.get(addr >> 12)
-            if buf is not None:
-                buf[off : off + width] = data
-                return
         self._check_access(addr, width)
-        self._store_bytes(addr, data)
+        self._store_bytes(addr, (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little"))
 
     def trap_span(self, addr: int, length: int) -> int:
         """Vet an unchecked access to [addr, addr+length) so it traps at

@@ -124,10 +124,18 @@ class ExternDecl:
 
 
 class Function:
+    """Two facts ride along, each None until known: `dom`, its Dominance,
+    built at the first dominance() call, and `names`, the set of
+    registers it defines, params included.  A stage that builds a
+    function from another hands it the source's facts: no stage changes
+    a CFG, and each sets `names` to what the new function defines."""
+
     def __init__(self, name: str, params: list[tuple[str, str]], ret: str,
-                 blocks: dict[str, list[Inst]] | None = None):
+                 blocks: dict[str, list[Inst]] | None = None,
+                 dom: Dominance | None = None, names: set[str] | None = None):
         self.name, self.params, self.ret = name, params, ret
         self.blocks = {} if blocks is None else blocks
+        self.dom, self.names = dom, names
 
     @property
     def entry(self) -> str:
@@ -141,12 +149,10 @@ class Function:
             return (term.args[1], term.args[2])
         return ()
 
-    def predecessors(self) -> dict[str, list[str]]:
-        preds: dict[str, list[str]] = {label: [] for label in self.blocks}
-        for label in self.blocks:
-            for succ in self.successors(label):
-                preds[succ].append(label)
-        return preds
+    def dominance(self) -> Dominance:
+        if self.dom is None:
+            self.dom = Dominance(self)
+        return self.dom
 
 
 class Program:
@@ -165,15 +171,22 @@ class Program:
         return uid
 
 
+def defined_names(func: Function) -> set[str]:
+    """Every register func defines, params included."""
+    names = {reg for reg, _ in func.params}
+    names.update(reg for block in func.blocks.values() for inst in block
+                 for reg in (inst.result, inst.result2) if reg is not None)
+    return names
+
+
 class Namer:
     """Fresh register names for one function: `base`, then `base1`,
-    `base2`, ..., skipping every name already defined.  `used` only
-    grows, so each base resumes at the counter after its last name."""
+    `base2`, ..., skipping every name already defined.  `used` starts as
+    a copy of func.names (scanned if not known) and only grows, so each
+    base resumes at the counter after its last name."""
 
     def __init__(self, func: Function):
-        self.used = {reg for block in func.blocks.values() for inst in block
-                     for reg in (inst.result, inst.result2) if reg is not None}
-        self.used.update(reg for reg, _ in func.params)
+        self.used = defined_names(func) if func.names is None else set(func.names)
         self.next: dict[str, int] = {}
 
     def fresh(self, base: str) -> str:
@@ -467,7 +480,7 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
         for succ in func.successors(label):
             if succ not in func.blocks:
                 err(f"{label}: branch to unknown block {succ!r}")
-    dom = Dominance(func)
+    dom = func.dominance()
     for label in func.blocks:
         if label not in dom.rpo:
             err(f"{label}: unreachable block")
@@ -587,38 +600,42 @@ def function_types(prog: Program, func: Function) -> dict[str, str]:
 # Dominance
 # ---------------------------------------------------------------------------
 
-def reverse_postorder(func: Function) -> list[str]:
-    """The blocks reachable from the entry in reverse post-order of a
-    depth-first walk, kept on an explicit stack so CFG depth is not
-    bounded by the recursion limit."""
-    order: list[str] = []
-    seen = {func.entry}
-    stack = [(func.entry, iter(func.successors(func.entry)))]
-    while stack:
-        label, succs = stack[-1]
-        for succ in succs:
-            if succ not in seen:
-                seen.add(succ)
-                stack.append((succ, iter(func.successors(succ))))
-                break
-        else:
-            stack.pop()
-            order.append(label)
-    order.reverse()
-    return order
-
-
 class Dominance:
-    """Immediate dominators, from each block's `preds`, by Cooper, Harvey
-    and Kennedy's iterative algorithm over reverse post-order ("A Simple,
+    """A function's CFG facts, over the blocks reachable from its entry:
+    `order`, their reverse post-order of a depth-first walk (kept on an
+    explicit stack so CFG depth is not bounded by the recursion limit)
+    and `rpo`, each one's index in it; `preds`, each one's predecessors
+    in block order; `latches`, the sources of its back edges; and the
+    dominator tree.  Immediate dominators come from Cooper, Harvey and
+    Kennedy's iterative algorithm over reverse post-order ("A Simple,
     Fast Dominance Algorithm", 2001).  Block a dominates block b iff
     pre[a] <= pre[b] < end[a]: the preorder interval of a on the
     dominator tree holds exactly the blocks a dominates."""
 
     def __init__(self, func: Function):
-        order = reverse_postorder(func)
-        self.rpo = {label: i for i, label in enumerate(order)}
-        self.preds = preds = func.predecessors()
+        self.order = order = []
+        seen = {func.entry}
+        stack = [(func.entry, iter(func.successors(func.entry)))]
+        while stack:
+            label, succs = stack[-1]
+            for succ in succs:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((succ, iter(func.successors(succ))))
+                    break
+            else:
+                stack.pop()
+                order.append(label)
+        order.reverse()
+        self.rpo = rpo = {label: i for i, label in enumerate(order)}
+        self.preds = preds = {label: [] for label in order}
+        self.latches = set()
+        for label in func.blocks:
+            if label in rpo:
+                for succ in func.successors(label):
+                    preds[succ].append(label)
+                    if rpo[succ] <= rpo[label]:
+                        self.latches.add(label)
         idom = [0] + [-1] * (len(order) - 1)
         changed = True
         while changed:
@@ -626,8 +643,8 @@ class Dominance:
             for b in range(1, len(order)):
                 new = -1
                 for pred in preds[order[b]]:
-                    p = self.rpo.get(pred, -1)  # an unreachable pred adds no path
-                    if p < 0 or idom[p] < 0:
+                    p = rpo[pred]
+                    if idom[p] < 0:
                         continue
                     while new >= 0 and p != new:  # walk both up to their common dominator
                         while p > new:

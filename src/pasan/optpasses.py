@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import InstrumentationError
-from .miniir import BUILTIN_SIGS, Function, Inst, Namer, Program, reverse_postorder
+from .miniir import BUILTIN_SIGS, Function, Inst, Namer, Program
 
 PASS_SETS = {
     "none": (),
@@ -38,17 +38,19 @@ def run_passes(prog: Program, opts: str) -> Program:
     freeing = functions_may_free(prog)
     for name, src in prog.functions.items():
         blocks = {label: list(block) for label, block in src.blocks.items()}
-        func = out.functions[name] = Function(src.name, list(src.params), src.ret, blocks)
-        flow = []  # no pass changes the CFG: both share its order and predecessors
+        func = out.functions[name] = Function(src.name, list(src.params), src.ret, blocks,
+                                              src.dom, src.names)
         if "redundant" in passes:
             subst = {
                 inst.result: blocks[label][idx].result
                 for _, inst, (label, idx) in _covered_checks(
-                    prog, func, freeing, lambda inst: (inst.args[0], inst.width), flow)
+                    prog, func, freeing, lambda inst: (inst.args[0], inst.width))
             }
             if subst:
                 for label, block in blocks.items():
                     blocks[label] = [i.renamed(subst) for i in block if i.result not in subst]
+                if func.names is not None:
+                    func.names = func.names - subst.keys()
         if "samelock" in passes:
             geps = {inst.result: inst.args[0] for inst in chain.from_iterable(blocks.values())
                     if inst.op == "gep"}
@@ -60,7 +62,7 @@ def run_passes(prog: Program, opts: str) -> Program:
                 return reg
 
             namer = None
-            for (lb, i), inst, (cl, ci) in _covered_checks(prog, func, freeing, gep_root, flow):
+            for (lb, i), inst, (cl, ci) in _covered_checks(prog, func, freeing, gep_root):
                 cover = blocks[cl][ci]
                 if cover.result2 is None:  # the cover's copy takes its place
                     cover = blocks[cl][ci] = cover.copy()
@@ -68,17 +70,17 @@ def run_passes(prog: Program, opts: str) -> Program:
                     cover.result2 = namer.fresh("%tk")
                 fast = blocks[lb][i] = inst.copy()
                 fast.op, fast.args = "fastcheck", (inst.args[0], cover.result2, cover.args[0])
+            if namer:
+                func.names = namer.used
     return out
 
 
-def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key, flow: list):
+def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key):
     """Yield (loc, check, cover loc) for each check of func that a kept check
     of the same group (by group_key(check)) dominates with no
     possibly-freeing instruction on any path between them.  A check
     holding a token is never covered: a fast check elsewhere reads that
-    token.  `flow` is empty, or as an earlier call on the same CFG left it:
-    its reverse post-order, each block's reachable predecessors, and the
-    sources of its back edges.
+    token.
 
     One forward dataflow over Python-int bitsets decides this (available
     expressions: Aho, Lam, Sethi and Ullman, Compilers, 9.2.6).  The
@@ -106,12 +108,8 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key,
                 block_events.append(None)
     if all(len(locs) == 1 for locs in by_key.values()):
         return
-    if not flow:
-        order = reverse_postorder(func)
-        rpo = {label: i for i, label in enumerate(order)}
-        preds = {label: [p for p in ps if p in rpo] for label, ps in func.predecessors().items()}
-        flow += [order, preds, {p for b in order for p in preds[b] if rpo[p] >= rpo[b]}]
-    order, preds, latches = flow
+    dom = func.dominance()
+    order, preds, latches = dom.order, dom.preds, dom.latches
     locs = [loc for label in order for loc in events[label] if loc is not None]
     bit = {loc: 1 << i for i, loc in enumerate(locs)}
     mask = {}

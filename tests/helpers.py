@@ -1,12 +1,12 @@
 """Queries the tests make of programs, dominance and pointers that no
 part of pasan needs itself: an instruction walk, block and
 instruction-level dominance, a pointer's lock bits, a poisoned-pointer
-test, the completeness lint over instrumented output, and value
-snapshots of pasan's records."""
+test, the safety classes of allocas and globals, the completeness lint
+over instrumented output, and value snapshots of pasan's records."""
 from enum import Enum
 from itertools import chain
 
-from pasan.instrument import _analyse, _safe_direct_regs
+from pasan.instrument import _analyse, _escape_roots, _safe_direct_regs
 
 
 def fields(value):
@@ -61,6 +61,18 @@ def lock_bits(ptr, cfg):
 
 def is_poisoned(ptr, cfg):
     return ptr & cfg.field_mask == cfg.error_field
+
+
+def classify(func, prog):
+    """Per-alloca safety classification for one function."""
+    globals_ = {g.symbol: g for g in prog.globals}
+    return {reg: cls for reg, (inst, cls, _) in _escape_roots(func, globals_).items()
+            if inst.op == "alloca"}
+
+
+def classify_globals(prog):
+    """A global is unsafe if any function uses its address unsafely."""
+    return _analyse(prog)[1]
 
 
 def lint_instrumented(prog):

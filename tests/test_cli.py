@@ -16,7 +16,7 @@ from pasan.cli import _build, main, run_collide, run_corpus
 from pasan.errors import PasanError
 from pasan.interp import Interpreter
 from pasan.memspace import MemSpace, RegionMap
-from pasan.miniir import Function, Inst
+from pasan.miniir import Dominance, Function, Inst, defined_names
 from pasan.pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
 from pasan.runtime import IdGenerator, SanitizerRuntime
 
@@ -300,12 +300,16 @@ def test_compile_visits_each_instruction_once_per_layer():
     # instruction is copied only to be changed: by instrument, the malloc,
     # free, b + 1 accesses and the external calls (one every 7 blocks);
     # by the passes, b + 1 checks (each downgraded or given a token).
+    # Validate's Dominance and the first Namer's scan of the one
+    # function's defined registers serve every later layer.
     never = [Inst.operands, Inst.defs]
     entries = []
     for blocks, copies in ((20, 2 + 21 + 3 + 21), (100, 2 + 101 + 14 + 101)):
         calls = _calls_while(_build, straight_line_program(blocks)[0], "all")
         assert [calls[f.__code__] for f in never] == [0, 0]
         assert calls[Inst.copy.__code__] == copies
+        assert calls[Dominance.__init__.__code__] == 1
+        assert calls[defined_names.__code__] <= 1
         entries.append(calls[Function.entry.fget.__code__])
     assert entries[0] == entries[1] <= 8
 

@@ -22,8 +22,9 @@ import pytest
 from helpers import config_id, fields, lock_bits
 from pasan import runtime as runtime_module
 from pasan.errors import AlignmentError, LimitExceeded, MemoryFault, PreconditionViolated
-from pasan.interp import Interpreter
+from pasan.interp import _HANDLERS, Interpreter
 from pasan.memspace import PAGE_SIZE, MemSpace, Region, RegionMap, shadow_of
+from pasan.miniir import Inst
 from pasan.pacore import (
     MASK64,
     RESERVED_BIT,
@@ -251,11 +252,16 @@ def test_success_paths_make_one_frame_per_traced_call():
     ptr = signed[0]
     raw = strip(ptr, cfg)
     token = rt.mem.id_at(raw)
-    mem = rt.mem
-    assert python_calls(lambda: mem.write(rt.checked_access(ptr, 4), 4, 7)) == \
-        ["<lambda>", "checked_access", "write"]
-    assert python_calls(lambda: mem.read(raw, 4)) == ["<lambda>", "read"]
-    assert python_calls(lambda: mem.write(raw, 8, 1)) == ["<lambda>", "write"]
+    # loads and stores move their bytes in the generated table handler
+    mem, load, store = rt.mem, _HANDLERS["load"], _HANDLERS["store"]
+    interp = SimpleNamespace(mapped=mem.mapped, read=mem.read, write=mem.write)
+    load4 = Inst("load", "%v", width=4, args=("%p",))
+    store4, store8 = (Inst("store", width=w, args=("%p", "%v")) for w in (4, 8))
+    assert python_calls(lambda: store(interp, None, {"%p": rt.checked_access(ptr, 4), "%v": 7},
+                                      store4)) == ["<lambda>", "checked_access", "store"]
+    assert python_calls(lambda: load(interp, None, {"%p": raw}, load4)) == ["<lambda>", "load"]
+    assert python_calls(lambda: store(interp, None, {"%p": raw, "%v": 1}, store8)) == \
+        ["<lambda>", "store"]
     assert python_calls(lambda: rt.fast_check(ptr, token, ptr, 4)) == \
         ["<lambda>", "fast_check"]
 
@@ -741,6 +747,20 @@ def ref_span_write(mem, addr, width, value):
     ref_write(mem, addr, width, value)
 
 
+def handler_read(mem, addr, width):
+    """A load of mem through the interpreter's generated table handler."""
+    regs = {"%p": addr}
+    _HANDLERS["load"](SimpleNamespace(mapped=mem.mapped, read=mem.read), None, regs,
+                      Inst("load", "%v", width=width, args=("%p",)))
+    return regs["%v"]
+
+
+def handler_write(mem, addr, width, value):
+    """A store to mem through the interpreter's generated table handler."""
+    _HANDLERS["store"](SimpleNamespace(mapped=mem.mapped, write=mem.write), None,
+                       {"%p": addr, "%v": value}, Inst("store", width=width, args=("%p", "%v")))
+
+
 def assert_mapped_invariant(mem):
     """Each mapped page is the page _pages holds, lies wholly inside one
     region and is not a shadow page; and each such page is mapped."""
@@ -762,8 +782,10 @@ MID_PAGE = RegionMap.default(globals_size=0x2800, heap_size=0x1804, stack_size=0
                          ids=["default", "abutting", "mid_page"])
 @pytest.mark.parametrize("n", [33, 47])
 def test_mapped_page_table_matches_the_span_walk(regions, n):
+    # mem moves bytes through read and write, gen through the load and
+    # store table handlers, which hold the mapped-page fast path
     cfg = AddressConfig(n)
-    mem, ref = MemSpace(cfg, regions), MemSpace(cfg, regions)
+    mem, gen, ref = (MemSpace(cfg, regions) for _ in range(3))
     addrs = [0, 0x8000, 0x2000_0000]  # unmapped
     for base, limit in _spans(regions):
         edges = {base, limit, (base | PAGE_SIZE - 1) + 1, (limit - 1) & ~(PAGE_SIZE - 1)}
@@ -776,16 +798,21 @@ def test_mapped_page_table_matches_the_span_walk(regions, n):
         rng.shuffle(ops)
         for op, addr, width in ops:
             if op == "read":
-                assert outcome(mem.read, addr, width) == \
-                    outcome(ref_span_read, ref, addr, width), (hex(addr), width)
+                want = outcome(ref_span_read, ref, addr, width)
+                assert outcome(mem.read, addr, width) == want, (hex(addr), width)
+                assert outcome(handler_read, gen, addr, width) == want, (hex(addr), width)
             else:
                 value = rng.getrandbits(70)
-                assert outcome(mem.write, addr, width, value) == \
-                    outcome(ref_span_write, ref, addr, width, value), (hex(addr), width)
+                want = outcome(ref_span_write, ref, addr, width, value)
+                assert outcome(mem.write, addr, width, value) == want, (hex(addr), width)
+                assert outcome(handler_write, gen, addr, width, value) == want, \
+                    (hex(addr), width)
         # shadow pages, made for every region, never enter the table
         for base, _ in _spans(regions):
             mem.shadow_fill(base & ~3, 8, 5)
+            gen.shadow_fill(base & ~3, 8, 5)
             ref_shadow_fill(ref, base & ~3, 8, 5)
-        assert mem._pages == ref._pages
+        assert mem._pages == ref._pages == gen._pages
         assert_mapped_invariant(mem)
-    assert mem.mapped
+        assert_mapped_invariant(gen)
+    assert mem.mapped and gen.mapped

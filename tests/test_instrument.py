@@ -1,15 +1,9 @@
 """Safety classification and the instrumentation rewrite."""
 import pytest
 
-from helpers import fields, insts, lint_instrumented
+from helpers import classify, classify_globals, fields, insts, lint_instrumented
 from pasan.errors import InstrumentationError
-from pasan.instrument import (
-    SafetyClass,
-    classify,
-    classify_globals,
-    instrument,
-    padded_size,
-)
+from pasan.instrument import SafetyClass, instrument, padded_size
 from pasan.interp import run, run_unoptimized_oracle
 from pasan.miniir import format_program, parse, validate
 from pasan.optpasses import run_passes

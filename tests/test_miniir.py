@@ -494,7 +494,7 @@ def _may_free(prog: Program, func: Function, loc_a, loc_b) -> bool:
     probed.blocks[lb].insert(ib, probe_b)
     probed.blocks[la].insert(ia + 1, probe_a)
     covers = {loc: cover for loc, _, cover in _covered_checks(
-        prog, probed, functions_may_free(prog), lambda inst: (inst.args[0], inst.width), [])}
+        prog, probed, functions_may_free(prog), lambda inst: (inst.args[0], inst.width))}
     at_a, at_b = ((label, probed.blocks[label].index(probe))
                   for probe, label in ((probe_a, la), (probe_b, lb)))
     return covers.get(at_b) != at_a
@@ -646,7 +646,10 @@ class _OracleDominance:
     def __init__(self, func: Function):
         labels = list(func.blocks)
         entry = func.entry
-        preds = func.predecessors()
+        preds = {label: [] for label in labels}
+        for label in labels:
+            for succ in func.successors(label):
+                preds[succ].append(label)
         self.dominated_by = {label: set(labels) for label in labels}
         self.dominated_by[entry] = {entry}
         changed = True
