@@ -25,7 +25,7 @@ from .memspace import MemSpace, RegionMap
 from .miniir import Program, format_program, parse, validate
 from .instrument import instrument
 from .optpasses import PASS_SETS, count_checks, run_passes
-from .pacore import AddressConfig, PacKey, pac_auth, strip
+from .pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
 from .runtime import IdGenerator, SanitizerRuntime
 
 
@@ -222,12 +222,8 @@ def accepted_fields(cfg: AddressConfig, rng: random.Random) -> list[int]:
     rt = SanitizerRuntime(mem, PacKey.generate(rng), IdGenerator.seeded(rng))
     base = strip(rt.protected_malloc(16), cfg)
     obj_id = mem.id_at(base)
-    n_bits, lo_bits, lo_mask, hi_mask = cfg.n, cfg.lo_bits, cfg.lo_mask, cfg.hi_mask
-    # with_pac_field(base, f, cfg) inlined: the stripped base has a clear
-    # field.  Success clears the field, restoring the bare base address.
     return [f for f in range(1 << cfg.effective_p)
-            if pac_auth(base | (f & lo_mask) << n_bits | (f >> lo_bits & hi_mask) << 56,
-                        obj_id, rt.key, cfg) == base]
+            if pac_auth(with_pac_field(base, f, cfg), obj_id, rt.key, cfg) == base]
 
 
 def run_collide(trials: int, n: int = 47, seed: int = 0,

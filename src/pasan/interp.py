@@ -80,7 +80,7 @@ class _Frame:
     __slots__ = ("layout", "label", "body", "regs", "base", "ret_reg", "idx", "signed")
 
     def __init__(self, layout: _Layout, label: str, body: list, regs: dict, base: int,
-                 ret_reg: str | None, idx: int = 0, signed: list | None = None):
+                 ret_reg: str | None, idx: int = 0):
         self.layout = layout
         self.label = label
         self.body = body
@@ -88,7 +88,7 @@ class _Frame:
         self.base = base        # the frame's lowest address, sp while it is on top
         self.ret_reg = ret_reg  # caller register receiving the return value
         self.idx = idx          # where in body to resume after a call
-        self.signed = [] if signed is None else signed  # (base, size, obj_id)
+        self.signed: dict[int, tuple[int, int]] = {}  # base -> (size, obj_id)
 
 
 # A call or a return changed the top frame.
@@ -121,9 +121,10 @@ def _op_alloca(interp, frame, regs, inst):
 def _op_sign(interp, frame, regs, inst):
     base = regs[inst.args[0]]
     size = inst.args[1]
-    obj_id, signed = interp.rt.register_object(base, size, "stack")
-    frame.signed.append((base, size, obj_id))
-    regs[inst.result] = signed
+    if base in frame.signed:  # its block ran again: the previous instance ends
+        interp.rt.retire_extent(base, *frame.signed[base], "stack")
+    obj_id, regs[inst.result] = interp.rt.register_object(base, size, "stack")
+    frame.signed[base] = size, obj_id
 
 
 def _op_gpptinit(interp, frame, regs, inst):
@@ -423,7 +424,7 @@ class Interpreter:
         return _Frame(layout, func.entry, layout.blocks[func.entry][0], regs, base, ret_reg)
 
     def _pop_frame(self, frame: _Frame) -> None:
-        for base, size, obj_id in reversed(frame.signed):
+        for base, (size, obj_id) in reversed(frame.signed.items()):
             self.rt.retire_extent(base, size, obj_id, "stack")
         self.sp = frame.base + frame.layout.frame_size
 

@@ -176,17 +176,22 @@ def _may_free(prog: Program, freeing: set[str], inst: Inst) -> bool:
 
 def functions_may_free(prog: Program) -> set[str]:
     """Names of internal functions that may free memory, transitively:
-    the least fixpoint of _may_free over their instructions."""
+    each that frees by an instruction of its own (by _may_free, internal
+    calls aside), then, by a worklist over callers, each that calls one."""
+    callers: dict[str, list[str]] = {name: [] for name in prog.functions}
     freeing: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name, f in prog.functions.items():
-            if name not in freeing and any(
-                    inst.op in ("call", "free") and _may_free(prog, freeing, inst)
-                    for inst in chain.from_iterable(f.blocks.values())):
+    for name, f in prog.functions.items():
+        for inst in chain.from_iterable(f.blocks.values()):
+            if inst.callee in callers:
+                callers[inst.callee].append(name)
+            elif inst.op in ("call", "free") and _may_free(prog, freeing, inst):
                 freeing.add(name)
-                changed = True
+    work = list(freeing)
+    while work:
+        for caller in callers[work.pop()]:
+            if caller not in freeing:
+                freeing.add(caller)
+                work.append(caller)
     return freeing
 
 

@@ -108,7 +108,7 @@ def _siphash_words(k0: int, k1: int, words, lanes: int = 1):
     once, lane i in bits [128i, 128i+64) of each word and of the result;
     the 64 bits above each lane catch carries and right shifts, which
     every add and rotation masks off."""
-    ones, _, m = _lanes(lanes) if lanes > 1 else (1, 0, MASK64)
+    ones, _, m = _lanes(lanes)
     v0 = (0x736F6D6570736575 ^ k0) * ones
     v1 = (0x646F72616E646F6D ^ k1) * ones
     v2 = (0x6C7967656E657261 ^ k0) * ones
@@ -154,15 +154,12 @@ def _mac(key: PacKey, modifier: int, ahead: bool = False) -> int:
     modifiers after it: a power of two up to the table's size and cap."""
     macs = key.macs
     if modifier not in macs:
-        lanes = min(_BATCH_CAP, 1 << len(macs).bit_length() >> 1) if ahead else 1
-        if lanes < 2:
-            macs[modifier] = _siphash_words(key.k0, key.k1, (modifier, ZERO_CONTEXT, _LENGTH_16))
-        else:
-            ones, ramp, _ = _lanes(lanes)
-            words = (modifier * ones + ramp, ZERO_CONTEXT, _LENGTH_16 * ones)
-            raw = _siphash_words(key.k0, key.k1, words, lanes).to_bytes(16 * lanes, "little")
-            macs.update((modifier + i // 16, int.from_bytes(raw[i : i + 8], "little"))
-                        for i in range(0, 16 * lanes, 16))
+        lanes = min(_BATCH_CAP, 1 << len(macs).bit_length() >> 1 or 1) if ahead else 1
+        ones, ramp, _ = _lanes(lanes)
+        words = (modifier * ones + ramp, ZERO_CONTEXT, _LENGTH_16 * ones)
+        raw = _siphash_words(key.k0, key.k1, words, lanes).to_bytes(16 * lanes, "little")
+        macs.update((modifier + i // 16, int.from_bytes(raw[i : i + 8], "little"))
+                    for i in range(0, 16 * lanes, 16))
     return macs[modifier]
 
 
@@ -181,12 +178,7 @@ def pac_sign(addr: int, obj_id: int, key: PacKey, cfg: AddressConfig) -> int:
         raise PreconditionViolated(
             f"cannot sign 0x{addr:x}: signature field, bit 55, and address MSB must be clear"
         )
-    # modifier_for and with_pac_field inlined: with the MSB zero the
-    # modifier is the id itself, and the clear address keeps every field
-    # bit zero.  modifier_for raises PreconditionViolated for any other id.
-    modifier = obj_id if 0 <= obj_id <= 0xFFFFFFFF else modifier_for(obj_id, 0, cfg)
-    mac = _mac(key, modifier, True)
-    return addr | (mac & cfg.lo_mask) << cfg.n | (mac >> cfg.lo_bits & cfg.hi_mask) << 56
+    return with_pac_field(addr, _mac(key, modifier_for(obj_id, 0, cfg), True), cfg)
 
 
 def pac_auth(ptr: int, obj_id: int, key: PacKey, cfg: AddressConfig) -> int:
@@ -194,23 +186,15 @@ def pac_auth(ptr: int, obj_id: int, key: PacKey, cfg: AddressConfig) -> int:
 
     Success clears the signature field.  Failure returns the poisoned
     word.  Any pointer with the address MSB or bit 55 set fails
-    unconditionally, which is what keeps the metadata half unreachable.
+    unconditionally, which is what keeps the metadata half unreachable;
+    its signature is still computed, so an id wider than 32 bits raises
+    PreconditionViolated whatever the pointer.
     """
-    if not (ptr >> cfg.msb_bit) & 1 and not (ptr >> RESERVED_BIT) & 1 \
-            and 0 <= obj_id <= 0xFFFFFFFF:
-        # compute_pac and pac_field inlined: with the MSB clear the
-        # modifier is the id itself.
-        mac = key.macs.get(obj_id)
-        if mac is None:
-            mac = _mac(key, obj_id)
-        if (ptr >> cfg.n) & cfg.lo_mask | ((ptr >> 56) & cfg.hi_mask) << cfg.lo_bits \
-                == mac & cfg.pac_mask:
-            return ptr & cfg.clear_mask
-        return ptr & cfg.clear_mask | cfg.error_field
-    # The MSB or bit 55 is set, or the id is not 32-bit: the signature is
-    # still computed, so such an id raises PreconditionViolated.
-    compute_pac(obj_id, (ptr >> cfg.msb_bit) & 1, key, cfg)
-    return poison(ptr, cfg)
+    msb = (ptr >> cfg.msb_bit) & 1
+    expected = compute_pac(obj_id, msb, key, cfg)
+    if msb or (ptr >> RESERVED_BIT) & 1 or pac_field(ptr, cfg) != expected:
+        return poison(ptr, cfg)
+    return ptr & cfg.clear_mask
 
 
 def poison(ptr: int, cfg: AddressConfig) -> int:

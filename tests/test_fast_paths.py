@@ -22,7 +22,8 @@ import pytest
 from helpers import config_id, fields, lock_bits
 from pasan import runtime as runtime_module
 from pasan.errors import AlignmentError, LimitExceeded, MemoryFault, PreconditionViolated
-from pasan.interp import _HANDLERS, Interpreter
+from pasan.cli import _build
+from pasan.interp import _HANDLERS, Interpreter, run
 from pasan.memspace import PAGE_SIZE, MemSpace, Region, RegionMap, shadow_of
 from pasan.miniir import Inst
 from pasan.pacore import (
@@ -598,6 +599,27 @@ def test_signature_table_matches_pac_auth_reference(cfg, retire, monkeypatch):
     assert rt.key.macs == ref.key.macs
     assert rt.mem._pages == ref.mem._pages
     assert fields(rt.retired) == fields(ref.retired)
+
+
+@pytest.mark.parametrize("opts", ["none", "all"])
+def test_corpus_runs_authenticate_through_the_signature_table(corpus_dir, opts, monkeypatch):
+    """pac_auth is a plain definition because no successful check or free
+    reaches it: a completed corpus run never calls it, and a violating
+    run calls it at most once, for the access or free it reports."""
+    counts = []
+
+    def counting_pac_auth(*args):
+        counts[-1] += 1
+        return pac_auth(*args)
+
+    monkeypatch.setattr(runtime_module, "pac_auth", counting_pac_auth)
+    violations = 0
+    for path in sorted(corpus_dir.glob("*.ir")):
+        counts.append(0)
+        result = run(_build(path.read_text(), opts), AddressConfig(47), seed=1)
+        assert counts[-1] <= (0 if result.completed else 1), (path.name, result.verdict)
+        violations += not result.completed
+    assert violations > 0 and sum(counts) > 0
 
 
 # -- allocation, registration, checks and frees in seeded sequences --

@@ -360,6 +360,66 @@ bb0:
     assert result.report.kind is ViolationKind.USE_AFTER_SCOPE
 
 
+# An alloca in a loop body escapes through @ext_id on each trip; %prev
+# carries the previous trip's pointer out of the loop.
+LOOP_ALLOCA = """\
+extern @ext_id(ptr) -> ptr
+
+func @main() -> i32 {
+bb0:
+  %init = alloca 8
+  %trips = const.i64 TRIPS
+  %one = const.i64 1
+  %v = const.i32 7
+  br bb1
+bb1:
+  %i = phi [bb0: %trips], [bb1: %in]
+  %prev = phi [bb0: %init], [bb1: %e]
+  %a = alloca 8
+  store.i32 %a, %v
+  %e = call @ext_id(%a)
+  %in = sub.i64 %i, %one
+  cbr %in, bb1, bb2
+bb2:
+  %x = load.i32 LOADED
+  ret %x
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["none", "all", "oracle"])
+def test_previous_instance_of_a_resigned_loop_alloca_is_out_of_scope(mode):
+    # The first trip's pointer is stale but honestly signed: its extent
+    # was retired when the second trip signed the same base again.
+    src = parse(LOOP_ALLOCA.replace("TRIPS", "2").replace("LOADED", "%prev"))
+    validate(src)
+    result = run_unoptimized_oracle(src, CFG, seed=0) if mode == "oracle" \
+        else run(run_passes(instrument(src), mode), CFG, seed=0)
+    assert result.report.kind is ViolationKind.USE_AFTER_SCOPE
+    assert result.report.narrative.startswith("pointer into retired stack object")
+
+
+def test_resigned_loop_alloca_keeps_one_entry_per_base(monkeypatch):
+    trips = 10_000
+    prog = build(LOOP_ALLOCA.replace("TRIPS", str(trips)).replace("LOADED", "%e"), "none")
+    interp = Interpreter(prog, CFG, seed=0)
+    popped = []
+    pop_frame = Interpreter._pop_frame
+
+    def recording(self, frame):
+        popped.append(dict(frame.signed))
+        pop_frame(self, frame)
+
+    monkeypatch.setattr(Interpreter, "_pop_frame", recording)
+    result = interp.run()
+    assert result.completed and result.exit_value == 7
+    [signed] = popped
+    _, loop_base = signed  # %init and %a, one entry each whatever the trips
+    assert [ext.base for ext in interp.rt.retired].count(loop_base) == trips
+    assert len(interp.rt.retired) == trips + 1
+    assert all(ext.origin == "stack" for ext in interp.rt.retired)
+
+
 STALE_INTERIOR_FREE = """\
 func @main() -> i32 {
 bb0:

@@ -1,5 +1,7 @@
 """Redundant check removal and same-lock fast verification."""
+import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,11 @@ from hypothesis import strategies as st
 
 from helpers import fields, insts, lint_instrumented
 from pasan import miniir, optpasses
+from pasan.cli import _build
 from pasan.errors import InstrumentationError
 from pasan.instrument import instrument
 from pasan.interp import run
-from pasan.miniir import Function, Inst, Program, format_program, parse, validate
+from pasan.miniir import BUILTIN_SIGS, Function, Inst, Program, format_program, parse, validate
 from pasan.optpasses import (
     _covered_checks,
     count_checks,
@@ -428,6 +431,91 @@ def test_cover_search_matches_every_kept_check_scan(case):
     got = _covered_checks(prog, func, functions_may_free(prog), key)
     assert [(loc, cover) for loc, _, cover in got] == \
         [(loc, cover) for loc, _, cover in _scan_covered_checks(func, frees, key)]
+
+
+# ------------------------------------------------------------------ may-free
+
+def call_chain(depth):
+    """@f0 calls @f1, and so on to @f{depth-1}, which frees its argument;
+    each caller comes before its callee, and @main, last, calls @f0."""
+    lines = []
+    for i in range(depth):
+        lines += [f"func @f{i}(%p: ptr) -> i32 {{", "bb0:",
+                  f"  %r = call @f{i + 1}(%p)" if i + 1 < depth else "  free %p",
+                  "  %z = const.i32 0", "  ret %z", "}", ""]
+    lines += ["func @main() -> i32 {", "bb0:", "  %sz = const.i64 8", "  %p = malloc %sz",
+              "  %r = call @f0(%p)", "  ret %r", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_may_free_is_linear_in_call_chain_depth():
+    # Re-scanning every function until nothing changes adds one caller
+    # per round here: 4,000 rounds over 4,000 functions took seconds.
+    depth = 4000
+    text = call_chain(depth)
+    start = time.perf_counter()
+    prog = _build(text, "all")
+    elapsed = time.perf_counter() - start
+    assert functions_may_free(prog) == {f"f{i}" for i in range(depth)} | {"main"}
+    assert elapsed < 1.0, f"compiling a {depth}-deep call chain took {elapsed:.2f} s"
+
+
+def _oracle_may_free(prog):
+    """Internal functions from which some chain of zero or more internal
+    calls reaches one that frees directly: a `free`, or a call to
+    `__pa_free` or to code outside the program and the runtime.  One
+    depth-first walk per function."""
+    def calls(name):
+        return [inst for block in prog.functions[name].blocks.values() for inst in block
+                if inst.op in ("call", "free")]
+
+    direct = {name for name in prog.functions if any(
+        inst.op == "free" or inst.callee not in prog.functions
+        and (inst.callee == "__pa_free" or inst.callee not in BUILTIN_SIGS)
+        for inst in calls(name))}
+    freeing = set()
+    for name in prog.functions:
+        seen, stack = {name}, [name]
+        while stack:
+            for inst in calls(stack.pop()):
+                if inst.callee in prog.functions and inst.callee not in seen:
+                    seen.add(inst.callee)
+                    stack.append(inst.callee)
+        if seen & direct:
+            freeing.add(name)
+    return freeing
+
+
+def _random_call_graph(rng):
+    """Up to 12 functions whose bodies call each other (cycles and
+    self-calls included), a declared extern, an undeclared one, the
+    runtime's freeing and non-freeing entries, and free directly."""
+    names = [f"f{i}" for i in range(rng.randint(1, 12))]
+    callees = ["ext_id", "opaque", "__pa_free", "__pa_memset", "__pa_malloc"]
+    functions = {}
+    for name in names:
+        body = []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.random()
+            if kind < 0.1:
+                body.append(Inst("free", args=("%x",)))
+            elif kind < 0.25:
+                body.append(Inst("call", callee=rng.choice(callees), args=("%x",)))
+            elif kind < 0.3:
+                body.append(Inst("const", result=f"%c{len(body)}", ty="i32", args=(0,)))
+            else:
+                body.append(Inst("call", callee=rng.choice(names), args=("%x",)))
+        functions[name] = _callee(name, body)
+    extern = miniir.ExternDecl("ext_id", ("ptr",), "ptr")
+    return Program(externs={"ext_id": extern}, functions=functions)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_functions_may_free_matches_call_graph_reachability(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        prog = _random_call_graph(rng)
+        assert functions_may_free(prog) == _oracle_may_free(prog), format_program(prog)
 
 
 # ----------------------------------------------------------- copy isolation
