@@ -1,7 +1,9 @@
 """Byte-for-byte snapshot of `pasan run --json` over the shipped programs.
 
-Every corpus fixture and `loop1000.ir` runs under `--opts {none,all}` and
-`--n {33,52}` at seed 0.  The whole JSON payload is pinned: verdict,
+Every corpus fixture, `loop1000.ir` and the four `trap_*.ir` programs
+(one ending in each raw trap: a poisoned address, a shadow-half address,
+an unmapped address and an invalid raw free) runs under
+`--opts {none,all}` and `--n {33,52}` at seed 0.  The whole JSON payload is pinned: verdict,
 stats (instruction count included), static check counts, and for a
 violation the kind, function, instruction index, pointer, shadow id and
 narrative.  A change to the interpreter, runtime or memory model that
@@ -21,7 +23,10 @@ from pasan.cli import main
 
 TESTS_DIR = Path(__file__).resolve().parent
 GOLDEN = TESTS_DIR / "data" / "run_golden.json"
-INPUTS = sorted((TESTS_DIR.parent / "corpus").glob("*.ir")) + [TESTS_DIR / "data" / "loop1000.ir"]
+INPUTS = sorted((TESTS_DIR.parent / "corpus").glob("*.ir")) + [
+    TESTS_DIR / "data" / f"{name}.ir"
+    for name in ("loop1000", "trap_poisoned", "trap_shadow", "trap_unmapped", "trap_free")
+]
 CONFIGS = [(opts, n) for opts in ("none", "all") for n in (33, 52)]
 
 
