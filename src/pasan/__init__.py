@@ -4,8 +4,8 @@ from .pacore import AddressConfig, PacKey
 from .miniir import parse, validate, format_program
 from .instrument import instrument
 from .optpasses import count_checks, run_passes
+from .errors import ViolationKind, ViolationReport
 from .interp import ExecResult, Limits, run, run_unoptimized_oracle
-from .runtime import ViolationKind, ViolationReport
 
 __all__ = [
     "AddressConfig",

@@ -1,4 +1,5 @@
-"""Exception types shared across the sanitizer pipeline."""
+"""Exception types, and the violation report, shared across the sanitizer
+pipeline."""
 from __future__ import annotations
 
 from enum import Enum
@@ -9,29 +10,48 @@ class PasanError(Exception):
 
 
 class PreconditionViolated(PasanError):
-    """An operation was invoked on a word that violates its contract,
-    e.g. signing a pointer that already carries authentication bits."""
+    """A caller broke an internal contract: a misaligned, empty or
+    out-of-half shadow range, an object id wider than 32 bits, or a
+    signed address given to pac_sign.  Indicates a sanitizer bug, not a
+    bug in the program under test."""
 
 
-class AlignmentError(PasanError):
-    """Shadow fill/clear called with a misaligned or zero-sized range.
-    Indicates an allocator bug, not a bug in the program under test."""
-
-
-class FaultKind(str, Enum):
-    POISONED_POINTER = "PoisonedPointer"
+class ViolationKind(str, Enum):
+    SPATIAL_OOB = "SpatialOOB"
+    USE_AFTER_FREE = "UseAfterFree"
+    DOUBLE_FREE = "DoubleFree"
+    FREE_INSIDE_BUFFER = "FreeInsideBuffer"
+    USE_AFTER_SCOPE = "UseAfterScope"
+    POISONED_DEREF = "PoisonedDeref"
     SHADOW_ACCESS = "ShadowAccess"
-    UNMAPPED = "Unmapped"
+    CRAFTED_PAC = "CraftedPac"
 
 
-class MemoryFault(PasanError):
-    """Trap raised by a raw load/store on an illegal word."""
+class ViolationReport:
+    def __init__(self, kind: ViolationKind, pointer: int, found_id: int, narrative: str,
+                 function: str = "", inst_index: int = -1, inst_uid: int = -1):
+        self.kind, self.pointer, self.found_id, self.narrative = kind, pointer, found_id, narrative
+        self.function, self.inst_index, self.inst_uid = function, inst_index, inst_uid
 
-    def __init__(self, kind: FaultKind, addr: int, detail: str = ""):
-        self.kind = kind
-        self.addr = addr
-        self.detail = detail
-        super().__init__(f"{kind.value} at 0x{addr:x}" + (f": {detail}" if detail else ""))
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind.value,
+            "function": self.function,
+            "inst_index": self.inst_index,
+            "pointer_hex": f"0x{self.pointer:016x}",
+            "found_id": self.found_id,
+            "narrative": self.narrative,
+        }
+
+
+class ViolationError(PasanError):
+    """Detection verdict, raised by a failed check and by a raw access
+    or free that traps; the interpreter halts the program on it and
+    fills in where in the program it happened."""
+
+    def __init__(self, kind: ViolationKind, pointer: int, found_id: int, narrative: str):
+        self.report = ViolationReport(kind, pointer, found_id, narrative)
+        super().__init__(f"{kind.value}: {narrative}")
 
 
 class ParseError(PasanError):

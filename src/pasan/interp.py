@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import chain
 from struct import pack_into, unpack_from
 
-from .errors import FaultKind, LimitExceeded, MemoryFault, PasanError
+from .errors import LimitExceeded, PasanError, ViolationError, ViolationReport
 from .instrument import instrument, wraps_builtin
 from .memspace import MemSpace, RegionMap
 from .miniir import OPS, ExternDecl, Function, Program, function_types
@@ -25,17 +25,8 @@ from .runtime import (
     IdGenerator,
     SanitizerRuntime,
     Stats,
-    ViolationError,
-    ViolationKind,
-    ViolationReport,
     padded_size,
 )
-
-_FAULT_KIND_MAP = {
-    FaultKind.POISONED_POINTER: ViolationKind.POISONED_DEREF,
-    FaultKind.SHADOW_ACCESS: ViolationKind.SHADOW_ACCESS,
-    FaultKind.UNMAPPED: ViolationKind.SPATIAL_OOB,
-}
 
 
 class Limits:
@@ -489,13 +480,6 @@ class Interpreter:
             return ExecResult("completed", stats, exit_value=self.exit_value)
         except ViolationError as exc:
             report = exc.report
-        except MemoryFault as exc:
-            report = ViolationReport(
-                _FAULT_KIND_MAP[exc.kind],
-                exc.addr,
-                mem.id_at(strip(exc.addr, self.cfg) & self.cfg.addr_mask),
-                exc.detail or f"raw access fault: {exc.kind.value}",
-            )
         finally:
             stats.insts = insts
         func = stack[-1].layout.func

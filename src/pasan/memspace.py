@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import AlignmentError, FaultKind, MemoryFault
+from .errors import PreconditionViolated, ViolationError, ViolationKind
 from .pacore import MASK64, AddressConfig
 
 PAGE_SIZE = 4096
@@ -113,11 +113,11 @@ class MemSpace:
 
     def _check_shadow_range(self, base: int, size: int) -> None:
         if base & 3 or size <= 0 or size & 3:
-            raise AlignmentError(
+            raise PreconditionViolated(
                 f"shadow range base=0x{base:x} size={size} must be 4-aligned and nonzero"
             )
         if base < 0 or (base + size - 1) >> self.cfg.msb_bit:
-            raise AlignmentError(f"shadow range 0x{base:x}+{size} leaves the program half")
+            raise PreconditionViolated(f"shadow range 0x{base:x}+{size} leaves the program half")
 
     # The runtime writes a range whose shadow lies in one existing page.
 
@@ -139,16 +139,21 @@ class MemSpace:
         return None
 
     def _check_access(self, addr: int, width: int) -> None:
+        """Trap a raw access that may not proceed.  Its report names the
+        id shadowing the address with every bit from n up cleared."""
         # Any bit in [n, 64) — signature field or bit 55 — traps the access.
         if addr >> self.cfg.n:
-            raise MemoryFault(FaultKind.POISONED_POINTER, addr)
-        if addr & self._shadow_bit:
-            raise MemoryFault(FaultKind.SHADOW_ACCESS, addr)
-        end = addr + width
-        for base, limit in self._spans:
-            if base <= addr and end <= limit:
-                return
-        raise MemoryFault(FaultKind.UNMAPPED, addr)
+            kind, trap = ViolationKind.POISONED_DEREF, "PoisonedPointer"
+        elif addr & self._shadow_bit:
+            kind, trap = ViolationKind.SHADOW_ACCESS, "ShadowAccess"
+        else:
+            end = addr + width
+            for base, limit in self._spans:
+                if base <= addr and end <= limit:
+                    return
+            kind, trap = ViolationKind.SPATIAL_OOB, "Unmapped"
+        raise ViolationError(kind, addr, self.id_at(addr & self.cfg.addr_mask),
+                             f"raw access fault: {trap}")
 
     # The interpreter's load and store move the bytes of an access that
     # finds its page in the mapped-page table and fits in it themselves

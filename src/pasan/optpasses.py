@@ -52,17 +52,16 @@ def run_passes(prog: Program, opts: str) -> Program:
                 if func.names is not None:
                     func.names = func.names - subst.keys()
         if "samelock" in passes:
-            geps = {inst.result: inst.args[0] for inst in chain.from_iterable(blocks.values())
-                    if inst.op == "gep"}
-
-            def gep_root(inst: Inst) -> str:
-                reg = inst.args[0]
-                while reg in geps:
-                    reg = geps[reg]
-                return reg
-
+            # Each gep result's root, in one walk: a gep's base is defined
+            # before it in reverse post-order, its root already known.
+            roots = {}
+            for label in func.dominance().order:
+                for inst in blocks[label]:
+                    if inst.op == "gep":
+                        roots[inst.result] = roots.get(inst.args[0], inst.args[0])
             namer = None
-            for (lb, i), inst, (cl, ci) in _covered_checks(prog, func, freeing, gep_root):
+            for (lb, i), inst, (cl, ci) in _covered_checks(
+                    prog, func, freeing, lambda inst: roots.get(inst.args[0], inst.args[0])):
                 cover = blocks[cl][ci]
                 if cover.result2 is None:  # the cover's copy takes its place
                     cover = blocks[cl][ci] = cover.copy()

@@ -9,10 +9,9 @@ faults.
 """
 from __future__ import annotations
 
-from enum import Enum
 from struct import unpack_from
 
-from .errors import FaultKind, LimitExceeded, MemoryFault, PasanError
+from .errors import LimitExceeded, ViolationError, ViolationKind
 from .memspace import PAGE_MASK, PAGE_SIZE, MemSpace
 from .pacore import (
     MASK64,
@@ -40,42 +39,6 @@ def padded_size(size: int) -> int:
     if size < 0:
         raise ValueError("negative allocation size")
     return max(4, (size + 3) & ~3)
-
-
-class ViolationKind(str, Enum):
-    SPATIAL_OOB = "SpatialOOB"
-    USE_AFTER_FREE = "UseAfterFree"
-    DOUBLE_FREE = "DoubleFree"
-    FREE_INSIDE_BUFFER = "FreeInsideBuffer"
-    USE_AFTER_SCOPE = "UseAfterScope"
-    POISONED_DEREF = "PoisonedDeref"
-    SHADOW_ACCESS = "ShadowAccess"
-    CRAFTED_PAC = "CraftedPac"
-
-
-class ViolationReport:
-    def __init__(self, kind: ViolationKind, pointer: int, found_id: int, narrative: str,
-                 function: str = "", inst_index: int = -1, inst_uid: int = -1):
-        self.kind, self.pointer, self.found_id, self.narrative = kind, pointer, found_id, narrative
-        self.function, self.inst_index, self.inst_uid = function, inst_index, inst_uid
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "function": self.function,
-            "inst_index": self.inst_index,
-            "pointer_hex": f"0x{self.pointer:016x}",
-            "found_id": self.found_id,
-            "narrative": self.narrative,
-        }
-
-
-class ViolationError(PasanError):
-    """Detection verdict; the interpreter halts the program on it."""
-
-    def __init__(self, report: ViolationReport):
-        self.report = report
-        super().__init__(f"{report.kind.value}: {report.narrative}")
 
 
 class IdGenerator:
@@ -225,7 +188,8 @@ class SanitizerRuntime:
     def plain_free(self, addr: int) -> None:
         entry = self.alloc.get(addr)
         if entry is None or not entry.live:
-            raise MemoryFault(FaultKind.UNMAPPED, addr, "invalid free target")
+            raise ViolationError(ViolationKind.SPATIAL_OOB, addr,
+                                 self.mem.id_at(addr & self.cfg.addr_mask), "invalid free target")
         self._release(addr, entry)
 
     def resign_return(self, raw: int) -> int:
@@ -238,10 +202,6 @@ class SanitizerRuntime:
         return with_pac_field(raw, compute_pac(obj_id, 0, self.key, self.cfg), self.cfg)
 
     # -- violation plumbing --
-
-    def _raise(self, kind: ViolationKind, pointer: int, found_id: int,
-               narrative: str) -> None:
-        raise ViolationError(ViolationReport(kind, pointer, found_id, narrative))
 
     def _classify_failure(self, addr: int, found: int, pac: int) -> tuple[ViolationKind, str]:
         """Attribute a failed authentication.  A signature matching a
@@ -272,17 +232,17 @@ class SanitizerRuntime:
         """A pointer into the metadata half or with bit 55 set never
         authenticates; report it as such."""
         if (ptr >> self.cfg.msb_bit) & 1:
-            self._raise(ViolationKind.SHADOW_ACCESS, ptr, found,
-                        "pointer targets the metadata half")
+            raise ViolationError(ViolationKind.SHADOW_ACCESS, ptr, found,
+                                 "pointer targets the metadata half")
         if (ptr >> RESERVED_BIT) & 1:
-            self._raise(ViolationKind.CRAFTED_PAC, ptr, found, "reserved bit 55 set")
+            raise ViolationError(ViolationKind.CRAFTED_PAC, ptr, found, "reserved bit 55 set")
 
     def _reject(self, ptr: int, raw: int, found: int) -> None:
         """Report a failed authentication, as _refuse_unsignable or else
         as _classify_failure attributes it."""
         self._refuse_unsignable(ptr, found)
         kind, narrative = self._classify_failure(raw, found, pac_field(ptr, self.cfg))
-        self._raise(kind, ptr, found, narrative)
+        raise ViolationError(kind, ptr, found, narrative)
 
     # -- the checks --
 
@@ -307,8 +267,8 @@ class SanitizerRuntime:
             for off in range(1, width) if self.bytewise else (width - 1,):
                 other = self.mem.id_at(raw + off)
                 if other != found:
-                    self._raise(ViolationKind.SPATIAL_OOB, ptr, other,
-                                f"{width}-byte access at 0x{raw:x} runs past the object")
+                    raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, other,
+                                         f"{width}-byte access at 0x{raw:x} runs past the object")
         return (raw, found) if token else raw
 
     def fast_check(self, ptr: int, token: int, base: int, width: int = 1) -> int:
@@ -320,8 +280,8 @@ class SanitizerRuntime:
         raw = ptr & cfg.strip_mask
         # the lock bits: every bit from the address MSB up, which derivation keeps
         if ptr >> cfg.msb_bit != base >> cfg.msb_bit:
-            self._raise(ViolationKind.SPATIAL_OOB, ptr, self.mem.id_at(raw),
-                        "derivation altered non-offset pointer bits")
+            raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, self.mem.id_at(raw),
+                                 "derivation altered non-offset pointer bits")
         if (raw & 3) + width <= 4 and not self.bytewise:  # one granule: read it here
             shadow = raw | self.shadow_bit
             page = self.pages.get(shadow >> 12)
@@ -330,8 +290,8 @@ class SanitizerRuntime:
         for off in range(width) if self.bytewise else (0, width - 1):
             found = self.mem.id_at(raw + off)
             if found != token:
-                self._raise(ViolationKind.SPATIAL_OOB, ptr, found,
-                            f"shadow id changed under same-lock access at 0x{raw + off:x}")
+                raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, found, "shadow id changed"
+                                     f" under same-lock access at 0x{raw + off:x}")
         return raw
 
     # -- deallocation --
@@ -349,10 +309,10 @@ class SanitizerRuntime:
             if found == 0:
                 entry = self.alloc.get(raw)
                 if entry is not None and not entry.live:
-                    self._raise(ViolationKind.DOUBLE_FREE, ptr, found,
-                                f"block at 0x{raw:x} already freed")
-                self._raise(ViolationKind.USE_AFTER_FREE, ptr, found,
-                            "free through a stale pointer")
+                    raise ViolationError(ViolationKind.DOUBLE_FREE, ptr, found,
+                                         f"block at 0x{raw:x} already freed")
+                raise ViolationError(ViolationKind.USE_AFTER_FREE, ptr, found,
+                                     "free through a stale pointer")
             self._reject(ptr, raw, found)
         # Begin-of-object: the shadow word below the base must differ.
         # A zero guard word sits below the heap base, so the first block
@@ -361,12 +321,12 @@ class SanitizerRuntime:
             page, off = self.pages.get(((raw - 4) | self.shadow_bit) >> 12), PAGE_SIZE
         below = 0 if page is None else unpack_from("<I", page, off - 4)[0]
         if below == found:
-            self._raise(ViolationKind.FREE_INSIDE_BUFFER, ptr, found,
-                        f"free target 0x{raw:x} is not the start of the object")
+            raise ViolationError(ViolationKind.FREE_INSIDE_BUFFER, ptr, found,
+                                 f"free target 0x{raw:x} is not the start of the object")
         entry = self.alloc.get(raw)
         if entry is None or not entry.live:
-            self._raise(ViolationKind.SPATIAL_OOB, ptr, found,
-                        "free target is not a live heap allocation")
+            raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, found,
+                                 "free target is not a live heap allocation")
         self.retire_extent(raw, entry.size, found, "heap")
         self._release(raw, entry)
 

@@ -10,7 +10,7 @@ functions as written before the inlining, over compute_pac, pac_field,
 modifier_for, _mac, with_pac_field, _check_access, _check_shadow_range,
 _load_bytes, _store_bytes, id_at, shadow_fill and shadow_clear; each
 input must give the same value, or the same exception with the same
-report or fault fields, and leave the same MAC table, counters and
+report or message, and leave the same MAC table, counters and
 memory behind.
 """
 import random
@@ -21,7 +21,7 @@ import pytest
 
 from helpers import config_id, fields, lock_bits
 from pasan import runtime as runtime_module
-from pasan.errors import AlignmentError, LimitExceeded, MemoryFault, PreconditionViolated
+from pasan.errors import LimitExceeded, PreconditionViolated, ViolationError, ViolationKind
 from pasan.cli import _build
 from pasan.interp import _HANDLERS, Interpreter, run
 from pasan.memspace import PAGE_SIZE, MemSpace, Region, RegionMap, shadow_of
@@ -45,9 +45,6 @@ from pasan.runtime import (
     AllocEntry,
     IdGenerator,
     SanitizerRuntime,
-    ViolationError,
-    ViolationKind,
-    ViolationReport,
     _Extent,
     padded_size,
 )
@@ -63,10 +60,6 @@ def ref_pac_auth(ptr, obj_id, key, cfg):
     return poison(ptr, cfg)
 
 
-def _violation(kind, ptr, found, narrative):
-    return ViolationError(ViolationReport(kind, ptr, found, narrative))
-
-
 def ref_checked_access(rt, ptr, width, token=False):
     rt.stats.checks_full += 1
     cfg = rt.cfg
@@ -74,12 +67,12 @@ def ref_checked_access(rt, ptr, width, token=False):
     found = rt.mem.id_at(raw)
     if ref_pac_auth(ptr, found, rt.key, cfg) != ptr & cfg.clear_mask:
         if (ptr >> cfg.msb_bit) & 1:
-            raise _violation(ViolationKind.SHADOW_ACCESS, ptr, found,
-                             "pointer targets the metadata half")
+            raise ViolationError(ViolationKind.SHADOW_ACCESS, ptr, found,
+                                 "pointer targets the metadata half")
         if (ptr >> RESERVED_BIT) & 1:
-            raise _violation(ViolationKind.CRAFTED_PAC, ptr, found, "reserved bit 55 set")
+            raise ViolationError(ViolationKind.CRAFTED_PAC, ptr, found, "reserved bit 55 set")
         kind, narrative = rt._classify_failure(raw, found, pac_field(ptr, cfg))
-        raise _violation(kind, ptr, found, narrative)
+        raise ViolationError(kind, ptr, found, narrative)
     if rt.bytewise:
         offsets = range(1, width)
     else:
@@ -87,8 +80,8 @@ def ref_checked_access(rt, ptr, width, token=False):
     for off in offsets:
         other = rt.mem.id_at(raw + off)
         if other != found:
-            raise _violation(ViolationKind.SPATIAL_OOB, ptr, other,
-                             f"{width}-byte access at 0x{raw:x} runs past the object")
+            raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, other,
+                                 f"{width}-byte access at 0x{raw:x} runs past the object")
     return (raw, found) if token else raw
 
 
@@ -96,8 +89,8 @@ def ref_fast_check(rt, ptr, token, base, width):
     rt.stats.checks_fast += 1
     raw = strip(ptr, rt.cfg)
     if lock_bits(ptr, rt.cfg) != lock_bits(base, rt.cfg):
-        raise _violation(ViolationKind.SPATIAL_OOB, ptr, rt.mem.id_at(raw),
-                         "derivation altered non-offset pointer bits")
+        raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, rt.mem.id_at(raw),
+                             "derivation altered non-offset pointer bits")
     if rt.bytewise:
         offsets = range(width)
     else:
@@ -105,8 +98,8 @@ def ref_fast_check(rt, ptr, token, base, width):
     for off in offsets:
         found = rt.mem.id_at(raw + off)
         if found != token:
-            raise _violation(ViolationKind.SPATIAL_OOB, ptr, found,
-                             f"shadow id changed under same-lock access at 0x{raw + off:x}")
+            raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, found,
+                                 f"shadow id changed under same-lock access at 0x{raw + off:x}")
     return raw
 
 
@@ -127,8 +120,6 @@ def outcome(fn, *args):
     except ViolationError as exc:
         r = exc.report
         return "violation", r.kind, r.pointer, r.found_id, r.narrative
-    except MemoryFault as exc:
-        return "fault", exc.kind, exc.addr, exc.detail
     except PreconditionViolated as exc:
         return "precondition", str(exc)
 
@@ -310,10 +301,10 @@ def ref_wrapper_call(rt, name, args):
 
 
 def outcome_or_error(fn, *args):
-    """outcome, with a bad shadow range or an id too wide to store."""
+    """outcome, with an id too wide to store."""
     try:
         return outcome(fn, *args)
-    except (AlignmentError, OverflowError) as exc:
+    except OverflowError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -468,18 +459,18 @@ def ref_protected_free(rt, ptr):
         if found == 0:
             entry = rt.alloc.get(raw)
             if entry is not None and not entry.live:
-                raise _violation(ViolationKind.DOUBLE_FREE, ptr, found,
-                                 f"block at 0x{raw:x} already freed")
-            raise _violation(ViolationKind.USE_AFTER_FREE, ptr, found,
-                             "free through a stale pointer")
+                raise ViolationError(ViolationKind.DOUBLE_FREE, ptr, found,
+                                     f"block at 0x{raw:x} already freed")
+            raise ViolationError(ViolationKind.USE_AFTER_FREE, ptr, found,
+                                 "free through a stale pointer")
         rt._reject(ptr, raw, found)
     if rt.mem.id_at(raw - 4) == found:
-        raise _violation(ViolationKind.FREE_INSIDE_BUFFER, ptr, found,
-                         f"free target 0x{raw:x} is not the start of the object")
+        raise ViolationError(ViolationKind.FREE_INSIDE_BUFFER, ptr, found,
+                             f"free target 0x{raw:x} is not the start of the object")
     entry = rt.alloc.get(raw)
     if entry is None or not entry.live:
-        raise _violation(ViolationKind.SPATIAL_OOB, ptr, found,
-                         "free target is not a live heap allocation")
+        raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, found,
+                             "free target is not a live heap allocation")
     ref_retire_extent(rt, raw, entry.size, found, "heap")
     entry.live = False
     rt.free_lists.setdefault(entry.size, []).append(raw)

@@ -7,13 +7,12 @@ import pytest
 
 from helpers import insts
 from pasan import pacore
-from pasan.errors import LimitExceeded, PasanError
+from pasan.errors import LimitExceeded, PasanError, ViolationKind
 from pasan.instrument import instrument
 from pasan.interp import Interpreter, Limits, run, run_unoptimized_oracle
 from pasan.miniir import parse, validate
 from pasan.optpasses import run_passes
 from pasan.pacore import AddressConfig
-from pasan.runtime import ViolationKind
 
 CFG = AddressConfig(47)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pasan.errors import AlignmentError, FaultKind, MemoryFault
+from pasan.errors import PreconditionViolated, ViolationError, ViolationKind
 from pasan.memspace import HEAP_BASE, MemSpace, Region, RegionMap, shadow_of
 from pasan.pacore import AddressConfig, PacKey, pac_sign, poison
 
@@ -71,9 +71,9 @@ def test_clear_idempotent():
 @pytest.mark.parametrize("base,size", [(HEAP_BASE, 0), (HEAP_BASE + 1, 4), (HEAP_BASE, 6)])
 def test_fill_alignment_errors(base, size):
     mem = make_mem()
-    with pytest.raises(AlignmentError):
+    with pytest.raises(PreconditionViolated):
         mem.shadow_fill(base, size, 1)
-    with pytest.raises(AlignmentError):
+    with pytest.raises(PreconditionViolated):
         mem.shadow_clear(base, size)
 
 
@@ -86,9 +86,9 @@ def test_negative_shadow_range_raises_and_writes_nothing(base, size):
     mem._store_bytes(0, bytes(range(1, 17)))           # program bytes 0..15
     mem.shadow_fill(0, 16, 0x11223344)                  # and their shadow
     before = {page: bytes(buf) for page, buf in mem._pages.items()}
-    with pytest.raises(AlignmentError):
+    with pytest.raises(PreconditionViolated):
         mem.shadow_fill(base, size, 0x55)
-    with pytest.raises(AlignmentError):
+    with pytest.raises(PreconditionViolated):
         mem.shadow_clear(base, size)
     assert {page: bytes(buf) for page, buf in mem._pages.items()} == before
 
@@ -119,32 +119,32 @@ def test_poisoned_access_faults():
     mem = make_mem()
     key = PacKey(5)
     signed = pac_sign(HEAP_BASE, 3, key, CFG)
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ViolationError) as exc:
         mem.read(signed, 4)
-    assert exc.value.kind is FaultKind.POISONED_POINTER
-    with pytest.raises(MemoryFault) as exc:
+    assert exc.value.report.kind is ViolationKind.POISONED_DEREF
+    with pytest.raises(ViolationError) as exc:
         mem.read(poison(HEAP_BASE, CFG), 4)
-    assert exc.value.kind is FaultKind.POISONED_POINTER
-    with pytest.raises(MemoryFault) as exc:
+    assert exc.value.report.kind is ViolationKind.POISONED_DEREF
+    with pytest.raises(ViolationError) as exc:
         mem.write(HEAP_BASE | 1 << 55, 4, 0)
-    assert exc.value.kind is FaultKind.POISONED_POINTER
+    assert exc.value.report.kind is ViolationKind.POISONED_DEREF
 
 
 def test_shadow_access_faults():
     mem = make_mem()
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ViolationError) as exc:
         mem.read(shadow_of(HEAP_BASE, CFG), 4)
-    assert exc.value.kind is FaultKind.SHADOW_ACCESS
+    assert exc.value.report.kind is ViolationKind.SHADOW_ACCESS
 
 
 def test_unmapped_faults():
     mem = make_mem()
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ViolationError) as exc:
         mem.read(0x5000_0000, 4)
-    assert exc.value.kind is FaultKind.UNMAPPED
+    assert exc.value.report.kind is ViolationKind.SPATIAL_OOB
     # an access straddling the end of a region is out too
     limit = mem.regions.heap.limit
-    with pytest.raises(MemoryFault):
+    with pytest.raises(ViolationError):
         mem.write(limit - 2, 4, 0)
 
 
@@ -155,7 +155,7 @@ def test_program_access_cannot_reach_metadata():
     mem.write(HEAP_BASE, 4, 0xFFFFFFFF)
     assert mem.id_at(HEAP_BASE) == 0x42
     # and no raw program access can alias into the shadow half
-    with pytest.raises(MemoryFault):
+    with pytest.raises(ViolationError):
         mem.write(shadow_of(HEAP_BASE, CFG), 4, 0)
 
 
@@ -190,8 +190,8 @@ def fault_of(vet, addr, length):
     """(kind, address) of the fault vetting [addr, addr+length) raises."""
     try:
         vet(addr, length)
-    except MemoryFault as exc:
-        return exc.kind, exc.addr
+    except ViolationError as exc:
+        return exc.report.kind, exc.report.pointer
     return None
 
 

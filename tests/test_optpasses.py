@@ -460,6 +460,20 @@ def test_may_free_is_linear_in_call_chain_depth():
     assert elapsed < 1.0, f"compiling a {depth}-deep call chain took {elapsed:.2f} s"
 
 
+def test_same_lock_is_linear_in_gep_chain_depth():
+    # Walking each check's gep chain back to its root took 7.5 s here.
+    depth = 16000
+    lines = ["func @main() -> i32 {", "bb0:", "  %sz = const.i64 8", "  %g0 = malloc %sz"]
+    for i in range(1, depth + 1):
+        lines += [f"  %g{i} = gep %g{i - 1}, 0", f"  %v{i} = load.i32 %g{i}"]
+    text = "\n".join(lines + [f"  ret %v{depth}", "}"]) + "\n"
+    start = time.perf_counter()
+    prog = _build(text, "all")
+    elapsed = time.perf_counter() - start
+    assert count_checks(prog) == (1, depth - 1)
+    assert elapsed < 2.0, f"compiling a {depth}-deep gep chain took {elapsed:.2f} s"
+
+
 def _oracle_may_free(prog):
     """Internal functions from which some chain of zero or more internal
     calls reaches one that frees directly: a `free`, or a call to

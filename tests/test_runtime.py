@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import is_poisoned, lock_bits
-from pasan.errors import LimitExceeded
+from pasan.errors import LimitExceeded, ViolationError, ViolationKind
 from pasan.memspace import MemSpace, RegionMap
 from pasan.pacore import (
     AddressConfig,
@@ -16,8 +16,6 @@ from pasan.pacore import (
 from pasan.runtime import (
     IdGenerator,
     SanitizerRuntime,
-    ViolationError,
-    ViolationKind,
     padded_size,
 )
 
