@@ -26,7 +26,7 @@ from .miniir import Program, format_program, parse, validate
 from .instrument import instrument
 from .optpasses import PASS_SETS, count_checks, run_passes
 from .pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
-from .runtime import IdGenerator, SanitizerRuntime
+from .runtime import SanitizerRuntime
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -36,9 +36,7 @@ def _write_json(path: str, payload: dict) -> None:
 def _build(text: str, opts: str) -> Program:
     prog = parse(text)
     validate(prog)
-    if not prog.instrumented:
-        prog = run_passes(instrument(prog), opts)
-    return prog
+    return run_passes(prog if prog.instrumented else instrument(prog), opts)
 
 
 def _result_json(result: ExecResult, prog: Program, cfg: AddressConfig,
@@ -219,7 +217,7 @@ def accepted_fields(cfg: AddressConfig, rng: random.Random) -> list[int]:
     and return every signature field the authenticator accepts on its
     base: pac_auth is called once per possible field."""
     mem = MemSpace(cfg, RegionMap.default(heap_size=1 << 12))
-    rt = SanitizerRuntime(mem, PacKey.generate(rng), IdGenerator.seeded(rng))
+    rt = SanitizerRuntime(mem, PacKey.generate(rng), rng.getrandbits(32))
     base = strip(rt.protected_malloc(16), cfg)
     obj_id = mem.id_at(base)
     return [f for f in range(1 << cfg.effective_p)

@@ -22,7 +22,6 @@ from .runtime import (
     RT_FREE,
     RT_MALLOC,
     RT_WRAPPERS,
-    IdGenerator,
     SanitizerRuntime,
     Stats,
     padded_size,
@@ -342,9 +341,8 @@ class Interpreter:
         regions = RegionMap.default(self.limits.globals_bytes, self.limits.heap_bytes,
                                     self.limits.stack_bytes)
         self.mem = MemSpace(cfg, regions)
-        self.rt = SanitizerRuntime(
-            self.mem, PacKey.generate(rng), IdGenerator.seeded(rng), bytewise=bytewise
-        )
+        self.rt = SanitizerRuntime(self.mem, PacKey.generate(rng), rng.getrandbits(32),
+                                   bytewise=bytewise)
         self.sp = regions.stack.limit
         self.simulated = {name for name, decl in prog.externs.items() if _simulated(decl)}
         self.layouts: dict[str, _Layout] = {}

@@ -1,13 +1,15 @@
 """Simulated flat virtual address space with a one-way metadata mapping.
 
 The space is split in halves by the top address bit: the program half
-holds heap, stack, and globals; the upper half shadows every program
-byte 1:1 with metadata and is reachable only through the shadow_*
-operations.  Backing storage is a sparse map of 4 KiB pages so a 2^47
-space fits in host memory; untouched pages read as zero.
+holds heap, stack, and globals; the upper half shadows each 4-byte
+granule of it with a 32-bit object id, reachable only through id_at and
+the shadow_* operations.  Bytes and ids live in sparse maps of 4 KiB
+pages and of 1,024-word pages, so a 2^47 space fits in host memory;
+untouched pages read as zero.
 """
 from __future__ import annotations
 
+from array import array
 from itertools import combinations
 
 from .errors import PreconditionViolated, ViolationError, ViolationKind
@@ -16,6 +18,7 @@ from .pacore import MASK64, AddressConfig
 PAGE_SIZE = 4096
 PAGE_MASK = PAGE_SIZE - 1
 _ZERO_PAGE = bytes(PAGE_SIZE)  # how an untouched page reads
+_ZERO_WORDS = array("I", _ZERO_PAGE)  # and an untouched shadow page
 
 GLOBALS_BASE = 0x0001_0000
 HEAP_BASE = 0x1000_0000
@@ -57,6 +60,7 @@ class MemSpace:
         self.cfg = cfg
         self.regions = regions or RegionMap.default()
         self._pages: dict[int, bytearray] = {}
+        self.shadow: dict[int, array] = {}  # addr's id: [(addr | MSB) >> 12][addr >> 2 & 1023]
         named = [(name, getattr(self.regions, name)) for name in ("globals", "heap", "stack")]
         for name, region in named:
             if region.base < 0 or region.limit > 1 << cfg.msb_bit:
@@ -101,15 +105,9 @@ class MemSpace:
     # -- metadata (shadow) operations --
 
     def id_at(self, addr: int) -> int:
-        """The 32-bit object id shadowing addr (0 = freed or never
-        allocated).  Lookup is at the 4-aligned shadow word, which never
-        straddles a page."""
-        shadow = (addr | self._shadow_bit) & ~3
-        buf = self._pages.get(shadow >> 12)
-        if buf is None:
-            return 0
-        off = shadow & PAGE_MASK
-        return int.from_bytes(buf[off : off + 4], "little")
+        """The 32-bit object id shadowing addr: 0 if freed or never allocated."""
+        page = self.shadow.get((addr | self._shadow_bit) >> 12)
+        return 0 if page is None else page[addr >> 2 & 1023]
 
     def _check_shadow_range(self, base: int, size: int) -> None:
         if base & 3 or size <= 0 or size & 3:
@@ -123,12 +121,23 @@ class MemSpace:
 
     def shadow_fill(self, base: int, size: int, obj_id: int) -> None:
         """Write obj_id across every shadow word covering [base, base+size)."""
-        self._check_shadow_range(base, size)
-        self._store_bytes(shadow_of(base, self.cfg), obj_id.to_bytes(4, "little") * (size // 4))
+        self._shadow_write(base, size, obj_id)
 
     def shadow_clear(self, base: int, size: int) -> None:
+        self._shadow_write(base, size, 0)
+
+    def _shadow_write(self, base: int, size: int, word: int) -> None:
         self._check_shadow_range(base, size)
-        self._store_bytes(shadow_of(base, self.cfg), bytes(size))
+        fill = array("I", (word,))  # an id wider than 32 bits raises here
+        at = shadow_of(base, self.cfg) >> 2  # a word index: its page is at >> 10
+        end = at + (size >> 2)
+        while at < end:
+            words = min(end, (at | 1023) + 1) - at  # those in at's page
+            page = self.shadow.get(at >> 10)
+            if page is None:
+                page = self.shadow[at >> 10] = _ZERO_WORDS[:]
+            page[at & 1023 : (at & 1023) + words] = fill * words
+            at += words
 
     # -- program-visible raw access (the trap surface) --
 

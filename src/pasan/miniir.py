@@ -16,6 +16,7 @@ import re
 from itertools import chain, count
 
 from .errors import ParseError, ValidationError
+from .runtime import padded_size
 
 TYPES = ("i32", "i64", "ptr")
 ACCESS_SUFFIXES = {"i8": 1, "i32": 4, "i64": 8, "ptr": 8}
@@ -552,6 +553,11 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
                         err(f"{op} size must not be negative, got {args[i]}")
                     if kind == "global" and args[i][1:] not in globals_:
                         err(f"{op} of unknown global {args[i]}")
+                if op == "sign":  # it shadows its alloca's slot, no more and no less
+                    site = def_site[args[0]]
+                    slot = site and func.blocks[site[0]][site[1]]
+                    if not (slot and slot.op == "alloca" and args[1] == padded_size(slot.args[0])):
+                        err(f"sign {args[0]}, {args[1]}: expected an alloca and its padded size")
             if held is None:
                 for arg in args:
                     site = def_site.get(arg)

@@ -2,17 +2,18 @@
 pointer checks, standard-function wrappers, and violation reporting.
 
 Every live protected object is shadowed by one uniform nonzero 32-bit
-id; freed extents are uniformly zero.  A pointer authenticates iff its
-signature matches the id shadowing the byte it points at, which is what
-turns both out-of-bounds derivation and stale pointers into detectable
-faults.
+id; freed extents are uniformly zero.  Ids are drawn from a counter
+that starts at a random 32-bit value per run and wraps modulo 2^32,
+skipping 0.  A pointer authenticates iff its signature matches the id
+shadowing the byte it points at, which is what turns both out-of-bounds
+derivation and stale pointers into detectable faults.
 """
 from __future__ import annotations
 
-from struct import unpack_from
+from array import array
 
 from .errors import LimitExceeded, ViolationError, ViolationKind
-from .memspace import PAGE_MASK, PAGE_SIZE, MemSpace
+from .memspace import MemSpace
 from .pacore import (
     MASK64,
     RESERVED_BIT,
@@ -41,25 +42,6 @@ def padded_size(size: int) -> int:
     return max(4, (size + 3) & ~3)
 
 
-class IdGenerator:
-    """32-bit allocation counter, randomly initialized per run; wraps
-    modulo 2^32 skipping the reserved freed marker 0."""
-
-    def __init__(self, counter: int):
-        self.counter = counter
-
-    @classmethod
-    def seeded(cls, rng) -> "IdGenerator":
-        return cls(rng.getrandbits(32))
-
-    def next(self) -> int:
-        value = self.counter & 0xFFFFFFFF
-        if value == 0:
-            value = 1
-        self.counter = (value + 1) & 0xFFFFFFFF
-        return value
-
-
 class AllocEntry:
     def __init__(self, size: int, live: bool):
         self.size, self.live = size, live
@@ -86,16 +68,15 @@ class _Extent:
 
 
 class SanitizerRuntime:
-    """Per-run sanitizer state: allocator, id generator, signing key,
+    """Per-run sanitizer state: allocator, id counter, signing key,
     global pointer table, and the live/retired object registries used to
     attribute failed authentications to a violation kind."""
 
-    def __init__(self, mem: MemSpace, key: PacKey, gen: IdGenerator,
-                 bytewise: bool = False):
+    def __init__(self, mem: MemSpace, key: PacKey, next_id: int, bytewise: bool = False):
         self.mem = mem
         self.cfg = mem.cfg
         self.key = key
-        self.gen = gen
+        self.next_id = next_id
         self.bytewise = bytewise
         self.alloc: dict[int, AllocEntry] = {}
         self.free_lists: dict[int, list[int]] = {}
@@ -111,9 +92,7 @@ class SanitizerRuntime:
         self.sig_mask = self.cfg.field_mask | 1 << self.cfg.msb_bit | 1 << RESERVED_BIT
         self.retired: list[_Extent] = []
         self.stats = Stats()
-        # MemSpace's page dict: the success paths read and write shadow
-        # words in it (at their program address's page offset) themselves.
-        self.pages = mem._pages
+        self.shadow = mem.shadow  # the success paths read and write its words themselves
         self.shadow_bit = 1 << self.cfg.msb_bit
 
     # -- allocation: one carve -> record -> count path; protection is
@@ -146,12 +125,12 @@ class SanitizerRuntime:
         """Shadow a fresh extent with a new id; returns (id, signed base).
         A slice in one existing shadow page is written here, as a MAC the
         key's table has is placed; MemSpace and pac_sign take the rest."""
-        obj_id = self.gen.next()
-        off = base & PAGE_MASK
-        page = self.pages.get((base | self.shadow_bit) >> 12)
-        if page is not None and base < self.shadow_bit and 0 < padded <= PAGE_SIZE - off \
-                and not (base | padded) & 3:
-            page[off : off + padded] = obj_id.to_bytes(4, "little") * (padded >> 2)
+        obj_id = self.next_id & 0xFFFFFFFF or 1
+        self.next_id = obj_id + 1
+        page = self.shadow.get((base | self.shadow_bit) >> 12)
+        if page is not None and base < self.shadow_bit and not (base | padded) & 3 \
+                and 0 < (words := padded >> 2) <= 1024 - (at := base >> 2 & 1023):
+            page[at : at + words] = array("I", (obj_id,)) * words
         else:
             self.mem.shadow_fill(base, padded, obj_id)
         self.live[base] = _Extent(base, padded, obj_id, origin)
@@ -164,11 +143,10 @@ class SanitizerRuntime:
 
     def retire_extent(self, base: int, padded: int, obj_id: int, origin: str) -> None:
         """Unshadow an extent; file live's _Extent if it is this one."""
-        off = base & PAGE_MASK
-        page = self.pages.get((base | self.shadow_bit) >> 12)
-        if page is not None and base < self.shadow_bit and 0 < padded <= PAGE_SIZE - off \
-                and not (base | padded) & 3:
-            page[off : off + padded] = bytes(padded)
+        page = self.shadow.get((base | self.shadow_bit) >> 12)
+        if page is not None and base < self.shadow_bit and not (base | padded) & 3 \
+                and 0 < (words := padded >> 2) <= 1024 - (at := base >> 2 & 1023):
+            page[at : at + words] = array("I", bytes(padded))
         else:
             self.mem.shadow_clear(base, padded)
         ext = self.live.pop(base, None)
@@ -255,9 +233,8 @@ class SanitizerRuntime:
         self.stats.checks_full += 1
         cfg = self.cfg
         raw = ptr & cfg.strip_mask
-        shadow = raw | self.shadow_bit
-        page = self.pages.get(shadow >> 12)
-        found = 0 if page is None else unpack_from("<I", page, shadow & 0xFFC)[0]
+        page = self.shadow.get((raw | self.shadow_bit) >> 12)
+        found = 0 if page is None else page[raw >> 2 & 1023]
         if self.sigs.get(found) != ptr & self.sig_mask \
                 and pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
             self._reject(ptr, raw, found)
@@ -283,9 +260,8 @@ class SanitizerRuntime:
             raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, self.mem.id_at(raw),
                                  "derivation altered non-offset pointer bits")
         if (raw & 3) + width <= 4 and not self.bytewise:  # one granule: read it here
-            shadow = raw | self.shadow_bit
-            page = self.pages.get(shadow >> 12)
-            if page is not None and unpack_from("<I", page, shadow & 0xFFC)[0] == token:
+            page = self.shadow.get((raw | self.shadow_bit) >> 12)
+            if page is not None and page[raw >> 2 & 1023] == token:
                 return raw
         for off in range(width) if self.bytewise else (0, width - 1):
             found = self.mem.id_at(raw + off)
@@ -299,10 +275,8 @@ class SanitizerRuntime:
     def protected_free(self, ptr: int) -> None:
         cfg = self.cfg
         raw = ptr & cfg.strip_mask
-        shadow = raw | self.shadow_bit
-        off = shadow & 0xFFC
-        page = self.pages.get(shadow >> 12)
-        found = 0 if page is None else unpack_from("<I", page, off)[0]
+        page = self.shadow.get((raw | self.shadow_bit) >> 12)
+        found = 0 if page is None else page[raw >> 2 & 1023]
         if self.sigs.get(found) != ptr & self.sig_mask \
                 and pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
             self._refuse_unsignable(ptr, found)
@@ -317,10 +291,9 @@ class SanitizerRuntime:
         # Begin-of-object: the shadow word below the base must differ.
         # A zero guard word sits below the heap base, so the first block
         # passes; interior pointers see their own id below and fail.
-        if not off:  # the word below lies in the shadow page below
-            page, off = self.pages.get(((raw - 4) | self.shadow_bit) >> 12), PAGE_SIZE
-        below = 0 if page is None else unpack_from("<I", page, off - 4)[0]
-        if below == found:
+        below = raw - 4
+        page = self.shadow.get((below | self.shadow_bit) >> 12)
+        if (0 if page is None else page[below >> 2 & 1023]) == found:
             raise ViolationError(ViolationKind.FREE_INSIDE_BUFFER, ptr, found,
                                  f"free target 0x{raw:x} is not the start of the object")
         entry = self.alloc.get(raw)

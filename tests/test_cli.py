@@ -18,7 +18,7 @@ from pasan.interp import Interpreter
 from pasan.memspace import MemSpace, RegionMap
 from pasan.miniir import Dominance, Function, Inst, defined_names
 from pasan.pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
-from pasan.runtime import IdGenerator, SanitizerRuntime
+from pasan.runtime import SanitizerRuntime
 
 GOOD = """\
 func @main() -> i32 {
@@ -239,6 +239,46 @@ def test_run_front_end_error_exit_2(tmp_path, capsys, text, message):
     assert "Traceback" not in err
 
 
+# A pre-instrumented program signs each unsafe alloca once, with its
+# padded size; anything else would shadow memory the slot does not own
+# (a 2^40-byte sign would ask for a 1 TiB shadow fill).
+@pytest.mark.parametrize("alloca, sign", [
+    ("%a = alloca 16", "%s = sign %a, 1099511627776"),
+    ("%a = alloca 16", "%s = sign %a, 32"),
+    ("%a = alloca 13", "%s = sign %a, 8"),
+    ("%a = alloca 16", "%s = sign %q, 12"),
+    ("%a = malloc %sz", "%s = sign %a, 16"),
+], ids=["huge", "oversized", "undersized", "interior", "heap"])
+def test_sign_of_anything_but_its_alloca_slot_exits_2(tmp_path, capsys, alloca, sign):
+    text = _main("bb0:", "  %sz = const.i64 16", f"  {alloca}", "  %q = gep %a, 4",
+                 f"  {sign}", *RET)
+    assert main(["run", write(tmp_path, "sign.ir", text)]) == 2
+    err = capsys.readouterr().err
+    assert f"@main: {sign[5:]}: expected an alloca and its padded size" in err
+    assert "Traceback" not in err
+
+
+PRE_INSTRUMENTED = _main(
+    "bb0:", "  %a = alloca 8", "  %s = sign %a, 8", "  %c = check %s, 4", "  %v = const.i32 7",
+    "  store.i32 %c, %v", "  %d = check %s, 4", "  %x = load.i32 %d", "  ret %x")
+
+
+def test_pre_instrumented_program_runs_the_selected_passes(tmp_path):
+    # the second check of %s is redundant: --opts all deletes it
+    path = write(tmp_path, "pre.ir", PRE_INSTRUMENTED)
+    payloads = {}
+    for opts in ("none", "all"):
+        out = tmp_path / f"{opts}.json"
+        assert main(["run", path, "--opts", opts, "--json", str(out)]) == 0
+        payloads[opts] = json.loads(out.read_text())
+    none, all_ = payloads["none"], payloads["all"]
+    assert none["static_checks"] == {"checks_full": 2, "checks_fast": 0}
+    assert all_["static_checks"] == {"checks_full": 1, "checks_fast": 0}
+    assert (none["stats"]["checks_full"], all_["stats"]["checks_full"]) == (2, 1)
+    assert none["exit_value"] == all_["exit_value"] == 7
+    assert (none["config"]["opts"], all_["config"]["opts"]) == ("none", "all")
+
+
 def straight_line_program(blocks):
     """A straight-line CFG storing through a gep of one heap base in each
     block, with an external call (which may free) every 7 blocks; and
@@ -386,7 +426,7 @@ def reference_collide(trials, n, seed, p_override):
     cfg = AddressConfig(n, p_override)
     rng = random.Random(seed)
     mem = MemSpace(cfg, RegionMap.default(heap_size=1 << 12))
-    rt = SanitizerRuntime(mem, PacKey.generate(rng), IdGenerator.seeded(rng))
+    rt = SanitizerRuntime(mem, PacKey.generate(rng), rng.getrandbits(32))
     base = strip(rt.protected_malloc(16), cfg)
     obj_id = mem.id_at(base)
     hits = sum(pac_auth(with_pac_field(base, rng.getrandbits(cfg.effective_p), cfg),

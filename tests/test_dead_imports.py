@@ -1,9 +1,12 @@
-"""Every name a module of src/pasan imports is used in that module.
+"""Every name a module of src/pasan imports is used in that module, and
+every function, class and constant it defines at module level is named
+somewhere in src/, tests/ or perfbench/ outside its own definition.
 
-A name counts as used where the module's code reads it, where `__all__`
-lists it, and where it appears in a string constant that is not a
-docstring: the op templates in interp reach their globals through
-source they generate.
+A name counts as used where code reads it or imports it, where
+`__all__` lists it, and where it appears in a string constant that is
+not a docstring: the op templates in interp reach their globals through
+source they generate, and tests and the tracer patch attributes by name.
+Comments and docstrings name nothing.
 """
 import ast
 import re
@@ -11,12 +14,26 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pasan"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pasan"
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """The ids of tree's docstring constants."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+
+
+def _string_words(node, docstrings: set[int]) -> set[str]:
+    return {word for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            and id(sub) not in docstrings for word in re.findall(r"\w+", sub.value)}
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
     """The names tree's imports bind and nothing in it uses, sorted."""
-    imported, used, docstrings = set(), set(), set()
+    imported, used = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
@@ -24,14 +41,45 @@ def unused_imports(tree: ast.Module) -> list[str]:
             imported.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and ast.get_docstring(node, clean=False) is not None:
-            docstrings.add(id(node.body[0].value))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and id(node) not in docstrings:
-            used.update(re.findall(r"\w+", node.value))
-    return sorted(imported - used)
+    return sorted(imported - used - _string_words(tree, _docstrings(tree)))
+
+
+def _defines(stmt) -> list[str]:
+    """The module-level names a top-level statement defines, dunders aside."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and not node.id.startswith("__")]
+
+
+def _names(stmt, docstrings: set[int]) -> set[str]:
+    """The names a statement reads, imports or spells in a string."""
+    names = _string_words(stmt, docstrings)
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def unused_definitions(sources: dict[str, ast.Module], checked: set[str]) -> list[str]:
+    """Each module-level function, class and constant of a module in
+    checked that no top-level statement of any source names, bar its own
+    definition, as "module.name", sorted."""
+    defined, named = [], []
+    for module, tree in sources.items():
+        docstrings = _docstrings(tree)
+        for stmt in tree.body:
+            named.append((stmt, _names(stmt, docstrings)))
+            if module in checked:
+                defined += [(module, name, stmt) for name in _defines(stmt)]
+    return sorted(f"{module}.{name}" for module, name, stmt in defined
+                  if not any(name in names for other, names in named if other is not stmt))
 
 
 def test_unused_imports_finds_only_unused_names():
@@ -50,6 +98,40 @@ os.path.join(Template)
     assert unused_imports(tree) == ["dead", "dead2"]
 
 
+def test_unused_definitions_finds_only_unnamed_ones():
+    lib = ast.parse('''\
+"""Docstring naming DEAD and Dead."""
+import os
+__all__ = ["exported"]
+CONST = 1
+DEAD, PAIR = 2, 3
+TEMPLATE = "templated({0})"
+def used(): return CONST + PAIR
+def exported(): pass
+def templated(): pass
+def recursive(): return recursive()
+class Dead:
+    """Names Dead."""
+class Patched: pass
+os.path.join(TEMPLATE)
+''')
+    user = ast.parse('''\
+from lib import used
+import lib
+used()  # Dead
+lib.Patched = setattr(lib, "exported", None)
+''')
+    assert unused_definitions({"lib": lib, "user": user}, {"lib"}) == \
+        ["lib.DEAD", "lib.Dead", "lib.Patched", "lib.recursive"]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_module_imports_no_unused_name(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_every_module_level_definition_is_named():
+    paths = [path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")]
+    sources = {str(path.relative_to(ROOT)): ast.parse(path.read_text()) for path in paths}
+    checked = {str(path.relative_to(ROOT)) for path in SRC.glob("*.py")}
+    assert unused_definitions(sources, checked) == []

@@ -8,13 +8,14 @@ Each of these handles its common case inline and hands every other
 input to the shared failure code.  The references below are those
 functions as written before the inlining, over compute_pac, pac_field,
 modifier_for, _mac, with_pac_field, _check_access, _check_shadow_range,
-_load_bytes, _store_bytes, id_at, shadow_fill and shadow_clear; each
-input must give the same value, or the same exception with the same
-report or message, and leave the same MAC table, counters and
-memory behind.
+_load_bytes, _store_bytes, shadow stores of one word at a time, id_at,
+shadow_fill and shadow_clear; each input must give the same value, or
+the same exception with the same report or message, and leave the same
+MAC table, counters, program bytes and shadow words behind.
 """
 import random
 import sys
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -43,7 +44,6 @@ from pasan.pacore import (
 )
 from pasan.runtime import (
     AllocEntry,
-    IdGenerator,
     SanitizerRuntime,
     _Extent,
     padded_size,
@@ -113,6 +113,12 @@ def ref_write(mem, addr, width, value):
     mem._store_bytes(addr, (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little"))
 
 
+def memory(mem):
+    """A copy of mem's program bytes and shadow words, page by page."""
+    return ({page: bytes(buf) for page, buf in mem._pages.items()},
+            {page: bytes(words) for page, words in mem.shadow.items()})
+
+
 def outcome(fn, *args):
     """The value fn returns, or the exception it raises with its fields."""
     try:
@@ -144,7 +150,7 @@ def build(cfg, regions, counter, seed):
     and some data written; returns it with the signed pointers made."""
     rng = random.Random(seed)
     mem = MemSpace(cfg, regions)
-    rt = SanitizerRuntime(mem, PacKey(rng.getrandbits(128)), IdGenerator(counter))
+    rt = SanitizerRuntime(mem, PacKey(rng.getrandbits(128)), counter)
     heap, stack, glob = regions.heap, regions.stack, regions.globals
     signed = [rt.protected_malloc(size) for size in (1, 6, 8, 13, 64)]
     for victim in signed[1:3]:
@@ -217,7 +223,7 @@ def test_fast_paths_match_slow_path_references(cfg, regions, counter):
 
     assert fields(rt.stats) == fields(ref.stats)
     assert rt.key.macs == ref.key.macs
-    assert rt.mem._pages == ref.mem._pages
+    assert memory(rt.mem) == memory(ref.mem)
 
 
 # -- the calls each success path makes --
@@ -269,14 +275,23 @@ def ref_pac_sign(addr, obj_id, key, cfg):
     return with_pac_field(addr, _mac(key, modifier_for(obj_id, 0, cfg), True) & cfg.pac_mask, cfg)
 
 
+def ref_store_words(mem, base, words):
+    """Store words in mem's shadow word table one at a time, the first
+    at base's metadata address."""
+    for k, word in enumerate(words):
+        shadow = shadow_of(base + 4 * k, mem.cfg)
+        page = mem.shadow.setdefault(shadow // PAGE_SIZE, array("I", bytes(PAGE_SIZE)))
+        page[shadow % PAGE_SIZE // 4] = word
+
+
 def ref_shadow_fill(mem, base, size, obj_id):
     mem._check_shadow_range(base, size)
-    mem._store_bytes(shadow_of(base, mem.cfg), obj_id.to_bytes(4, "little") * (size // 4))
+    ref_store_words(mem, base, array("I", [obj_id]) * (size // 4))
 
 
 def ref_shadow_clear(mem, base, size):
     mem._check_shadow_range(base, size)
-    mem._store_bytes(shadow_of(base, mem.cfg), bytes(size))
+    ref_store_words(mem, base, [0] * (size // 4))
 
 
 def ref_builtin(mem, name, args, span):
@@ -329,12 +344,12 @@ def test_shadow_fill_and_clear_match_slow_path_references(n):
         for obj_id in (rng.getrandbits(32), 0xFFFFFFFF, 0, 1 << 32):
             assert outcome_or_error(mem.shadow_fill, base, size, obj_id) == \
                 outcome_or_error(ref_shadow_fill, ref, base, size, obj_id), (hex(base), size)
-            assert mem._pages == ref._pages, (hex(base), size, obj_id)
+            assert memory(mem) == memory(ref), (hex(base), size, obj_id)
         # clear a range overlapping what was filled
         for b, s in ((base, size), (base + 4, size - 4), (base - 4, size + 8)):
             assert outcome_or_error(mem.shadow_clear, b, s) == \
                 outcome_or_error(ref_shadow_clear, ref, b, s), (hex(b), s)
-            assert mem._pages == ref._pages, (hex(b), s)
+            assert memory(mem) == memory(ref), (hex(b), s)
             mem.shadow_fill(page, 8, 1)
             ref_shadow_fill(ref, page, 8, 1)
 
@@ -406,7 +421,7 @@ def test_memset_memcpy_wrappers_match_reference(cfg, regions, counter):
             assert log == ref_log, (name, args, bytewise)
     assert fields(rt.stats) == fields(ref.stats)
     assert rt.key.macs == ref.key.macs
-    assert rt.mem._pages == ref.mem._pages
+    assert memory(rt.mem) == memory(ref.mem)
 
     # the simulated raw externals move their bytes through the same mover
     mem, ref_mem = rt.mem, ref.mem
@@ -421,19 +436,19 @@ def test_memset_memcpy_wrappers_match_reference(cfg, regions, counter):
                                [dest, arg, length]) == \
                     outcome(ref_builtin, ref_mem, name, [dest, arg, length],
                             ref_mem.trap_span), (name, hex(dest), length)
-    assert mem._pages == ref_mem._pages
+    assert memory(mem) == memory(ref_mem)
 
 
 def test_allocation_free_and_wrapper_success_paths_stay_flat():
     cfg = AddressConfig(47)
-    rt = SanitizerRuntime(MemSpace(cfg), PacKey(99), IdGenerator(5))
+    rt = SanitizerRuntime(MemSpace(cfg), PacKey(99), 5)
     ptr = rt.protected_malloc(64)  # its shadow page exists from here on
     rt.wrapper_call("memset", [ptr, 0, 64])  # and so does its data page
     # the AllocEntry is made for a bump only, and the _Extent once
-    malloc = ["<lambda>", "protected_malloc", "_allocate", "register_object", "next", "__init__"]
-    _mac(rt.key, rt.gen.counter, True)  # the next id signs from a warm table
+    malloc = ["<lambda>", "protected_malloc", "_allocate", "register_object", "__init__"]
+    _mac(rt.key, rt.next_id, True)  # the next id signs from a warm table
     after = rt.protected_malloc(24)
-    _mac(rt.key, rt.gen.counter, True)
+    _mac(rt.key, rt.next_id, True)
     assert python_calls(lambda: rt.protected_malloc(24)) == \
         malloc[:3] + ["__init__"] + malloc[3:]  # a bump
     assert python_calls(lambda: rt.wrapper_call("memset", [ptr, 0x41, 64])) == \
@@ -443,7 +458,7 @@ def test_allocation_free_and_wrapper_success_paths_stay_flat():
     # ptr is the heap's first block: the word below it lies in the page
     # below, which protected_free reads too
     assert python_calls(lambda: rt.protected_free(ptr)) == free
-    _mac(rt.key, rt.gen.counter, True)
+    _mac(rt.key, rt.next_id, True)
     assert python_calls(lambda: rt.protected_malloc(61)) == malloc  # reuses ptr's block
 
 
@@ -478,7 +493,8 @@ def ref_protected_free(rt, ptr):
 
 
 def ref_register_object(rt, base, padded, origin):
-    obj_id = rt.gen.next()
+    obj_id = rt.next_id % (1 << 32) or 1
+    rt.next_id = obj_id + 1
     rt.mem.shadow_fill(base, padded, obj_id)
     rt.live[base] = _Extent(base, padded, obj_id, origin)
     signed = pac_sign(base, obj_id, rt.key, rt.cfg)
@@ -521,7 +537,7 @@ def test_signature_table_matches_pac_auth_reference(cfg, retire, monkeypatch):
     # The id counter wraps past 0xFFFFFFFF back to 1, which is live: two
     # live objects share an id, then one of them is retired.
     for side in (rt, ref):
-        side.gen.counter = 0xFFFFFFFF
+        side.next_id = 0xFFFFFFFF
         side.heap_cursor = SMALL.heap.base + 0x4000
         pair = [side.protected_malloc(8) for _ in range(2)]
     signed += pair
@@ -572,7 +588,7 @@ def test_signature_table_matches_pac_auth_reference(cfg, retire, monkeypatch):
     survivor = pair[1] if retire == "older" else signed[0]
     assert outcome(rt.protected_free, survivor) == outcome(ref_protected_free, ref, survivor)
     for side in (rt, ref):
-        side.gen.counter = 0x100
+        side.next_id = 0x100
     live = [ptr for ptr in signed if rt.mem.id_at(strip(ptr, cfg))]
     for _ in range(300):
         if live and rng.random() < 0.5:
@@ -588,7 +604,7 @@ def test_signature_table_matches_pac_auth_reference(cfg, retire, monkeypatch):
                        for ext in rt.live.values()}
     assert fields(rt.stats) == fields(ref.stats)
     assert rt.key.macs == ref.key.macs
-    assert rt.mem._pages == ref.mem._pages
+    assert memory(rt.mem) == memory(ref.mem)
     assert fields(rt.retired) == fields(ref.retired)
 
 
@@ -625,8 +641,8 @@ def full_outcome(fn, *args):
 
 
 def runtime_state(rt):
-    return fields((rt.mem._pages, rt.sigs, rt.live, rt.retired, rt.alloc, rt.free_lists,
-                   rt.stats, rt.heap_cursor, rt.gen.counter, rt.key.macs))
+    return fields((memory(rt.mem), rt.sigs, rt.live, rt.retired, rt.alloc, rt.free_lists,
+                   rt.stats, rt.heap_cursor, rt.next_id, rt.key.macs))
 
 
 # The heap, globals and stack of SMALL start page-aligned, so the first
@@ -643,14 +659,14 @@ def test_runtime_sequences_match_slow_path_references(cfg, counter, seed):
     their own frame.  Seeded sequences of them, run against references
     built from id_at, shadow_fill, shadow_clear and pac_sign, must give
     the same value, or the same exception with the same report, at every
-    step, and leave the same shadow bytes, tables, histories and Stats.
+    step, and leave the same shadow words, tables, histories and Stats.
     The counter wraps through 0 in two configurations; sizes up to
     two pages make slices that straddle pages and pages not yet made,
     and freed sizes recur, so blocks are reused."""
     rng = random.Random(seed * 1000 + cfg.n)
     key = rng.getrandbits(128)
-    rt = SanitizerRuntime(MemSpace(cfg, SMALL), PacKey(key), IdGenerator(counter))
-    ref = SanitizerRuntime(MemSpace(cfg, SMALL), PacKey(key), IdGenerator(counter))
+    rt = SanitizerRuntime(MemSpace(cfg, SMALL), PacKey(key), counter)
+    ref = SanitizerRuntime(MemSpace(cfg, SMALL), PacKey(key), counter)
     heap, stack, glob = SMALL.heap, SMALL.stack, SMALL.globals
     sizes = (0, 1, 4, 13, 24, 24, 60, 60, 100, 1000, PAGE_SIZE - 4, PAGE_SIZE, 5000)
     seen = set()     # the cases the sequence reached
@@ -727,7 +743,7 @@ def test_runtime_sequences_match_slow_path_references(cfg, counter, seed):
     assert runtime_state(rt) == runtime_state(ref)
     assert seen >= {"bump", "reuse", "offset 0", "mid-page", "straddle", "first block freed"}
     assert slow_fills and rt.stats.frees > 20
-    assert rt.gen.counter < counter or counter < 0xFFFFFF00  # wrapped, where it could
+    assert rt.next_id < counter or counter < 0xFFFFFF00  # wrapped, where it could
 
 
 # -- the mapped-page table against the span walk --
@@ -820,12 +836,12 @@ def test_mapped_page_table_matches_the_span_walk(regions, n):
                 assert outcome(mem.write, addr, width, value) == want, (hex(addr), width)
                 assert outcome(handler_write, gen, addr, width, value) == want, \
                     (hex(addr), width)
-        # shadow pages, made for every region, never enter the table
+        # shadow words, written for every region, never enter the table
         for base, _ in _spans(regions):
             mem.shadow_fill(base & ~3, 8, 5)
             gen.shadow_fill(base & ~3, 8, 5)
             ref_shadow_fill(ref, base & ~3, 8, 5)
-        assert mem._pages == ref._pages == gen._pages
+        assert memory(mem) == memory(ref) == memory(gen)
         assert_mapped_invariant(mem)
         assert_mapped_invariant(gen)
     assert mem.mapped and gen.mapped

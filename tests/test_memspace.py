@@ -81,16 +81,22 @@ def test_fill_alignment_errors(base, size):
 def test_negative_shadow_range_raises_and_writes_nothing(base, size):
     """A range starting below address 0 is refused, even one reaching
     into the program half: its shadow address would be negative, so the
-    store would land in page -1 and in program bytes from address 0."""
+    store would land in page -1 and in the words shadowing address 0."""
     mem = make_mem()
     mem._store_bytes(0, bytes(range(1, 17)))           # program bytes 0..15
     mem.shadow_fill(0, 16, 0x11223344)                  # and their shadow
-    before = {page: bytes(buf) for page, buf in mem._pages.items()}
+
+    def snapshot():  # copies: the pages are mutable
+        return ({page: bytes(buf) for page, buf in mem._pages.items()},
+                {page: words.tolist() for page, words in mem.shadow.items()})
+
+    before = snapshot()
+    assert before[1]  # the shadow table holds the words written above
     with pytest.raises(PreconditionViolated):
         mem.shadow_fill(base, size, 0x55)
     with pytest.raises(PreconditionViolated):
         mem.shadow_clear(base, size)
-    assert {page: bytes(buf) for page, buf in mem._pages.items()} == before
+    assert snapshot() == before
 
 
 @pytest.mark.parametrize("width", [1, 4, 8])

@@ -119,12 +119,13 @@ def test_parse_errors_carry_line(line):
     assert exc.value.line == 5
 
 
-# One line per op of the table, each in a function giving it operands.
+# One line per op of the table, each in a function giving it operands
+# (a sign's is the alloca before it, whose padded size it carries).
 OP_LINES = [
     "%r = const.i32 -7", "%r = const.i64 4096", "%r = add.i32 %t, 1", "%r = sub.i64 %n, %n",
     "%r = mul.i32 %t, %t", "%r = load.i8 %p", "%r = load.ptr %p", "store.i64 %p, %n",
     "store.i8 %p, %t", "%r = alloca 12", "%r = globaladdr @g", "%r = gep %p, %t",
-    "%r = malloc %n", "free %p", "br bb1", "cbr %t, bb1, bb1", "ret %t", "%r = sign %p, 8",
+    "%r = malloc %n", "free %p", "br bb1", "cbr %t, bb1, bb1", "ret %t", "%r = sign %a, 8",
     "%r = check %p, 1", "%r, %k = check %p, 4", "%r = fastcheck %p, %t, %p, 8",
     "%r = stripcall %p", "%r = resign %p", "gpptinit @g",
 ]
@@ -134,10 +135,11 @@ def test_every_op_round_trips_and_type_checks():
     ops = set()
     for line in OP_LINES:
         tail = ["bb1:", "  ret %t"] if line.startswith(("br", "cbr")) else ["  ret %t"]
+        head = ["  %a = alloca 5"] if " sign " in line else []
         text = "\n".join(["global @g 8", "func @f(%p: ptr, %t: i32, %n: i64) -> i32 {", "bb0:",
-                          f"  {line}", *(tail if line != "ret %t" else ()), "}", MINIMAL])
+                          *head, f"  {line}", *(tail if line != "ret %t" else ()), "}", MINIMAL])
         prog = parse(text)
-        inst = prog.functions["f"].blocks["bb0"][0]
+        inst = prog.functions["f"].blocks["bb0"][len(head)]
         assert format_inst(inst) == line
         validate(prog)
         ops.add(inst.op)

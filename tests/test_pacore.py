@@ -25,7 +25,6 @@ from pasan.pacore import (
     strip,
     with_pac_field,
 )
-from pasan.runtime import IdGenerator
 
 CFG = AddressConfig(47)
 KEY = PacKey(0x00112233445566778899AABBCCDDEEFF)
@@ -213,11 +212,11 @@ def test_lane_kernel_matches_oracle_lane_by_lane(lanes):
 def test_consecutive_signing_matches_cold_table(n):
     # Signing consecutive ids fills the key's table in batches ahead of
     # use; each pointer must equal one signed under an equal key whose
-    # table is empty.  The counter wraps past the reserved id 0.
+    # table is empty.  The ids count on from 0xFFFFFF00 as the runtime
+    # draws them, wrapping past the reserved id 0.
     cfg = AddressConfig(n)
     key = PacKey(random.Random(n).getrandbits(128))
-    gen = IdGenerator(0xFFFFFF00)
-    ids = [gen.next() for _ in range(2000)]
+    ids = [(0xFFFFFEFF + k) % 0xFFFFFFFF + 1 for k in range(2000)]
     assert 0xFFFFFFFF in ids and 0 not in ids
     for obj_id in ids:
         cold = PacKey(key.key)
@@ -236,12 +235,11 @@ def test_auth_miss_computes_one_mac(monkeypatch):
 
     monkeypatch.setattr(pacore, "_siphash_words", counting)
     key = PacKey(0x1234)
-    gen = IdGenerator(100)
-    for _ in range(64):  # batches of 1, 1, 2, ..., 32 lanes
-        signed = pac_sign(0x1000, gen.next(), key, CFG)
+    for obj_id in range(100, 164):  # batches of 1, 1, 2, ..., 32 lanes
+        signed = pac_sign(0x1000, obj_id, key, CFG)
     assert len(lanes_run) == 7
     lanes_run.clear()
-    pac_sign(0x2000, gen.next(), key, CFG)
+    pac_sign(0x2000, 164, key, CFG)
     assert lanes_run == [64]  # a signing miss runs a batch as large as the table
     for ptr, found in ((0x1000, 0), (signed | 1 << 46, 139), (signed, 0xDEAD0000)):
         lanes_run.clear()

@@ -13,11 +13,7 @@ from pasan.pacore import (
     strip,
     with_pac_field,
 )
-from pasan.runtime import (
-    IdGenerator,
-    SanitizerRuntime,
-    padded_size,
-)
+from pasan.runtime import SanitizerRuntime, padded_size
 
 CFG = AddressConfig(47)
 
@@ -25,8 +21,7 @@ CFG = AddressConfig(47)
 def make_rt(seed=1, bytewise=False):
     rng = random.Random(seed)
     mem = MemSpace(CFG, RegionMap.default(heap_size=1 << 20, stack_size=1 << 16))
-    return SanitizerRuntime(mem, PacKey.generate(rng), IdGenerator.seeded(rng),
-                            bytewise=bytewise)
+    return SanitizerRuntime(mem, PacKey.generate(rng), rng.getrandbits(32), bytewise=bytewise)
 
 
 def kind_of(exc_info) -> ViolationKind:
@@ -67,11 +62,12 @@ def test_consecutive_ids_increment():
 
 
 def test_id_generator_skips_zero():
-    gen = IdGenerator(0)
-    assert gen.next() == 1
-    gen = IdGenerator(0xFFFFFFFF)
-    assert gen.next() == 0xFFFFFFFF
-    assert gen.next() == 1
+    rt = make_rt()
+    rt.next_id = 0
+    assert rt.mem.id_at(strip(rt.protected_malloc(4), CFG)) == 1
+    rt.next_id = 0xFFFFFFFF
+    assert rt.mem.id_at(strip(rt.protected_malloc(4), CFG)) == 0xFFFFFFFF
+    assert rt.mem.id_at(strip(rt.protected_malloc(4), CFG)) == 1
 
 
 def test_checked_access_in_bounds_offset():
@@ -231,11 +227,11 @@ def test_fast_check_never_weaker_than_full_check():
         assert not (fast_ok and not full_ok), f"fast accepted what full rejected at {off}"
 
 
-class _CountingPages(dict):
-    """A page table that records each page looked up in it."""
+class _CountingTable(dict):
+    """A shadow word table that records each page looked up in it."""
 
-    def __init__(self, pages, reads):
-        super().__init__(pages)
+    def __init__(self, table, reads):
+        super().__init__(table)
         self.reads = reads
 
     def get(self, page, default=None):
@@ -245,9 +241,10 @@ class _CountingPages(dict):
 
 def count_shadow_reads(rt) -> list:
     """Record every shadow id the runtime reads: the address of each
-    MemSpace.id_at call, and ("page", n) for each shadow page it looks up
-    in its own page table.  That table becomes a counting copy holding
-    the same page objects, so it sees every page made so far."""
+    MemSpace.id_at call, and ("page", n) for each lookup it makes in the
+    shadow word table it reads words from itself.  That table becomes a
+    counting copy holding the same word pages, so it sees every page
+    made so far."""
     reads, id_at = [], rt.mem.id_at
 
     def counting(addr):
@@ -255,7 +252,7 @@ def count_shadow_reads(rt) -> list:
         return id_at(addr)
 
     rt.mem.id_at = counting
-    rt.pages = _CountingPages(rt.pages, reads)
+    rt.shadow = _CountingTable(rt.shadow, reads)
     return reads
 
 
@@ -315,7 +312,7 @@ def test_bytewise_runtime_reads_every_byte(offset, width):
     reads = count_shadow_reads(rt)
     rt.checked_access(signed + offset, width)
     raw = strip(signed, CFG) + offset
-    # the first byte's word from the page table, every other byte's by id_at
+    # the first byte's word from the word table, every other byte's by id_at
     shadow_page = (raw | 1 << CFG.msb_bit) >> 12
     assert reads == [("page", shadow_page)] + [raw + off for off in range(1, width)]
     reads.clear()
@@ -398,10 +395,10 @@ def test_strayed_pointer_of_a_wrapped_id_survivor_is_spatial_oob(freed):
     # id 1.  Freeing either one must leave the other live, so that its
     # pointer strayed into its neighbour is still attributed to it.
     rt = make_rt()
-    rt.gen.counter = 1
+    rt.next_id = 1
     older = rt.protected_malloc(8)
     rt.protected_malloc(8)  # older's neighbour
-    rt.gen.counter = 0xFFFFFFFF
+    rt.next_id = 0xFFFFFFFF
     rt.protected_malloc(8)
     newer = rt.protected_malloc(8)
     rt.protected_malloc(8)  # newer's neighbour
@@ -417,7 +414,7 @@ def test_strayed_pointer_of_a_wrapped_id_survivor_is_spatial_oob(freed):
 def test_heap_exhaustion_is_harness_error():
     rng = random.Random(0)
     mem = MemSpace(CFG, RegionMap.default(heap_size=64))
-    rt = SanitizerRuntime(mem, PacKey.generate(rng), IdGenerator.seeded(rng))
+    rt = SanitizerRuntime(mem, PacKey.generate(rng), rng.getrandbits(32))
     with pytest.raises(LimitExceeded):
         for _ in range(64):
             rt.protected_malloc(16)
