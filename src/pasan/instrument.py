@@ -17,12 +17,7 @@ from .errors import InstrumentationError
 from .miniir import BUILTIN_SIGS, ExternDecl, Function, GlobalDef, Inst, Namer, Program
 from .runtime import RT_FREE, RT_MALLOC, WRAPPED_EXTERNS, padded_size
 
-__all__ = ["SafetyClass", "instrument", "padded_size", "wraps_builtin"]
-
-
-class SafetyClass:
-    def __init__(self, safe: bool, reason: str):
-        self.safe, self.reason = safe, reason  # safe | address-taken | non-static-bounds
+__all__ = ["instrument", "padded_size", "wraps_builtin"]
 
 
 def _use_map(func: Function) -> dict[str, list[Inst]]:
@@ -34,10 +29,10 @@ def _use_map(func: Function) -> dict[str, list[Inst]]:
     return uses
 
 
-def _escape_analysis(uses: dict[str, list[Inst]], root: str,
-                     size: int) -> tuple[SafetyClass, set[str]]:
+def _escape_analysis(uses: dict[str, list[Inst]], root: str, size: int) -> tuple[str, set[str]]:
     """Walk the derivation chain from root; returns the classification
-    and, when safe, every register on the approved direct-access chain."""
+    ("safe", "address-taken" or "non-static-bounds") and, when safe,
+    every register on the approved direct-access chain."""
     chain: set[str] = set()
     worklist: list[tuple[str, int]] = [(root, 0)]
     while worklist:
@@ -45,25 +40,22 @@ def _escape_analysis(uses: dict[str, list[Inst]], root: str,
         chain.add(reg)
         for inst in uses.get(reg, ()):
             op = inst.op
-            if op == "load" and inst.args[0] == reg:
+            if (op == "load" or op == "store" and inst.args[1] != reg) and inst.args[0] == reg:
                 if not 0 <= offset <= size - inst.width:
-                    return SafetyClass(False, "non-static-bounds"), set()
-            elif op == "store" and inst.args[0] == reg and inst.args[1] != reg:
-                if not 0 <= offset <= size - inst.width:
-                    return SafetyClass(False, "non-static-bounds"), set()
+                    return "non-static-bounds", set()
             elif op == "gep" and inst.args[0] == reg and inst.args[1] != reg:
                 if isinstance(inst.args[1], int):
                     worklist.append((inst.result, offset + inst.args[1]))
                 else:
-                    return SafetyClass(False, "non-static-bounds"), set()
+                    return "non-static-bounds", set()
             else:
                 # call argument, stored value, phi, ret, free, ...
-                return SafetyClass(False, "address-taken"), set()
-    return SafetyClass(True, "safe"), chain
+                return "address-taken", set()
+    return "safe", chain
 
 
 # root register -> (defining alloca or globaladdr, class, safe chain)
-_Roots = dict[str, tuple[Inst, SafetyClass, set[str]]]
+_Roots = dict[str, tuple[Inst, str, set[str]]]
 
 
 def _escape_roots(func: Function, globals_: dict[str, GlobalDef]) -> _Roots:
@@ -84,25 +76,25 @@ def _escape_roots(func: Function, globals_: dict[str, GlobalDef]) -> _Roots:
     return roots
 
 
-def _safe_direct_regs(roots: _Roots, global_safety: dict[str, SafetyClass]) -> set[str]:
+def _safe_direct_regs(roots: _Roots, global_safety: dict[str, str]) -> set[str]:
     """Registers whose accesses need no check: Safe allocas, Safe
     globals, and their constant-offset derivation chains."""
     safe: set[str] = set()
     for inst, _, chain in roots.values():
-        if inst.op == "alloca" or global_safety[inst.args[0][1:]].safe:
+        if inst.op == "alloca" or global_safety[inst.args[0][1:]] == "safe":
             safe |= chain
     return safe
 
 
-def _analyse(prog: Program) -> tuple[dict[str, _Roots], dict[str, SafetyClass]]:
+def _analyse(prog: Program) -> tuple[dict[str, _Roots], dict[str, str]]:
     """Escape roots per function, and each global's safety derived from
     them: a global is unsafe if any function uses its address unsafely."""
     globals_ = {g.symbol: g for g in prog.globals}
     roots = {name: _escape_roots(func, globals_) for name, func in prog.functions.items()}
-    safety = dict.fromkeys(globals_, SafetyClass(True, "safe"))
+    safety = dict.fromkeys(globals_, "safe")
     for func_roots in roots.values():
         for inst, cls, _ in func_roots.values():
-            if inst.op == "globaladdr" and not cls.safe and safety[inst.args[0][1:]].safe:
+            if inst.op == "globaladdr" and cls != "safe" and safety[inst.args[0][1:]] == "safe":
                 safety[inst.args[0][1:]] = cls
     return roots, safety
 
@@ -112,7 +104,7 @@ def instrument(prog: Program) -> Program:
     if prog.instrumented:
         raise InstrumentationError("program is already instrumented")
     roots, global_safety = _analyse(prog)
-    out = Program([GlobalDef(g.symbol, g.size, not global_safety[g.symbol].safe)
+    out = Program([GlobalDef(g.symbol, g.size, global_safety[g.symbol] != "safe")
                    for g in prog.globals], dict(prog.externs), {}, True, prog.next_uid)
     for name, func in prog.functions.items():
         out.functions[name] = _instrument_function(prog, func, roots[name], global_safety,
@@ -127,7 +119,7 @@ def instrument(prog: Program) -> Program:
 
 
 def _instrument_function(prog: Program, func: Function, roots: _Roots,
-                         global_safety: dict[str, SafetyClass], new_uid) -> Function:
+                         global_safety: dict[str, str], new_uid) -> Function:
     """func's instrumented copy, sharing each instruction it leaves as it is."""
     namer = None
 
@@ -142,7 +134,7 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
     rename: dict[str, str] = {}
     sign_after: dict[str, tuple[str, int]] = {}
     for inst, cls, _ in roots.values():  # in instruction order
-        if inst.op == "alloca" and not cls.safe:
+        if inst.op == "alloca" and cls != "safe":
             alias = fresh(inst.result + ".s")
             rename[inst.result] = alias
             sign_after[inst.result] = (alias, padded_size(inst.args[0]))

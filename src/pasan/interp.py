@@ -75,10 +75,10 @@ class _Frame:
         self.label = label
         self.body = body
         self.regs = regs
-        self.base = base        # the frame's lowest address, sp while it is on top
+        self.base = base        # the frame's lowest address
         self.ret_reg = ret_reg  # caller register receiving the return value
         self.idx = idx          # where in body to resume after a call
-        self.signed: dict[int, tuple[int, int]] = {}  # base -> (size, obj_id)
+        self.signed: dict[int, None] = {}  # the bases it signed, in first-sign order
 
 
 # A call or a return changed the top frame.
@@ -110,17 +110,14 @@ def _op_alloca(interp, frame, regs, inst):
 
 def _op_sign(interp, frame, regs, inst):
     base = regs[inst.args[0]]
-    size = inst.args[1]
-    if base in frame.signed:  # its block ran again: the previous instance ends
-        interp.rt.retire_extent(base, *frame.signed[base], "stack")
-    obj_id, regs[inst.result] = interp.rt.register_object(base, size, "stack")
-    frame.signed[base] = size, obj_id
+    regs[inst.result] = interp.rt.register_object(base, inst.args[1], "stack")
+    frame.signed[base] = None
 
 
 def _op_gpptinit(interp, frame, regs, inst):
     sym = inst.args[0][1:]
     addr, size = interp.global_addr[sym], interp.global_size[sym]
-    interp.rt.gppt[sym] = interp.rt.register_object(addr, size, "global")[1]
+    interp.rt.gppt[sym] = interp.rt.register_object(addr, size, "global")
 
 
 def _op_call(interp, frame, regs, inst):
@@ -141,7 +138,8 @@ def _op_cbr(interp, frame, regs, inst):
 
 def _op_ret(interp, frame, regs, inst):
     value = regs[inst.args[0]]
-    interp._pop_frame(frame)
+    for base in reversed(frame.signed):
+        interp.rt.retire(base)
     stack = interp.stack
     stack.pop()
     if not stack:
@@ -343,7 +341,6 @@ class Interpreter:
         self.mem = MemSpace(cfg, regions)
         self.rt = SanitizerRuntime(self.mem, PacKey.generate(rng), rng.getrandbits(32),
                                    bytewise=bytewise)
-        self.sp = regions.stack.limit
         self.simulated = {name for name, decl in prog.externs.items() if _simulated(decl)}
         self.layouts: dict[str, _Layout] = {}
         self.stack: list[_Frame] = []
@@ -403,19 +400,14 @@ class Interpreter:
 
     def _push_frame(self, func: Function, args: list, ret_reg: str | None) -> _Frame:
         layout = self.layouts.get(func.name) or self._lower(func)
-        base = self.sp - layout.frame_size
-        if base < self.mem.regions.stack.base:
+        frames, region = self.stack, self.mem.regions.stack  # a frame sits below its caller's
+        base = (frames[-1].base if frames else region.limit) - layout.frame_size
+        if base < region.base:
             raise LimitExceeded("simulated stack exhausted")
         regs = dict(layout.consts)
         regs.update(zip((reg for reg, _ in func.params), args))
-        self.sp = base
         # validate rejects entry-block phis
         return _Frame(layout, func.entry, layout.blocks[func.entry][0], regs, base, ret_reg)
-
-    def _pop_frame(self, frame: _Frame) -> None:
-        for base, (size, obj_id) in reversed(frame.signed.items()):
-            self.rt.retire_extent(base, size, obj_id, "stack")
-        self.sp = frame.base + frame.layout.frame_size
 
     # -- execution --
 

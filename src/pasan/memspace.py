@@ -27,7 +27,7 @@ STACK_TOP = 0x3000_0000
 
 class Region:
     def __init__(self, base: int, size: int):
-        self.base, self.size, self.limit = base, size, base + size
+        self.base, self.limit = base, base + size
 
 
 class RegionMap:

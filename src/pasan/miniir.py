@@ -449,11 +449,13 @@ def validate(prog: Program) -> None:
     main = prog.functions["main"]
     if main.params or main.ret != "i32":
         raise ValidationError("@main must take no parameters and return i32")
+    inited: set[str] = set()  # the globals a gpptinit signs, once each
     for func in prog.functions.values():
-        _validate_function(prog, func, globals_)
+        _validate_function(prog, func, globals_, inited)
 
 
-def _validate_function(prog: Program, func: Function, globals_: dict[str, GlobalDef]) -> None:
+def _validate_function(prog: Program, func: Function, globals_: dict[str, GlobalDef],
+                       inited: set[str]) -> None:
     def err(msg: str):
         raise ValidationError(f"@{func.name}: {msg}")
 
@@ -553,6 +555,10 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
                         err(f"{op} size must not be negative, got {args[i]}")
                     if kind == "global" and args[i][1:] not in globals_:
                         err(f"{op} of unknown global {args[i]}")
+                if op == "gpptinit":
+                    if args[0] in inited:
+                        err(f"gpptinit {args[0]}: the global is signed more than once")
+                    inited.add(args[0])
                 if op == "sign":  # it shadows its alloca's slot, no more and no less
                     site = def_site[args[0]]
                     slot = site and func.blocks[site[0]][site[1]]

@@ -121,10 +121,13 @@ class SanitizerRuntime:
         self.free_lists.setdefault(entry.size, []).append(base)
         self.stats.frees += 1
 
-    def register_object(self, base: int, padded: int, origin: str) -> tuple[int, int]:
-        """Shadow a fresh extent with a new id; returns (id, signed base).
-        A slice in one existing shadow page is written here, as a MAC the
-        key's table has is placed; MemSpace and pac_sign take the rest."""
+    def register_object(self, base: int, padded: int, origin: str) -> int:
+        """Shadow an extent with a new id, retiring any live extent at its
+        base first; returns the signed base.  A slice in one existing
+        shadow page is written here, as a MAC the key's table has is
+        placed; MemSpace and pac_sign take the rest."""
+        if base in self.live:
+            self.retire(base)
         obj_id = self.next_id & 0xFFFFFFFF or 1
         self.next_id = obj_id + 1
         page = self.shadow.get((base | self.shadow_bit) >> 12)
@@ -139,25 +142,24 @@ class SanitizerRuntime:
         sig = pac_sign(base, obj_id, self.key, cfg) ^ base if mac is None \
             else (mac & cfg.lo_mask) << cfg.n | (mac >> cfg.lo_bits & cfg.hi_mask) << 56
         self.sigs[obj_id] = sig
-        return obj_id, base | sig
+        return base | sig
 
-    def retire_extent(self, base: int, padded: int, obj_id: int, origin: str) -> None:
-        """Unshadow an extent; file live's _Extent if it is this one."""
+    def retire(self, base: int) -> None:
+        """Unshadow the live extent at base and file it as retired."""
+        ext = self.live.pop(base)
+        padded = ext.size
         page = self.shadow.get((base | self.shadow_bit) >> 12)
         if page is not None and base < self.shadow_bit and not (base | padded) & 3 \
                 and 0 < (words := padded >> 2) <= 1024 - (at := base >> 2 & 1023):
             page[at : at + words] = array("I", bytes(padded))
         else:
             self.mem.shadow_clear(base, padded)
-        ext = self.live.pop(base, None)
-        self.sigs.pop(obj_id, None)
-        if ext is None or (ext.size, ext.obj_id, ext.origin) != (padded, obj_id, origin):
-            ext = _Extent(base, padded, obj_id, origin)
+        self.sigs.pop(ext.obj_id, None)
         self.retired.append(ext)
 
     def protected_malloc(self, size: int) -> int:
         base, padded = self._allocate(size)
-        return self.register_object(base, padded, "heap")[1]
+        return self.register_object(base, padded, "heap")
 
     def plain_malloc(self, size: int) -> int:
         """Uninstrumented allocation: no id, no shadow, unsigned base."""
@@ -300,7 +302,7 @@ class SanitizerRuntime:
         if entry is None or not entry.live:
             raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, found,
                                  "free target is not a live heap allocation")
-        self.retire_extent(raw, entry.size, found, "heap")
+        self.retire(raw)
         self._release(raw, entry)
 
     # -- standard-function wrappers --

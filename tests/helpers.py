@@ -64,14 +64,16 @@ def is_poisoned(ptr, cfg):
 
 
 def classify(func, prog):
-    """Per-alloca safety classification for one function."""
+    """Each alloca of one function mapped to its safety classification:
+    "safe", "address-taken" or "non-static-bounds"."""
     globals_ = {g.symbol: g for g in prog.globals}
     return {reg: cls for reg, (inst, cls, _) in _escape_roots(func, globals_).items()
             if inst.op == "alloca"}
 
 
 def classify_globals(prog):
-    """A global is unsafe if any function uses its address unsafely."""
+    """Each global's classification, as classify gives an alloca's: a
+    global is unsafe if any function uses its address unsafely."""
     return _analyse(prog)[1]
 
 

@@ -258,6 +258,19 @@ def test_sign_of_anything_but_its_alloca_slot_exits_2(tmp_path, capsys, alloca, 
     assert "Traceback" not in err
 
 
+def test_second_gpptinit_of_a_global_exits_2(tmp_path, capsys):
+    # instrument emits one gpptinit per global; run twice, the second
+    # would end the id a pointer taken between the two carries
+    text = "global @g 8\n" + _main("bb0:", "  gpptinit @g", "  %p = globaladdr @g",
+                                    "  gpptinit @g", "  %c = check %p, 4",
+                                    "  %x = load.i32 %c", "  ret %x")
+    assert len(text.splitlines()) == 10
+    assert main(["run", write(tmp_path, "twice.ir", text)]) == 2
+    err = capsys.readouterr().err
+    assert "@main: gpptinit @g: the global is signed more than once" in err
+    assert "Traceback" not in err
+
+
 PRE_INSTRUMENTED = _main(
     "bb0:", "  %a = alloca 8", "  %s = sign %a, 8", "  %c = check %s, 4", "  %v = const.i32 7",
     "  store.i32 %c, %v", "  %d = check %s, 4", "  %x = load.i32 %d", "  ret %x")

@@ -82,6 +82,36 @@ def unused_definitions(sources: dict[str, ast.Module], checked: set[str]) -> lis
                   if not any(name in names for other, names in named if other is not stmt))
 
 
+def _is_property(func) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property" or
+               isinstance(d, ast.Attribute) and d.attr in ("setter", "deleter")
+               for d in func.decorator_list)
+
+
+def unused_methods(sources: dict[str, ast.Module], checked: set[str]) -> list[str]:
+    """Each method of a module-level class of a module in checked,
+    dunders and properties aside, that no statement of any source names
+    bar its own definition, as "module.Class.method", sorted.  A class
+    body counts as its statements, so a method another method of its
+    class calls is named."""
+    units, methods = [], []
+    for module, tree in sources.items():
+        docstrings = _docstrings(tree)
+        for stmt in tree.body:
+            if not isinstance(stmt, ast.ClassDef):
+                units.append((stmt, _names(stmt, docstrings)))
+                continue
+            header = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
+            units.append((stmt, set().union(*(_names(node, docstrings) for node in header))))
+            for item in stmt.body:
+                units.append((item, _names(item, docstrings)))
+                if module in checked and isinstance(item, ast.FunctionDef) \
+                        and not item.name.startswith("__") and not _is_property(item):
+                    methods.append((f"{module}.{stmt.name}.{item.name}", item))
+    return sorted(name for name, func in methods
+                  if not any(func.name in names for unit, names in units if unit is not func))
+
+
 def test_unused_imports_finds_only_unused_names():
     tree = ast.parse('''\
 """Docstring naming dead."""
@@ -135,3 +165,38 @@ def test_every_module_level_definition_is_named():
     sources = {str(path.relative_to(ROOT)): ast.parse(path.read_text()) for path in paths}
     checked = {str(path.relative_to(ROOT)) for path in SRC.glob("*.py")}
     assert unused_definitions(sources, checked) == []
+
+
+def test_unused_methods_finds_only_unnamed_ones():
+    lib = ast.parse('''\
+"""Docstring naming dead."""
+class Runtime:
+    """Names dead and helper."""
+    def __init__(self): self.used()
+    def used(self): return self.helper()  # dead
+    def helper(self): pass
+    def dead(self): pass
+    def recursive(self): return self.recursive()
+    def patched(self): pass
+    def templated(self): pass
+    @property
+    def prop(self): return 1
+    @prop.setter
+    def prop(self, value): pass
+    @staticmethod
+    def static(): pass
+TEMPLATE = "rt.templated()"
+''')
+    user = ast.parse('''\
+from lib import Runtime
+setattr(Runtime, "patched", Runtime.static)
+''')
+    assert unused_methods({"lib": lib, "user": user}, {"lib"}) == \
+        ["lib.Runtime.dead", "lib.Runtime.recursive"]
+
+
+def test_every_method_is_named():
+    paths = [path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")]
+    sources = {str(path.relative_to(ROOT)): ast.parse(path.read_text()) for path in paths}
+    checked = {str(path.relative_to(ROOT)) for path in SRC.glob("*.py")}
+    assert unused_methods(sources, checked) == []

@@ -162,10 +162,9 @@ def build(cfg, regions, counter, seed):
     signed.append(rt.protected_malloc(heap.limit - rt.heap_cursor))
     for base, size, origin in ((stack.limit - 24, 24, "stack"), (stack.limit - 48, 16, "stack"),
                                (glob.base, 12, "global"), (glob.limit - 8, 8, "global")):
-        obj_id, ptr = rt.register_object(base, size, origin)
-        signed.append(ptr)
+        signed.append(rt.register_object(base, size, origin))
         if base == stack.limit - 48:
-            rt.retire_extent(base, size, obj_id, origin)
+            rt.retire(base)
     for ptr in signed:
         raw = strip(ptr, cfg)
         mem._store_bytes(raw, bytes(rng.getrandbits(8) for _ in range(4)))
@@ -453,7 +452,7 @@ def test_allocation_free_and_wrapper_success_paths_stay_flat():
         malloc[:3] + ["__init__"] + malloc[3:]  # a bump
     assert python_calls(lambda: rt.wrapper_call("memset", [ptr, 0x41, 64])) == \
         ["<lambda>", "wrapper_call", "checked_access", "checked_access", "move"]
-    free = ["<lambda>", "protected_free", "retire_extent", "_release"]
+    free = ["<lambda>", "protected_free", "retire", "_release"]
     assert python_calls(lambda: rt.protected_free(after)) == free
     # ptr is the heap's first block: the word below it lies in the page
     # below, which protected_free reads too
@@ -486,27 +485,30 @@ def ref_protected_free(rt, ptr):
     if entry is None or not entry.live:
         raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, found,
                              "free target is not a live heap allocation")
-    ref_retire_extent(rt, raw, entry.size, found, "heap")
+    assert fields(rt.live[raw]) == fields(_Extent(raw, entry.size, found, "heap"))
+    ref_retire(rt, raw)
     entry.live = False
     rt.free_lists.setdefault(entry.size, []).append(raw)
     rt.stats.frees += 1
 
 
 def ref_register_object(rt, base, padded, origin):
+    if base in rt.live:
+        ref_retire(rt, base)
     obj_id = rt.next_id % (1 << 32) or 1
     rt.next_id = obj_id + 1
     rt.mem.shadow_fill(base, padded, obj_id)
     rt.live[base] = _Extent(base, padded, obj_id, origin)
     signed = pac_sign(base, obj_id, rt.key, rt.cfg)
     rt.sigs[obj_id] = signed ^ base
-    return obj_id, signed
+    return signed
 
 
-def ref_retire_extent(rt, base, padded, obj_id, origin):
-    rt.mem.shadow_clear(base, padded)
-    rt.live.pop(base, None)
-    rt.sigs.pop(obj_id, None)
-    rt.retired.append(_Extent(base, padded, obj_id, origin))
+def ref_retire(rt, base):
+    ext = rt.live.pop(base)
+    rt.mem.shadow_clear(base, ext.size)
+    rt.sigs.pop(ext.obj_id, None)
+    rt.retired.append(ext)
 
 
 def ref_protected_malloc(rt, size):
@@ -521,7 +523,7 @@ def ref_protected_malloc(rt, size):
         rt.heap_cursor = base + padded
     rt.alloc[base] = AllocEntry(padded, True)
     rt.stats.allocs += 1
-    return ref_register_object(rt, base, padded, "heap")[1]
+    return ref_register_object(rt, base, padded, "heap")
 
 
 @pytest.mark.parametrize("cfg", [AddressConfig(33), AddressConfig(47), AddressConfig(52),
@@ -655,7 +657,7 @@ def runtime_state(rt):
 @pytest.mark.parametrize("seed", range(3))
 def test_runtime_sequences_match_slow_path_references(cfg, counter, seed):
     """protected_malloc, protected_free, checked_access, fast_check,
-    register_object and retire_extent read and write shadow words in
+    register_object and retire read and write shadow words in
     their own frame.  Seeded sequences of them, run against references
     built from id_at, shadow_fill, shadow_clear and pac_sign, must give
     the same value, or the same exception with the same report, at every
@@ -724,24 +726,26 @@ def test_runtime_sequences_match_slow_path_references(cfg, counter, seed):
             base = rng.choice(slots) + rng.choice((0, 0, 0, 2))
             padded = rng.choice((4, 8, 12, 16, 64, PAGE_SIZE, 6, 0))
             origin = rng.choice(("stack", "global"))
+            over = base in rt.live
             got = full_outcome(rt.register_object, base, padded, origin)
             assert got == full_outcome(ref_register_object, ref, base, padded, origin), \
                 (step, hex(base), padded)
             if got[0] == "value":
-                extents.append((base, padded, got[1][0], origin))
-                ptrs.append(got[1][1])
+                extents.append((base, padded, rt.mem.id_at(base), origin))
+                ptrs.append(got[1])
+                seen.add("registered over a live base" if over else "registered")
         elif extents:
             base, padded, obj_id, origin = extents.pop(rng.randrange(len(extents)))
-            if rng.random() < 0.2:  # an extent live no longer holds as given
-                obj_id, origin = rng.choice(((obj_id + 1, origin), (obj_id, "heap")))
-            if rng.random() < 0.2:  # a range MemSpace refuses
-                base, padded = rng.choice(((base + 2, padded), (base, padded + 2), (base, 0)))
-            assert full_outcome(rt.retire_extent, base, padded, obj_id, origin) == \
-                full_outcome(ref_retire_extent, ref, base, padded, obj_id, origin), step
+            ext = rt.live.get(base)
+            if ext is not None and ext.obj_id == obj_id:  # not retired by a registration since
+                assert full_outcome(rt.retire, base) == full_outcome(ref_retire, ref, base), step
+                assert fields(rt.retired[-1]) == fields(_Extent(base, padded, obj_id, origin))
+                seen.add("retired")
         if step % 50 == 0:
             assert runtime_state(rt) == runtime_state(ref), step
     assert runtime_state(rt) == runtime_state(ref)
-    assert seen >= {"bump", "reuse", "offset 0", "mid-page", "straddle", "first block freed"}
+    assert seen >= {"bump", "reuse", "offset 0", "mid-page", "straddle", "first block freed",
+                    "registered", "registered over a live base", "retired"}
     assert slow_fills and rt.stats.frees > 20
     assert rt.next_id < counter or counter < 0xFFFFFF00  # wrapped, where it could
 

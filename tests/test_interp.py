@@ -1,7 +1,9 @@
 """Interpreter semantics: determinism, trap completeness, frame hygiene."""
 import gc
+import sys
 import time
 import tracemalloc
+from inspect import CO_GENERATOR
 
 import pytest
 
@@ -9,7 +11,7 @@ from helpers import insts
 from pasan import pacore
 from pasan.errors import LimitExceeded, PasanError, ViolationKind
 from pasan.instrument import instrument
-from pasan.interp import Interpreter, Limits, run, run_unoptimized_oracle
+from pasan.interp import _HANDLERS, Interpreter, Limits, run, run_unoptimized_oracle
 from pasan.miniir import parse, validate
 from pasan.optpasses import run_passes
 from pasan.pacore import AddressConfig
@@ -403,13 +405,13 @@ def test_resigned_loop_alloca_keeps_one_entry_per_base(monkeypatch):
     prog = build(LOOP_ALLOCA.replace("TRIPS", str(trips)).replace("LOADED", "%e"), "none")
     interp = Interpreter(prog, CFG, seed=0)
     popped = []
-    pop_frame = Interpreter._pop_frame
+    ret = _HANDLERS["ret"]
 
-    def recording(self, frame):
-        popped.append(dict(frame.signed))
-        pop_frame(self, frame)
+    def recording(interp, frame, regs, inst):
+        popped.append(list(frame.signed))
+        return ret(interp, frame, regs, inst)
 
-    monkeypatch.setattr(Interpreter, "_pop_frame", recording)
+    monkeypatch.setitem(_HANDLERS, "ret", recording)
     result = interp.run()
     assert result.completed and result.exit_value == 7
     [signed] = popped
@@ -852,3 +854,60 @@ def test_many_globals_compile_and_run_in_linear_time():
     assert time.monotonic() - start < 3.0
     assert result.verdict == "completed" and result.exit_value == 0
     assert sum(g.unsafe for g in prog.globals) == k // 2
+
+
+# A loop calling a 2-instruction function: its block holds a call, so
+# it runs on the table.  A trip (12 measured) is six table handlers (the
+# call, the callee's add and ret, the loop's add, sub and cbr), two list
+# comprehensions (the call's arguments, the back edge's phi moves),
+# `_push_frame`, `_Frame.__init__` and two reads of `Function.entry`.
+# The return retires the callee's signed bases in `_op_ret`: none here.
+CALL_LOOP = """\
+func @inc(%x: i32) -> i32 {
+bb0:
+  %y = add.i32 %x, 1
+  ret %y
+}
+
+func @main() -> i32 {
+entry:
+  %n = const.i64 TRIPS
+  %x0 = const.i32 0
+  br loop
+loop:
+  %i = phi [entry: %n], [loop: %in]
+  %acc = phi [entry: %x0], [loop: %acc2]
+  %r = call @inc(%acc)
+  %acc2 = add.i32 %r, 2
+  %in = sub.i64 %i, 1
+  cbr %in, loop, done
+done:
+  ret %acc2
+}
+"""
+
+
+@pytest.mark.parametrize("opts", ["none", "all"])
+def test_table_run_call_loop_trips_stay_within_call_budget(opts):
+    """Python calls per trip, taken as the difference between a 400-trip
+    and a 200-trip run so that lowering and the code around the loop
+    cancel out; generator steps are not counted."""
+    def calls(trips):
+        interp = Interpreter(build(CALL_LOOP.replace("TRIPS", str(trips)), opts), CFG, seed=0)
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call" and not frame.f_code.co_flags & CO_GENERATOR
+
+        sys.setprofile(profile)
+        try:
+            result = interp.run()
+        finally:
+            sys.setprofile(None)
+        assert result.completed and result.exit_value == 3 * trips
+        _, _, _, hot = interp.layouts["main"].blocks["loop"]
+        assert hot is None  # a block holding a call is never compiled
+        return count
+
+    assert (calls(400) - calls(200)) / 200 < 12 + 0.5

@@ -411,6 +411,27 @@ def test_strayed_pointer_of_a_wrapped_id_survivor_is_spatial_oob(freed):
     assert f"[0x{strip(survivor, CFG):x}, " in exc_info.value.report.narrative
 
 
+@pytest.mark.parametrize("origin, kind", [("global", ViolationKind.USE_AFTER_FREE),
+                                          ("stack", ViolationKind.USE_AFTER_SCOPE)])
+def test_registration_over_a_live_base_retires_the_old_extent(origin, kind):
+    # A global set up again, or a loop alloca signed again: the old
+    # instance ends, so its genuine pointer reads as stale, not crafted.
+    rt = make_rt()
+    regions = rt.mem.regions
+    base = regions.globals.base if origin == "global" else regions.stack.limit - 16
+    old = rt.register_object(base, 16, origin)
+    old_ext = rt.live[base]
+    new = rt.register_object(base, 16, origin)
+    assert rt.retired == [old_ext]
+    assert list(rt.sigs) == [rt.live[base].obj_id] == [rt.mem.id_at(base)]
+    assert old_ext.obj_id not in rt.sigs
+    assert rt.checked_access(new, 4) == base
+    with pytest.raises(ViolationError) as exc_info:
+        rt.checked_access(old, 4)
+    assert kind_of(exc_info) is kind
+    assert exc_info.value.report.narrative.endswith(f"object id=0x{old_ext.obj_id:08x}")
+
+
 def test_heap_exhaustion_is_harness_error():
     rng = random.Random(0)
     mem = MemSpace(CFG, RegionMap.default(heap_size=64))
