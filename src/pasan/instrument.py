@@ -14,10 +14,8 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import InstrumentationError
-from .miniir import BUILTIN_SIGS, ExternDecl, Function, GlobalDef, Inst, Namer, Program
-from .runtime import RT_FREE, RT_MALLOC, WRAPPED_EXTERNS, padded_size
-
-__all__ = ["instrument", "padded_size", "wraps_builtin"]
+from .miniir import Function, GlobalDef, Inst, Namer, Program, wraps_builtin
+from .runtime import padded_size
 
 
 def _use_map(func: Function) -> dict[str, list[Inst]]:
@@ -164,20 +162,13 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
                 continue
             if op in ("malloc", "free"):
                 inst = inst.copy() if inst is src else inst
-                inst.op, inst.callee = "call", RT_MALLOC if op == "malloc" else RT_FREE
+                inst.op, inst.callee = "call", "__pa_" + op
             elif op == "call" and inst.callee not in prog.functions:
                 new_block += _instrument_call(prog, inst, inst is not src, fresh, new_uid)
                 continue
             new_block.append(inst)
     return Function(func.name, list(func.params), func.ret, blocks, func.dom,
                     func.names if namer is None else namer.used)
-
-
-def wraps_builtin(ext: ExternDecl) -> bool:
-    """Whether calls to a declared external go through a checking
-    wrapper: memcpy, memset or strlen with its exact builtin signature."""
-    wrapper = WRAPPED_EXTERNS.get(ext.name)
-    return wrapper is not None and (ext.params, ext.ret) == BUILTIN_SIGS[wrapper]
 
 
 def _instrument_call(prog: Program, inst: Inst, owned: bool, fresh, new_uid) -> list[Inst]:
@@ -194,7 +185,7 @@ def _instrument_call(prog: Program, inst: Inst, owned: bool, fresh, new_uid) -> 
     if wrapped:
         # Known builtin: route through the checking wrapper, signed
         # pointers and all; the wrapper returns pointers as received.
-        inst.callee = WRAPPED_EXTERNS[callee]
+        inst.callee = "__pa_" + callee
         return [inst]
     # Truly external: strip signed pointer arguments, re-sign a pointer
     # result from its shadow id.

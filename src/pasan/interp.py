@@ -14,25 +14,18 @@ from itertools import chain
 from struct import pack_into, unpack_from
 
 from .errors import LimitExceeded, PasanError, ViolationError, ViolationReport
-from .instrument import instrument, wraps_builtin
+from .instrument import instrument
 from .memspace import MemSpace, RegionMap
-from .miniir import OPS, ExternDecl, Function, Program, function_types
+from .miniir import (BUILTIN_SIGS, CHECKED_BUILTINS, OPS, ExternDecl, Function, Program,
+                     function_types, wraps_builtin)
 from .pacore import MASK64, AddressConfig, PacKey, strip
-from .runtime import (
-    RT_FREE,
-    RT_MALLOC,
-    RT_WRAPPERS,
-    SanitizerRuntime,
-    Stats,
-    padded_size,
-)
+from .runtime import SanitizerRuntime, Stats, padded_size
 
 
 class Limits:
     def __init__(self, max_insts: int = 10_000_000, heap_bytes: int = 64 << 20,
-                 stack_bytes: int = 1 << 20, globals_bytes: int = 1 << 16):
-        self.max_insts, self.heap_bytes = max_insts, heap_bytes
-        self.stack_bytes, self.globals_bytes = stack_bytes, globals_bytes
+                 stack_bytes: int = 1 << 20):
+        self.max_insts, self.heap_bytes, self.stack_bytes = max_insts, heap_bytes, stack_bytes
 
 
 class ExecResult:
@@ -58,12 +51,12 @@ class _Layout:
     from the frame base.  consts is the function's constant pool: every
     integer operand masked to 64 bits and every global operand's symbol,
     each keyed by the operand, so that a frame's register dict resolves
-    literals, globals and registers alike."""
+    literals, globals and registers alike; entry is func's entry label."""
 
     def __init__(self, func: Function, slots: dict, frame_size: int, consts: dict,
                  blocks: dict):
         self.func, self.slots, self.frame_size = func, slots, frame_size
-        self.consts, self.blocks = consts, blocks
+        self.consts, self.blocks, self.entry = consts, blocks, func.entry
 
 
 class _Frame:
@@ -115,9 +108,10 @@ def _op_sign(interp, frame, regs, inst):
 
 
 def _op_gpptinit(interp, frame, regs, inst):
-    sym = inst.args[0][1:]
-    addr, size = interp.global_addr[sym], interp.global_size[sym]
-    interp.rt.gppt[sym] = interp.rt.register_object(addr, size, "global")
+    sym, rt = inst.args[0][1:], interp.rt
+    if sym not in rt.gppt:  # signed once per run: a re-run keeps the first signature
+        addr, size = interp.global_addr[sym], interp.global_size[sym]
+        rt.gppt[sym] = rt.register_object(addr, size, "global")
 
 
 def _op_call(interp, frame, regs, inst):
@@ -151,8 +145,8 @@ def _op_ret(interp, frame, regs, inst):
 
 # Each op's expression over its operands {0}, {1}, ..., all of them as a
 # list {args}, the access width {w} and its struct format {fmt}, the
-# result type's mask {m}, the callee {callee} and the wrapped builtin
-# {wrapped}.  It is the op's one definition: its table handler and its
+# result type's mask {m} and the callee {callee} (a wrapper's builtin is
+# {callee}[5:]).  It is the op's one definition: its table handler and its
 # code in a compiled block are both generated from it.  A load or store
 # inside a 4 KiB page of MemSpace.mapped moves its bytes inline.
 _TEMPLATES = {
@@ -179,7 +173,7 @@ _TEMPLATES = {
     "external": "interp._simulate_external({callee}, {args}) & 0xFFFFFFFFFFFFFFFF",
     "pa_malloc": "rt.protected_malloc({0})",
     "pa_free": "rt.protected_free({0}) or 0",
-    "pa_wrapper": "rt.wrapper_call({wrapped}, {args})",
+    "pa_wrapper": "rt.wrapper_call({callee}[5:], {args})",
 }
 
 _FORMATS = {1: "<B", 4: "<I", 8: "<Q"}  # each access width's struct format
@@ -190,10 +184,11 @@ _PURE = {"const", "add", "sub", "mul", "gep", "gep_i32"}
 # Ops whose integer args are literals, not value operands.
 _LITERAL_ARGS = {op for op, (_, _, kinds) in OPS.items() if "literal" in kinds or "size" in kinds}
 
-# Calls outside the program bound to their op at lowering: the runtime
-# entry points by name, any other external is simulated.
-_RUNTIME_CALLS = {RT_MALLOC: "pa_malloc", RT_FREE: "pa_free",
-                  **dict.fromkeys(RT_WRAPPERS, "pa_wrapper")}
+# Calls outside the program bound to their op at lowering: a runtime
+# entry point __pa_X to pa_X, or to pa_wrapper for a checked builtin X;
+# any other external is simulated.
+_RUNTIME_CALLS = {name: "pa_wrapper" if name[5:] in CHECKED_BUILTINS else name[2:]
+                  for name in BUILTIN_SIGS}
 
 # A table handler's assignment target where it is not the result alone;
 # each call also gets a handler named op + "_void" that assigns nothing.
@@ -228,8 +223,7 @@ def _table_handlers() -> dict:
         # No template names more than three operands; format ignores the rest.
         expr = template.format(*map(operand.format, range(3)), args="[regs[a] for a in args]",
                                w="inst.width", fmt="_FORMATS[inst.width]",
-                               m="_TYPE_MASK[inst.ty]", callee="inst.callee",
-                               wrapped="RT_WRAPPERS[inst.callee]")
+                               m="_TYPE_MASK[inst.ty]", callee="inst.callee")
         targets = {op: _TARGETS.get(op, "regs[inst.result] = ")}
         if op in ("external", *_RUNTIME_CALLS.values()):
             targets[op + "_void"] = ""
@@ -295,8 +289,7 @@ def _compile(label: str, body: list, moves: dict):
         ops = [use(arg) for arg in inst.args]
         expr = _TEMPLATES[op].format(*ops, w=repr(inst.width), fmt=repr(_FORMATS.get(inst.width)),
                                      m=repr(_TYPE_MASK.get(inst.ty)), callee=repr(inst.callee),
-                                     args=f"[{', '.join(ops)}]",
-                                     wrapped=repr(RT_WRAPPERS.get(inst.callee)))
+                                     args=f"[{', '.join(ops)}]")
         if op not in _PURE:
             lines.append(f"k = {k}")
         defs = ", ".join(define(reg) for reg in inst.defs())
@@ -334,10 +327,9 @@ class Interpreter:
                  limits: Limits | None = None, bytewise: bool = False):
         self.prog = prog
         self.cfg = cfg
-        self.limits = limits or Limits()
+        self.limits = limits = limits or Limits()
         rng = random.Random(seed)
-        regions = RegionMap.default(self.limits.globals_bytes, self.limits.heap_bytes,
-                                    self.limits.stack_bytes)
+        regions = RegionMap.default(heap_size=limits.heap_bytes, stack_size=limits.stack_bytes)
         self.mem = MemSpace(cfg, regions)
         self.rt = SanitizerRuntime(self.mem, PacKey.generate(rng), rng.getrandbits(32),
                                    bytewise=bytewise)
@@ -406,8 +398,8 @@ class Interpreter:
             raise LimitExceeded("simulated stack exhausted")
         regs = dict(layout.consts)
         regs.update(zip((reg for reg, _ in func.params), args))
-        # validate rejects entry-block phis
-        return _Frame(layout, func.entry, layout.blocks[func.entry][0], regs, base, ret_reg)
+        entry = layout.entry  # validate rejects entry-block phis
+        return _Frame(layout, entry, layout.blocks[entry][0], regs, base, ret_reg)
 
     # -- execution --
 

@@ -60,7 +60,7 @@ _VALUE_TYPE = {"i8": "i32", "i32": "i32", "i64": "i64", "ptr": "ptr"}   # of a s
 _ACCEPTS = {"i32": ("i32", "int"), "i64": ("i64", "int"), "ptr": ("ptr",),
             "int": ("int", "i32", "i64")}   # operand types a value type takes
 
-# Runtime entry points (reserved name prefix) and their signatures.
+# The runtime's entry points and signatures: `__pa_X` stands in for builtin X.
 BUILTIN_SIGS = {
     "__pa_malloc": (("i64",), "ptr"),
     "__pa_free": (("ptr",), "i32"),
@@ -68,6 +68,14 @@ BUILTIN_SIGS = {
     "__pa_memset": (("ptr", "i32", "i64"), "ptr"),
     "__pa_strlen": (("ptr",), "i64"),
 }
+CHECKED_BUILTINS = ("memcpy", "memset", "strlen")  # the externs a wrapper checks
+
+
+def wraps_builtin(ext: ExternDecl) -> bool:
+    """Whether calls to a declared external go through a checking
+    wrapper: memcpy, memset or strlen with its exact builtin signature."""
+    return ext.name in CHECKED_BUILTINS \
+        and (ext.params, ext.ret) == BUILTIN_SIGS["__pa_" + ext.name]
 
 
 class Inst:

@@ -26,12 +26,6 @@ from .pacore import (
     with_pac_field,
 )
 
-# Runtime entry points the instrumentation pass emits calls to.
-RT_MALLOC = "__pa_malloc"
-RT_FREE = "__pa_free"
-RT_WRAPPERS = {"__pa_memcpy": "memcpy", "__pa_memset": "memset", "__pa_strlen": "strlen"}
-WRAPPED_EXTERNS = {name: wrapper for wrapper, name in RT_WRAPPERS.items()}
-
 
 def padded_size(size: int) -> int:
     """Allocation sizes rounded up to a nonzero multiple of the 4-byte

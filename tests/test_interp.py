@@ -470,6 +470,81 @@ def test_free_of_non_heap_or_stale_pointer(text, kind, narrative, opts):
     assert result.report.narrative == narrative
 
 
+# @main calls itself once, then loads through a pointer to the unsafe
+# @g taken before the call: the inner run's gpptinit must not end it.
+RECURSIVE_MAIN = """\
+global @depth 8
+global @g 16
+
+func @main() -> i32 {
+bb0:
+  %a = globaladdr @g
+  %d = globaladdr @depth
+  %n = load.i64 %d
+  %n1 = add.i64 %n, 1
+  store.i64 %d, %n1
+  cbr %n, body, again
+again:
+  %r = call @main()
+  br body
+body:
+  %i = const.i64 4
+  %p = gep %a, %i
+  %x = load.i32 %p
+  ret %x
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["raw", "none", "all", "oracle"])
+def test_recursive_main_keeps_its_globals_signature(mode):
+    prog = parse(RECURSIVE_MAIN)
+    validate(prog)
+    if mode == "raw":
+        result = run(prog, CFG, seed=0)
+    elif mode == "oracle":
+        result = run_unoptimized_oracle(prog, CFG, seed=0)
+    else:
+        result = run(build(RECURSIVE_MAIN, mode), CFG, seed=0)
+    assert (result.verdict, result.exit_value) == ("completed", 0)
+    assert [g.unsafe for g in instrument(prog).globals] == [False, True]  # only @g is signed
+
+
+# Pre-instrumented: the loop runs gpptinit on each trip and carries the
+# first trip's pointer to @g out through a phi.
+GPPTINIT_LOOP = """\
+global @g 8
+
+func @main() -> i32 {
+entry:
+  %a0 = globaladdr @g
+  %n = const.i64 2
+  br loop
+loop:
+  %i = phi [entry: %n], [loop: %i2]
+  %prev = phi [entry: %a0], [loop: %a]
+  gpptinit @g
+  %a = globaladdr @g
+  %i2 = sub.i64 %i, 1
+  cbr %i2, loop, done
+done:
+  %c = check %prev, 4
+  %x = load.i32 %c
+  ret %x
+}
+"""
+
+
+@pytest.mark.parametrize("opts", ["none", "all"])
+def test_gpptinit_in_a_loop_keeps_the_first_signature(opts):
+    prog = parse(GPPTINIT_LOOP)
+    validate(prog)
+    interp = Interpreter(run_passes(prog, opts), CFG, seed=0)
+    result = interp.run()
+    assert (result.verdict, result.exit_value) == ("completed", 0)
+    assert len(interp.rt.live) == 1 and interp.rt.retired == []
+
+
 def test_external_alloc_interop():
     prog = build("""\
 extern @ext_alloc(i64) -> ptr
@@ -857,10 +932,10 @@ def test_many_globals_compile_and_run_in_linear_time():
 
 
 # A loop calling a 2-instruction function: its block holds a call, so
-# it runs on the table.  A trip (12 measured) is six table handlers (the
+# it runs on the table.  A trip (10 measured) is six table handlers (the
 # call, the callee's add and ret, the loop's add, sub and cbr), two list
 # comprehensions (the call's arguments, the back edge's phi moves),
-# `_push_frame`, `_Frame.__init__` and two reads of `Function.entry`.
+# `_push_frame` and `_Frame.__init__`; the entry label is the layout's.
 # The return retires the callee's signed bases in `_op_ret`: none here.
 CALL_LOOP = """\
 func @inc(%x: i32) -> i32 {
@@ -910,4 +985,4 @@ def test_table_run_call_loop_trips_stay_within_call_budget(opts):
         assert hot is None  # a block holding a call is never compiled
         return count
 
-    assert (calls(400) - calls(200)) / 200 < 12 + 0.5
+    assert (calls(400) - calls(200)) / 200 < 10 + 0.5
