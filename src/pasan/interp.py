@@ -24,7 +24,7 @@ from .runtime import SanitizerRuntime, Stats, padded_size
 
 class Limits:
     def __init__(self, max_insts: int = 10_000_000, heap_bytes: int = 64 << 20,
-                 stack_bytes: int = 1 << 20):
+                 stack_bytes: int = 1 << 20):  # sizes in whole 4 KiB pages
         self.max_insts, self.heap_bytes, self.stack_bytes = max_insts, heap_bytes, stack_bytes
 
 
@@ -148,7 +148,8 @@ def _op_ret(interp, frame, regs, inst):
 # result type's mask {m} and the callee {callee} (a wrapper's builtin is
 # {callee}[5:]).  It is the op's one definition: its table handler and its
 # code in a compiled block are both generated from it.  A load or store
-# inside a 4 KiB page of MemSpace.mapped moves its bytes inline.
+# inside one 4 KiB page of MemSpace.pages moves its bytes inline, and an
+# external's result is masked to its declared type (0 if unsimulated).
 _TEMPLATES = {
     "const": "{0} & {m}",
     "add": "({0} + {1}) & {m}",
@@ -159,9 +160,9 @@ _TEMPLATES = {
     "gep_i32": "({0} + ((({1} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)) & 0xFFFFFFFFFFFFFFFF",
     "globaladdr": "rt.gppt.get({0}, interp.global_addr[{0}])",
     "load": "unpack_from({fmt}, page, off)[0] if (off := {0} & 4095) <= 4096 - {w}"
-            " and (page := mapped.get({0} >> 12)) is not None else read({0}, {w})",
+            " and (page := pages.get({0} >> 12)) is not None else read({0}, {w})",
     "store": "pack_into({fmt}, page, off, {1} & (1 << 8 * {w}) - 1) if (off := {0} & 4095)"
-             " <= 4096 - {w} and (page := mapped.get({0} >> 12)) is not None"
+             " <= 4096 - {w} and (page := pages.get({0} >> 12)) is not None"
              " else write({0}, {w}, {1})",
     "malloc": "rt.plain_malloc({0})",
     "free": "rt.plain_free({0})",
@@ -170,7 +171,7 @@ _TEMPLATES = {
     "fastcheck": "fast_check({0}, {1}, {2}, {w})",
     "stripcall": "strip({0}, interp.cfg)",
     "resign": "rt.resign_return({0})",
-    "external": "interp._simulate_external({callee}, {args}) & 0xFFFFFFFFFFFFFFFF",
+    "external": "interp._simulate_external({callee}, {args}) & interp.simulated.get({callee}, 0)",
     "pa_malloc": "rt.protected_malloc({0})",
     "pa_free": "rt.protected_free({0}) or 0",
     "pa_wrapper": "rt.wrapper_call({callee}[5:], {args})",
@@ -196,7 +197,7 @@ _TARGETS = {"store": "", "free": "", "check_token": "regs[inst.result], regs[ins
 
 # The interpreter's attributes bound once per run, which templates name
 # bare: a table handler reads them off interp at each call.
-_PER_RUN = ("rt", "mapped", "read", "write", "checked_access", "fast_check")
+_PER_RUN = ("rt", "pages", "read", "write", "checked_access", "fast_check")
 _ON_INTERP = re.compile(rf"(?<![\w.])({'|'.join(_PER_RUN)})\b")
 
 
@@ -333,7 +334,7 @@ class Interpreter:
         self.mem = MemSpace(cfg, regions)
         self.rt = SanitizerRuntime(self.mem, PacKey.generate(rng), rng.getrandbits(32),
                                    bytewise=bytewise)
-        self.simulated = {name for name, decl in prog.externs.items() if _simulated(decl)}
+        self.simulated = {n: _TYPE_MASK[d.ret] for n, d in prog.externs.items() if _simulated(d)}
         self.layouts: dict[str, _Layout] = {}
         self.stack: list[_Frame] = []
         self.exit_value: int | None = None
@@ -408,7 +409,7 @@ class Interpreter:
         # Bound once per run, so a wrapper installed on the class before
         # the run (a tracer) sees every call.
         self.checked_access, self.fast_check = rt.checked_access, rt.fast_check
-        self.mapped, self.read, self.write = mem.mapped, mem.read, mem.write
+        self.pages, self.read, self.write = mem.pages, mem.read, mem.write
         stats = rt.stats
         limit = self.limits.max_insts
         stack = self.stack

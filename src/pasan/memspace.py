@@ -5,7 +5,8 @@ holds heap, stack, and globals; the upper half shadows each 4-byte
 granule of it with a 32-bit object id, reachable only through id_at and
 the shadow_* operations.  Bytes and ids live in sparse maps of 4 KiB
 pages and of 1,024-word pages, so a 2^47 space fits in host memory;
-untouched pages read as zero.
+untouched pages read as zero.  Regions are whole pages, and only a write
+its region admits makes a page, so each page lies inside one region.
 """
 from __future__ import annotations
 
@@ -31,7 +32,8 @@ class Region:
 
 
 class RegionMap:
-    """Disjoint program-half regions; the stack grows down from its limit."""
+    """Disjoint program-half regions, each of whole pages (as default's
+    sizes are); the stack grows down from its limit."""
 
     def __init__(self, globals: Region, heap: Region, stack: Region):
         self.globals, self.heap, self.stack = globals, heap, stack
@@ -59,21 +61,19 @@ class MemSpace:
     def __init__(self, cfg: AddressConfig, regions: RegionMap | None = None):
         self.cfg = cfg
         self.regions = regions or RegionMap.default()
-        self._pages: dict[int, bytearray] = {}
+        self.pages: dict[int, bytearray] = {}
         self.shadow: dict[int, array] = {}  # addr's id: [(addr | MSB) >> 12][addr >> 2 & 1023]
         named = [(name, getattr(self.regions, name)) for name in ("globals", "heap", "stack")]
         for name, region in named:
             if region.base < 0 or region.limit > 1 << cfg.msb_bit:
                 raise ValueError(f"{name} region lies outside the program half")
+            if (region.base | region.limit) & PAGE_MASK:
+                raise ValueError(f"{name} region is not whole {PAGE_SIZE}-byte pages")
         for (a, ra), (b, rb) in combinations(named, 2):
             if ra.base < rb.limit and rb.base < ra.limit:
                 raise ValueError(f"{a} and {b} regions overlap")
         self._spans = tuple((r.base, r.limit) for _, r in named)
         self._shadow_bit = 1 << cfg.msb_bit
-        # The mapped-page table: each program page wholly inside one region,
-        # the bytearray in _pages, added on creation.  An access that finds
-        # its page here and fits in it cannot fault.
-        self.mapped: dict[int, bytearray] = {}
 
     # -- raw byte store (no checks; callers enforce their own contracts) --
 
@@ -82,7 +82,7 @@ class MemSpace:
         while width:
             off = addr & PAGE_MASK
             chunk = min(width, PAGE_SIZE - off)
-            out += self._pages.get(addr >> 12, _ZERO_PAGE)[off : off + chunk]
+            out += self.pages.get(addr >> 12, _ZERO_PAGE)[off : off + chunk]
             addr += chunk
             width -= chunk
         return bytes(out)
@@ -92,12 +92,9 @@ class MemSpace:
         while pos < len(data):
             page, off = addr >> 12, addr & PAGE_MASK
             chunk = min(len(data) - pos, PAGE_SIZE - off)
-            buf = self._pages.get(page)
+            buf = self.pages.get(page)
             if buf is None:
-                buf = self._pages[page] = bytearray(PAGE_SIZE)
-                for base, limit in self._spans:
-                    if base <= page << 12 and (page + 1) << 12 <= limit:
-                        self.mapped[page] = buf
+                buf = self.pages[page] = bytearray(PAGE_SIZE)
             buf[off : off + chunk] = data[pos : pos + chunk]
             addr += chunk
             pos += chunk
@@ -141,12 +138,6 @@ class MemSpace:
 
     # -- program-visible raw access (the trap surface) --
 
-    def region_of(self, addr: int) -> str | None:
-        for name, (base, limit) in zip(("globals", "heap", "stack"), self._spans):
-            if base <= addr < limit:
-                return name
-        return None
-
     def _check_access(self, addr: int, width: int) -> None:
         """Trap a raw access that may not proceed.  Its report names the
         id shadowing the address with every bit from n up cleared."""
@@ -165,9 +156,9 @@ class MemSpace:
                              f"raw access fault: {trap}")
 
     # The interpreter's load and store move the bytes of an access that
-    # finds its page in the mapped-page table and fits in it themselves
-    # (every region lies in the program half, so such an access cannot
-    # fault), and call read and write for anything else.
+    # finds its page in pages and fits in it themselves (the page lies
+    # inside one region, so such an access cannot fault), and call read
+    # and write for anything else.
 
     def read(self, addr: int, width: int) -> int:
         self._check_access(addr, width)
@@ -196,7 +187,7 @@ class MemSpace:
         data = self._load_bytes(arg, length) if name == "memcpy" \
             else bytes([arg & 0xFF]) * length
         off = dest & PAGE_MASK
-        buf = self._pages.get(dest >> 12)
+        buf = self.pages.get(dest >> 12)
         if buf is not None and off + length <= PAGE_SIZE:
             buf[off : off + length] = data
         else:

@@ -197,7 +197,7 @@ class SanitizerRuntime:
                     f"[0x{ext.base:x}, 0x{ext.base + ext.size:x}) strayed to 0x{addr:x}"
                 )
         if found == 0:
-            if self.mem.region_of(addr) == "stack":
+            if self.mem.regions.stack.base <= addr < self.mem.regions.stack.limit:
                 return ViolationKind.USE_AFTER_SCOPE, "unshadowed stack memory"
             return ViolationKind.USE_AFTER_FREE, "unshadowed memory"
         return ViolationKind.CRAFTED_PAC, "signature matches no live or retired object"

@@ -1,6 +1,7 @@
-"""Every name a module of src/pasan imports is used in that module, and
+"""Every name a module of src/pasan imports is used in that module;
 every function, class and constant it defines at module level is named
-somewhere in src/, tests/ or perfbench/ outside its own definition.
+somewhere in src/, tests/ or perfbench/ outside its own definition; and
+every attribute its classes store on self is read somewhere there.
 
 A name counts as used where code reads it or imports it, where the
 package's `__init__.py` lists it in `__all__`, and where it appears in a
@@ -8,7 +9,9 @@ string constant that is not a docstring: the op templates in interp
 reach their globals through source they generate, and tests and the
 tracer patch attributes by name.  Comments and docstrings name nothing,
 and neither does the `__all__` of another src/pasan module, so that it
-cannot hide a dead name.
+cannot hide a dead name.  An attribute counts as read where code loads
+it, or where a string constant other than a docstring or a `__slots__`
+entry spells it whole.
 """
 import ast
 import re
@@ -28,6 +31,14 @@ def _parse(path: Path) -> ast.Module:
         tree.body = [stmt for stmt in tree.body if not (isinstance(stmt, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets))]
     return tree
+
+
+def _tree() -> tuple[dict[str, ast.Module], set[str]]:
+    """Every module of src/, tests/ and perfbench/, parsed, by its path
+    from the repository root; and the paths of the src/pasan ones."""
+    paths = [path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")]
+    sources = {str(path.relative_to(ROOT)): _parse(path) for path in paths}
+    return sources, {str(path.relative_to(ROOT)) for path in SRC.glob("*.py")}
 
 
 def _docstrings(tree: ast.Module) -> set[int]:
@@ -124,6 +135,37 @@ def unused_methods(sources: dict[str, ast.Module], checked: set[str]) -> list[st
                   if not any(func.name in names for unit, names in units if unit is not func))
 
 
+def _slots(tree: ast.Module) -> set[int]:
+    """The ids of the constants in tree's `__slots__` assignments."""
+    return {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+            for node in ast.walk(stmt.value)}
+
+
+def unused_attributes(sources: dict[str, ast.Module], checked: set[str]) -> list[str]:
+    """Each attribute a module-level class of a module in checked stores
+    on self that no source reads, as "module.Class.attribute", sorted."""
+    read, stored = set(), {}
+    for module, tree in sources.items():
+        skip = _docstrings(tree) | _slots(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and id(node) not in skip:
+                read.add(node.value)
+        if module not in checked:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) and node.value.id == "self":
+                    stored[f"{module}.{cls.name}.{node.attr}"] = node.attr
+    return sorted(name for name, attr in stored.items() if attr not in read)
+
+
 def test_unused_imports_finds_only_unused_names():
     tree = ast.parse('''\
 """Docstring naming dead."""
@@ -173,9 +215,7 @@ def test_module_imports_no_unused_name(path):
 
 
 def test_every_module_level_definition_is_named():
-    paths = [path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")]
-    sources = {str(path.relative_to(ROOT)): _parse(path) for path in paths}
-    checked = {str(path.relative_to(ROOT)) for path in SRC.glob("*.py")}
+    sources, checked = _tree()
     assert unused_definitions(sources, checked) == []
 
 
@@ -208,7 +248,35 @@ setattr(Runtime, "patched", Runtime.static)
 
 
 def test_every_method_is_named():
-    paths = [path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")]
-    sources = {str(path.relative_to(ROOT)): _parse(path) for path in paths}
-    checked = {str(path.relative_to(ROOT)) for path in SRC.glob("*.py")}
+    sources, checked = _tree()
     assert unused_methods(sources, checked) == []
+
+
+def test_unused_attributes_finds_only_unread_ones():
+    lib = ast.parse('''\
+"""Docstring naming dead."""
+class Frame:
+    """Names dead and counted."""
+    __slots__ = ("slotted", "loaded")
+    def __init__(self):
+        self.loaded, self.slotted = 1, 2
+        self.dead = {}  # dead
+        self.counted = 0
+        self.bound = self.spelled = None
+    def step(self):
+        self.counted += 1
+        return self.loaded
+TEMPLATE = "interp.spelled.get({0})"
+NAMES = ("bound",)
+''')
+    user = ast.parse('''\
+from lib import Frame
+Frame().step()
+''')
+    assert unused_attributes({"lib": lib, "user": user}, {"lib"}) == \
+        ["lib.Frame.counted", "lib.Frame.dead", "lib.Frame.slotted", "lib.Frame.spelled"]
+
+
+def test_every_stored_attribute_is_read():
+    sources, checked = _tree()
+    assert unused_attributes(sources, checked) == []

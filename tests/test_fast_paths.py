@@ -115,7 +115,7 @@ def ref_write(mem, addr, width, value):
 
 def memory(mem):
     """A copy of mem's program bytes and shadow words, page by page."""
-    return ({page: bytes(buf) for page, buf in mem._pages.items()},
+    return ({page: bytes(buf) for page, buf in mem.pages.items()},
             {page: bytes(words) for page, words in mem.shadow.items()})
 
 
@@ -132,9 +132,9 @@ def outcome(fn, *args):
 
 # -- one runtime state, built twice: once for the code, once for the reference --
 
-# Regions that abut mid-page: one page holds the end of one region and
-# the start of the next, so an in-page access can still leave its region.
-ABUTTING = RegionMap(Region(0x10000, 0x1800), Region(0x11800, 0x3000), Region(0x14800, 0x2000))
+# Regions that abut on page boundaries: the last page of one region is
+# followed by the first of the next, so a straddling access crosses regions.
+ABUTTING = RegionMap(Region(0x10000, 0x2000), Region(0x12000, 0x3000), Region(0x15000, 0x2000))
 SMALL = RegionMap.default(globals_size=1 << 13, heap_size=1 << 16, stack_size=1 << 14)
 
 CONFIGS = [
@@ -223,6 +223,7 @@ def test_fast_paths_match_slow_path_references(cfg, regions, counter):
     assert fields(rt.stats) == fields(ref.stats)
     assert rt.key.macs == ref.key.macs
     assert memory(rt.mem) == memory(ref.mem)
+    assert_pages_lie_in_regions(rt.mem)
 
 
 # -- the calls each success path makes --
@@ -251,7 +252,7 @@ def test_success_paths_make_one_frame_per_traced_call():
     token = rt.mem.id_at(raw)
     # loads and stores move their bytes in the generated table handler
     mem, load, store = rt.mem, _HANDLERS["load"], _HANDLERS["store"]
-    interp = SimpleNamespace(mapped=mem.mapped, read=mem.read, write=mem.write)
+    interp = SimpleNamespace(pages=mem.pages, read=mem.read, write=mem.write)
     load4 = Inst("load", "%v", width=4, args=("%p",))
     store4, store8 = (Inst("store", width=w, args=("%p", "%v")) for w in (4, 8))
     assert python_calls(lambda: store(interp, None, {"%p": rt.checked_access(ptr, 4), "%v": 7},
@@ -436,6 +437,7 @@ def test_memset_memcpy_wrappers_match_reference(cfg, regions, counter):
                     outcome(ref_builtin, ref_mem, name, [dest, arg, length],
                             ref_mem.trap_span), (name, hex(dest), length)
     assert memory(mem) == memory(ref_mem)
+    assert_pages_lie_in_regions(mem)
 
 
 def test_allocation_free_and_wrapper_success_paths_stay_flat():
@@ -750,7 +752,7 @@ def test_runtime_sequences_match_slow_path_references(cfg, counter, seed):
     assert rt.next_id < counter or counter < 0xFFFFFF00  # wrapped, where it could
 
 
-# -- the mapped-page table against the span walk --
+# -- the page table against the span walk --
 
 
 def _spans(regions):
@@ -758,13 +760,13 @@ def _spans(regions):
 
 
 def ref_span_read(mem, addr, width):
-    """read as it was before the mapped-page table: the span walk, then
-    _check_access."""
+    """read by the span walk: an in-page access inside a region reads
+    its page directly; any other goes through _check_access."""
     off = addr % PAGE_SIZE
     if off + width <= PAGE_SIZE:
         for base, limit in _spans(mem.regions):
             if base <= addr and addr + width <= limit:
-                page = mem._pages.get(addr // PAGE_SIZE, bytes(PAGE_SIZE))
+                page = mem.pages.get(addr // PAGE_SIZE, bytes(PAGE_SIZE))
                 return int.from_bytes(page[off : off + width], "little")
     return ref_read(mem, addr, width)
 
@@ -774,7 +776,7 @@ def ref_span_write(mem, addr, width, value):
     if off + width <= PAGE_SIZE:
         for base, limit in _spans(mem.regions):
             if base <= addr and addr + width <= limit:
-                page = mem._pages.setdefault(addr // PAGE_SIZE, bytearray(PAGE_SIZE))
+                page = mem.pages.setdefault(addr // PAGE_SIZE, bytearray(PAGE_SIZE))
                 page[off : off + width] = (value % (1 << 8 * width)).to_bytes(width, "little")
                 return
     ref_write(mem, addr, width, value)
@@ -783,40 +785,32 @@ def ref_span_write(mem, addr, width, value):
 def handler_read(mem, addr, width):
     """A load of mem through the interpreter's generated table handler."""
     regs = {"%p": addr}
-    _HANDLERS["load"](SimpleNamespace(mapped=mem.mapped, read=mem.read), None, regs,
+    _HANDLERS["load"](SimpleNamespace(pages=mem.pages, read=mem.read), None, regs,
                       Inst("load", "%v", width=width, args=("%p",)))
     return regs["%v"]
 
 
 def handler_write(mem, addr, width, value):
     """A store to mem through the interpreter's generated table handler."""
-    _HANDLERS["store"](SimpleNamespace(mapped=mem.mapped, write=mem.write), None,
+    _HANDLERS["store"](SimpleNamespace(pages=mem.pages, write=mem.write), None,
                        {"%p": addr, "%v": value}, Inst("store", width=width, args=("%p", "%v")))
 
 
-def assert_mapped_invariant(mem):
-    """Each mapped page is the page _pages holds, lies wholly inside one
-    region and is not a shadow page; and each such page is mapped."""
-    for page, buf in mem.mapped.items():
-        assert mem._pages[page] is buf, hex(page)
+def assert_pages_lie_in_regions(mem):
+    """Each page in pages lies wholly inside one region, below the
+    address MSB: so an in-page access to it cannot fault."""
+    for page in mem.pages:
         assert page * PAGE_SIZE < 1 << mem.cfg.msb_bit, hex(page)
-    whole = {page for page in mem._pages
-             if any(base <= page * PAGE_SIZE and (page + 1) * PAGE_SIZE <= limit
-                    for base, limit in _spans(mem.regions))}
-    assert set(mem.mapped) == whole
+        assert any(base <= page * PAGE_SIZE and (page + 1) * PAGE_SIZE <= limit
+                   for base, limit in _spans(mem.regions)), hex(page)
 
 
-# Regions ending (and the stack starting) mid-page, a heap ending 4 bytes
-# into a page; the default map's regions are all page-aligned.
-MID_PAGE = RegionMap.default(globals_size=0x2800, heap_size=0x1804, stack_size=0x2C00)
-
-
-@pytest.mark.parametrize("regions", [RegionMap.default(), ABUTTING, MID_PAGE],
-                         ids=["default", "abutting", "mid_page"])
+@pytest.mark.parametrize("regions", [RegionMap.default(), ABUTTING],
+                         ids=["default", "abutting"])
 @pytest.mark.parametrize("n", [33, 47])
 def test_mapped_page_table_matches_the_span_walk(regions, n):
     # mem moves bytes through read and write, gen through the load and
-    # store table handlers, which hold the mapped-page fast path
+    # store table handlers, which hold the in-page fast path
     cfg = AddressConfig(n)
     mem, gen, ref = (MemSpace(cfg, regions) for _ in range(3))
     addrs = [0, 0x8000, 0x2000_0000]  # unmapped
@@ -846,6 +840,6 @@ def test_mapped_page_table_matches_the_span_walk(regions, n):
             gen.shadow_fill(base & ~3, 8, 5)
             ref_shadow_fill(ref, base & ~3, 8, 5)
         assert memory(mem) == memory(ref) == memory(gen)
-        assert_mapped_invariant(mem)
-        assert_mapped_invariant(gen)
-    assert mem.mapped and gen.mapped
+        assert_pages_lie_in_regions(mem)
+        assert_pages_lie_in_regions(gen)
+    assert mem.pages and gen.pages

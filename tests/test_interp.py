@@ -780,18 +780,18 @@ extern @memset(ptr, i32, i64) -> ptr
 
 func @main() -> i32 {
 bb0:
-  %sz = const.i64 48
+  %sz = const.i64 4048
   %p = malloc %sz
   %zero = const.i32 0
-  %n = const.i64 100
+  %n = const.i64 4148
   %r = call @memset(%p, %zero, %n)
   ret %zero
 }
 """)
     validate(prog)
-    result = run(prog, CFG, seed=0, limits=Limits(heap_bytes=64))
+    result = run(prog, CFG, seed=0, limits=Limits(heap_bytes=4096))
     assert result.report.kind is ViolationKind.SPATIAL_OOB
-    assert result.report.pointer == 0x1000_0000 + 64  # heap base + heap_bytes
+    assert result.report.pointer == 0x1000_0000 + 4096  # heap base + heap_bytes
     assert result.report.found_id == 0
 
 
@@ -803,7 +803,7 @@ extern @strlen(ptr) -> i64
 
 func @main() -> i32 {
 bb0:
-  %sz = const.i64 64
+  %sz = const.i64 4096
   %p = malloc %sz
   %fill = const.i32 65
   %r = call @memset(%p, %fill, %sz)
@@ -813,9 +813,9 @@ bb0:
 }
 """)
     validate(prog)
-    result = run(prog, CFG, seed=0, limits=Limits(heap_bytes=64))
+    result = run(prog, CFG, seed=0, limits=Limits(heap_bytes=4096))
     assert result.report.kind is ViolationKind.SPATIAL_OOB
-    assert result.report.pointer == 0x1000_0000 + 64
+    assert result.report.pointer == 0x1000_0000 + 4096
     assert result.report.narrative == "raw access fault: Unmapped"
 
 
@@ -831,8 +831,9 @@ bb0:
     )
 ])
 def test_extern_with_mismatched_signature_is_unsimulated(mode, name, params, ret):
-    # A canned behaviour runs only for the declaration it was written
-    # for; any other declaration of the name is an unsimulated extern.
+    # A canned behaviour runs only for a declaration of its arity (memcpy,
+    # memset and strlen: of their builtin signature); any other
+    # declaration of the name is an unsimulated extern that returns 0.
     args = ", ".join("%p" for _ in params)
     text = f"""\
 extern @{name}({", ".join(params)}) -> {ret}
@@ -853,6 +854,56 @@ bb0:
         prog = build(text, mode)
     result = run(prog, CFG, seed=0)
     assert result.completed and result.exit_value == 0
+
+
+
+# A canned external's result takes its declared type: ext_peek declared
+# to return i32 reads back 32 of the 64 bits ext_poke wrote, and ext_id
+# declared to return i32 drops bit 32 of its argument, so cbr sees zero.
+PEEK_I32 = """\
+extern @ext_poke(ptr, i64) -> i32
+extern @ext_peek(ptr) -> i32
+
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 8
+  %p = malloc %sz
+  %v = const.i64 -1
+  %w = call @ext_poke(%p, %v)
+  %r = call @ext_peek(%p)
+  ret %r
+}
+"""
+
+ID_I32 = """\
+extern @ext_id(i64) -> i32
+
+func @main() -> i32 {
+bb0:
+  %big = const.i64 4294967296
+  %x = call @ext_id(%big)
+  cbr %x, yes, no
+yes:
+  %one = const.i32 1
+  ret %one
+no:
+  %zero = const.i32 0
+  ret %zero
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["raw", "none", "all", "oracle"])
+@pytest.mark.parametrize("text, exit_value", [(PEEK_I32, 0xFFFF_FFFF), (ID_I32, 0)],
+                         ids=["ext_peek", "ext_id"])
+def test_external_result_is_masked_to_its_declared_type(text, exit_value, mode):
+    prog = parse(text)
+    validate(prog)
+    if mode == "oracle":
+        result = run_unoptimized_oracle(prog, CFG, seed=0)
+    else:
+        result = run(prog if mode == "raw" else build(text, mode), CFG, seed=0)
+    assert (result.verdict, result.exit_value) == ("completed", exit_value)
 
 
 CHURN = """\

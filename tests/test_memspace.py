@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pasan.errors import PreconditionViolated, ViolationError, ViolationKind
-from pasan.memspace import HEAP_BASE, MemSpace, Region, RegionMap, shadow_of
+from pasan.memspace import HEAP_BASE, PAGE_SIZE, MemSpace, Region, RegionMap, shadow_of
 from pasan.pacore import AddressConfig, PacKey, pac_sign, poison
 
 CFG = AddressConfig(47)
@@ -87,7 +87,7 @@ def test_negative_shadow_range_raises_and_writes_nothing(base, size):
     mem.shadow_fill(0, 16, 0x11223344)                  # and their shadow
 
     def snapshot():  # copies: the pages are mutable
-        return ({page: bytes(buf) for page, buf in mem._pages.items()},
+        return ({page: bytes(buf) for page, buf in mem.pages.items()},
                 {page: words.tolist() for page, words in mem.shadow.items()})
 
     before = snapshot()
@@ -165,31 +165,40 @@ def test_program_access_cannot_reach_metadata():
         mem.write(shadow_of(HEAP_BASE, CFG), 4, 0)
 
 
-def test_region_of():
-    mem = make_mem()
-    assert mem.region_of(HEAP_BASE) == "heap"
-    assert mem.region_of(mem.regions.stack.base) == "stack"
-    assert mem.region_of(mem.regions.globals.base) == "globals"
-    assert mem.region_of(0x7000_0000) is None
-
-
 def test_regions_lie_in_the_program_half_and_do_not_overlap():
     cfg, top = AddressConfig(33), 1 << 32
-    heap = Region(HEAP_BASE, 128)
+    heap = Region(HEAP_BASE, 2 * PAGE_SIZE)
     cases = [
-        (Region(HEAP_BASE - 256, 256), heap, Region(top - 64, 128),
+        (Region(HEAP_BASE - PAGE_SIZE, PAGE_SIZE), heap, Region(top - PAGE_SIZE, 2 * PAGE_SIZE),
          "stack region lies outside the program half"),
-        (Region(-16, 32), heap, Region(top - 64, 64), "globals region lies outside"),
-        (Region(HEAP_BASE - 256, 257), heap, Region(top - 64, 64),
+        (Region(-PAGE_SIZE, 2 * PAGE_SIZE), heap, Region(top - PAGE_SIZE, PAGE_SIZE),
+         "globals region lies outside"),
+        (Region(HEAP_BASE - PAGE_SIZE, 2 * PAGE_SIZE), heap, Region(top - PAGE_SIZE, PAGE_SIZE),
          "globals and heap regions overlap"),
-        (Region(HEAP_BASE - 256, 256), heap, Region(HEAP_BASE + 64, 64),
+        (Region(HEAP_BASE - PAGE_SIZE, PAGE_SIZE), heap, Region(HEAP_BASE + PAGE_SIZE, PAGE_SIZE),
          "heap and stack regions overlap"),
     ]
     for *regions, message in cases:
         with pytest.raises(ValueError, match=message):
             MemSpace(cfg, RegionMap(*regions))
     # Abutting regions, the stack ending at the top of the program half.
-    MemSpace(cfg, RegionMap(Region(HEAP_BASE - 256, 256), heap, Region(top - 64, 64)))
+    MemSpace(cfg, RegionMap(Region(HEAP_BASE - PAGE_SIZE, PAGE_SIZE), heap,
+                            Region(top - PAGE_SIZE, PAGE_SIZE)))
+
+
+@pytest.mark.parametrize("name", ["globals", "heap", "stack"])
+@pytest.mark.parametrize("base_off, limit_off", [(8, 0), (0, -8), (2048, -1)],
+                         ids=["base", "limit", "both"])
+def test_regions_are_whole_pages(name, base_off, limit_off):
+    # Abutting whole-page regions, one of which is moved off a page boundary.
+    spans = {"globals": (HEAP_BASE - PAGE_SIZE, HEAP_BASE),
+             "heap": (HEAP_BASE, HEAP_BASE + PAGE_SIZE),
+             "stack": ((1 << 32) - PAGE_SIZE, 1 << 32)}
+    base, limit = spans[name]
+    spans[name] = base + base_off, limit + limit_off
+    regions = RegionMap(*(Region(b, lim - b) for b, lim in spans.values()))
+    with pytest.raises(ValueError, match=f"^{name} region is not whole 4096-byte pages$"):
+        MemSpace(AddressConfig(33), regions)
 
 
 def fault_of(vet, addr, length):
@@ -206,17 +215,17 @@ def test_trap_span_faults_where_a_byte_walk_does(n):
     # Globals run into the heap, where the walk does not fault, and the
     # stack ends at the program half's top, past which bytes are shadow.
     top = 1 << (n - 1)
-    mem = MemSpace(AddressConfig(n), RegionMap(globals=Region(HEAP_BASE - 256, 256),
-                                               heap=Region(HEAP_BASE, 128),
-                                               stack=Region(top - 64, 64)))
+    mem = MemSpace(AddressConfig(n), RegionMap(globals=Region(HEAP_BASE - PAGE_SIZE, PAGE_SIZE),
+                                               heap=Region(HEAP_BASE, PAGE_SIZE),
+                                               stack=Region(top - PAGE_SIZE, PAGE_SIZE)))
 
     def walk(addr, length):
         for off in range(length):
             mem.read(addr + off, 1)
 
-    edges = [HEAP_BASE - 256, HEAP_BASE, HEAP_BASE + 128, top - 64, top, 1 << n]
+    edges = [HEAP_BASE - PAGE_SIZE, HEAP_BASE, HEAP_BASE + PAGE_SIZE, top - PAGE_SIZE, top, 1 << n]
     rng = random.Random(n)
     for _ in range(3000):
         addr, length = rng.choice(edges) + rng.randint(-48, 48), rng.randint(0, 420)
         assert fault_of(mem.trap_span, addr, length) == fault_of(walk, addr, length), (addr, length)
-    assert mem.trap_span(HEAP_BASE - 256, 384) == HEAP_BASE - 256
+    assert mem.trap_span(HEAP_BASE - PAGE_SIZE, 2 * PAGE_SIZE) == HEAP_BASE - PAGE_SIZE

@@ -434,11 +434,12 @@ def test_registration_over_a_live_base_retires_the_old_extent(origin, kind):
 
 def test_heap_exhaustion_is_harness_error():
     rng = random.Random(0)
-    mem = MemSpace(CFG, RegionMap.default(heap_size=64))
+    mem = MemSpace(CFG, RegionMap.default(heap_size=4096))
     rt = SanitizerRuntime(mem, PacKey.generate(rng), rng.getrandbits(32))
+    for _ in range(16):
+        rt.protected_malloc(256)
     with pytest.raises(LimitExceeded):
-        for _ in range(64):
-            rt.protected_malloc(16)
+        rt.protected_malloc(4)
 
 
 @pytest.mark.parametrize("operation", ["access", "free"])
