@@ -1,7 +1,7 @@
 """Check-reduction passes: redundant check removal and same-lock fast
 verification.  Both are gated on instruction-level dominance and on the
 absence of possibly-freeing operations along every covered path, which
-one forward bitset dataflow per function decides.
+one integer per block and a preorder walk of the dominator tree decide.
 
 Passes only delete checks or downgrade them to fast checks; they never
 add work, so full + fast never exceeds the pre-pass full count.
@@ -81,85 +81,84 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key)
     holding a token is never covered: a fast check elsewhere reads that
     token.
 
-    One forward dataflow over Python-int bitsets decides this (available
-    expressions: Aho, Lam, Sethi and Ullman, Compilers, 9.2.6).  The
-    checks are numbered in reverse post-order, and three sets of them
-    are carried to a fixpoint: `done`, those run on every path to a
-    point, which are exactly the checks dominating it; `seen`, those
-    run on some path to it; and `freed`, those with a possibly-freeing
-    instruction on some path from them to it.  A walk in reverse
-    post-order then covers a check by the highest bit of done & ~freed
-    & kept & its group: its nearest kept dominator, numbered after
-    every farther one.  Only the nearest counts: a free after it also
-    lies after every farther one.  Covered checks are yielded group by
-    group in reverse post-order, the order same-lock names new tokens
-    in."""
-    # Per block: its checks and possibly-freeing instructions (None), in order.
+    The checks are numbered in reverse post-order, so those dominating a
+    point rise in number toward it.  Those with a possible free on some
+    path from them to the point form a prefix of that chain: split such
+    a path at the check's last run, and either a free follows that run
+    or the check lies on a cycle through a free, and each holds for
+    every farther dominator too.  So one integer per point, `freed`, the
+    highest number in the prefix, stands for the set, and one forward
+    dataflow carries it to a fixpoint: a join takes the maximum over its
+    predecessors; a possibly-freeing instruction sets it to the number
+    of the last check numbered before it; a check sets it to its own
+    number less one, or to its own number in a cyclic strong component
+    holding a free, which the second walk of Kosaraju's algorithm finds
+    (Sharir, 1981).  A walk of the dominator tree in preorder then keeps
+    one stack of kept checks per group, popped by the `pre`/`end`
+    intervals of their blocks, as dominator-scoped value numbering
+    scopes its table (Briggs, Cooper and Simpson, "Value Numbering",
+    1997); the top covers a check numbered above its `freed`.  Covered
+    checks are yielded group by group in reverse post-order, the order
+    same-lock names new tokens in."""
+    # Per block: the index of each check, and None for each possibly-freeing instruction.
     by_key, events = {}, {}
     for label, block in func.blocks.items():
         events[label] = block_events = []
         for idx, inst in enumerate(block):
             if inst.op == "check":
-                loc = (label, idx)
-                by_key.setdefault(group_key(inst), []).append(loc)
-                block_events.append(loc)
+                by_key.setdefault(group_key(inst), []).append((label, idx))
+                block_events.append(idx)
             elif inst.op in ("call", "free") and _may_free(prog, freeing, inst):
                 block_events.append(None)
     if all(len(locs) == 1 for locs in by_key.values()):
         return
     dom = func.dominance()
-    order, preds, latches = dom.order, dom.preds, dom.latches
-    locs = [loc for label in order for loc in events[label] if loc is not None]
-    bit = {loc: 1 << i for i, loc in enumerate(locs)}
-    mask = {}
-    for group in by_key.values():
-        mask.update(dict.fromkeys(group, sum(map(bit.__getitem__, group))))
-    # Per block: every check's bit, and those before its last free.
-    gen, before_free = {}, {}
-    for label in order:
-        gen[label] = 0
-        for loc in events[label]:
-            if loc is None:
-                before_free[label] = gen[label]
-            else:
-                gen[label] |= bit[loc]
-    ins: dict = {}
-    outs = {label: (-1, 0, 0) for label in order}  # done starts full: a must-set
+    order, preds, latches, pre = dom.order, dom.preds, dom.latches, dom.pre
+    comp = {}  # Kosaraju's second walk: each block's strong component, by its first block
+    for root in order if latches else ():
+        if root not in comp:
+            comp[root], stack = root, [root]
+            while stack:
+                for p in preds[stack.pop()]:
+                    if p not in comp:
+                        comp[p] = root
+                        stack.append(p)
+    cyclic = {comp[label] for label in comp if None in events[label]
+              and any(comp[p] == comp[label] for p in preds[label])}
+    # Each block's first check number, freed as each check runs and at each block's end.
+    first, before, outs = {}, {}, dict.fromkeys(order, -1)
     changed = True
     while changed:
-        changed = False
+        changed, n = False, -1  # the number of the last check met, in reverse post-order
         for label in order:
-            done, seen, freed = 0 if label == order[0] else -1, 0, 0
-            for p in preds[label]:
-                done &= outs[p][0]
-                seen |= outs[p][1]
-                freed |= outs[p][2]
-            ins[label] = done, seen, freed
-            if label in before_free:
-                freed |= seen | before_free[label]
-            out = (done | gen[label], seen | gen[label], freed)
-            if out != outs[label]:
-                outs[label] = out
+            first[label] = n + 1
+            loops = comp.get(label) in cyclic  # a check here may run again after a free
+            freed = max(map(outs.__getitem__, preds[label]), default=-1)
+            for idx in events[label]:
+                if idx is None:
+                    freed = n
+                else:
+                    n += 1
+                    before[n] = freed
+                    freed = n if loops else min(freed, n - 1)
+            if freed != outs[label]:
+                outs[label] = freed
                 changed = changed or label in latches  # else every reader saw it this pass
-    covers, kept = {}, 0
-    for label in order:
-        done, seen, freed = ins[label]
-        for loc in events[label]:
-            if loc is None:
-                freed |= seen
-                continue
-            inst = func.blocks[label][loc[1]]
-            avail = done & ~freed & kept & mask[loc]
-            if inst.result2 is None and avail:
-                covers[loc] = locs[avail.bit_length() - 1]
+    stacks, covers = {}, {}
+    for label in sorted(order, key=pre.__getitem__):  # not RPO, which interleaves subtrees
+        checks = [idx for idx in events[label] if idx is not None]
+        for n, idx in enumerate(checks, first[label]):
+            inst = func.blocks[label][idx]
+            stack = stacks.setdefault(group_key(inst), [])
+            while stack and stack[-1][0] <= pre[label]:  # the top's block no longer dominates
+                stack.pop()
+            if inst.result2 is None and stack and stack[-1][1] > before[n]:
+                covers[label, idx] = n, (label, idx), stack[-1][2]
             else:
-                kept |= bit[loc]
-            done |= bit[loc]
-            seen |= bit[loc]
+                stack.append((dom.end[label], n, (label, idx)))
     for group in by_key.values():
-        for loc in sorted(group, key=bit.__getitem__):
-            if loc in covers:
-                yield loc, func.blocks[loc[0]][loc[1]], covers[loc]
+        for _, loc, cover in sorted(covers[loc] for loc in group if loc in covers):
+            yield loc, func.blocks[loc[0]][loc[1]], cover
 
 
 def _may_free(prog: Program, freeing: set[str], inst: Inst) -> bool:

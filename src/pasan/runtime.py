@@ -275,15 +275,15 @@ class SanitizerRuntime:
         found = 0 if page is None else page[raw >> 2 & 1023]
         if self.sigs.get(found) != ptr & self.sig_mask \
                 and pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
+            if found:
+                self._reject(ptr, raw, found)
             self._refuse_unsignable(ptr, found)
-            if found == 0:
-                entry = self.alloc.get(raw)
-                if entry is not None and not entry.live:
-                    raise ViolationError(ViolationKind.DOUBLE_FREE, ptr, found,
-                                         f"block at 0x{raw:x} already freed")
-                raise ViolationError(ViolationKind.USE_AFTER_FREE, ptr, found,
-                                     "free through a stale pointer")
-            self._reject(ptr, raw, found)
+            entry = self.alloc.get(raw)
+            if entry is not None and not entry.live:
+                raise ViolationError(ViolationKind.DOUBLE_FREE, ptr, found,
+                                     f"block at 0x{raw:x} already freed")
+            raise ViolationError(ViolationKind.USE_AFTER_FREE, ptr, found,
+                                 "free through a stale pointer")
         # Begin-of-object: the shadow word below the base must differ.
         # A zero guard word sits below the heap base, so the first block
         # passes; interior pointers see their own id below and fail.

@@ -1,7 +1,8 @@
 """Every name a module of src/pasan imports is used in that module;
 every function, class and constant it defines at module level is named
 somewhere in src/, tests/ or perfbench/ outside its own definition; and
-every attribute its classes store on self is read somewhere there.
+every attribute its classes store on self is read somewhere there; and
+every local a function of it assigns is read in that function.
 
 A name counts as used where code reads it or imports it, where the
 package's `__init__.py` lists it in `__all__`, and where it appears in a
@@ -65,6 +66,40 @@ def unused_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.Name):
             used.add(node.id)
     return sorted(imported - used - _string_words(tree, _docstrings(tree)))
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(func):
+    """func's nodes, less those of the functions nested in it."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(tree: ast.Module) -> list[str]:
+    """Each name a function of tree assigns and never reads, `_` and the
+    names it declares global or nonlocal aside, as "function.name",
+    sorted.  A function's reads include those of the functions nested in
+    it, which may read its locals as closures."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, FUNCTIONS[:2]):
+            continue
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        stored, shared = set(), {"_"}
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+        found.update(f"{func.name}.{name}" for name in stored - read - shared)
+    return sorted(found)
 
 
 def _defines(stmt) -> list[str]:
@@ -180,6 +215,31 @@ TEMPLATE = "compile({0})"
 os.path.join(Template)
 ''')
     assert unused_imports(tree) == ["dead", "dead2"]
+
+
+def test_unused_locals_finds_only_unread_ones():
+    tree = ast.parse('''\
+COUNT = 0
+def scan(items):
+    """Names dead."""
+    global COUNT
+    seen, dead = set(), 0
+    total = 0
+    for _, item in items:
+        seen.add(item)
+        total += item
+        COUNT = len(seen)
+    def nested():
+        inner = 1
+        return seen
+    return nested
+''')
+    assert unused_locals(tree) == ["nested.inner", "scan.dead", "scan.total"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_reads_every_local(path):
+    assert unused_locals(_parse(path)) == []
 
 
 def test_unused_definitions_finds_only_unnamed_ones():
