@@ -21,7 +21,7 @@ from .runtime import padded_size
 def _use_map(func: Function) -> dict[str, list[Inst]]:
     uses: dict[str, list[Inst]] = {}
     for inst in chain.from_iterable(func.blocks.values()):
-        for operand in inst.operands():
+        for operand in inst.args or [v for _, v in inst.incomings]:
             if isinstance(operand, str) and operand.startswith("%"):
                 uses.setdefault(operand, []).append(inst)
     return uses

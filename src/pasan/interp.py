@@ -358,18 +358,20 @@ class Interpreter:
             body, moves = [], {}
             for inst in insts:
                 op = inst.op
-                if op not in _LITERAL_ARGS:
-                    for operand in inst.operands():
-                        if isinstance(operand, int):
-                            consts[operand] = operand & MASK64
-                        elif operand[0] == "@":
-                            consts[operand] = operand[1:]
-                if op == "phi":
+                if op == "phi":  # an arm is a register or a literal
                     for pred, operand in inst.incomings:
+                        if type(operand) is int:
+                            consts[operand] = operand & MASK64
                         dsts, srcs = moves.setdefault(pred, ([], []))
                         dsts.append(inst.result)
                         srcs.append(operand)
                     continue
+                if op not in _LITERAL_ARGS:
+                    for operand in inst.args:
+                        if type(operand) is int:
+                            consts[operand] = operand & MASK64
+                        elif operand[0] == "@":
+                            consts[operand] = operand[1:]
                 if op == "alloca":
                     slots[inst.result] = offset
                     offset += padded_size(inst.args[0])
@@ -382,9 +384,10 @@ class Interpreter:
                         types = function_types(self.prog, func)
                     if types.get(inst.args[1]) == "i32":
                         op = "gep_i32"
-                if op not in _HANDLERS:
+                handler = _HANDLERS.get(op)
+                if handler is None:
                     raise PasanError(f"interpreter cannot execute op {op!r}")
-                body.append((_HANDLERS[op], inst))
+                body.append((handler, inst))
             blocks[label] = [body, moves, 0, None]
         layout = self.layouts[func.name] = _Layout(func, slots, offset, consts, blocks)
         return layout

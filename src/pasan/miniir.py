@@ -90,16 +90,9 @@ class Inst:
         self.ty = ty                # result type / access suffix
         self.width = width          # access width for load/store/check/fastcheck
         self.args = args            # '%reg' | '@sym' | int | block label
-        self.incomings = incomings  # phi: ((pred_label, operand), ...)
+        self.incomings = incomings  # phi only, which has no args: ((pred_label, operand), ...)
         self.callee = callee
         self.uid = uid
-
-    def operands(self):
-        """All value operands (registers or literals), including phi
-        incomings, in a stable order."""
-        ops = list(self.args)
-        ops.extend(val for _, val in self.incomings)
-        return ops
 
     def defs(self):
         return [r for r in (self.result, self.result2) if r is not None]
@@ -113,7 +106,7 @@ class Inst:
     def renamed(self, subst: dict) -> Inst:
         """Itself if subst holds none of its operands, else a copy with
         each operand in subst replaced by its image."""
-        if subst.keys().isdisjoint(chain(self.args, (v for _, v in self.incomings))):
+        if subst.keys().isdisjoint(self.args or [v for _, v in self.incomings]):
             return self
         inst = self.copy()
         inst.args = tuple(map(subst.get, self.args, self.args))

@@ -354,17 +354,24 @@ def test_compile_visits_each_instruction_once_per_layer():
     # free, b + 1 accesses and the external calls (one every 7 blocks);
     # by the passes, b + 1 checks (each downgraded or given a token).
     # Validate's Dominance and the first Namer's scan of the one
-    # function's defined registers serve every later layer.
-    never = [Inst.operands, Inst.defs]
-    entries = []
+    # function's defined registers serve every later layer.  Lowering,
+    # too, reads each instruction in place: it enters the same Python
+    # functions the same number of times at either size.
+    never = [Inst.defs]
+    entries, lowering = [], []
     for blocks, copies in ((20, 2 + 21 + 3 + 21), (100, 2 + 101 + 14 + 101)):
-        calls = _calls_while(_build, straight_line_program(blocks)[0], "all")
-        assert [calls[f.__code__] for f in never] == [0, 0]
+        text = straight_line_program(blocks)[0]
+        calls = _calls_while(_build, text, "all")
+        assert [calls[f.__code__] for f in never] == [0]
         assert calls[Inst.copy.__code__] == copies
         assert calls[Dominance.__init__.__code__] == 1
         assert calls[defined_names.__code__] <= 1
         entries.append(calls[Function.entry.fget.__code__])
+        prog = _build(text, "all")
+        lowering.append(_calls_while(Interpreter(prog, AddressConfig(47), 0)._lower,
+                                     prog.functions["main"]))
     assert entries[0] == entries[1] <= 8
+    assert lowering[0] == lowering[1]
 
 
 def test_corpus_all_expectations_met(corpus_dir, tmp_path):

@@ -264,6 +264,90 @@ done:
         assert list(it.layouts[name].blocks) == list(func.blocks)
 
 
+# One instrumented program holding every case the lowering walk tells
+# apart: an internal call; __pa_malloc, and __pa_free with and without a
+# result; a checked builtin; a simulated (ext_id) and an unsimulated
+# (opaque) external, each with and without a result; a check with a
+# token; a gep by an i32 register, an i64 register and a literal; a
+# global; two allocas; and a phi with a negative literal arm.
+EVERY_LOWERING = """\
+extern @ext_id(ptr) -> ptr
+extern @opaque(ptr, i64) -> i64
+extern @memset(ptr, i32, i64) -> ptr
+global @g 16
+
+func @helper(%x: i64) -> i64 {
+bb0:
+  ret %x
+}
+
+func @main() -> i32 {
+entry:
+  %sz = const.i64 32
+  %p = call @__pa_malloc(%sz)
+  %q = call @__pa_malloc(%sz)
+  %s = alloca 12
+  %s.s = sign %s, 12
+  %t = alloca 8
+  %o32 = const.i32 4
+  %o64 = const.i64 8
+  %a = gep %p, %o32
+  %b = gep %p, %o64
+  %c = gep %p, 16
+  %chk, %tk = check %a, 4
+  store.i32 %chk, %o32
+  %chk1 = fastcheck %c, %tk, %a, 8
+  store.i64 %chk1, %o64
+  %ga = globaladdr @g
+  store.i64 %ga, %o64
+  %h = call @helper(%o64)
+  %ext = stripcall %p
+  %e.x = call @ext_id(%ext)
+  %e = resign %e.x
+  call @ext_id(%ext)
+  %k = call @opaque(%ext, %o64)
+  call @opaque(%ext, %o64)
+  %m = call @__pa_memset(%p, %o32, %sz)
+  %f = call @__pa_free(%q)
+  call @__pa_free(%p)
+  br loop
+loop:
+  %i = phi [entry: -3], [loop: %in]
+  %in = add.i64 %i, 1
+  cbr %in, loop, done
+done:
+  %z = const.i32 0
+  ret %z
+}
+"""
+
+
+def test_lowering_binds_each_op_and_builds_the_pool_slots_and_moves():
+    prog = parse(EVERY_LOWERING)
+    validate(prog)
+    layout = Interpreter(prog, CFG, seed=0)._lower(prog.functions["main"])
+    name = {handler: op for op, handler in _HANDLERS.items()}
+    assert {label: [name[handler] for handler, _ in block[0]]
+            for label, block in layout.blocks.items()} == {
+        "entry": ["const", "pa_malloc", "pa_malloc", "alloca", "sign", "alloca", "const",
+                  "const", "gep_i32", "gep", "gep", "check_token", "store", "fastcheck",
+                  "store", "globaladdr", "store", "call", "stripcall", "external", "resign",
+                  "external_void", "external", "external_void", "pa_wrapper", "pa_free",
+                  "pa_free_void", "br"],
+        "loop": ["add", "cbr"],
+        "done": ["const", "ret"],
+    }
+    # literals masked to 64 bits, globals by symbol; const, alloca, sign
+    # and access widths hold no value operand
+    assert layout.consts == {16: 16, "@g": "g", -3: 2**64 - 3, 1: 1}
+    assert (layout.slots, layout.frame_size) == ({"%s": 4, "%t": 16}, 24)
+    assert {label: block[1] for label, block in layout.blocks.items()} == {
+        "entry": {},
+        "loop": {"entry": (["%i"], [-3]), "loop": (["%i"], ["%in"])},
+        "done": {},
+    }
+
+
 def test_an_op_without_a_handler_fails_at_the_first_call():
     # The op sits in a block that never runs.
     prog = build("""\

@@ -218,6 +218,9 @@ def test_stores_off_the_heap_end_agree_with_the_table(heap_bytes, n):
 # loop below has under "all", with calls both with and without a
 # result.  Its two phis swap, and the exit edge moves a phi, so the back
 # edge's moves, the phis' write-back and the exit edge's moves all show.
+# A third phi takes a negative literal on the back edge, which the table
+# reads from the constant pool and the compiled block as a literal, and
+# feeds the exit value.
 EVERY_OP = """\
 extern @ext_id(ptr) -> ptr
 extern @memset(ptr, i32, i64) -> ptr
@@ -233,8 +236,10 @@ entry:
 loop:
   %i = phi [entry: %n], [loop: %in]
   %acc = phi [entry: %zero], [loop: %acc2]
+  %w = phi [entry: %n], [loop: -5]
   %m = const.i32 -1
   %in = add.i32 %i, %m
+  %x = add.i32 %w, %in
   %four = const.i32 4
   %o32 = mul.i32 %four, %four
   %neg = sub.i32 %o32, 24
@@ -255,8 +260,7 @@ loop:
   cbr %in, loop, done
 done:
   free %p
-  %z = const.i32 0
-  ret %z
+  ret %x
 }
 """
 
