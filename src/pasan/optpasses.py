@@ -1,7 +1,7 @@
 """Check-reduction passes: redundant check removal and same-lock fast
 verification.  Both are gated on instruction-level dominance and on the
 absence of possibly-freeing operations along every covered path, which
-one integer per block and a preorder walk of the dominator tree decide.
+one search per function decides for both passes at once.
 
 Passes only delete checks or downgrade them to fast checks; they never
 add work, so full + fast never exceeds the pre-pass full count.
@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import InstrumentationError
-from .miniir import BUILTIN_SIGS, Function, Inst, Namer, Program
+from .miniir import BUILTIN_SIGS, Function, Inst, Namer, Program, defined_names
 
 PASS_SETS = {
     "none": (),
@@ -22,13 +22,15 @@ PASS_SETS = {
 
 
 def run_passes(prog: Program, opts: str) -> Program:
-    """Run the selected passes in order into a new program that shares
-    each instruction they leave as it is (prog itself if none is
-    selected).  "redundant" deletes a check that one of the same register
-    and width covers and rewires its results to the cover; "samelock"
-    downgrades a check that one of the same gep root covers to a fast
-    check against the id the cover observed.  No pass adds a free, so
-    the freeing functions are computed once, from prog."""
+    """Run the selected passes into a new program that shares each
+    instruction they leave as it is (prog itself if none is selected).
+    "redundant" deletes a check that one of the same register and width
+    covers and rewires its results to the cover; "samelock" downgrades a
+    check that one of the same gep root covers to a fast check against
+    the id the cover observed.  One cover search per function decides
+    both, as if in that order, and one rewrite applies them: downgrades
+    and tokens by index, then renaming and deletion.  No pass adds a
+    free, so the freeing functions are computed once, from prog."""
     if opts not in PASS_SETS:
         raise InstrumentationError(f"unknown optimization selection {opts!r}")
     passes = PASS_SETS[opts]
@@ -40,46 +42,36 @@ def run_passes(prog: Program, opts: str) -> Program:
         blocks = {label: list(block) for label, block in src.blocks.items()}
         func = out.functions[name] = Function(src.name, list(src.params), src.ret, blocks,
                                               src.dom, src.names)
-        if "redundant" in passes:
-            subst = {
-                inst.result: blocks[label][idx].result
-                for _, inst, (label, idx) in _covered_checks(
-                    prog, func, freeing, lambda inst: (inst.args[0], inst.width))
-            }
-            if subst:
-                for label, block in blocks.items():
-                    blocks[label] = [i.renamed(subst) for i in block if i.result not in subst]
-                if func.names is not None:
-                    func.names = func.names - subst.keys()
-        if "samelock" in passes:
-            # Each gep result's root, in one walk: a gep's base is defined
-            # before it in reverse post-order, its root already known.
-            roots = {}
-            for label in func.dominance().order:
-                for inst in blocks[label]:
-                    if inst.op == "gep":
-                        roots[inst.result] = roots.get(inst.args[0], inst.args[0])
-            namer = None
-            for (lb, i), inst, (cl, ci) in _covered_checks(
-                    prog, func, freeing, lambda inst: roots.get(inst.args[0], inst.args[0])):
-                cover = blocks[cl][ci]
-                if cover.result2 is None:  # the cover's copy takes its place
-                    cover = blocks[cl][ci] = cover.copy()
-                    namer = namer or Namer(func)
-                    cover.result2 = namer.fresh("%tk")
-                fast = blocks[lb][i] = inst.copy()
-                fast.op, fast.args = "fastcheck", (inst.args[0], cover.result2, cover.args[0])
-            if namer:
-                func.names = namer.used
+        subst, downgrades = _covered_checks(prog, func, freeing, passes)
+        if subst:  # the deleted results' names are free again
+            func.names = (defined_names(func) if func.names is None else func.names) - subst.keys()
+        namer = None
+        for (lb, i), (cl, ci) in downgrades:
+            cover = blocks[cl][ci]
+            if cover.result2 is None:  # the cover's copy takes its place
+                cover = blocks[cl][ci] = cover.copy()
+                namer = namer or Namer(func)
+                cover.result2 = namer.fresh("%tk")
+            fast = blocks[lb][i] = blocks[lb][i].copy()
+            fast.op, fast.args = "fastcheck", (fast.args[0], cover.result2, cover.args[0])
+        if namer:
+            func.names = namer.used
+        if subst:
+            for label, block in blocks.items():
+                blocks[label] = [i.renamed(subst) for i in block if i.result not in subst]
     return out
 
 
-def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key):
-    """Yield (loc, check, cover loc) for each check of func that a kept check
-    of the same group (by group_key(check)) dominates with no
-    possibly-freeing instruction on any path between them.  A check
-    holding a token is never covered: a fast check elsewhere reads that
-    token.
+def _covered_checks(prog: Program, func: Function, freeing: set[str], passes):
+    """Decide func's checks for the selected passes at once: the results
+    of those redundant removal deletes, each mapped to its cover's, and
+    the locations of those same-lock downgrades, each with its cover's,
+    in walk order.  A check is covered when a kept check of its group
+    dominates it with no possibly-freeing instruction on any path
+    between them.  Redundant groups checks by register as written and
+    width, and a check it deletes is kept by no group; same-lock groups
+    them by gep root, read through that renaming.  A check holding a
+    token is never covered: a fast check elsewhere reads that token.
 
     The checks are numbered in reverse post-order, so those dominating a
     point rise in number toward it.  Those with a possible free on some
@@ -93,27 +85,27 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key)
     of the last check numbered before it; a check sets it to its own
     number less one, or to its own number in a cyclic strong component
     holding a free, which the second walk of Kosaraju's algorithm finds
-    (Sharir, 1981).  A walk of the dominator tree in preorder then keeps
-    one stack of kept checks per group, popped by the `pre`/`end`
-    intervals of their blocks, as dominator-scoped value numbering
-    scopes its table (Briggs, Cooper and Simpson, "Value Numbering",
-    1997); the top covers a check numbered above its `freed`.  Covered
-    checks are yielded group by group in reverse post-order, the order
-    same-lock names new tokens in."""
-    # Per block: the index of each check, and None for each possibly-freeing instruction.
-    by_key, events = {}, {}
-    for label, block in func.blocks.items():
-        events[label] = block_events = []
-        for idx, inst in enumerate(block):
-            if inst.op == "check":
-                by_key.setdefault(group_key(inst), []).append((label, idx))
-                block_events.append(idx)
-            elif inst.op in ("call", "free") and _may_free(prog, freeing, inst):
-                block_events.append(None)
-    if all(len(locs) == 1 for locs in by_key.values()):
-        return
+    (Sharir, 1981).  Deleting a check moves no other's prefix.  A walk
+    of the dominator tree in preorder then keeps one stack of kept
+    checks per group, popped by the `pre`/`end` intervals of their
+    blocks, as dominator-scoped value numbering scopes its table
+    (Briggs, Cooper and Simpson, "Value Numbering", 1997); the top
+    covers a check numbered above its `freed`.  The events scan runs in
+    reverse post-order, so it finds each gep's base's root first."""
+    redundant, samelock = "redundant" in passes, "samelock" in passes
     dom = func.dominance()
     order, preds, latches, pre = dom.order, dom.preds, dom.latches, dom.pre
+    # Per block: the index of each check, and None for each possibly-freeing instruction.
+    events, roots, subst, downgrades = {}, {}, {}, []
+    for label in order:
+        events[label] = block_events = []
+        for idx, inst in enumerate(func.blocks[label]):
+            if inst.op == "check":
+                block_events.append(idx)
+            elif inst.op == "gep":
+                roots[inst.result] = roots.get(inst.args[0], inst.args[0])
+            elif inst.op in ("call", "free") and _may_free(prog, freeing, inst):
+                block_events.append(None)
     comp = {}  # Kosaraju's second walk: each block's strong component, by its first block
     for root in order if latches else ():
         if root not in comp:
@@ -144,21 +136,28 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], group_key)
             if freed != outs[label]:
                 outs[label] = freed
                 changed = changed or label in latches  # else every reader saw it this pass
-    stacks, covers = {}, {}
+    # Kept checks by group, keyed by a (register, width) pair for redundant
+    # removal and by a register for same-lock, so one table holds both.
+    stacks = {}
     for label in sorted(order, key=pre.__getitem__):  # not RPO, which interleaves subtrees
         checks = [idx for idx in events[label] if idx is not None]
         for n, idx in enumerate(checks, first[label]):
             inst = func.blocks[label][idx]
-            stack = stacks.setdefault(group_key(inst), [])
-            while stack and stack[-1][0] <= pre[label]:  # the top's block no longer dominates
-                stack.pop()
-            if inst.result2 is None and stack and stack[-1][1] > before[n]:
-                covers[label, idx] = n, (label, idx), stack[-1][2]
-            else:
-                stack.append((dom.end[label], n, (label, idx)))
-    for group in by_key.values():
-        for _, loc, cover in sorted(covers[loc] for loc in group if loc in covers):
-            yield loc, func.blocks[loc[0]][loc[1]], cover
+            addr = inst.args[0]
+            root = roots.get(addr, addr)
+            for key in [(addr, inst.width)] * redundant + [subst.get(root, root)] * samelock:
+                stack = stacks.setdefault(key, [])
+                while stack and stack[-1][0] <= pre[label]:  # the top's block no longer dominates
+                    stack.pop()
+                if inst.result2 is None and stack and stack[-1][1] > before[n]:
+                    if type(key) is str:
+                        downgrades.append(((label, idx), stack[-1][2]))
+                    else:  # deleted, so it keeps no same-lock group
+                        subst[inst.result] = stack[-1][3]
+                        break
+                else:
+                    stack.append((dom.end[label], n, (label, idx), inst.result))
+    return subst, downgrades
 
 
 def _may_free(prog: Program, freeing: set[str], inst: Inst) -> bool:

@@ -2,11 +2,13 @@
 part of pasan needs itself: an instruction walk, block and
 instruction-level dominance, a pointer's lock bits, a poisoned-pointer
 test, the safety classes of allocas and globals, the completeness lint
-over instrumented output, and value snapshots of pasan's records."""
+over instrumented output, value snapshots of pasan's records, and a
+seeded generator of instrumented programs."""
 from enum import Enum
 from itertools import chain
 
-from pasan.instrument import _analyse, _escape_roots, _safe_direct_regs
+from pasan.instrument import _analyse, _escape_roots, _safe_direct_regs, instrument
+from pasan.miniir import parse, validate
 
 
 def fields(value):
@@ -96,3 +98,45 @@ def lint_instrumented(prog):
                         f"@{func.name} {label}:{idx}: unchecked access through {addr}"
                     )
     return problems
+
+
+def random_instrumented_program(rng):
+    """The instrumented form of a random @main of up to 8 blocks over up
+    to three malloc'd objects: i32 and i64 loads and stores through each
+    object and through gep chains up to two deep (some built in the
+    entry block, so used in later blocks, some next to their access),
+    calls to the external @ext_id, which may free, and forward and back
+    edges.  Every access stays in bounds, and no back edge is taken."""
+    roots = [f"%p{k}" for k in range(rng.randint(1, 3))]
+    lines = ["extern @ext_id(ptr) -> ptr", "", "func @main() -> i32 {", "bb0:",
+             "  %sz = const.i64 64", "  %zero = const.i32 0", "  %v32 = const.i32 7",
+             "  %v64 = const.i64 7"]
+    lines += [f"  {root} = malloc %sz" for root in roots]
+    bases = list(roots)
+    for k in range(rng.randint(0, 3)):  # two-level chains, visible everywhere
+        lines += [f"  %e{k} = gep {rng.choice(roots)}, {8 * rng.randint(0, 3)}",
+                  f"  %ee{k} = gep %e{k}, {4 * rng.randint(0, 2)}"]
+        bases += [f"%e{k}", f"%ee{k}"]
+    n = rng.randint(1, 8)
+    lines.append("  br bb1")
+    for i in range(1, n + 1):
+        lines.append(f"bb{i}:")
+        for j in range(rng.randint(0, 6)):
+            reg = f"%r{i}_{j}"
+            if rng.random() < 0.2:
+                lines.append(f"  {reg} = call @ext_id({rng.choice(roots)})")
+                continue
+            addr = rng.choice(bases)
+            for level in range(rng.choice([0, 0, 1, 2])):  # a local chain
+                lines.append(f"  {reg}g{level} = gep {addr}, {4 * rng.randint(0, 2)}")
+                addr = f"{reg}g{level}"
+            ty = rng.choice(["i32", "i64"])
+            lines.append(f"  {reg} = load.{ty} {addr}" if rng.random() < 0.5
+                         else f"  store.{ty} {addr}, %v{ty[1:]}")
+        if i == n:
+            lines += [f"  free {root}" for root in roots] + ["  ret %zero", "}"]
+        else:
+            lines.append(f"  cbr %zero, bb{rng.randint(1, n)}, bb{i + 1}")
+    prog = parse("\n".join(lines) + "\n")
+    validate(prog)
+    return instrument(prog)

@@ -17,6 +17,7 @@ from pasan.errors import PasanError
 from pasan.interp import Interpreter
 from pasan.memspace import MemSpace, RegionMap
 from pasan.miniir import Dominance, Function, Inst, defined_names
+from pasan.optpasses import _covered_checks
 from pasan.pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
 from pasan.runtime import SanitizerRuntime
 
@@ -354,7 +355,8 @@ def test_compile_visits_each_instruction_once_per_layer():
     # free, b + 1 accesses and the external calls (one every 7 blocks);
     # by the passes, b + 1 checks (each downgraded or given a token).
     # Validate's Dominance and the first Namer's scan of the one
-    # function's defined registers serve every later layer.  Lowering,
+    # function's defined registers serve every later layer, and one cover
+    # search decides both passes for the function.  Lowering,
     # too, reads each instruction in place: it enters the same Python
     # functions the same number of times at either size.
     never = [Inst.defs]
@@ -366,6 +368,7 @@ def test_compile_visits_each_instruction_once_per_layer():
         assert calls[Inst.copy.__code__] == copies
         assert calls[Dominance.__init__.__code__] == 1
         assert calls[defined_names.__code__] <= 1
+        assert calls[_covered_checks.__code__] == 1
         entries.append(calls[Function.entry.fget.__code__])
         prog = _build(text, "all")
         lowering.append(_calls_while(Interpreter(prog, AddressConfig(47), 0)._lower,

@@ -495,11 +495,8 @@ def _may_free(prog: Program, func: Function, loc_a, loc_b) -> bool:
                       {label: list(block) for label, block in func.blocks.items()})
     probed.blocks[lb].insert(ib, probe_b)
     probed.blocks[la].insert(ia + 1, probe_a)
-    covers = {loc: cover for loc, _, cover in _covered_checks(
-        prog, probed, functions_may_free(prog), lambda inst: (inst.args[0], inst.width))}
-    at_a, at_b = ((label, probed.blocks[label].index(probe))
-                  for probe, label in ((probe_a, la), (probe_b, lb)))
-    return covers.get(at_b) != at_a
+    subst, _ = _covered_checks(prog, probed, functions_may_free(prog), ("redundant",))
+    return subst.get("%probe_b") != "%probe_a"
 
 
 def _loc_of(func: Function, op: str, nth: int = 0) -> tuple[str, int]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import fields, insts, lint_instrumented
+from helpers import fields, insts, lint_instrumented, random_instrumented_program
 from pasan import miniir, optpasses
 from pasan.cli import _build
 from pasan.errors import InstrumentationError
@@ -455,23 +455,81 @@ INTERLEAVED = _cfg({
 })
 
 
-# The group keys the passes use: redundant groups checks by register and
-# width, and same-lock by gep root, which is the register without a gep.
-GROUP_KEYS = {"register and width": lambda inst: (inst.args[0], inst.width),
-              "register": lambda inst: inst.args[0]}
+# The group key the reference search takes for each pass: redundant
+# groups checks by register and width, and same-lock by gep root, which
+# is the register without a gep.
+GROUP_KEYS = {("redundant",): lambda inst: (inst.args[0], inst.width),
+              ("samelock",): lambda inst: inst.args[0]}
 
 
 @settings(max_examples=200, deadline=None)
 @given(checked_cfgs(), st.sampled_from(sorted(GROUP_KEYS)))
-@example(TWO_ENTRY_LOOP, "register")
-@example(INTERLEAVED, "register and width")
-def test_cover_search_matches_every_kept_check_scan(case, key_name):
+@example(TWO_ENTRY_LOOP, ("samelock",))
+@example(INTERLEAVED, ("redundant",))
+def test_cover_search_matches_every_kept_check_scan(case, passes):
     prog, func = case
-    key = GROUP_KEYS[key_name]
     frees = lambda inst: inst.op == "free" or inst.op == "call" and CALLEES[inst.callee]  # noqa: E731
-    got = _covered_checks(prog, func, functions_may_free(prog), key)
-    assert [(loc, cover) for loc, _, cover in got] == \
-        [(loc, cover) for loc, _, cover in _scan_covered_checks(func, frees, key)]
+    subst, downgrades = _covered_checks(prog, func, functions_may_free(prog), passes)
+    at = {inst.result: (label, idx) for label, idx, inst in insts(func)}
+    got = dict(downgrades) | {at[result]: at[cover] for result, cover in subst.items()}
+    assert got == {loc: cover for loc, _, cover in
+                   _scan_covered_checks(func, frees, GROUP_KEYS[passes])}
+
+
+def assert_all_is_redundant_then_samelock(prog):
+    assert format_program(run_passes(prog, "all")) == \
+        format_program(run_passes(run_passes(prog, "redundant"), "samelock")), format_program(prog)
+
+
+@settings(max_examples=200, deadline=None)
+@given(checked_cfgs())
+@example(TWO_ENTRY_LOOP)
+def test_all_is_redundant_then_samelock_on_checked_cfgs(case):
+    assert_all_is_redundant_then_samelock(case[0])
+
+
+def test_all_is_redundant_then_samelock_on_random_programs():
+    rng = random.Random(0)
+    for _ in range(500):
+        assert_all_is_redundant_then_samelock(random_instrumented_program(rng))
+
+
+# Redundant removal deletes %c2 for %c1, so %g's root becomes %c1, and
+# %c4, a check of %c1 kept by both passes, covers %c3 for same-lock.
+RENAMED_ROOT = """\
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = call @__pa_malloc(%sz)
+  %c1 = check %p, 4
+  %c2 = check %p, 4
+  %c4 = check %c1, 4
+  %g = gep %c2, 4
+  %c3 = check %g, 4
+  %z = const.i32 0
+  ret %z
+}
+"""
+
+
+def test_same_lock_keys_a_root_through_redundant_renaming():
+    prog = parse(RENAMED_ROOT)
+    validate(prog)
+    assert [count_checks(run_passes(prog, opts)) for opts in ("redundant", "samelock", "all")] \
+        == [(3, 0), (3, 1), (2, 1)]
+    assert format_program(run_passes(prog, "all")) == """\
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = call @__pa_malloc(%sz)
+  %c1 = check %p, 4
+  %c4, %tk = check %c1, 4
+  %g = gep %c1, 4
+  %c3 = fastcheck %g, %tk, %c1, 4
+  %z = const.i32 0
+  ret %z
+}
+"""
 
 
 # ------------------------------------------------------------------ may-free
