@@ -99,9 +99,8 @@ class CorpusOutcome:
         self.dynamic_full, self.dynamic_fast = dynamic_full, dynamic_fast
 
 
-def _judge(variant: str, expect: str | None, result: ExecResult) -> tuple[bool, str]:
-    detected = not result.completed
-    kind = result.report.kind.value if detected else None
+def _judge(variant: str, expect: str | None, kind: str | None) -> tuple[bool, str]:
+    detected = kind is not None
     if variant == "good":
         return (not detected,
                 "" if not detected else f"false positive: {kind}")
@@ -124,7 +123,8 @@ def run_corpus_file(path: str, n: int, seed: int, opts: str) -> CorpusOutcome:
     cfg = AddressConfig(n)
     prog = _build(Path(path).read_text(), opts)
     result = run(prog, cfg, seed)
-    ok, problem = _judge(m["variant"], m["expect"], result)
+    kind = result.report and result.report.kind.value
+    ok, problem = _judge(m["variant"], m["expect"], kind)
     full, fast = count_checks(prog)
     return CorpusOutcome(
         file=name,
@@ -132,7 +132,7 @@ def run_corpus_file(path: str, n: int, seed: int, opts: str) -> CorpusOutcome:
         variant=m["variant"],
         expect=m["expect"],
         verdict=result.verdict,
-        kind=result.report.kind.value if result.report else None,
+        kind=kind,
         ok=ok,
         problem=problem,
         static_full=full,

@@ -47,7 +47,9 @@ class _Layout:
     phis' (results, incoming operands) on the edge from it, heat counts
     entries through the block's own back edge, and hot is the block
     compiled once heat reaches _TIER_AT (None until then, or for good if
-    an op has no template).  slots maps each alloca result to its offset
+    an op has no template).  The run loop calls hot on the back edge
+    before that edge's moves, and makes the moves of the edge hot hands
+    back, as of any branch.  slots maps each alloca result to its offset
     from the frame base.  consts is the function's constant pool: every
     integer operand masked to 64 bits and every global operand's symbol,
     each keyed by the operand, so that a frame's register dict resolves
@@ -250,17 +252,19 @@ _TIER_AT = 64   # self-edge entries before a block is compiled
 
 def _compile(label: str, body: list, moves: dict):
     """The block as one function hot(interp, regs, room), or None if an
-    op has no template.  hot starts at the block's entry, its phis
-    moved, and runs at most room trips; it returns (label of the edge
-    taken, trips run).  Registers it reads are loaded from regs at
-    entry, and every phi and def is stored back on return.  Its own back
-    edge is a while loop, the edge's phi moves one tuple assignment.
-    Before each op that can raise it sets k, and an exception leaves
-    with (trips, k) as tier_fault, so the caller can count the
-    instructions run and name the one that raised.  Operands enter the
-    source only as generated locals or repr()'d literals and names."""
+    op has no template.  hot starts on the block's own back edge, that
+    edge's phi moves still to do, and makes them as the first statement
+    of each trip, one tuple assignment; it runs at most room trips and
+    returns (label, trips) for the edge it leaves by, the loop exit or,
+    once room runs out, the back edge, that edge's moves still to do.
+    Registers it reads are loaded from regs at entry, and every phi and
+    def is stored back on return.  Before each op that can raise it sets
+    k, and an exception leaves with (trips, k) as tier_fault, so the
+    caller can count the instructions run and name the one that raised.
+    Operands enter the source only as generated locals or repr()'d
+    literals and names."""
     local: dict[str, str] = {}
-    loads = []
+    loads, stored = [], []
 
     def use(operand):
         if isinstance(operand, int):
@@ -272,16 +276,16 @@ def _compile(label: str, body: list, moves: dict):
             loads.append(f"{local[operand]} = regs[{operand!r}]")
         return local[operand]
 
-    def define(reg):
-        local[reg] = f"r{len(local)}"
+    def define(reg):  # a register the top-of-trip move reads keeps its local
         stored.append(reg)
-        return local[reg]
+        return local.setdefault(reg, f"r{len(local)}")
 
-    dsts, srcs = moves.get(label, ((), ()))
-    stored = list(dsts)
-    for dst in dsts:
-        use(dst)
     lines = []
+    dsts, srcs = moves.get(label, ((), ()))
+    if dsts:  # one tuple assignment, trailing commas making one phi a 1-tuple;
+        # its reads first, so that a phi another phi reads is loaded at entry
+        reads = "".join(use(s) + ", " for s in srcs)
+        lines.append("".join(define(d) + ", " for d in dsts) + "= " + reads)
     *straight, (_, term) = body
     for k, (handler, inst) in enumerate(straight):
         op = getattr(handler, "op", None)
@@ -295,25 +299,18 @@ def _compile(label: str, body: list, moves: dict):
             lines.append(f"k = {k}")
         defs = ", ".join(define(reg) for reg in inst.defs())
         lines.append(f"{defs} = {expr}" if defs else expr)
-    if term.op == "br" or term.args[1] == term.args[2]:
-        exit_test = None
-    else:
+    lines.append("trips += 1")
+    if term.op == "cbr" and term.args[1] != term.args[2]:
         cond, then, other = term.args
         exit_to, exit_test = (other, f"not {use(cond)}") if then == label else (then, use(cond))
-    lines.append("trips += 1")
-    if exit_test:
         lines.append(f"if {exit_test}: out = {exit_to!r}; break")
-    if dsts:  # one tuple assignment, trailing commas making one phi a 1-tuple
-        lines.append("".join(use(d) + ", " for d in dsts) + "= "
-                     + "".join(use(s) + ", " for s in srcs))
-    lines.append(f"if trips == room: out = {label!r}; break")
     return _define("\n".join([
         "def hot(interp, regs, room):",
         f" {', '.join(_PER_RUN)} = {', '.join('interp.' + name for name in _PER_RUN)}",
-        " trips = k = 0",
+        f" trips = k = 0; out = {label!r}",
         " try:",
         *("  " + line for line in loads),
-        "  while True:",
+        "  while trips < room:",
         *("   " + line for line in lines),
         " except PasanError as exc:",
         "  exc.tier_fault = trips, k",
@@ -434,16 +431,13 @@ class Interpreter:
                 if out is _SWITCH:
                     frame.idx = insts - before
                     continue
-                # A branch: the target's phis all read, then all assign.
+                # A branch.  A self edge is counted until its block is
+                # compiled; then hot runs whole trips while the budget has
+                # room and hands back the edge it leaves by.
                 layout, label = frame.layout, frame.label
-                block = layout.blocks[out]
-                body, moves, heat, hot = block
-                if moves:
-                    dsts, srcs = moves[label]
-                    regs.update(zip(dsts, [regs[src] for src in srcs]))
                 if out == label:
-                    # A self edge: count it until the block is compiled,
-                    # then run whole trips while the budget has room.
+                    block = layout.blocks[label]
+                    body, moves, heat, hot = block
                     if hot is None:
                         block[2] = heat = heat + 1
                         if heat == _TIER_AT:
@@ -457,11 +451,11 @@ class Interpreter:
                             inst = body[k][1]
                             raise
                         insts += trips * len(body)
-                        if out != label:
-                            body, moves, _, _ = layout.blocks[out]
-                            if moves:
-                                dsts, srcs = moves[label]
-                                regs.update(zip(dsts, [regs[src] for src in srcs]))
+                # The edge's phis all read, then all assign.
+                body, moves, _, _ = layout.blocks[out]
+                if moves:
+                    dsts, srcs = moves[label]
+                    regs.update(zip(dsts, [regs[src] for src in srcs]))
                 frame.label, frame.body, frame.idx = out, body, 0
             return ExecResult("completed", stats, exit_value=self.exit_value)
         except ViolationError as exc:
@@ -470,9 +464,9 @@ class Interpreter:
             stats.insts = insts
         func = stack[-1].layout.func
         report.function = func.name
-        report.inst_uid = inst.uid  # the instruction that raised
-        linear = {i.uid: n for n, i in enumerate(chain.from_iterable(func.blocks.values()))}
-        report.inst_index = linear.get(inst.uid, -1)
+        report.inst_uid = inst.uid  # the instruction that raised, always one of func's
+        report.inst_index = next(n for n, i in enumerate(chain.from_iterable(func.blocks.values()))
+                                 if i is inst)
         return ExecResult("violation", stats, report=report)
 
     def _simulate_external(self, name: str, args: list[int]) -> int:
