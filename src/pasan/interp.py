@@ -62,17 +62,16 @@ class _Layout:
 
 
 class _Frame:
-    __slots__ = ("layout", "label", "body", "regs", "base", "ret_reg", "idx", "signed")
+    __slots__ = ("layout", "label", "rest", "regs", "base", "ret_reg", "signed")
 
-    def __init__(self, layout: _Layout, label: str, body: list, regs: dict, base: int,
-                 ret_reg: str | None, idx: int = 0):
+    def __init__(self, layout: _Layout, label: str, rest, regs: dict, base: int,
+                 ret_reg: str | None):
         self.layout = layout
         self.label = label
-        self.body = body
+        self.rest = rest        # an iterator over the block's (handler, inst) pairs still to run
         self.regs = regs
         self.base = base        # the frame's lowest address
         self.ret_reg = ret_reg  # caller register receiving the return value
-        self.idx = idx          # where in body to resume after a call
         self.signed: dict[int, None] = {}  # the bases it signed, in first-sign order
 
 
@@ -400,7 +399,7 @@ class Interpreter:
         regs = dict(layout.consts)
         regs.update(zip((reg for reg, _ in func.params), args))
         entry = layout.entry  # validate rejects entry-block phis
-        return _Frame(layout, entry, layout.blocks[entry][0], regs, base, ret_reg)
+        return _Frame(layout, entry, iter(layout.blocks[entry][0]), regs, base, ret_reg)
 
     # -- execution --
 
@@ -419,17 +418,14 @@ class Interpreter:
             while stack:
                 frame = stack[-1]
                 regs = frame.regs
-                start = frame.idx
-                before = insts - start
-                for handler, inst in frame.body[start:] if start else frame.body:
+                for handler, inst in frame.rest:
                     insts += 1
                     if insts > limit:
                         raise LimitExceeded("instruction budget exhausted")
                     out = handler(self, frame, regs, inst)
                     if out is not None:
                         break
-                if out is _SWITCH:
-                    frame.idx = insts - before
+                if out is _SWITCH:  # a call or a return: the new top frame runs on from its rest
                     continue
                 # A branch.  A self edge is counted until its block is
                 # compiled; then hot runs whole trips while the budget has
@@ -456,7 +452,7 @@ class Interpreter:
                 if moves:
                     dsts, srcs = moves[label]
                     regs.update(zip(dsts, [regs[src] for src in srcs]))
-                frame.label, frame.body, frame.idx = out, body, 0
+                frame.label, frame.rest = out, iter(body)
             return ExecResult("completed", stats, exit_value=self.exit_value)
         except ViolationError as exc:
             report = exc.report

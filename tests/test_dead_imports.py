@@ -2,7 +2,8 @@
 every function, class and constant it defines at module level is named
 somewhere in src/, tests/ or perfbench/ outside its own definition; and
 every attribute its classes store on self is read somewhere there; and
-every local a function of it assigns is read in that function.
+every local a function of it assigns is read in that function; and
+every `__slots__` entry of its classes is assigned on self there.
 
 A name counts as used where code reads it or imports it, where the
 package's `__init__.py` lists it in `__all__`, and where it appears in a
@@ -170,11 +171,31 @@ def unused_methods(sources: dict[str, ast.Module], checked: set[str]) -> list[st
                   if not any(func.name in names for unit, names in units if unit is not func))
 
 
-def _slots(tree: ast.Module) -> set[int]:
+def _slots(tree: ast.AST) -> set[int]:
     """The ids of the constants in tree's `__slots__` assignments."""
     return {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Assign)
             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
             for node in ast.walk(stmt.value)}
+
+
+def _stored_on_self(cls: ast.ClassDef) -> set[str]:
+    """The attributes cls's code assigns on self."""
+    return {node.attr for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def stale_slots(tree: ast.Module) -> list[str]:
+    """Each `__slots__` entry of a module-level class of tree that the
+    class never assigns on self, as "Class.slot", sorted."""
+    found = []
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            slots, stored = _slots(cls), _stored_on_self(cls)
+            found += [f"{cls.name}.{node.value}" for node in ast.walk(cls)
+                      if id(node) in slots and isinstance(node, ast.Constant)
+                      and node.value not in stored]
+    return sorted(found)
 
 
 def unused_attributes(sources: dict[str, ast.Module], checked: set[str]) -> list[str]:
@@ -194,10 +215,8 @@ def unused_attributes(sources: dict[str, ast.Module], checked: set[str]) -> list
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
-            for node in ast.walk(cls):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
-                        and isinstance(node.value, ast.Name) and node.value.id == "self":
-                    stored[f"{module}.{cls.name}.{node.attr}"] = node.attr
+            for attr in _stored_on_self(cls):
+                stored[f"{module}.{cls.name}.{attr}"] = attr
     return sorted(name for name, attr in stored.items() if attr not in read)
 
 
@@ -340,3 +359,25 @@ Frame().step()
 def test_every_stored_attribute_is_read():
     sources, checked = _tree()
     assert unused_attributes(sources, checked) == []
+
+
+def test_stale_slots_finds_only_unassigned_ones():
+    tree = ast.parse('''\
+class Frame:
+    __slots__ = ("label", "rest", "regs", "counted", "idx", "gone")
+    def __init__(self, label, rest):
+        self.label, self.rest = label, rest
+        self.regs = regs = {}
+        other.idx = 0
+    def step(self):
+        self.counted += 1
+        return self.gone
+class Plain:
+    __slots__ = "only"
+''')
+    assert stale_slots(tree) == ["Frame.gone", "Frame.idx", "Plain.only"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_assigns_every_slot(path):
+    assert stale_slots(_parse(path)) == []

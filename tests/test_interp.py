@@ -150,12 +150,19 @@ bb2:
 
 
 def test_instruction_budget_is_exact():
-    # 2 in bb0, three loop trips of 4 in bb1 plus 3 in @inc, 1 in bb2:
-    # 24 instructions (phis are edge moves and do not count).
+    # Calls sit first in a block, mid-block, back to back and just before
+    # the terminator, and @inc's own block starts with one.  Phis are edge
+    # moves and do not count.
     prog = parse("""\
+func @one() -> i32 {
+bb0:
+  %v = const.i32 1
+  ret %v
+}
+
 func @inc(%x: i32) -> i32 {
 bb0:
-  %one = const.i32 1
+  %one = call @one()
   %y = add.i32 %x, %one
   ret %y
 }
@@ -166,20 +173,30 @@ bb0:
   br bb1
 bb1:
   %i = phi [bb0: %n], [bb1: %in]
+  %a = call @inc(%i)
   %m = const.i32 -1
+  %b = call @inc(%a)
+  %c = call @inc(%b)
   %in = add.i32 %i, %m
-  %r = call @inc(%in)
+  %r = call @inc(%c)
   cbr %in, bb1, bb2
 bb2:
   ret %r
 }
 """)
     validate(prog)
-    result = run(prog, CFG, seed=0, limits=Limits(max_insts=24))
-    assert result.completed and result.exit_value == 1
-    assert result.stats.insts == 24
-    with pytest.raises(LimitExceeded):
-        run(prog, CFG, seed=0, limits=Limits(max_insts=23))
+    inc = 3 + 2                 # @inc's call, add and ret; @one's const and ret
+    trip = 7 + 4 * inc          # bb1's seven, and its four calls' bodies
+    total = 2 + 3 * trip + 1    # bb0, three trips, bb2
+    for max_insts in range(1, total + 2):
+        it = Interpreter(prog, CFG, seed=0, limits=Limits(max_insts=max_insts))
+        if max_insts >= total:
+            result = it.run()
+            assert result.completed and result.exit_value == 1 + 4  # the last %i, plus 4 calls
+        else:
+            with pytest.raises(LimitExceeded):
+                it.run()
+        assert it.rt.stats.insts == min(max_insts + 1, total), max_insts
 
 
 def test_stack_budget():
@@ -1064,6 +1081,29 @@ def test_many_globals_compile_and_run_in_linear_time():
     assert time.monotonic() - start < 3.0
     assert result.verdict == "completed" and result.exit_value == 0
     assert sum(g.unsafe for g in prog.globals) == k // 2
+
+
+@pytest.mark.parametrize("opts", ["raw", "all"])
+def test_calls_in_one_block_run_in_linear_time(opts):
+    # resuming the caller by copying the rest of its block after each
+    # return is quadratic here: about 2 s of run alone
+    k, heap = 32000, opts == "all"  # under all, a malloc pointer is passed too
+    arg = ", %p" * heap
+    lines = [f"func @inc(%x: i32{', %p: ptr' * heap}) -> i32 {{", "bb0:",
+             "  %y = add.i32 %x, 1", "  ret %y", "}", "func @main() -> i32 {", "bb0:"]
+    lines += ["  %p = malloc 8"] * heap + ["  %x0 = const.i32 0"]
+    lines += [f"  %x{i + 1} = call @inc(%x{i}{arg})" for i in range(k)]
+    lines += ["  free %p"] * heap + [f"  ret %x{k}", "}"]
+    prog = parse("\n".join(lines) + "\n")
+    validate(prog)
+    if heap:
+        prog = run_passes(instrument(prog), opts)
+    start = time.monotonic()
+    result = run(prog, CFG)
+    assert time.monotonic() - start < 1.0
+    assert result.completed and result.exit_value == k
+    # each call is itself plus the callee's add and ret
+    assert result.stats.insts == 3 * k + 2 + 2 * heap
 
 
 # A loop calling a 2-instruction function: its block holds a call, so
