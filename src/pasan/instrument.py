@@ -168,7 +168,7 @@ def _instrument_function(prog: Program, func: Function, roots: _Roots,
                 continue
             new_block.append(inst)
     return Function(func.name, list(func.params), func.ret, blocks, func.dom,
-                    func.names if namer is None else namer.used)
+                    func.names if namer is None else namer.used, func.types)
 
 
 def _instrument_call(prog: Program, inst: Inst, owned: bool, fresh, new_uid) -> list[Inst]:

@@ -348,7 +348,7 @@ class Interpreter:
 
     def _lower(self, func: Function) -> _Layout:
         """func's layout, built in one walk, each instruction bound to its handler."""
-        slots, consts, blocks, types = {}, {}, {}, None
+        slots, consts, blocks, types = {}, {}, {}, func.types  # None if never validated
         offset = 4  # 4-byte guard below the slots
         for label, insts in func.blocks.items():
             body, moves = [], {}

@@ -11,6 +11,7 @@ its region admits makes a page, so each page lies inside one region.
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import PreconditionViolated, ViolationError, ViolationKind
@@ -32,13 +33,25 @@ class Region:
 
 
 class RegionMap:
-    """Disjoint program-half regions, each of whole pages (as default's
-    sizes are); the stack grows down from its limit."""
+    """Disjoint regions of whole pages at or above 0, checked when built,
+    with their (base, limit) spans; the stack grows down from its limit.
+    default shares one map, which no one changes, per size triple."""
 
     def __init__(self, globals: Region, heap: Region, stack: Region):
         self.globals, self.heap, self.stack = globals, heap, stack
+        named = (("globals", globals), ("heap", heap), ("stack", stack))
+        for name, region in named:
+            if region.base < 0:
+                raise ValueError(f"{name} region lies outside the program half")
+            if (region.base | region.limit) & PAGE_MASK:
+                raise ValueError(f"{name} region is not whole {PAGE_SIZE}-byte pages")
+        for (a, ra), (b, rb) in combinations(named, 2):
+            if ra.base < rb.limit and rb.base < ra.limit:
+                raise ValueError(f"{a} and {b} regions overlap")
+        self.spans = tuple((r.base, r.limit) for _, r in named)
 
     @classmethod
+    @lru_cache(maxsize=16)
     def default(cls, globals_size: int = 1 << 16, heap_size: int = 64 << 20,
                 stack_size: int = 1 << 20) -> "RegionMap":
         return cls(
@@ -63,16 +76,10 @@ class MemSpace:
         self.regions = regions or RegionMap.default()
         self.pages: dict[int, bytearray] = {}
         self.shadow: dict[int, array] = {}  # addr's id: [(addr | MSB) >> 12][addr >> 2 & 1023]
-        named = [(name, getattr(self.regions, name)) for name in ("globals", "heap", "stack")]
-        for name, region in named:
-            if region.base < 0 or region.limit > 1 << cfg.msb_bit:
+        self._spans = spans = self.regions.spans  # the map checked the rest
+        for name, (_, limit) in zip(("globals", "heap", "stack"), spans):
+            if limit > 1 << cfg.msb_bit:
                 raise ValueError(f"{name} region lies outside the program half")
-            if (region.base | region.limit) & PAGE_MASK:
-                raise ValueError(f"{name} region is not whole {PAGE_SIZE}-byte pages")
-        for (a, ra), (b, rb) in combinations(named, 2):
-            if ra.base < rb.limit and rb.base < ra.limit:
-                raise ValueError(f"{a} and {b} regions overlap")
-        self._spans = tuple((r.base, r.limit) for _, r in named)
         self._shadow_bit = 1 << cfg.msb_bit
 
     # -- raw byte store (no checks; callers enforce their own contracts) --

@@ -126,18 +126,20 @@ class ExternDecl:
 
 
 class Function:
-    """Two facts ride along, each None until known: `dom`, its Dominance,
-    built at the first dominance() call, and `names`, the set of
-    registers it defines, params included.  A stage that builds a
-    function from another hands it the source's facts: no stage changes
-    a CFG, and each sets `names` to what the new function defines."""
+    """Three facts ride along, each None until known: `dom`, its
+    Dominance, built at the first dominance() call; `names`, the set of
+    registers it defines, params included; and `types`, validate's
+    function_types.  A stage that builds a function from another hands
+    it the source's facts: no stage changes a CFG, adds a gep or renames
+    an integer register, and each sets `names` to what it defines."""
 
     def __init__(self, name: str, params: list[tuple[str, str]], ret: str,
                  blocks: dict[str, list[Inst]] | None = None,
-                 dom: Dominance | None = None, names: set[str] | None = None):
+                 dom: Dominance | None = None, names: set[str] | None = None,
+                 types: dict[str, str] | None = None):
         self.name, self.params, self.ret = name, params, ret
         self.blocks = {} if blocks is None else blocks
-        self.dom, self.names = dom, names
+        self.dom, self.names, self.types = dom, names, types
 
     @property
     def entry(self) -> str:
@@ -507,7 +509,7 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
     if held:
         err(held)
 
-    types = function_types(prog, func)
+    types = func.types = function_types(prog, func)
     for reg in def_site:
         if reg not in types:
             err(f"could not infer a type for {reg} (phi cycle with no typed operand?)")

@@ -41,7 +41,7 @@ def run_passes(prog: Program, opts: str) -> Program:
     for name, src in prog.functions.items():
         blocks = {label: list(block) for label, block in src.blocks.items()}
         func = out.functions[name] = Function(src.name, list(src.params), src.ret, blocks,
-                                              src.dom, src.names)
+                                              src.dom, src.names, src.types)
         subst, downgrades = _covered_checks(prog, func, freeing, passes)
         if subst:  # the deleted results' names are free again
             func.names = (defined_names(func) if func.names is None else func.names) - subst.keys()

@@ -145,16 +145,16 @@ def siphash24(k0: int, k1: int, data: bytes) -> int:
 
 # The final message word of a 16-byte message: its length, no tail bytes.
 _LENGTH_16 = 16 << 56
-_BATCH_CAP = 256  # the most MACs one signing miss computes
+_BATCH_MIN, _BATCH_CAP = 4, 256  # the fewest and most MACs one signing miss computes
 
 
 def _mac(key: PacKey, modifier: int, ahead: bool = False) -> int:
     """siphash24 over modifier and the zero context, from the key's table.
     A miss computes that MAC or, signing ahead, a batch of it and the
-    modifiers after it: a power of two up to the table's size and cap."""
+    modifiers after it: a power of two from _BATCH_MIN up to the table's size and cap."""
     macs = key.macs
     if modifier not in macs:
-        lanes = min(_BATCH_CAP, 1 << len(macs).bit_length() >> 1 or 1) if ahead else 1
+        lanes = min(_BATCH_CAP, max(_BATCH_MIN, 1 << len(macs).bit_length() >> 1)) if ahead else 1
         ones, ramp, _ = _lanes(lanes)
         words = (modifier * ones + ramp, ZERO_CONTEXT, _LENGTH_16 * ones)
         raw = _siphash_words(key.k0, key.k1, words, lanes).to_bytes(16 * lanes, "little")

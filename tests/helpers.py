@@ -1,14 +1,22 @@
 """Queries the tests make of programs, dominance and pointers that no
 part of pasan needs itself: an instruction walk, block and
-instruction-level dominance, a pointer's lock bits, a poisoned-pointer
-test, the safety classes of allocas and globals, the completeness lint
-over instrumented output, value snapshots of pasan's records, and a
-seeded generator of instrumented programs."""
+instruction-level dominance and a dominator-set oracle, a pointer's
+lock bits, a poisoned-pointer test, the safety classes of allocas and
+globals, the completeness lint over instrumented output, value
+snapshots of pasan's records, the check that a stage leaves its input
+untouched, a count of the Python functions a call enters, and program
+generators: seeded instrumented programs, straight-line CFGs and
+Hypothesis looping CFGs.  Test modules share code only through here."""
+import sys
+from collections import Counter
 from enum import Enum
 from itertools import chain
 
+from hypothesis import strategies as st
+
 from pasan.instrument import _analyse, _escape_roots, _safe_direct_regs, instrument
-from pasan.miniir import parse, validate
+from pasan.miniir import Function, format_program, parse, validate
+from pasan.optpasses import run_passes
 
 
 def fields(value):
@@ -140,3 +148,209 @@ def random_instrumented_program(rng):
     prog = parse("\n".join(lines) + "\n")
     validate(prog)
     return instrument(prog)
+
+
+class OracleDominance:
+    """The earlier dominance, kept as a reference: dominator sets by
+    iterative dataflow."""
+
+    def __init__(self, func: Function):
+        labels = list(func.blocks)
+        entry = func.entry
+        preds = {label: [] for label in labels}
+        for label in labels:
+            for succ in func.successors(label):
+                preds[succ].append(label)
+        self.dominated_by = {label: set(labels) for label in labels}
+        self.dominated_by[entry] = {entry}
+        changed = True
+        while changed:
+            changed = False
+            for label in labels:
+                if label == entry:
+                    continue
+                incoming = [self.dominated_by[p] for p in preds[label]]
+                new = {label} | (set.intersection(*incoming) if incoming else set())
+                if new != self.dominated_by[label]:
+                    self.dominated_by[label] = new
+                    changed = True
+
+    def block_dominates(self, a, b):
+        return a in self.dominated_by[b]
+
+    def inst_dominates(self, loc_a, loc_b):
+        (la, ia), (lb, ib) = loc_a, loc_b
+        if la == lb:
+            return ia < ib
+        return self.block_dominates(la, lb)
+
+
+def calls_while(fn, *args):
+    """How often fn(*args) enters each Python function, by code object."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _containers(prog):
+    """ids of every container of a program: a stage builds its own and
+    shares only the instructions, globals and externs it leaves as they are."""
+    ids = {id(prog), id(prog.globals), id(prog.externs), id(prog.functions)}
+    for func in prog.functions.values():
+        ids |= {id(func), id(func.blocks), id(func.params)}
+        ids |= {id(block) for block in func.blocks.values()}
+    return ids
+
+
+def _fields(prog):
+    """Every instruction, global and extern of prog, each with all its
+    fields (uid included) as they are now."""
+    objects = [*prog.globals, *prog.externs.values(),
+               *(inst for func in prog.functions.values() for _, _, inst in insts(func))]
+    return [(obj, fields(obj)) for obj in objects]
+
+
+STAGES = [("instrument", instrument),
+          ("redundant", lambda prog: run_passes(prog, "redundant")),
+          ("samelock", lambda prog: run_passes(prog, "samelock")),
+          ("all", lambda prog: run_passes(prog, "all"))]
+
+
+def assert_stages_leave_their_input_untouched(source, where):
+    prog = source  # instrument's input, then the input of each pass selection
+    for name, stage in STAGES:
+        text, snapshot = format_program(prog), _fields(prog)
+        unsafe = [g.unsafe for g in prog.globals]
+        out = stage(prog)
+        assert format_program(prog) == text, (where, name)
+        assert [g.unsafe for g in prog.globals] == unsafe, (where, name)
+        assert [fields(obj) for obj, _ in snapshot] == [before for _, before in snapshot], \
+            (where, name)
+        assert not _containers(out) & _containers(prog), (where, name)
+        if name in ("instrument", "all"):  # a second run sees no state the first one left
+            assert format_program(stage(prog)) == format_program(out), (where, name)
+        if name == "instrument":
+            prog = out
+
+
+def straight_line_program(blocks):
+    """A straight-line CFG storing through a gep of one heap base in each
+    block, with an external call (which may free) every 7 blocks; and
+    the memory it leaves, by offset."""
+    slots = 64
+    lines = ["extern @ext_id(ptr) -> ptr", "", "func @main() -> i32 {", "b0:",
+             f"  %sz = const.i64 {4 * slots}", "  %base = malloc %sz", "  br b1"]
+    memory = {}
+    for j in range(1, blocks + 1):
+        off, val = 4 * (j * 37 % slots), j * 7919
+        memory[off] = val
+        lines += [f"b{j}:", f"  %v{j} = const.i32 {val}", f"  %g{j} = gep %base, {off}",
+                  f"  store.i32 %g{j}, %v{j}"]
+        if j % 7 == 3:
+            lines.append(f"  %e{j} = call @ext_id(%base)")
+        lines.append(f"  br {f'b{j + 1}' if j < blocks else 'bx'}")
+    lines += ["bx:", "  %gl = gep %base, 20", "  %r = load.i32 %gl", "  free %base",
+              "  ret %r", "}"]
+    return "\n".join(lines) + "\n", memory
+
+
+# The callees of the generated @main: @release frees its argument, @keep
+# does not.
+CFG_CALLEES = """\
+func @release(%h: ptr) -> i32 {
+bb0:
+  free %h
+  %z = const.i32 0
+  ret %z
+}
+
+func @keep(%h: ptr) -> i32 {
+bb0:
+  %z = const.i32 0
+  ret %z
+}
+"""
+
+# @main's loop counter is a safe (uninstrumented) stack slot multiplied
+# by 2^16 at every back edge: it wraps to 0 after three taken back
+# edges, so every generated program terminates.
+CFG_PROLOGUE = """\
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = malloc %sz
+  %o = malloc %sz
+  %v = const.i32 1
+  %one = const.i32 1
+  %cnt = alloca 8
+  %k0 = const.i64 1
+  store.i64 %cnt, %k0
+  %m = const.i64 65536
+  br bb1
+"""
+
+# (op, object, gep offset or None for an access through the object itself);
+# accesses are drawn three times as often as the rest
+CFG_OPS = st.tuples(
+    st.sampled_from(["load", "store"] * 3 + ["free", "release", "keep", "ext"]),
+    st.sampled_from(["%p", "%o"]),
+    st.sampled_from([None, 0, 4, 12]),
+)
+
+
+@st.composite
+def looping_mains(draw):
+    """The @main of a random CFG over two heap objects: accesses through
+    gep-derived pointers, frees (direct, and through the freeing
+    @release), calls to the non-freeing @keep and to external code,
+    forward skips and bounded back edges."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    lines = [CFG_PROLOGUE]
+    for i in range(1, n + 1):
+        lines.append(f"bb{i}:")
+        for j, (op, obj, offset) in enumerate(draw(st.lists(CFG_OPS, max_size=5))):
+            reg = f"%r{i}_{j}"
+            if op in ("load", "store"):
+                if offset is not None:
+                    lines.append(f"  {reg} = gep {obj}, {offset}")
+                    obj = reg
+                lines.append(f"  %x{i}_{j} = load.i32 {obj}" if op == "load"
+                             else f"  store.i32 {obj}, %v")
+            elif op == "free":
+                lines.append(f"  free {obj}")
+            elif op in ("release", "keep"):
+                lines.append(f"  {reg} = call @{op}({obj})")
+            else:
+                lines.append(f"  {reg} = call @ext_id(%sz)")
+        if i == n:
+            lines.append("  ret %v")
+            break
+        target = draw(st.integers(min_value=1, max_value=n))
+        if target <= i:
+            lines += [f"  %c{i} = load.i64 %cnt", f"  %d{i} = mul.i64 %c{i}, %m",
+                      f"  store.i64 %cnt, %d{i}", f"  cbr %d{i}, bb{target}, bb{i + 1}"]
+        elif target > i + 1:
+            lines.append(f"  cbr %one, bb{target}, bb{i + 1}")
+        else:
+            lines.append(f"  br bb{i + 1}")
+    return "\n".join(lines) + "\n}\n"
+
+
+def looping_program(main, callees_first):
+    """main with @release and @keep defined before it or after it."""
+    funcs = [CFG_CALLEES, main] if callees_first else [main, CFG_CALLEES]
+    return "extern @ext_id(i64) -> i64\n\n" + "\n".join(funcs)
+
+
+def looping_cfgs():
+    """Random looping CFGs, the callees placed before or after @main."""
+    return st.builds(looping_program, looping_mains(), st.booleans())

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pasan
+from helpers import calls_while, straight_line_program
 from pasan.cli import _build, main, run_collide, run_corpus
 from pasan.errors import PasanError
 from pasan.interp import Interpreter
@@ -293,27 +294,6 @@ def test_pre_instrumented_program_runs_the_selected_passes(tmp_path):
     assert (none["config"]["opts"], all_["config"]["opts"]) == ("none", "all")
 
 
-def straight_line_program(blocks):
-    """A straight-line CFG storing through a gep of one heap base in each
-    block, with an external call (which may free) every 7 blocks; and
-    the memory it leaves, by offset."""
-    slots = 64
-    lines = ["extern @ext_id(ptr) -> ptr", "", "func @main() -> i32 {", "b0:",
-             f"  %sz = const.i64 {4 * slots}", "  %base = malloc %sz", "  br b1"]
-    memory = {}
-    for j in range(1, blocks + 1):
-        off, val = 4 * (j * 37 % slots), j * 7919
-        memory[off] = val
-        lines += [f"b{j}:", f"  %v{j} = const.i32 {val}", f"  %g{j} = gep %base, {off}",
-                  f"  store.i32 %g{j}, %v{j}"]
-        if j % 7 == 3:
-            lines.append(f"  %e{j} = call @ext_id(%base)")
-        lines.append(f"  br {f'b{j + 1}' if j < blocks else 'bx'}")
-    lines += ["bx:", "  %gl = gep %base, 20", "  %r = load.i32 %gl", "  free %base",
-              "  ret %r", "}"]
-    return "\n".join(lines) + "\n", memory
-
-
 def test_run_program_of_5000_blocks(tmp_path):
     blocks = 5000
     text, memory = straight_line_program(blocks)
@@ -329,22 +309,6 @@ def test_run_program_of_5000_blocks(tmp_path):
     assert payload["exit_value"] == memory[20]
     assert payload["static_checks"] == counts
     assert {key: payload["stats"][key] for key in counts} == counts
-
-
-def _calls_while(fn, *args):
-    """How often fn(*args) enters each Python function, by code object."""
-    calls = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls[frame.f_code] += 1
-
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def test_compile_visits_each_instruction_once_per_layer():
@@ -363,7 +327,7 @@ def test_compile_visits_each_instruction_once_per_layer():
     entries, lowering = [], []
     for blocks, copies in ((20, 2 + 21 + 3 + 21), (100, 2 + 101 + 14 + 101)):
         text = straight_line_program(blocks)[0]
-        calls = _calls_while(_build, text, "all")
+        calls = calls_while(_build, text, "all")
         assert [calls[f.__code__] for f in never] == [0]
         assert calls[Inst.copy.__code__] == copies
         assert calls[Dominance.__init__.__code__] == 1
@@ -371,8 +335,8 @@ def test_compile_visits_each_instruction_once_per_layer():
         assert calls[_covered_checks.__code__] == 1
         entries.append(calls[Function.entry.fget.__code__])
         prog = _build(text, "all")
-        lowering.append(_calls_while(Interpreter(prog, AddressConfig(47), 0)._lower,
-                                     prog.functions["main"]))
+        lowering.append(calls_while(Interpreter(prog, AddressConfig(47), 0)._lower,
+                                    prog.functions["main"]))
     assert entries[0] == entries[1] <= 8
     assert lowering[0] == lowering[1]
 

@@ -3,7 +3,8 @@ every function, class and constant it defines at module level is named
 somewhere in src/, tests/ or perfbench/ outside its own definition; and
 every attribute its classes store on self is read somewhere there; and
 every local a function of it assigns is read in that function; and
-every `__slots__` entry of its classes is assigned on self there.
+every `__slots__` entry of its classes is assigned on self there.  No
+test module imports another: code they share lives in tests/helpers.py.
 
 A name counts as used where code reads it or imports it, where the
 package's `__init__.py` lists it in `__all__`, and where it appears in a
@@ -218,6 +219,34 @@ def unused_attributes(sources: dict[str, ast.Module], checked: set[str]) -> list
             for attr in _stored_on_self(cls):
                 stored[f"{module}.{cls.name}.{attr}"] = attr
     return sorted(name for name, attr in stored.items() if attr not in read)
+
+
+def imported_test_modules(tree: ast.Module) -> list[str]:
+    """The test_* modules tree imports, sorted."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module)
+    return sorted(name for name in found if name.partition(".")[0].startswith("test_"))
+
+
+def test_imported_test_modules_finds_only_test_modules():
+    tree = ast.parse('''\
+import test_cli, pytest
+from test_miniir import looping_cfgs
+from helpers import test_like_name
+from . import test_relative
+def helper():
+    import test_runtime.sub
+''')
+    assert imported_test_modules(tree) == ["test_cli", "test_miniir", "test_runtime.sub"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("test_*.py")), ids=lambda p: p.stem)
+def test_module_imports_no_test_module(path):
+    assert imported_test_modules(ast.parse(path.read_text())) == []
 
 
 def test_unused_imports_finds_only_unused_names():

@@ -7,12 +7,13 @@ from inspect import CO_GENERATOR
 
 import pytest
 
-from helpers import insts
+from helpers import calls_while, insts
 from pasan import pacore
+from pasan.cli import _build
 from pasan.errors import LimitExceeded, PasanError, ViolationKind
 from pasan.instrument import instrument
 from pasan.interp import _HANDLERS, Interpreter, Limits, run, run_unoptimized_oracle
-from pasan.miniir import parse, validate
+from pasan.miniir import function_types, parse, validate
 from pasan.optpasses import run_passes
 from pasan.pacore import AddressConfig
 
@@ -1161,3 +1162,53 @@ def test_table_run_call_loop_trips_stay_within_call_budget(opts):
         return count
 
     assert (calls(400) - calls(200)) / 200 < 10 + 0.5
+
+
+# An i32 register index: -4 from %p8 is %p + 4, where an i64 reading of
+# the same bits would land 4 GiB past the object.
+GEP_I32_INDEX = """\
+func @at(%p: ptr, %k: i32) -> i32 {
+bb0:
+  %q = gep %p, %k
+  %x = load.i32 %q
+  ret %x
+}
+
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 16
+  %p = malloc %sz
+  %p8 = gep %p, 8
+  %k = const.i32 -4
+  %v = const.i32 7
+  %q = gep %p8, %k
+  store.i32 %q, %v
+  %r = call @at(%p8, %k)
+  free %p
+  ret %r
+}
+"""
+
+
+def test_types_are_inferred_once_per_function():
+    # validate leaves each function's types on it, instrument and the
+    # passes hand them on, and lowering reads a gep index's type there.
+    # A function that never went through validate has its types inferred
+    # when it is lowered.
+    results = []
+    for make in (lambda: _build(GEP_I32_INDEX, "all"), lambda: parse(GEP_I32_INDEX)):
+        calls = calls_while(lambda: results.append(Interpreter(make(), CFG, 0).run()))
+        assert calls[function_types.__code__] == 2  # @at and @main
+    assert [(r.verdict, r.exit_value) for r in results] == [("completed", 7)] * 2
+
+
+@pytest.mark.parametrize("objects", [2, 3, 4, 5])
+def test_a_run_signs_its_first_four_objects_with_one_kernel_call(objects):
+    # A fresh key's first signing miss computes _BATCH_MIN MACs, enough
+    # for four protected objects; the fifth misses once more.
+    lines = ["func @main() -> i32 {", "bb0:", "  %sz = const.i64 16"]
+    lines += [f"  %p{i} = malloc %sz" for i in range(objects)]
+    lines += [f"  free %p{i}" for i in range(objects)] + ["  %z = const.i32 0", "  ret %z", "}"]
+    prog = build("\n".join(lines) + "\n", "none")
+    calls = calls_while(run, prog, CFG, 0)
+    assert calls[pacore._siphash_words.__code__] == (1 if objects <= 4 else 2)

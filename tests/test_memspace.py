@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import calls_while
 from pasan.errors import PreconditionViolated, ViolationError, ViolationKind
+from pasan.interp import Interpreter
 from pasan.memspace import HEAP_BASE, PAGE_SIZE, MemSpace, Region, RegionMap, shadow_of
+from pasan.miniir import parse, validate
 from pasan.pacore import AddressConfig, PacKey, pac_sign, poison
 
 CFG = AddressConfig(47)
@@ -186,6 +189,18 @@ def test_regions_lie_in_the_program_half_and_do_not_overlap():
                             Region(top - PAGE_SIZE, PAGE_SIZE)))
 
 
+def test_runs_share_one_default_map_checked_once():
+    # A map checks its geometry when it is built, and default hands out
+    # one map per size triple: a second run under default Limits builds
+    # no map and so runs no region check but its MemSpace's program-half
+    # bound.
+    prog = parse("func @main() -> i32 {\nbb0:\n  %z = const.i32 0\n  ret %z\n}\n")
+    validate(prog)
+    first = Interpreter(prog, CFG, 0)
+    assert calls_while(Interpreter, prog, CFG, 1)[RegionMap.__init__.__code__] == 0
+    assert Interpreter(prog, CFG, 2).mem.regions is first.mem.regions
+
+
 @pytest.mark.parametrize("name", ["globals", "heap", "stack"])
 @pytest.mark.parametrize("base_off, limit_off", [(8, 0), (0, -8), (2048, -1)],
                          ids=["base", "limit", "both"])
@@ -196,9 +211,8 @@ def test_regions_are_whole_pages(name, base_off, limit_off):
              "stack": ((1 << 32) - PAGE_SIZE, 1 << 32)}
     base, limit = spans[name]
     spans[name] = base + base_off, limit + limit_off
-    regions = RegionMap(*(Region(b, lim - b) for b, lim in spans.values()))
     with pytest.raises(ValueError, match=f"^{name} region is not whole 4096-byte pages$"):
-        MemSpace(AddressConfig(33), regions)
+        RegionMap(*(Region(b, lim - b) for b, lim in spans.values()))
 
 
 def fault_of(vet, addr, length):

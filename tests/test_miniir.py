@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_dominates, fields, inst_dominates, insts
+from helpers import OracleDominance, block_dominates, fields, inst_dominates, insts
 from pasan.errors import ParseError, ValidationError
 from pasan.interp import _HANDLERS
 from pasan.miniir import (
@@ -636,43 +636,6 @@ bb3:
     assert _may_free(prog, f, _loc_of(f, "load", 0), _loc_of(f, "load", 1))
 
 
-# ------------------------------------------------- oracle for dominance
-#
-# The earlier implementation, kept as a reference: dominator sets by
-# iterative dataflow.
-
-class _OracleDominance:
-    def __init__(self, func: Function):
-        labels = list(func.blocks)
-        entry = func.entry
-        preds = {label: [] for label in labels}
-        for label in labels:
-            for succ in func.successors(label):
-                preds[succ].append(label)
-        self.dominated_by = {label: set(labels) for label in labels}
-        self.dominated_by[entry] = {entry}
-        changed = True
-        while changed:
-            changed = False
-            for label in labels:
-                if label == entry:
-                    continue
-                incoming = [self.dominated_by[p] for p in preds[label]]
-                new = {label} | (set.intersection(*incoming) if incoming else set())
-                if new != self.dominated_by[label]:
-                    self.dominated_by[label] = new
-                    changed = True
-
-    def block_dominates(self, a, b):
-        return a in self.dominated_by[b]
-
-    def inst_dominates(self, loc_a, loc_b):
-        (la, ia), (lb, ib) = loc_a, loc_b
-        if la == lb:
-            return ia < ib
-        return self.block_dominates(la, lb)
-
-
 @st.composite
 def looping_cfgs(draw):
     """CFGs with loops, self-loops (the entry's too) and frees at varied
@@ -699,7 +662,7 @@ def looping_cfgs(draw):
 @settings(max_examples=200, deadline=None)
 @given(looping_cfgs())
 def test_dominance_matches_set_oracle(func):
-    dom, oracle = Dominance(func), _OracleDominance(func)
+    dom, oracle = Dominance(func), OracleDominance(func)
     for a in func.blocks:
         for b in func.blocks:
             assert block_dominates(dom, a, b) == oracle.block_dominates(a, b), (a, b)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import fields, insts, lint_instrumented, random_instrumented_program
+from helpers import (OracleDominance, assert_stages_leave_their_input_untouched, calls_while,
+                     insts, lint_instrumented, random_instrumented_program, straight_line_program)
 from pasan import miniir, optpasses
 from pasan.cli import _build
 from pasan.errors import InstrumentationError
@@ -22,8 +23,6 @@ from pasan.optpasses import (
     run_passes,
 )
 from pasan.pacore import AddressConfig
-from test_cli import _calls_while, straight_line_program
-from test_miniir import _OracleDominance
 
 CFG = AddressConfig(47)
 
@@ -355,7 +354,7 @@ def _scan_covered_checks(func, frees, group_key):
     for label, idx, inst in insts(func):
         if inst.op == "check":
             by_key.setdefault(group_key(inst), []).append(((label, idx), inst))
-    dom = _OracleDominance(func)
+    dom = OracleDominance(func)
     facts = _OracleFreeFacts(func, frees)
     for members in by_key.values():
         members.sort(key=lambda item: (rpo[item[0][0]], item[0][1]))
@@ -655,47 +654,6 @@ def test_functions_may_free_matches_call_graph_reachability(seed):
 
 # ----------------------------------------------------------- copy isolation
 
-def _containers(prog):
-    """ids of every container of a program: a stage builds its own and
-    shares only the instructions, globals and externs it leaves as they are."""
-    ids = {id(prog), id(prog.globals), id(prog.externs), id(prog.functions)}
-    for func in prog.functions.values():
-        ids |= {id(func), id(func.blocks), id(func.params)}
-        ids |= {id(block) for block in func.blocks.values()}
-    return ids
-
-
-def _fields(prog):
-    """Every instruction, global and extern of prog, each with all its
-    fields (uid included) as they are now."""
-    objects = [*prog.globals, *prog.externs.values(),
-               *(inst for func in prog.functions.values() for _, _, inst in insts(func))]
-    return [(obj, fields(obj)) for obj in objects]
-
-
-STAGES = [("instrument", instrument),
-          ("redundant", lambda prog: run_passes(prog, "redundant")),
-          ("samelock", lambda prog: run_passes(prog, "samelock")),
-          ("all", lambda prog: run_passes(prog, "all"))]
-
-
-def assert_stages_leave_their_input_untouched(source, where):
-    prog = source  # instrument's input, then the input of each pass selection
-    for name, stage in STAGES:
-        text, snapshot = format_program(prog), _fields(prog)
-        unsafe = [g.unsafe for g in prog.globals]
-        out = stage(prog)
-        assert format_program(prog) == text, (where, name)
-        assert [g.unsafe for g in prog.globals] == unsafe, (where, name)
-        assert [fields(obj) for obj, _ in snapshot] == [before for _, before in snapshot], \
-            (where, name)
-        assert not _containers(out) & _containers(prog), (where, name)
-        if name in ("instrument", "all"):  # a second run sees no state the first one left
-            assert format_program(stage(prog)) == format_program(out), (where, name)
-        if name == "instrument":
-            prog = out
-
-
 def test_passes_leave_their_input_untouched(corpus_dir, data_dir):
     for path in [*sorted(corpus_dir.glob("*.ir")), data_dir / "names.ir"]:
         assert_stages_leave_their_input_untouched(parse(path.read_text()), path.name)
@@ -705,7 +663,7 @@ def test_passes_leave_their_input_untouched(corpus_dir, data_dir):
 
 def _copies_while(fn, *args):
     """How often fn(*args) calls Inst.copy."""
-    return _calls_while(fn, *args)[Inst.copy.__code__]
+    return calls_while(fn, *args)[Inst.copy.__code__]
 
 
 def test_run_passes_copies_once_and_answers_each_question_once(corpus_dir, monkeypatch):

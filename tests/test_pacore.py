@@ -235,9 +235,9 @@ def test_auth_miss_computes_one_mac(monkeypatch):
 
     monkeypatch.setattr(pacore, "_siphash_words", counting)
     key = PacKey(0x1234)
-    for obj_id in range(100, 164):  # batches of 1, 1, 2, ..., 32 lanes
+    for obj_id in range(100, 164):  # batches of 4, 4, 8, 16 and 32 lanes
         signed = pac_sign(0x1000, obj_id, key, CFG)
-    assert len(lanes_run) == 7
+    assert lanes_run == [4, 4, 8, 16, 32]
     lanes_run.clear()
     pac_sign(0x2000, 164, key, CFG)
     assert lanes_run == [64]  # a signing miss runs a batch as large as the table

@@ -6,12 +6,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (assert_stages_leave_their_input_untouched, looping_cfgs, looping_mains,
+                     looping_program)
 from pasan.instrument import instrument
 from pasan.interp import run, run_unoptimized_oracle
 from pasan.miniir import parse, validate
 from pasan.optpasses import count_checks, run_passes
 from pasan.pacore import AddressConfig
-from test_optpasses import assert_stages_leave_their_input_untouched
 
 WIDTHS = {1: "i8", 4: "i32", 8: "i64"}
 
@@ -138,99 +139,6 @@ def test_good_variants_clean_at_extreme_widths(corpus_dir):
             validate(source)
             assert run(run_passes(instrument(source), "all"), cfg, seed=1).completed, \
                 (n, path.name)
-
-
-# The callees of the generated @main: @release frees its argument, @keep
-# does not.
-CFG_CALLEES = """\
-func @release(%h: ptr) -> i32 {
-bb0:
-  free %h
-  %z = const.i32 0
-  ret %z
-}
-
-func @keep(%h: ptr) -> i32 {
-bb0:
-  %z = const.i32 0
-  ret %z
-}
-"""
-
-# @main's loop counter is a safe (uninstrumented) stack slot multiplied
-# by 2^16 at every back edge: it wraps to 0 after three taken back
-# edges, so every generated program terminates.
-CFG_PROLOGUE = """\
-func @main() -> i32 {
-bb0:
-  %sz = const.i64 16
-  %p = malloc %sz
-  %o = malloc %sz
-  %v = const.i32 1
-  %one = const.i32 1
-  %cnt = alloca 8
-  %k0 = const.i64 1
-  store.i64 %cnt, %k0
-  %m = const.i64 65536
-  br bb1
-"""
-
-# (op, object, gep offset or None for an access through the object itself);
-# accesses are drawn three times as often as the rest
-CFG_OPS = st.tuples(
-    st.sampled_from(["load", "store"] * 3 + ["free", "release", "keep", "ext"]),
-    st.sampled_from(["%p", "%o"]),
-    st.sampled_from([None, 0, 4, 12]),
-)
-
-
-@st.composite
-def looping_mains(draw):
-    """The @main of a random CFG over two heap objects: accesses through
-    gep-derived pointers, frees (direct, and through the freeing
-    @release), calls to the non-freeing @keep and to external code,
-    forward skips and bounded back edges."""
-    n = draw(st.integers(min_value=2, max_value=6))
-    lines = [CFG_PROLOGUE]
-    for i in range(1, n + 1):
-        lines.append(f"bb{i}:")
-        for j, (op, obj, offset) in enumerate(draw(st.lists(CFG_OPS, max_size=5))):
-            reg = f"%r{i}_{j}"
-            if op in ("load", "store"):
-                if offset is not None:
-                    lines.append(f"  {reg} = gep {obj}, {offset}")
-                    obj = reg
-                lines.append(f"  %x{i}_{j} = load.i32 {obj}" if op == "load"
-                             else f"  store.i32 {obj}, %v")
-            elif op == "free":
-                lines.append(f"  free {obj}")
-            elif op in ("release", "keep"):
-                lines.append(f"  {reg} = call @{op}({obj})")
-            else:
-                lines.append(f"  {reg} = call @ext_id(%sz)")
-        if i == n:
-            lines.append("  ret %v")
-            break
-        target = draw(st.integers(min_value=1, max_value=n))
-        if target <= i:
-            lines += [f"  %c{i} = load.i64 %cnt", f"  %d{i} = mul.i64 %c{i}, %m",
-                      f"  store.i64 %cnt, %d{i}", f"  cbr %d{i}, bb{target}, bb{i + 1}"]
-        elif target > i + 1:
-            lines.append(f"  cbr %one, bb{target}, bb{i + 1}")
-        else:
-            lines.append(f"  br bb{i + 1}")
-    return "\n".join(lines) + "\n}\n"
-
-
-def looping_program(main, callees_first):
-    """main with @release and @keep defined before it or after it."""
-    funcs = [CFG_CALLEES, main] if callees_first else [main, CFG_CALLEES]
-    return "extern @ext_id(i64) -> i64\n\n" + "\n".join(funcs)
-
-
-def looping_cfgs():
-    """Random looping CFGs, the callees placed before or after @main."""
-    return st.builds(looping_program, looping_mains(), st.booleans())
 
 
 @settings(max_examples=40, deadline=None)

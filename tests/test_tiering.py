@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import looping_cfgs
 from pasan import interp
 from pasan.errors import LimitExceeded
 from pasan.instrument import instrument
 from pasan.miniir import parse, validate
 from pasan.optpasses import run_passes
 from pasan.pacore import AddressConfig
-from test_pipeline_properties import looping_cfgs
 
 TESTS_DIR = Path(__file__).resolve().parent
 INPUTS = sorted((TESTS_DIR.parent / "corpus").glob("*.ir")) + [TESTS_DIR / "data" / "loop1000.ir"]

@@ -102,11 +102,11 @@ def test_traced_run_reconciles_with_stats():
     assert allocs == stats["allocs"] == 3
     # The traced helpers below the runtime's entry points count only
     # their slow-path entries.  pac_sign runs once per signing whose MAC
-    # is not in the key's table yet: a fresh table signs its first two
-    # ids one at a time, so both protected allocations (no stack or
-    # global objects here) call it.  pac_auth runs once per
-    # authentication that misses the runtime's signature table, and
-    # every pointer here is live and in bounds;
+    # is not in the key's table yet: a fresh table signs its first four
+    # ids in one batch, so only the first of the two protected
+    # allocations (no stack or global objects here) calls it.  pac_auth
+    # runs once per authentication that misses the runtime's signature
+    # table, and every pointer here is live and in bounds;
     # test_traced_failed_authentications_call_pac_auth covers the misses.
     # The runtime writes a shadow slice in an existing page itself, so
     # only the first allocation, whose shadow page is new, calls
@@ -116,7 +116,8 @@ def test_traced_run_reconciles_with_stats():
     # word resign_return re-signs ext_alloc's pointer from.
     calls = {name: t.totals[name].calls for name in t.totals}
     assert calls["pacore.pac_auth"] == 0
-    assert calls["pacore.pac_sign"] == calls["runtime.protected_malloc"] == 2
+    assert calls["runtime.protected_malloc"] == 2
+    assert calls["pacore.pac_sign"] == 1
     assert calls["memspace.shadow_fill"] == 1
     assert calls["memspace.shadow_clear"] == 0
     assert calls["memspace.id_at"] == 1
@@ -298,14 +299,14 @@ def test_traced_compiled_churn_loop_counts_every_helper(opts):
     # share the heap's first shadow page, which only the first malloc
     # makes, so one shadow_fill and no shadow_clear.  pac_sign runs when
     # an id's MAC is not in the key's table yet; the table signs ahead in
-    # batches that double (1, 1, 2, 4, ..., 64 MACs), so the 100
-    # consecutive ids miss 8 times.  The checks and frees read their
-    # shadow words themselves, the frees of the block at the
+    # batches of at least four that then double (4, 4, 8, ..., 64 MACs),
+    # so the 100 consecutive ids miss 6 times.  The checks and frees read
+    # their shadow words themselves, the frees of the block at the
     # page-aligned heap base the word below it in the page below too:
     # no id_at.
     assert calls["memspace.shadow_fill"] == 1
     assert calls["memspace.shadow_clear"] == 0
-    assert calls["pacore.pac_sign"] == 8
+    assert calls["pacore.pac_sign"] == 6
     assert calls["memspace.id_at"] == 0
 
 
