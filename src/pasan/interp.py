@@ -7,6 +7,7 @@ halts the program; there is no continue-after-error mode.
 """
 from __future__ import annotations
 
+import gc
 import random
 import re
 from functools import lru_cache
@@ -165,17 +166,17 @@ _TEMPLATES = {
     "store": "pack_into({fmt}, page, off, {1} & (1 << 8 * {w}) - 1) if (off := {0} & 4095)"
              " <= 4096 - {w} and (page := pages.get({0} >> 12)) is not None"
              " else write({0}, {w}, {1})",
-    "malloc": "rt.plain_malloc({0})",
-    "free": "rt.plain_free({0})",
+    "malloc": "plain_malloc({0})",
+    "free": "plain_free({0})",
     "check": "checked_access({0}, {w})",
     "check_token": "checked_access({0}, {w}, True)",
     "fastcheck": "fast_check({0}, {1}, {2}, {w})",
     "stripcall": "strip({0}, interp.cfg)",
-    "resign": "rt.resign_return({0})",
+    "resign": "resign_return({0})",
     "external": "interp._simulate_external({callee}, {args}) & interp.simulated.get({callee}, 0)",
-    "pa_malloc": "rt.protected_malloc({0})",
-    "pa_free": "rt.protected_free({0}) or 0",
-    "pa_wrapper": "rt.wrapper_call({callee}[5:], {args})",
+    "pa_malloc": "protected_malloc({0})",
+    "pa_free": "protected_free({0}) or 0",
+    "pa_wrapper": "wrapper_call({callee}[5:], {args})",
 }
 
 _FORMATS = {1: "<B", 4: "<I", 8: "<Q"}  # each access width's struct format
@@ -196,9 +197,10 @@ _RUNTIME_CALLS = {name: "pa_wrapper" if name[5:] in CHECKED_BUILTINS else name[2
 # each call also gets a handler named op + "_void" that assigns nothing.
 _TARGETS = {"store": "", "free": "", "check_token": "regs[inst.result], regs[inst.result2] = "}
 
-# The interpreter's attributes bound once per run, which templates name
-# bare: a table handler reads them off interp at each call.
-_PER_RUN = ("rt", "pages", "read", "write", "checked_access", "fast_check")
+# Attributes bound on the interpreter once per run (after the first four, the runtime's entry
+# points), which templates name bare: a table handler reads them off interp at each call.
+_PER_RUN = ("rt", "pages", "read", "write", "checked_access", "fast_check", "protected_malloc",
+            "protected_free", "wrapper_call", "plain_malloc", "plain_free", "resign_return")
 _ON_INTERP = re.compile(rf"(?<![\w.])({'|'.join(_PER_RUN)})\b")
 
 
@@ -405,16 +407,19 @@ class Interpreter:
 
     def run(self) -> ExecResult:
         rt, mem = self.rt, self.mem
-        # Bound once per run, so a wrapper installed on the class before
-        # the run (a tracer) sees every call.
-        self.checked_access, self.fast_check = rt.checked_access, rt.fast_check
+        # The runtime's entry points, bound once per run, so a wrapper
+        # installed on the class before the run (a tracer) sees every call.
+        for name in _PER_RUN[4:]:
+            setattr(self, name, getattr(rt, name))
         self.pages, self.read, self.write = mem.pages, mem.read, mem.write
         stats = rt.stats
         limit = self.limits.max_insts
         stack = self.stack
-        stack.append(self._push_frame(self.prog.functions["main"], [], None))
         insts = stats.insts
+        collecting = gc.isenabled()  # a run makes no cyclic garbage: pause the collector
+        gc.disable()
         try:
+            stack.append(self._push_frame(self.prog.functions["main"], [], None))
             while stack:
                 frame = stack[-1]
                 regs = frame.regs
@@ -458,6 +463,8 @@ class Interpreter:
             report = exc.report
         finally:
             stats.insts = insts
+            if collecting:
+                gc.enable()
         func = stack[-1].layout.func
         report.function = func.name
         report.inst_uid = inst.uid  # the instruction that raised, always one of func's

@@ -21,6 +21,7 @@ PAGE_SIZE = 4096
 PAGE_MASK = PAGE_SIZE - 1
 _ZERO_PAGE = bytes(PAGE_SIZE)  # how an untouched page reads
 _ZERO_WORDS = array("I", _ZERO_PAGE)  # and an untouched shadow page
+_BYTES = [bytes((b,)) for b in range(256)]  # memset's fill, by byte value
 
 GLOBALS_BASE = 0x0001_0000
 HEAP_BASE = 0x1000_0000
@@ -192,7 +193,7 @@ class MemSpace:
         byte) moves: length > 0 bytes at raw addresses the caller has
         vetted.  A destination inside one existing page is written here."""
         data = self._load_bytes(arg, length) if name == "memcpy" \
-            else bytes([arg & 0xFF]) * length
+            else _BYTES[arg & 0xFF] * length
         off = dest & PAGE_MASK
         buf = self.pages.get(dest >> 12)
         if buf is not None and off + length <= PAGE_SIZE:

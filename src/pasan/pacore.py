@@ -13,6 +13,8 @@ into the address bits plus the address MSB; each key tables its MACs.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 
 from .errors import PreconditionViolated
@@ -157,9 +159,11 @@ def _mac(key: PacKey, modifier: int, ahead: bool = False) -> int:
         lanes = min(_BATCH_CAP, max(_BATCH_MIN, 1 << len(macs).bit_length() >> 1)) if ahead else 1
         ones, ramp, _ = _lanes(lanes)
         words = (modifier * ones + ramp, ZERO_CONTEXT, _LENGTH_16 * ones)
-        raw = _siphash_words(key.k0, key.k1, words, lanes).to_bytes(16 * lanes, "little")
-        macs.update((modifier + i // 16, int.from_bytes(raw[i : i + 8], "little"))
-                    for i in range(0, 16 * lanes, 16))
+        out = _siphash_words(key.k0, key.k1, words, lanes)
+        raw = array("Q", out.to_bytes(16 * lanes, "little"))  # lane i's MAC is word 2i
+        if sys.byteorder == "big":
+            raw.byteswap()
+        macs.update(zip(range(modifier, modifier + lanes), raw[::2]))
     return macs[modifier]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 
 from .errors import LimitExceeded, ViolationError, ViolationKind
-from .memspace import MemSpace
+from .memspace import _ZERO_WORDS, MemSpace
 from .pacore import (
     MASK64,
     RESERVED_BIT,
@@ -88,6 +88,7 @@ class SanitizerRuntime:
         self.stats = Stats()
         self.shadow = mem.shadow  # the success paths read and write its words themselves
         self.shadow_bit = 1 << self.cfg.msb_bit
+        self.strip_mask, self.msb_bit = self.cfg.strip_mask, self.cfg.msb_bit  # for the checks
 
     # -- allocation: one carve -> record -> count path; protection is
     #    register_object layered on top --
@@ -145,7 +146,7 @@ class SanitizerRuntime:
         page = self.shadow.get((base | self.shadow_bit) >> 12)
         if page is not None and base < self.shadow_bit and not (base | padded) & 3 \
                 and 0 < (words := padded >> 2) <= 1024 - (at := base >> 2 & 1023):
-            page[at : at + words] = array("I", bytes(padded))
+            page[at : at + words] = _ZERO_WORDS[:words]
         else:
             self.mem.shadow_clear(base, padded)
         self.sigs.pop(ext.obj_id, None)
@@ -227,12 +228,11 @@ class SanitizerRuntime:
         token a same-lock group's fast checks compare against) when
         token is set."""
         self.stats.checks_full += 1
-        cfg = self.cfg
-        raw = ptr & cfg.strip_mask
+        raw = ptr & self.strip_mask
         page = self.shadow.get((raw | self.shadow_bit) >> 12)
         found = 0 if page is None else page[raw >> 2 & 1023]
         if self.sigs.get(found) != ptr & self.sig_mask \
-                and pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
+                and pac_auth(ptr, found, self.key, self.cfg) != ptr & self.cfg.clear_mask:
             self._reject(ptr, raw, found)
         # The last byte needs its own shadow read only when it lies in
         # another 4-byte granule; the per-byte oracle reads every byte.
@@ -249,10 +249,9 @@ class SanitizerRuntime:
         already-authenticated base above the in-object offset bits, and
         must point at memory shadowed by the id observed there."""
         self.stats.checks_fast += 1
-        cfg = self.cfg
-        raw = ptr & cfg.strip_mask
+        raw = ptr & self.strip_mask
         # the lock bits: every bit from the address MSB up, which derivation keeps
-        if ptr >> cfg.msb_bit != base >> cfg.msb_bit:
+        if ptr >> self.msb_bit != base >> self.msb_bit:
             raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, self.mem.id_at(raw),
                                  "derivation altered non-offset pointer bits")
         if (raw & 3) + width <= 4 and not self.bytewise:  # one granule: read it here
@@ -269,12 +268,11 @@ class SanitizerRuntime:
     # -- deallocation --
 
     def protected_free(self, ptr: int) -> None:
-        cfg = self.cfg
-        raw = ptr & cfg.strip_mask
+        raw = ptr & self.strip_mask
         page = self.shadow.get((raw | self.shadow_bit) >> 12)
         found = 0 if page is None else page[raw >> 2 & 1023]
         if self.sigs.get(found) != ptr & self.sig_mask \
-                and pac_auth(ptr, found, self.key, cfg) != ptr & cfg.clear_mask:
+                and pac_auth(ptr, found, self.key, self.cfg) != ptr & self.cfg.clear_mask:
             if found:
                 self._reject(ptr, raw, found)
             self._refuse_unsignable(ptr, found)
@@ -286,9 +284,11 @@ class SanitizerRuntime:
                                  "free through a stale pointer")
         # Begin-of-object: the shadow word below the base must differ.
         # A zero guard word sits below the heap base, so the first block
-        # passes; interior pointers see their own id below and fail.
+        # passes; interior pointers see their own id below and fail.  It
+        # lies in the page below only for raw in a page's first 4 bytes.
         below = raw - 4
-        page = self.shadow.get((below | self.shadow_bit) >> 12)
+        if raw & 4095 < 4:
+            page = self.shadow.get((below | self.shadow_bit) >> 12)
         if (0 if page is None else page[below >> 2 & 1023]) == found:
             raise ViolationError(ViolationKind.FREE_INSIDE_BUFFER, ptr, found,
                                  f"free target 0x{raw:x} is not the start of the object")
@@ -319,6 +319,6 @@ class SanitizerRuntime:
             if name == "memcpy":
                 for off in offsets:
                     check((arg + off) & MASK64, 1)
-                arg &= self.cfg.strip_mask
-            self.mem.move(name, dest & self.cfg.strip_mask, arg, length)
+                arg &= self.strip_mask
+            self.mem.move(name, dest & self.strip_mask, arg, length)
         return dest

@@ -752,6 +752,41 @@ def test_runtime_sequences_match_slow_path_references(cfg, counter, seed):
     assert rt.next_id < counter or counter < 0xFFFFFF00  # wrapped, where it could
 
 
+@pytest.mark.parametrize("n", [33, 47])
+def test_free_reads_the_word_below_across_a_page_start(n):
+    """protected_free reads the word below raw in raw's own shadow page
+    unless raw lies in a page's first four bytes.  Frees 0 to 4 bytes
+    past a page start, with the page below absent (the heap's first
+    page), present under another object, and present under the same
+    object (one that straddles the page start), must match the
+    reference and leave the same state.  The objects fill their last
+    page word, so reading raw's own page for 1 to 3 bytes past its start
+    would find a different word."""
+    cfg = AddressConfig(n)
+    key = random.Random(n).getrandbits(128)
+    rt, ref = (SanitizerRuntime(MemSpace(cfg, SMALL), PacKey(key), 0x100) for _ in range(2))
+    heap = SMALL.heap.base
+    targets = []
+    for size in (PAGE_SIZE, PAGE_SIZE, 8, PAGE_SIZE):
+        ptr = rt.protected_malloc(size)
+        assert ref_protected_malloc(ref, size) == ptr
+        targets.append(ptr)
+    a, b, _, d = targets
+    assert [strip(p, cfg) for p in (a, b, d)] == [heap, heap + PAGE_SIZE, heap + 2 * PAGE_SIZE + 8]
+    page_starts = [a, b, d + PAGE_SIZE - 8]  # below: absent, another object, d itself
+    ends = set()
+    for off in (4, 3, 2, 1, 0):
+        for ptr in page_starts:
+            got = outcome(rt.protected_free, ptr + off)
+            assert got == outcome(ref_protected_free, ref, ptr + off), (off, hex(ptr))
+            assert runtime_state(rt) == runtime_state(ref), (off, hex(ptr))
+            ends.add((off, got[1]))
+    assert ends == {(4, ViolationKind.FREE_INSIDE_BUFFER), (0, ViolationKind.FREE_INSIDE_BUFFER),
+                    (0, None), *((off, kind) for off in (1, 2, 3) for kind in
+                                 (ViolationKind.SPATIAL_OOB, ViolationKind.FREE_INSIDE_BUFFER))}
+    assert not rt.alloc[heap].live and not rt.alloc[heap + PAGE_SIZE].live
+
+
 # -- the page table against the span walk --
 
 

@@ -1,5 +1,6 @@
 """Bit layout and sign/authenticate primitive."""
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from pasan.pacore import (
     ZERO_CONTEXT,
     AddressConfig,
     PacKey,
+    _mac,
     _siphash_words,
     compute_pac,
     error_pattern,
@@ -223,6 +225,30 @@ def test_consecutive_signing_matches_cold_table(n):
         assert cold.key == key.key and not cold.macs
         assert pac_sign(0x1000, obj_id, key, cfg) == pac_sign(0x1000, obj_id, cold, cfg)
     assert len(key.macs) < len(ids) + 256
+
+
+def _oracle_mac(key, modifier):
+    return siphash24_oracle(key.k0, key.k1, modifier.to_bytes(8, "little") + bytes(8))
+
+
+@pytest.mark.parametrize("n, first, lanes", [(47, 0x1234, 1), (47, 0x1234, 4), (47, 7, 5),
+                                              (47, 0xFFFFFF00, 256), (33, 0xFFFFFFFE, 33)])
+def test_signing_ahead_tables_each_lane_as_the_oracle(monkeypatch, n, first, lanes):
+    # One signing miss on a fresh key runs a batch of `lanes` MACs (the
+    # batch floor set to it) and tables each under its own modifier.  At
+    # n = 33 the batch from id 0xFFFFFFFE carries into the address MSB:
+    # its modifiers from 2^32 on are those of ids 0, 1, ... with the MSB set.
+    assert array("Q").itemsize == 8
+    monkeypatch.setattr(pacore, "_BATCH_MIN", lanes)
+    cfg = AddressConfig(n)
+    key = PacKey(random.Random(lanes).getrandbits(128))
+    modifier = modifier_for(first, 0, cfg)
+    _mac(key, modifier, True)
+    assert key.macs == {m: _oracle_mac(key, m) for m in range(modifier, modifier + lanes)}
+    if n == 33:
+        assert [compute_pac(obj_id, 1, key, cfg) for obj_id in range(lanes - 2)] \
+            == [_oracle_mac(key, 1 << 32 | obj_id) & cfg.pac_mask for obj_id in range(lanes - 2)]
+        assert len(key.macs) == lanes  # read from the table, no MAC computed
 
 
 def test_auth_miss_computes_one_mac(monkeypatch):

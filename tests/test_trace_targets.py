@@ -293,6 +293,7 @@ def test_traced_compiled_churn_loop_counts_every_helper(opts):
     assert (stats["checks_full"], stats["checks_fast"]) == (400, 0)
     assert calls["runtime.wrapper_call"] == 100
     assert calls["runtime.protected_malloc"] == stats["allocs"]
+    assert calls["runtime.protected_free"] == stats["frees"]
     assert calls["runtime.checked_access"] == stats["checks_full"]
     assert calls["pacore.pac_auth"] == 0  # every authentication hits the table
     # The helpers below count slow-path entries only.  The two blocks
