@@ -98,7 +98,7 @@ def _analyse(prog: Program) -> tuple[dict[str, _Roots], dict[str, str]]:
 
 
 def instrument(prog: Program) -> Program:
-    """Produce the instrumented program; the input is left untouched."""
+    """Instrument a validated program into a new one; the input is left untouched."""
     if prog.instrumented:
         raise InstrumentationError("program is already instrumented")
     roots, global_safety = _analyse(prog)
@@ -175,9 +175,7 @@ def _instrument_call(prog: Program, inst: Inst, owned: bool, fresh, new_uid) -> 
     """What replaces inst, a call to a function prog does not define; inst
     is copied before a field is set unless it is `owned`, this stage's copy."""
     callee = inst.callee
-    ext = prog.externs.get(callee)
-    if ext is None:
-        raise InstrumentationError(f"call to undeclared function @{callee}")
+    ext = prog.externs[callee]
     wrapped = wraps_builtin(ext)
     if not (wrapped or "ptr" in ext.params or ext.ret == "ptr" and inst.result is not None):
         return [inst]  # no pointer crosses the boundary

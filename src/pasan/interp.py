@@ -17,8 +17,7 @@ from struct import pack_into, unpack_from
 from .errors import LimitExceeded, PasanError, ViolationError, ViolationReport
 from .instrument import instrument
 from .memspace import MemSpace, RegionMap
-from .miniir import (BUILTIN_SIGS, CHECKED_BUILTINS, OPS, ExternDecl, Function, Program,
-                     function_types, wraps_builtin)
+from .miniir import BUILTIN_SIGS, CHECKED_BUILTINS, ExternDecl, Function, Program, wraps_builtin
 from .pacore import MASK64, AddressConfig, PacKey, strip
 from .runtime import SanitizerRuntime, Stats, padded_size
 
@@ -184,9 +183,6 @@ _FORMATS = {1: "<B", 4: "<I", 8: "<Q"}  # each access width's struct format
 # Templates that cannot raise, so need no fault index.
 _PURE = {"const", "add", "sub", "mul", "gep", "gep_i32"}
 
-# Ops whose integer args are literals, not value operands.
-_LITERAL_ARGS = {op for op, (_, _, kinds) in OPS.items() if "literal" in kinds or "size" in kinds}
-
 # Calls outside the program bound to their op at lowering: a runtime
 # entry point __pa_X to pa_X, or to pa_wrapper for a checked builtin X;
 # any other external is simulated.
@@ -223,10 +219,9 @@ def _table_handlers() -> dict:
     defs = []
     for op, template in _TEMPLATES.items():
         template = _ON_INTERP.sub(r"interp.\1", template)
-        operand = "args[{}]" if op in _LITERAL_ARGS else "regs[args[{}]]"
         # No template names more than three operands; format ignores the rest.
-        expr = template.format(*map(operand.format, range(3)), args="[regs[a] for a in args]",
-                               w="inst.width", fmt="_FORMATS[inst.width]",
+        expr = template.format(*map("regs[args[{}]]".format, range(3)), w="inst.width",
+                               args="[regs[a] for a in args]", fmt="_FORMATS[inst.width]",
                                m="_TYPE_MASK[inst.ty]", callee="inst.callee")
         targets = {op: _TARGETS.get(op, "regs[inst.result] = ")}
         if op in ("external", *_RUNTIME_CALLS.values()):
@@ -350,7 +345,7 @@ class Interpreter:
 
     def _lower(self, func: Function) -> _Layout:
         """func's layout, built in one walk, each instruction bound to its handler."""
-        slots, consts, blocks, types = {}, {}, {}, func.types  # None if never validated
+        slots, consts, blocks = {}, {}, {}
         offset = 4  # 4-byte guard below the slots
         for label, insts in func.blocks.items():
             body, moves = [], {}
@@ -364,12 +359,11 @@ class Interpreter:
                         dsts.append(inst.result)
                         srcs.append(operand)
                     continue
-                if op not in _LITERAL_ARGS:
-                    for operand in inst.args:
-                        if type(operand) is int:
-                            consts[operand] = operand & MASK64
-                        elif operand[0] == "@":
-                            consts[operand] = operand[1:]
+                for operand in inst.args:
+                    if type(operand) is int:
+                        consts[operand] = operand & MASK64
+                    elif operand[0] == "@":
+                        consts[operand] = operand[1:]
                 if op == "alloca":
                     slots[inst.result] = offset
                     offset += padded_size(inst.args[0])
@@ -377,11 +371,8 @@ class Interpreter:
                     op = _RUNTIME_CALLS.get(inst.callee, "external") + "_void" * (not inst.result)
                 elif op == "check" and inst.result2:
                     op = "check_token"
-                elif op == "gep" and isinstance(inst.args[1], str):
-                    if types is None:
-                        types = function_types(self.prog, func)
-                    if types.get(inst.args[1]) == "i32":
-                        op = "gep_i32"
+                elif op == "gep" and func.types.get(inst.args[1]) == "i32":
+                    op = "gep_i32"
                 handler = _HANDLERS.get(op)
                 if handler is None:
                     raise PasanError(f"interpreter cannot execute op {op!r}")

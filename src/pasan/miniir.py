@@ -126,12 +126,12 @@ class ExternDecl:
 
 
 class Function:
-    """Three facts ride along, each None until known: `dom`, its
-    Dominance, built at the first dominance() call; `names`, the set of
-    registers it defines, params included; and `types`, validate's
-    function_types.  A stage that builds a function from another hands
-    it the source's facts: no stage changes a CFG, adds a gep or renames
-    an integer register, and each sets `names` to what it defines."""
+    """Three facts ride along, each None until validate sets it: `dom`,
+    its Dominance; `names`, the set of registers it defines, params
+    included; and `types`, its function_types.  A stage that builds a
+    function from another hands it the source's facts: no stage changes
+    a CFG, adds a gep or renames an integer register, and each sets
+    `names` to what it defines."""
 
     def __init__(self, name: str, params: list[tuple[str, str]], ret: str,
                  blocks: dict[str, list[Inst]] | None = None,
@@ -153,11 +153,6 @@ class Function:
             return (term.args[1], term.args[2])
         return ()
 
-    def dominance(self) -> Dominance:
-        if self.dom is None:
-            self.dom = Dominance(self)
-        return self.dom
-
 
 class Program:
     def __init__(self, globals: list[GlobalDef] | None = None,
@@ -175,22 +170,14 @@ class Program:
         return uid
 
 
-def defined_names(func: Function) -> set[str]:
-    """Every register func defines, params included."""
-    names = {reg for reg, _ in func.params}
-    names.update(reg for block in func.blocks.values() for inst in block
-                 for reg in (inst.result, inst.result2) if reg is not None)
-    return names
-
-
 class Namer:
     """Fresh register names for one function: `base`, then `base1`,
     `base2`, ..., skipping every name already defined.  `used` starts as
-    a copy of func.names (scanned if not known) and only grows, so each
-    base resumes at the counter after its last name."""
+    a copy of func.names and only grows, so each base resumes at the
+    counter after its last name."""
 
     def __init__(self, func: Function):
-        self.used = defined_names(func) if func.names is None else set(func.names)
+        self.used = set(func.names)
         self.next: dict[str, int] = {}
 
     def fresh(self, base: str) -> str:
@@ -432,7 +419,8 @@ def _callee_sig(prog: Program, name: str) -> tuple[tuple[str, ...], str] | None:
 
 def validate(prog: Program) -> None:
     """Reject programs the interpreter cannot execute: symbol clashes,
-    non-SSA register use, type errors, malformed control flow."""
+    non-SSA register use, type errors, malformed control flow.  Each
+    function it accepts holds its three facts: dom, names and types."""
     globals_: dict[str, GlobalDef] = {}
     for g in prog.globals:
         if g.symbol in globals_:
@@ -486,7 +474,7 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
         for succ in func.successors(label):
             if succ not in func.blocks:
                 err(f"{label}: branch to unknown block {succ!r}")
-    dom = func.dominance()
+    dom = func.dom = Dominance(func)
     for label in func.blocks:
         if label not in dom.rpo:
             err(f"{label}: unreachable block")
@@ -508,6 +496,7 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
                     held = f"@{inst.callee}: the __pa_ prefix is reserved for the runtime"
     if held:
         err(held)
+    func.names = set(def_site)
 
     types = func.types = function_types(prog, func)
     for reg in def_site:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import InstrumentationError
-from .miniir import BUILTIN_SIGS, Function, Inst, Namer, Program, defined_names
+from .miniir import BUILTIN_SIGS, Function, Inst, Namer, Program
 
 PASS_SETS = {
     "none": (),
@@ -22,8 +22,8 @@ PASS_SETS = {
 
 
 def run_passes(prog: Program, opts: str) -> Program:
-    """Run the selected passes into a new program that shares each
-    instruction they leave as it is (prog itself if none is selected).
+    """Run the selected passes on validated prog into a new program that
+    shares each instruction they leave as it is (prog if none is selected).
     "redundant" deletes a check that one of the same register and width
     covers and rewires its results to the cover; "samelock" downgrades a
     check that one of the same gep root covers to a fast check against
@@ -44,7 +44,7 @@ def run_passes(prog: Program, opts: str) -> Program:
                                               src.dom, src.names, src.types)
         subst, downgrades = _covered_checks(prog, func, freeing, passes)
         if subst:  # the deleted results' names are free again
-            func.names = (defined_names(func) if func.names is None else func.names) - subst.keys()
+            func.names = func.names - subst.keys()
         namer = None
         for (lb, i), (cl, ci) in downgrades:
             cover = blocks[cl][ci]
@@ -93,7 +93,7 @@ def _covered_checks(prog: Program, func: Function, freeing: set[str], passes):
     covers a check numbered above its `freed`.  The events scan runs in
     reverse post-order, so it finds each gep's base's root first."""
     redundant, samelock = "redundant" in passes, "samelock" in passes
-    dom = func.dominance()
+    dom = func.dom
     order, preds, latches, pre = dom.order, dom.preds, dom.latches, dom.pre
     # Per block: the index of each check, and None for each possibly-freeing instruction.
     events, roots, subst, downgrades = {}, {}, {}, []

@@ -1,6 +1,7 @@
 """Queries the tests make of programs, dominance and pointers that no
 part of pasan needs itself: an instruction walk, block and
-instruction-level dominance and a dominator-set oracle, a pointer's
+instruction-level dominance and a dominator-set oracle, the registers
+a function defines and the facts validate would leave on it, a pointer's
 lock bits, a poisoned-pointer test, the safety classes of allocas and
 globals, the completeness lint over instrumented output, value
 snapshots of pasan's records, the check that a stage leaves its input
@@ -15,7 +16,7 @@ from itertools import chain
 from hypothesis import strategies as st
 
 from pasan.instrument import _analyse, _escape_roots, _safe_direct_regs, instrument
-from pasan.miniir import Function, format_program, parse, validate
+from pasan.miniir import Dominance, Function, format_program, function_types, parse, validate
 from pasan.optpasses import run_passes
 
 
@@ -60,6 +61,25 @@ def inst_dominates(dom, loc_a, loc_b):
     blocks it is strict block dominance."""
     (la, ia), (lb, ib) = loc_a, loc_b
     return ia < ib if la == lb else block_dominates(dom, la, lb)
+
+
+def defined_names(func):
+    """Every register func defines, params included: the reference for
+    the `names` fact validate sets."""
+    names = {reg for reg, _ in func.params}
+    names.update(reg for block in func.blocks.values() for inst in block
+                 for reg in (inst.result, inst.result2) if reg is not None)
+    return names
+
+
+def with_facts(prog, *funcs):
+    """prog, with each of funcs (by default, each of its functions) given
+    the three facts validate would leave on it, from their reference
+    definitions: for hand-built functions that validate rejects."""
+    for func in funcs or prog.functions.values():
+        func.dom, func.names = Dominance(func), defined_names(func)
+        func.types = function_types(prog, func)
+    return prog
 
 
 def lock_bits(ptr, cfg):

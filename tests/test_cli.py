@@ -17,8 +17,9 @@ from pasan.cli import _build, main, run_collide, run_corpus
 from pasan.errors import PasanError
 from pasan.interp import Interpreter
 from pasan.memspace import MemSpace, RegionMap
-from pasan.miniir import Dominance, Function, Inst, defined_names
-from pasan.optpasses import _covered_checks
+from pasan.instrument import instrument
+from pasan.miniir import Dominance, Function, Inst, function_types, parse, validate
+from pasan.optpasses import _covered_checks, run_passes
 from pasan.pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
 from pasan.runtime import SanitizerRuntime
 
@@ -311,27 +312,28 @@ def test_run_program_of_5000_blocks(tmp_path):
     assert {key: payload["stats"][key] for key in counts} == counts
 
 
-def test_compile_visits_each_instruction_once_per_layer():
+def test_compile_visits_each_instruction_once_per_layer(monkeypatch):
     # parse, validate, instrument and the passes walk blocks and indexes
     # themselves: no operand-list helper per instruction, and a
     # function's entry block is looked up a fixed number of times.  An
     # instruction is copied only to be changed: by instrument, the malloc,
     # free, b + 1 accesses and the external calls (one every 7 blocks);
     # by the passes, b + 1 checks (each downgraded or given a token).
-    # Validate's Dominance and the first Namer's scan of the one
-    # function's defined registers serve every later layer, and one cover
-    # search decides both passes for the function.  Lowering,
-    # too, reads each instruction in place: it enters the same Python
-    # functions the same number of times at either size.
+    # Validate builds the one function's Dominance and infers its types,
+    # both serving every later layer, and one cover search decides both
+    # passes for the function.  Lowering, too, reads each instruction in
+    # place: it enters the same Python functions the same number of
+    # times at either size.
     never = [Inst.defs]
     entries, lowering = [], []
     for blocks, copies in ((20, 2 + 21 + 3 + 21), (100, 2 + 101 + 14 + 101)):
         text = straight_line_program(blocks)[0]
         calls = calls_while(_build, text, "all")
+        in_validate = calls_while(validate, parse(text))
         assert [calls[f.__code__] for f in never] == [0]
         assert calls[Inst.copy.__code__] == copies
-        assert calls[Dominance.__init__.__code__] == 1
-        assert calls[defined_names.__code__] <= 1
+        for fact in (Dominance.__init__, function_types):
+            assert calls[fact.__code__] == in_validate[fact.__code__] == 1
         assert calls[_covered_checks.__code__] == 1
         entries.append(calls[Function.entry.fget.__code__])
         prog = _build(text, "all")
@@ -339,6 +341,20 @@ def test_compile_visits_each_instruction_once_per_layer():
                                     prog.functions["main"]))
     assert entries[0] == entries[1] <= 8
     assert lowering[0] == lowering[1]
+    # No register scan outside validate: instrument and the passes hand
+    # on and copy its `names`.  A scan reads every instruction's second
+    # result, so padding @main with unused consts would add reads.
+    slot, reads, counts = Inst.result2, [], []
+    monkeypatch.setattr(Inst, "result2", property(
+        lambda inst: reads.append(inst) or slot.__get__(inst), slot.__set__))
+    for pad in (0, 200):
+        prog = parse(straight_line_program(20)[0].replace(
+            "b0:\n", "b0:\n" + "".join(f"  %u{i} = const.i32 {i}\n" for i in range(pad))))
+        validate(prog)
+        reads.clear()
+        run_passes(instrument(prog), "all")
+        counts.append(len(reads))
+    assert counts[0] == counts[1] > 0
 
 
 def test_corpus_all_expectations_met(corpus_dir, tmp_path):

@@ -288,13 +288,6 @@ bb0:
         instrument(out)
 
 
-def test_call_to_undeclared_callee_rejected():
-    # validate rejects this program first; instrument guards on its own.
-    prog = parse("func @main() -> i32 {\nbb0:\n  %r = call @nope()\n  ret %r\n}\n")
-    with pytest.raises(InstrumentationError, match="undeclared function @nope"):
-        instrument(prog)
-
-
 def test_external_call_strips_and_resigns():
     prog = build("""\
 extern @ext_id(ptr) -> ptr

@@ -355,9 +355,10 @@ def test_lowering_binds_each_op_and_builds_the_pool_slots_and_moves():
         "loop": ["add", "cbr"],
         "done": ["const", "ret"],
     }
-    # literals masked to 64 bits, globals by symbol; const, alloca, sign
-    # and access widths hold no value operand
-    assert layout.consts == {16: 16, "@g": "g", -3: 2**64 - 3, 1: 1}
+    # every integer operand masked to 64 bits, const literals and alloca
+    # and sign sizes included, globals by symbol; access widths are no operand
+    assert layout.consts == {32: 32, 12: 12, 8: 8, 4: 4, 16: 16, "@g": "g", -3: 2**64 - 3,
+                             1: 1, 0: 0}
     assert (layout.slots, layout.frame_size) == ({"%s": 4, "%t": 16}, 24)
     assert {label: block[1] for label, block in layout.blocks.items()} == {
         "entry": {},
@@ -1193,13 +1194,10 @@ bb0:
 def test_types_are_inferred_once_per_function():
     # validate leaves each function's types on it, instrument and the
     # passes hand them on, and lowering reads a gep index's type there.
-    # A function that never went through validate has its types inferred
-    # when it is lowered.
     results = []
-    for make in (lambda: _build(GEP_I32_INDEX, "all"), lambda: parse(GEP_I32_INDEX)):
-        calls = calls_while(lambda: results.append(Interpreter(make(), CFG, 0).run()))
-        assert calls[function_types.__code__] == 2  # @at and @main
-    assert [(r.verdict, r.exit_value) for r in results] == [("completed", 7)] * 2
+    calls = calls_while(lambda: results.append(run(_build(GEP_I32_INDEX, "all"), CFG, 0)))
+    assert calls[function_types.__code__] == 2  # @at and @main
+    assert (results[0].verdict, results[0].exit_value) == ("completed", 7)
 
 
 @pytest.mark.parametrize("objects", [2, 3, 4, 5])

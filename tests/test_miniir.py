@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OracleDominance, block_dominates, fields, inst_dominates, insts
+from helpers import OracleDominance, block_dominates, fields, inst_dominates, insts, with_facts
 from pasan.errors import ParseError, ValidationError
 from pasan.interp import _HANDLERS
 from pasan.miniir import (
@@ -354,6 +354,7 @@ bb0:
   ret %chk
 }
 """)
+    validate(prog)
     namer = Namer(prog.functions["main"])
     assert [namer.fresh("%chk") for _ in range(3)] == ["%chk1", "%chk3", "%chk4"]
     assert namer.fresh("%tk") == "%tk"
@@ -495,6 +496,7 @@ def _may_free(prog: Program, func: Function, loc_a, loc_b) -> bool:
                       {label: list(block) for label, block in func.blocks.items()})
     probed.blocks[lb].insert(ib, probe_b)
     probed.blocks[la].insert(ia + 1, probe_a)
+    with_facts(prog, probed)
     subst, _ = _covered_checks(prog, probed, functions_may_free(prog), ("redundant",))
     return subst.get("%probe_b") != "%probe_a"
 

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (OracleDominance, assert_stages_leave_their_input_untouched, calls_while,
-                     insts, lint_instrumented, random_instrumented_program, straight_line_program)
+                     insts, lint_instrumented, random_instrumented_program, straight_line_program,
+                     with_facts)
 from pasan import miniir, optpasses
 from pasan.cli import _build
 from pasan.errors import InstrumentationError
@@ -256,7 +257,7 @@ def test_count_checks_uninstrumented():
 
 def test_passes_never_increase_total(corpus_dir):
     for path in sorted(corpus_dir.glob("*.ir")):
-        base = instrument(parse(path.read_text()))
+        base = build(path.read_text())
         full0, fast0 = count_checks(base)
         assert fast0 == 0
         for opts in ("redundant", "samelock", "all"):
@@ -267,7 +268,7 @@ def test_passes_never_increase_total(corpus_dir):
 
 def test_dynamic_monotonicity_over_corpus(corpus_dir):
     for path in sorted(corpus_dir.glob("*.ir")):
-        base = instrument(parse(path.read_text()))
+        base = build(path.read_text())
         r_off = run(run_passes(base, "none"), CFG, seed=2)
         r_on = run(run_passes(base, "all"), CFG, seed=2)
         assert r_on.stats.checks_full <= r_off.stats.checks_full, path.name
@@ -275,7 +276,7 @@ def test_dynamic_monotonicity_over_corpus(corpus_dir):
 
 def test_optimized_programs_stay_valid(corpus_dir):
     for path in sorted(corpus_dir.glob("*.ir")):
-        out = run_passes(instrument(parse(path.read_text())), "all")
+        out = run_passes(build(path.read_text()), "all")
         validate(out)
         assert lint_instrumented(out) == [], path.name
 
@@ -414,12 +415,12 @@ def checked_cfgs(draw):
             insts.append(Inst("ret", args=("%p0",), uid=next(uid)))
         blocks[f"bb{i}"] = insts
     func = Function("main", [("%p0", "ptr"), ("%p1", "ptr")], "i32", blocks)
-    return Program(functions={
+    return with_facts(Program(functions={
         "main": func,
         "freer": _callee("freer", [Inst("free", args=("%x",))]),
         "outer": _callee("outer", [Inst("call", callee="freer", args=("%x",))]),
         "pure": _callee("pure", []),
-    }), func
+    })), func
 
 
 def _check(uid):
@@ -428,7 +429,7 @@ def _check(uid):
 
 def _cfg(blocks):
     func = Function("main", [("%p0", "ptr"), ("%p1", "ptr")], "i32", blocks)
-    return Program(functions={"main": func}), func
+    return with_facts(Program(functions={"main": func})), func
 
 
 # An irreducible loop of bb1 and bb2, which bb0 enters at either block,
@@ -656,7 +657,9 @@ def test_functions_may_free_matches_call_graph_reachability(seed):
 
 def test_passes_leave_their_input_untouched(corpus_dir, data_dir):
     for path in [*sorted(corpus_dir.glob("*.ir")), data_dir / "names.ir"]:
-        assert_stages_leave_their_input_untouched(parse(path.read_text()), path.name)
+        prog = parse(path.read_text())
+        validate(prog)
+        assert_stages_leave_their_input_untouched(prog, path.name)
 
 
 # ------------------------------------------------------------ pass driver
@@ -685,6 +688,7 @@ def test_run_passes_copies_once_and_answers_each_question_once(corpus_dir, monke
         prog = parse(path.read_text())
         validate(prog)
         assert sorted(built) == sorted(prog.functions), path.name  # one each
+        built.clear()
         prog = instrument(prog)
         outs = []
         assert _copies_while(lambda: outs.append(run_passes(prog, "none"))) == 0
@@ -696,14 +700,13 @@ def test_run_passes_copies_once_and_answers_each_question_once(corpus_dir, monke
         shared = {id(inst) for func in prog.functions.values() for _, _, inst in insts(func)}
         assert copies == sum(id(inst) not in shared for func in outs.pop().functions.values()
                              for _, _, inst in insts(func)), path.name
-        # the passes build no Dominance, so a compile builds validate's only
-        assert sorted(built) == sorted(prog.functions), path.name
+        # instrument and the passes build no Dominance: they hand on validate's
+        assert built == [], path.name
         calls.update(may_free=0)
-        built.clear()
     # straight_line_program(b): b + 1 checks, each covered one downgraded
     # and each cover given a token; nothing else is copied
     for blocks, copies in ((20, 21), (100, 101)):
-        prog = instrument(parse(straight_line_program(blocks)[0]))
+        prog = build(straight_line_program(blocks)[0])
         assert _copies_while(run_passes, prog, "all") == copies
 
 
