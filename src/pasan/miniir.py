@@ -13,7 +13,7 @@ source programs; a program containing them is flagged as instrumented.
 from __future__ import annotations
 
 import re
-from itertools import chain, count
+from itertools import count
 
 from .errors import ParseError, ValidationError
 from .runtime import padded_size
@@ -128,7 +128,7 @@ class ExternDecl:
 class Function:
     """Three facts ride along, each None until validate sets it: `dom`,
     its Dominance; `names`, the set of registers it defines, params
-    included; and `types`, its function_types.  A stage that builds a
+    included; and `types`, each one's type.  A stage that builds a
     function from another hands it the source's facts: no stage changes
     a CFG, adds a gep or renames an integer register, and each sets
     `names` to what it defines."""
@@ -419,8 +419,8 @@ def _callee_sig(prog: Program, name: str) -> tuple[tuple[str, ...], str] | None:
 
 def validate(prog: Program) -> None:
     """Reject programs the interpreter cannot execute: symbol clashes,
-    non-SSA register use, type errors, malformed control flow.  Each
-    function it accepts holds its three facts: dom, names and types."""
+    non-SSA register use, type errors, bad control flow.  Each function
+    it accepts holds its facts dom, names and types, from two walks."""
     globals_: dict[str, GlobalDef] = {}
     for g in prog.globals:
         if g.symbol in globals_:
@@ -481,27 +481,52 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
 
     # Two walks.  Each reports the first fault of the check it runs first,
     # holding a later check's first fault until the walk ends without one.
-    # Walk 1: each register is defined once (SSA); every callee is known.
-    def_site = dict.fromkeys(reg for reg, _ in func.params)  # (label, index); None: a param
-    held = None
+    # Walk 1: each register is defined once (SSA); every callee is known;
+    # each definition but a phi is typed, and each phi is listed under
+    # the arms it reads, to take a typed arm's type once the walk ends.
+    types: dict[str, str] = {}
+    for reg, ty in func.params:
+        if reg in types:
+            err(f"register {reg} defined more than once")
+        types[reg] = ty
+    def_site = dict.fromkeys(types)  # (label, index); None: a param
+    users, held = {}, None  # users: operand -> the phis it is an arm of
     for label, block in func.blocks.items():
         for idx, inst in enumerate(block):
             for reg in filter(None, (inst.result, inst.result2)):
                 if reg in def_site:
                     err(f"register {reg} defined more than once")
                 def_site[reg] = (label, idx)
-            if inst.op == "call" and held is None and _callee_sig(prog, inst.callee) is None:
-                held = f"call to unknown function @{inst.callee}"
-                if inst.callee.startswith("__pa_") and not prog.instrumented:
-                    held = f"@{inst.callee}: the __pa_ prefix is reserved for the runtime"
+            op = inst.op
+            if op == "phi":
+                for _, val in inst.incomings:
+                    users.setdefault(val, []).append(inst)
+            elif op == "call":
+                sig = _callee_sig(prog, inst.callee)
+                if sig is None and held is None:
+                    held = f"call to unknown function @{inst.callee}"
+                    if inst.callee.startswith("__pa_") and not prog.instrumented:
+                        held = f"@{inst.callee}: the __pa_ prefix is reserved for the runtime"
+                if sig and inst.result:
+                    types[inst.result] = sig[1]
+            elif inst.result:
+                results = _OPS[op].results
+                types[inst.result] = _VALUE_TYPE[inst.ty] if results[0] == "suffix" else results[0]
+                if inst.result2:
+                    types[inst.result2] = results[1]
     if held:
         err(held)
     func.names = set(def_site)
-
-    types = func.types = function_types(prog, func)
-    for reg in def_site:
-        if reg not in types:
-            err(f"could not infer a type for {reg} (phi cycle with no typed operand?)")
+    work = list(types)
+    for reg in work:  # grows as phis are typed
+        for phi in users.pop(reg, ()):
+            if phi.result not in types:
+                types[phi.result] = types[reg]
+                work.append(phi.result)
+    func.types = types
+    if len(types) < len(def_site):
+        untyped = next(reg for reg in def_site if reg not in types)
+        err(f"could not infer a type for {untyped} (phi cycle with no typed operand?)")
 
     def want(operand, expected: str, what: str):
         ty = "int" if isinstance(operand, int) else types.get(operand)
@@ -525,6 +550,8 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
                     arms, preds = [lbl for lbl, _ in inst.incomings], dom.preds[label]
                     if sorted(arms) != sorted(preds):
                         held = f"{label}: phi arms {arms} do not match predecessors {preds}"
+                    elif len(set(inst.incomings)) > len(dict(inst.incomings)):
+                        held = f"{label}: phi {inst.result} has different values for one predecessor"
                     for lbl, val in inst.incomings:
                         site = def_site.get(val)
                         if held is None and site and not pre[site[0]] <= pre[lbl] < end[site[0]]:
@@ -565,39 +592,6 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
                         break
     if held:
         err(held)
-
-
-def function_types(prog: Program, func: Function) -> dict[str, str]:
-    """Register types for a function: params plus inferred definition
-    types.  A phi takes the type of an arm that has one, so phis are
-    typed by a worklist over each register's phi users once every other
-    definition is.  Registers whose type cannot be resolved (a phi cycle
-    with no typed operand) are absent from the result."""
-    types: dict[str, str] = dict(func.params)
-    users: dict[str, list[Inst]] = {}  # register -> the phis it is an arm of
-    for inst in chain.from_iterable(func.blocks.values()):
-        if inst.op == "phi":
-            for _, val in inst.incomings:
-                users.setdefault(val, []).append(inst)
-            continue
-        if inst.result:
-            if inst.op == "call":
-                sig = _callee_sig(prog, inst.callee)
-                ty = sig[1] if sig else None
-            else:
-                ty = _OPS[inst.op].results[0]
-                ty = _VALUE_TYPE[inst.ty] if ty == "suffix" else ty
-            if ty is not None:
-                types.setdefault(inst.result, ty)
-        if inst.result2:
-            types.setdefault(inst.result2, _OPS[inst.op].results[1])
-    work = list(types)
-    for reg in work:  # grows as phis are typed
-        for phi in users.pop(reg, ()):
-            if phi.result not in types:
-                types[phi.result] = types[reg]
-                work.append(phi.result)
-    return types
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Queries the tests make of programs, dominance and pointers that no
 part of pasan needs itself: an instruction walk, block and
 instruction-level dominance and a dominator-set oracle, the registers
-a function defines and the facts validate would leave on it, a pointer's
-lock bits, a poisoned-pointer test, the safety classes of allocas and
-globals, the completeness lint over instrumented output, value
-snapshots of pasan's records, the check that a stage leaves its input
-untouched, a count of the Python functions a call enters, and program
-generators: seeded instrumented programs, straight-line CFGs and
-Hypothesis looping CFGs.  Test modules share code only through here."""
+a function defines, its register types and the facts validate would
+leave on it, a pointer's lock bits, a poisoned-pointer test, the
+safety classes of allocas and globals, the completeness lint over
+instrumented output, value snapshots of pasan's records, the check
+that a stage leaves its input untouched, a count of the Python
+functions a call enters, and program generators: seeded instrumented
+programs, straight-line CFGs, a nest of loops chained through their
+phis and Hypothesis looping CFGs.  Test modules share code only
+through here."""
 import sys
 from collections import Counter
 from enum import Enum
@@ -16,7 +18,8 @@ from itertools import chain
 from hypothesis import strategies as st
 
 from pasan.instrument import _analyse, _escape_roots, _safe_direct_regs, instrument
-from pasan.miniir import Dominance, Function, format_program, function_types, parse, validate
+from pasan.miniir import (_OPS, _VALUE_TYPE, Dominance, Function, _callee_sig, format_program,
+                          parse, validate)
 from pasan.optpasses import run_passes
 
 
@@ -70,6 +73,39 @@ def defined_names(func):
     names.update(reg for block in func.blocks.values() for inst in block
                  for reg in (inst.result, inst.result2) if reg is not None)
     return names
+
+
+def function_types(prog, func):
+    """Register types for a function, params included: the reference for
+    the `types` fact validate sets.  A phi takes the type of an arm that
+    has one, so phis are typed by a worklist over each register's phi
+    users once every other definition is.  Registers whose type cannot
+    be resolved (a phi cycle with no typed operand) are absent."""
+    types = dict(func.params)
+    users = {}  # register -> the phis it is an arm of
+    for inst in chain.from_iterable(func.blocks.values()):
+        if inst.op == "phi":
+            for _, val in inst.incomings:
+                users.setdefault(val, []).append(inst)
+            continue
+        if inst.result:
+            if inst.op == "call":
+                sig = _callee_sig(prog, inst.callee)
+                ty = sig[1] if sig else None
+            else:
+                ty = _OPS[inst.op].results[0]
+                ty = _VALUE_TYPE[inst.ty] if ty == "suffix" else ty
+            if ty is not None:
+                types.setdefault(inst.result, ty)
+        if inst.result2:
+            types.setdefault(inst.result2, _OPS[inst.op].results[1])
+    work = list(types)
+    for reg in work:  # grows as phis are typed
+        for phi in users.pop(reg, ()):
+            if phi.result not in types:
+                types[phi.result] = types[reg]
+                work.append(phi.result)
+    return types
 
 
 def with_facts(prog, *funcs):
@@ -281,6 +317,20 @@ def straight_line_program(blocks):
     lines += ["bx:", "  %gl = gep %base, 20", "  %r = load.i32 %gl", "  free %base",
               "  ret %r", "}"]
     return "\n".join(lines) + "\n", memory
+
+
+def loop_nest(k):
+    """k nested loops; each header's phi is typed only by its arm from
+    the next loop's header phi, which comes later in the text."""
+    lines = ["func @main() -> i32 {", "bb0:", "  br h1"]
+    for i in range(1, k):
+        lines += [f"h{i}:", f"  %p{i} = phi [{f'h{i - 1}' if i > 1 else 'bb0'}: 0], "
+                  f"[l{i}: %p{i + 1}]", f"  br h{i + 1}"]
+    lines += [f"h{k}:", f"  %p{k} = phi [h{k - 1}: 0], [l{k}: %v]", "  %v = const.i32 1",
+              f"  br l{k}", f"l{k}:", f"  cbr %v, h{k}, l{k - 1}"]
+    for i in range(k - 1, 0, -1):
+        lines += [f"l{i}:", f"  cbr %p{i + 1}, h{i}, {f'l{i - 1}' if i > 1 else 'done'}"]
+    return "\n".join(lines + ["done:", "  ret %p1", "}"]) + "\n"
 
 
 # The callees of the generated @main: @release frees its argument, @keep

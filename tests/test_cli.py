@@ -18,7 +18,7 @@ from pasan.errors import PasanError
 from pasan.interp import Interpreter
 from pasan.memspace import MemSpace, RegionMap
 from pasan.instrument import instrument
-from pasan.miniir import Dominance, Function, Inst, function_types, parse, validate
+from pasan.miniir import Dominance, Function, Inst, _validate_function, parse, validate
 from pasan.optpasses import _covered_checks, run_passes
 from pasan.pacore import AddressConfig, PacKey, pac_auth, strip, with_pac_field
 from pasan.runtime import SanitizerRuntime
@@ -230,6 +230,12 @@ FRONT_END_ERRORS = [
                            "bb1:", "  br bb3", "bb2:", "  br bb3",
                            "bb3:", "  %m = phi [bb1: %c], [bb2: %p]", "  ret %m"),
      "@main: phi: expected i32, got ptr ('%p')"),
+    ("duplicate_param", "func @f(%x: i32, %x: i32) -> i32 {\nbb0:\n  ret %x\n}\n"
+     + _main("bb0:", "  %r = call @f(7, 9)", "  ret %r"), "@f: register %x defined more than once"),
+    ("phi_arms_disagree", _main("bb0:", "  %c = const.i32 1", "  %d = const.i32 2",
+                                "  cbr %c, bb1, bb1", "bb1:", "  %x = phi [bb0: %c], [bb0: %d]",
+                                "  ret %x"),
+     "@main: bb1: phi %x has different values for one predecessor"),
 ]
 
 
@@ -240,6 +246,15 @@ def test_run_front_end_error_exit_2(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("opts", ["none", "all"])
+def test_repeated_phi_arms_with_one_value_run(tmp_path, capsys, opts):
+    # both edges of the cbr reach bb1: one arm each, carrying one value
+    text = _main("bb0:", "  %c = const.i32 1", "  cbr %c, bb1, bb1",
+                 "bb1:", "  %x = phi [bb0: %c], [bb0: %c]", "  ret %x")
+    assert main(["run", write(tmp_path, "arms.ir", text), "--opts", opts]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "completed: exit value 1"
 
 
 # A pre-instrumented program signs each unsafe alloca once, with its
@@ -319,11 +334,11 @@ def test_compile_visits_each_instruction_once_per_layer(monkeypatch):
     # instruction is copied only to be changed: by instrument, the malloc,
     # free, b + 1 accesses and the external calls (one every 7 blocks);
     # by the passes, b + 1 checks (each downgraded or given a token).
-    # Validate builds the one function's Dominance and infers its types,
-    # both serving every later layer, and one cover search decides both
-    # passes for the function.  Lowering, too, reads each instruction in
-    # place: it enters the same Python functions the same number of
-    # times at either size.
+    # Validate checks the one function once, building its Dominance and
+    # typing its registers, both serving every later layer, and one
+    # cover search decides both passes for the function.  Lowering, too,
+    # reads each instruction in place: it enters the same Python
+    # functions the same number of times at either size.
     never = [Inst.defs]
     entries, lowering = [], []
     for blocks, copies in ((20, 2 + 21 + 3 + 21), (100, 2 + 101 + 14 + 101)):
@@ -332,7 +347,7 @@ def test_compile_visits_each_instruction_once_per_layer(monkeypatch):
         in_validate = calls_while(validate, parse(text))
         assert [calls[f.__code__] for f in never] == [0]
         assert calls[Inst.copy.__code__] == copies
-        for fact in (Dominance.__init__, function_types):
+        for fact in (Dominance.__init__, _validate_function):
             assert calls[fact.__code__] == in_validate[fact.__code__] == 1
         assert calls[_covered_checks.__code__] == 1
         entries.append(calls[Function.entry.fget.__code__])

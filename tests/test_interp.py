@@ -13,7 +13,7 @@ from pasan.cli import _build
 from pasan.errors import LimitExceeded, PasanError, ViolationKind
 from pasan.instrument import instrument
 from pasan.interp import _HANDLERS, Interpreter, Limits, run, run_unoptimized_oracle
-from pasan.miniir import function_types, parse, validate
+from pasan.miniir import _validate_function, parse, validate
 from pasan.optpasses import run_passes
 from pasan.pacore import AddressConfig
 
@@ -1192,11 +1192,12 @@ bb0:
 
 
 def test_types_are_inferred_once_per_function():
-    # validate leaves each function's types on it, instrument and the
-    # passes hand them on, and lowering reads a gep index's type there.
+    # validate types each function's registers in its first walk and
+    # leaves them on it, instrument and the passes hand them on, and
+    # lowering reads a gep index's type there: nothing else types them.
     results = []
     calls = calls_while(lambda: results.append(run(_build(GEP_I32_INDEX, "all"), CFG, 0)))
-    assert calls[function_types.__code__] == 2  # @at and @main
+    assert calls[_validate_function.__code__] == 2  # @at and @main
     assert (results[0].verdict, results[0].exit_value) == ("completed", 7)
 
 

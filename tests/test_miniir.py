@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OracleDominance, block_dominates, fields, inst_dominates, insts, with_facts
+from helpers import (OracleDominance, block_dominates, fields, inst_dominates, insts, loop_nest,
+                     straight_line_program, with_facts)
 from pasan.errors import ParseError, ValidationError
 from pasan.interp import _HANDLERS
 from pasan.miniir import (
@@ -20,7 +21,6 @@ from pasan.miniir import (
     Program,
     format_inst,
     format_program,
-    function_types,
     parse,
     validate,
 )
@@ -300,32 +300,38 @@ bb0:
 
 def test_function_types():
     prog = parse(MINIMAL)
-    assert function_types(prog, prog.functions["main"]) == {"%z": "i32"}
-
-
-def _loop_nest(k):
-    """k nested loops; each header's phi is typed only by its arm from
-    the next loop's header phi, which comes later in the text."""
-    lines = ["func @main() -> i32 {", "bb0:", "  br h1"]
-    for i in range(1, k):
-        lines += [f"h{i}:", f"  %p{i} = phi [{f'h{i - 1}' if i > 1 else 'bb0'}: 0], "
-                  f"[l{i}: %p{i + 1}]", f"  br h{i + 1}"]
-    lines += [f"h{k}:", f"  %p{k} = phi [h{k - 1}: 0], [l{k}: %v]", "  %v = const.i32 1",
-              f"  br l{k}", f"l{k}:", f"  cbr %v, h{k}, l{k - 1}"]
-    for i in range(k - 1, 0, -1):
-        lines += [f"l{i}:", f"  cbr %p{i + 1}, h{i}, {f'l{i - 1}' if i > 1 else 'done'}"]
-    return "\n".join(lines + ["done:", "  ret %p1", "}"]) + "\n"
+    validate(prog)
+    assert prog.functions["main"].types == {"%z": "i32"}
 
 
 def test_function_types_is_linear_in_a_phi_chain():
     # a fixpoint that rescans the function once per phi is quadratic
     # here: about 18 s
-    prog = parse(_loop_nest(4000))
+    prog = parse(loop_nest(4000))
     start = time.monotonic()
     validate(prog)
     assert time.monotonic() - start < 2.0
-    types = function_types(prog, prog.functions["main"])
+    types = prog.functions["main"].types
     assert all(types[f"%p{i}"] == "i32" for i in range(1, 4001))
+
+
+def test_validate_walks_each_block_three_times():
+    # once in the block-structure scan, then once in each of the two
+    # walks: typing rides in the first, so no pass of its own
+    class Block(list):
+        walks = 0
+
+        def __iter__(self):
+            self.walks += 1
+            return super().__iter__()
+
+    for text in (MINIMAL, loop_nest(5), straight_line_program(10)[0]):
+        prog = parse(text)
+        for func in prog.functions.values():
+            func.blocks = {label: Block(block) for label, block in func.blocks.items()}
+        validate(prog)
+        assert {block.walks for func in prog.functions.values()
+                for block in func.blocks.values()} == {3}, text
 
 
 def test_inst_copy_keeps_every_field():
