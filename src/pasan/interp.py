@@ -12,7 +12,7 @@ import random
 import re
 from functools import lru_cache
 from itertools import chain
-from struct import pack_into, unpack_from
+from struct import Struct
 
 from .errors import LimitExceeded, PasanError, ViolationError, ViolationReport
 from .instrument import instrument
@@ -49,7 +49,8 @@ class _Layout:
     compiled once heat reaches _TIER_AT (None until then, or for good if
     an op has no template).  The run loop calls hot on the back edge
     before that edge's moves, and makes the moves of the edge hot hands
-    back, as of any branch.  slots maps each alloca result to its offset
+    back, as of any branch; if hot raises, hot.sites names the op by the
+    line it raised from.  slots maps each alloca result to its offset
     from the frame base.  consts is the function's constant pool: every
     integer operand masked to 64 bits and every global operand's symbol,
     each keyed by the operand, so that a frame's register dict resolves
@@ -145,7 +146,7 @@ def _op_ret(interp, frame, regs, inst):
 
 
 # Each op's expression over its operands {0}, {1}, ..., all of them as a
-# list {args}, the access width {w} and its struct format {fmt}, the
+# list {args}, the access width {w} and its struct codec {codec}, the
 # result type's mask {m} and the callee {callee} (a wrapper's builtin is
 # {callee}[5:]).  It is the op's one definition: its table handler and its
 # code in a compiled block are both generated from it.  A load or store
@@ -160,9 +161,9 @@ _TEMPLATES = {
     "gep": "({0} + {1}) & 0xFFFFFFFFFFFFFFFF",
     "gep_i32": "({0} + ((({1} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)) & 0xFFFFFFFFFFFFFFFF",
     "globaladdr": "rt.gppt.get({0}, interp.global_addr[{0}])",
-    "load": "unpack_from({fmt}, page, off)[0] if (off := {0} & 4095) <= 4096 - {w}"
+    "load": "{codec}.unpack_from(page, off)[0] if (off := {0} & 4095) <= 4096 - {w}"
             " and (page := pages.get({0} >> 12)) is not None else read({0}, {w})",
-    "store": "pack_into({fmt}, page, off, {1} & (1 << 8 * {w}) - 1) if (off := {0} & 4095)"
+    "store": "{codec}.pack_into(page, off, {1} & (1 << 8 * {w}) - 1) if (off := {0} & 4095)"
              " <= 4096 - {w} and (page := pages.get({0} >> 12)) is not None"
              " else write({0}, {w}, {1})",
     "malloc": "plain_malloc({0})",
@@ -178,10 +179,10 @@ _TEMPLATES = {
     "pa_wrapper": "wrapper_call({callee}[5:], {args})",
 }
 
-_FORMATS = {1: "<B", 4: "<I", 8: "<Q"}  # each access width's struct format
-
-# Templates that cannot raise, so need no fault index.
-_PURE = {"const", "add", "sub", "mul", "gep", "gep_i32"}
+# Each access width's struct codec: a compiled block names it as the
+# global _CODEC<width>, and a table handler indexes _CODECS by inst.width.
+_CODEC1, _CODEC4, _CODEC8 = Struct("<B"), Struct("<I"), Struct("<Q")
+_CODECS = {1: _CODEC1, 4: _CODEC4, 8: _CODEC8}
 
 # Calls outside the program bound to their op at lowering: a runtime
 # entry point __pa_X to pa_X, or to pa_wrapper for a checked builtin X;
@@ -221,7 +222,7 @@ def _table_handlers() -> dict:
         template = _ON_INTERP.sub(r"interp.\1", template)
         # No template names more than three operands; format ignores the rest.
         expr = template.format(*map("regs[args[{}]]".format, range(3)), w="inst.width",
-                               args="[regs[a] for a in args]", fmt="_FORMATS[inst.width]",
+                               args="[regs[a] for a in args]", codec="_CODECS[inst.width]",
                                m="_TYPE_MASK[inst.ty]", callee="inst.callee")
         targets = {op: _TARGETS.get(op, "regs[inst.result] = ")}
         if op in ("external", *_RUNTIME_CALLS.values()):
@@ -250,15 +251,16 @@ def _compile(label: str, body: list, moves: dict):
     """The block as one function hot(interp, regs, room), or None if an
     op has no template.  hot starts on the block's own back edge, that
     edge's phi moves still to do, and makes them as the first statement
-    of each trip, one tuple assignment; it runs at most room trips and
-    returns (label, trips) for the edge it leaves by, the loop exit or,
-    once room runs out, the back edge, that edge's moves still to do.
-    Registers it reads are loaded from regs at entry, and every phi and
-    def is stored back on return.  Before each op that can raise it sets
-    k, and an exception leaves with (trips, k) as tier_fault, so the
-    caller can count the instructions run and name the one that raised.
-    Operands enter the source only as generated locals or repr()'d
-    literals and names."""
+    of each trip, one tuple assignment; it runs at most room trips (room
+    is at least 1) and returns (label, trips) for the edge it leaves by,
+    the loop exit or, once room runs out, the back edge, that edge's
+    moves still to do.  Registers it reads are loaded from regs at entry,
+    and every phi and def is stored back on return.  Each op is one line
+    of the source, and hot.sites maps that line to the op's index in
+    body: an exception leaves with (the trips done, the line it passed
+    in hot) as tier_fault, so the caller can count the instructions run
+    and name the one that raised.  Operands enter the source only as
+    generated locals or repr()'d literals and names."""
     local: dict[str, str] = {}
     loads, stored = [], []
 
@@ -276,7 +278,7 @@ def _compile(label: str, body: list, moves: dict):
         stored.append(reg)
         return local.setdefault(reg, f"r{len(local)}")
 
-    lines = []
+    lines, sites = [], {}  # lines[i] is line 7 + i of the source, after six fixed lines
     dsts, srcs = moves.get(label, ((), ()))
     if dsts:  # one tuple assignment, trailing commas making one phi a 1-tuple;
         # its reads first, so that a phi another phi reads is loaded at entry
@@ -288,32 +290,32 @@ def _compile(label: str, body: list, moves: dict):
         if op is None:
             return None
         ops = [use(arg) for arg in inst.args]
-        expr = _TEMPLATES[op].format(*ops, w=repr(inst.width), fmt=repr(_FORMATS.get(inst.width)),
+        expr = _TEMPLATES[op].format(*ops, w=repr(inst.width), codec=f"_CODEC{inst.width}",
                                      m=repr(_TYPE_MASK.get(inst.ty)), callee=repr(inst.callee),
                                      args=f"[{', '.join(ops)}]")
-        if op not in _PURE:
-            lines.append(f"k = {k}")
+        sites[7 + len(lines)] = k
         defs = ", ".join(define(reg) for reg in inst.defs())
         lines.append(f"{defs} = {expr}" if defs else expr)
-    lines.append("trips += 1")
     if term.op == "cbr" and term.args[1] != term.args[2]:
         cond, then, other = term.args
         exit_to, exit_test = (other, f"not {use(cond)}") if then == label else (then, use(cond))
         lines.append(f"if {exit_test}: out = {exit_to!r}; break")
-    return _define("\n".join([
+    hot = _define("\n".join([
         "def hot(interp, regs, room):",
         f" {', '.join(_PER_RUN)} = {', '.join('interp.' + name for name in _PER_RUN)}",
-        f" trips = k = 0; out = {label!r}",
+        f" out = {label!r}",
         " try:",
-        *("  " + line for line in loads),
-        "  while trips < room:",
+        "  " + "; ".join(loads),
+        "  for trips in range(1, room + 1):",
         *("   " + line for line in lines),
         " except PasanError as exc:",
-        "  exc.tier_fault = trips, k",
+        "  exc.tier_fault = trips - 1, exc.__traceback__.tb_lineno",
         "  raise",
         *(f" regs[{reg!r}] = {local[reg]}" for reg in stored),
         " return out, trips",
     ]))["hot"]
+    hot.sites = sites
+    return hot
 
 
 class Interpreter:
@@ -438,7 +440,8 @@ class Interpreter:
                         try:
                             out, trips = hot(self, regs, room)
                         except PasanError as exc:
-                            trips, k = exc.tier_fault
+                            trips, line = exc.tier_fault
+                            k = hot.sites[line]
                             insts += trips * len(body) + k + 1
                             inst = body[k][1]
                             raise

@@ -8,6 +8,7 @@ Stats, the report and the raising instruction's uid must agree, and the
 instruction budget must run out at the same instruction.
 """
 from pathlib import Path
+from string import Template
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import looping_cfgs
 from pasan import interp
-from pasan.errors import LimitExceeded
+from pasan.errors import LimitExceeded, PasanError
 from pasan.instrument import instrument
 from pasan.miniir import parse, validate
 from pasan.optpasses import run_passes
@@ -234,6 +235,65 @@ def test_page_straddling_loads_agree_with_the_table(n):
         assert verdict == "completed" and exit_value
 
 
+# WIDTHS moves every access width through one compiled loop: an i8
+# store of a value above 255, which the store must truncate, and its
+# load; a ptr stored at offset 12 of a page-aligned object (4-aligned,
+# not 8-aligned) and loaded back to be loaded through; and an i32 store
+# and load stepping byte by byte across the object's second page end,
+# which they straddle in trips 77 to 80.
+WIDTHS = """\
+func @main() -> i32 {
+entry:
+  %sz = const.i64 12288
+  %p = malloc %sz
+  %pp = gep %p, 12
+  %start = const.i64 8112
+  %n = const.i64 100
+  %v0 = const.i32 200
+  %zero = const.i32 0
+  br loop
+loop:
+  %i = phi [entry: %n], [loop: %in]
+  %off = phi [entry: %start], [loop: %next]
+  %v = phi [entry: %v0], [loop: %v2]
+  %acc = phi [entry: %zero], [loop: %acc2]
+  %q = gep %p, %off
+  %v2 = add.i32 %v, 37
+  store.i8 %q, %v2
+  %b = load.i8 %q
+  store.ptr %pp, %q
+  %r = load.ptr %pp
+  %rb = load.i8 %r
+  %q1 = gep %q, 1
+  store.i32 %q1, %v2
+  %w = load.i32 %q
+  %s = add.i32 %b, %rb
+  %s2 = add.i32 %s, %w
+  %acc2 = add.i32 %acc, %s2
+  %next = add.i64 %off, 1
+  %in = sub.i64 %i, 1
+  cbr %in, loop, done
+done:
+  free %p
+  ret %acc2
+}
+"""
+
+
+@pytest.mark.parametrize("n", [33, 47, 52])
+def test_every_access_width_agrees_with_the_table_and_the_oracle(n):
+    cfg = AddressConfig(n)
+    oracle = interp.run_unoptimized_oracle(build(WIDTHS, "raw"), cfg)
+    assert oracle.completed
+    for prog, bytewise in _modes(WIDTHS):
+        body = prog.functions["main"].blocks["loop"]
+        assert {(i.op, i.ty) for i in body if i.op in ("load", "store")} == \
+            {(op, ty) for op in ("load", "store") for ty in ("i8", "i32", "ptr")}
+        assert assert_tiers_agree(prog, cfg, bytewise=bytewise) == {DEFAULT: True, FORCED: True}
+        (verdict, exit_value, _, _), _ = execute(prog, cfg, DEFAULT, bytewise=bytewise)
+        assert (verdict, exit_value) == ("completed", oracle.exit_value)
+
+
 @pytest.mark.parametrize("n", [33, 47, 52])
 @pytest.mark.parametrize("heap_bytes", [0x2000], ids=["page_end"])
 def test_stores_off_the_heap_end_agree_with_the_table(heap_bytes, n):
@@ -440,3 +500,132 @@ def test_br_closed_self_loop_stops_at_the_budget_alike(mode, max_insts):
         assert (hot is not None) == (tier_at != OFF), tier_at
     assert counts[DEFAULT] == counts[FORCED] == counts[OFF]
     assert (sum(counts[OFF]) > 0) == (mode != "raw")
+
+
+# A loop block holding every op of compiled code that can raise, one of
+# which faults at trip $trip: each trip reads an offset from a zeroed
+# table whose entry for that trip holds $d, and only the op named by
+# the program's site is moved by it.  A load or store faults as itself
+# when raw and as its check when instrumented, as a fast check under
+# "all" once the loop frees nothing (no $calls); the malloc runs out of
+# heap; the free takes its pointer from the cell beside the current
+# one, which holds a pointer freed at entry; and the memset wrapper and
+# ext_poke reach 128 MiB past their object, off the heap.
+FAULTS = Template("""\
+extern @memset(ptr, i32, i64) -> ptr
+extern @ext_poke(ptr, i64) -> i32
+
+func @main() -> i32 {
+entry:
+  %tsz = const.i64 $size
+  %tab = malloc %tsz
+  %z32 = const.i32 0
+  call @memset(%tab, %z32, %tsz)
+  %trig = gep %tab, $at
+  %dv = const.i64 $d
+  store.i64 %trig, %dv
+  %sz = const.i64 64
+  %p = malloc %sz
+  %v = const.i32 7
+  store.i32 %p, %v
+  %sixteen = const.i64 16
+  %cells = malloc %sixteen
+  %s0 = malloc %sixteen
+  %stale = gep %cells, 8
+  store.ptr %stale, %s0
+  free %s0
+  %h0 = malloc %sixteen
+  store.ptr %cells, %h0
+  %n = const.i64 $trips
+  %zero = const.i64 0
+  br loop
+loop:
+  %i = phi [entry: %n], [loop: %in]
+  %off = phi [entry: %zero], [loop: %off2]
+  %t = gep %tab, %off
+  %d = load.i64 %t
+  store.i32 %p, %v
+  %ql = gep %p, $load
+  %x = load.i32 %ql
+  %qs = gep %p, $store
+  store.i32 %qs, %x
+$calls  %off2 = add.i64 %off, 8
+  %in = sub.i64 %i, 1
+  cbr %in, loop, done
+done:
+  ret %v
+}
+""")
+CALLS = Template("""\
+  %msz = add.i64 %sixteen, $malloc
+  %h = malloc %msz
+  %fc = gep %cells, $free
+  %old = load.ptr %fc
+  store.ptr %cells, %h
+  free %old
+  %qw = gep %p, $memset
+  call @memset(%qw, %v, %sixteen)
+  %qe = gep %p, $poke
+  call @ext_poke(%qe, %zero)
+""")
+SITES = ("load", "store", "malloc", "free", "memset", "poke")
+TRIPS = 120
+
+
+def fault_program(site, trip, calls=True):
+    offsets = {name: "%d" if name == site else "%zero" for name in SITES}
+    return FAULTS.substitute(
+        offsets, size=8 * TRIPS, trips=TRIPS, at=8 * (trip - 1),
+        d=8 if site == "free" else 0x0800_0000, calls=CALLS.substitute(offsets) if calls else "")
+
+
+def fault_run(prog, tier_at):
+    """(outcome, raised) of one run at tier_at: the outcome is (None,
+    stats.insts) if the heap ran out, and raised says whether an
+    exception left a compiled block."""
+    raised, compile_block = [], interp._compile
+
+    def watch(*args):
+        hot = compile_block(*args)
+
+        def watched(*hot_args):
+            try:
+                return hot(*hot_args)
+            except PasanError:
+                raised.append(True)
+                raise
+        watched.sites = hot.sites
+        return watched
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interp, "_TIER_AT", tier_at)
+        mp.setattr(interp, "_compile", watch)
+        it = interp.Interpreter(prog, AddressConfig(47), 0)
+        try:
+            return outcome(it.run()), bool(raised)
+        except LimitExceeded:
+            return (None, it.rt.stats.insts), bool(raised)
+
+
+@pytest.mark.parametrize("tier_at, trip", [(FORCED, 2), (FORCED, 5), (DEFAULT, 65), (DEFAULT, 90)],
+                         ids=["forced_first", "forced_later", "default_first", "default_later"])
+def test_a_fault_in_compiled_code_names_the_op_that_raised(tier_at, trip):
+    """The fault trip runs compiled, the first compiled trip or a later
+    one; the report (kind, inst_index, inst_uid) and stats.insts, or the
+    point where the heap ran out, must be the table's."""
+    faulted = set()
+    cases = [(site, True) for site in SITES] + [("load", False), ("store", False)]
+    for (site, calls), mode in ((case, mode) for case in cases for mode in ("raw", "none", "all")):
+        prog = build(fault_program(site, trip, calls), mode)
+        table, _ = fault_run(prog, OFF)
+        compiled, raised = fault_run(prog, tier_at)
+        assert compiled == table, (site, calls, mode)
+        assert raised == (table[0] != "completed"), (site, calls, mode)
+        if table[0] is None:
+            faulted.add("out of heap")
+        elif raised:
+            inst = next(i for block in prog.functions["main"].blocks.values() for i in block
+                        if i.uid == table[3][1])
+            faulted.add(inst.callee or inst.op)
+    assert faulted == {"load", "store", "check", "fastcheck", "out of heap", "__pa_free",
+                       "__pa_memset", "memset", "ext_poke"}
