@@ -28,10 +28,9 @@ class ViolationKind(str, Enum):
 
 
 class ViolationReport:
-    def __init__(self, kind: ViolationKind, pointer: int, found_id: int, narrative: str,
-                 function: str = "", inst_index: int = -1, inst_uid: int = -1):
+    def __init__(self, kind: ViolationKind, pointer: int, found_id: int, narrative: str):
         self.kind, self.pointer, self.found_id, self.narrative = kind, pointer, found_id, narrative
-        self.function, self.inst_index, self.inst_uid = function, inst_index, inst_uid
+        self.function, self.inst_index, self.inst_uid = "", -1, -1  # the interpreter fills them in
 
     def to_json(self) -> dict:
         return {

@@ -47,14 +47,15 @@ class _Layout:
     phis' (results, incoming operands) on the edge from it, heat counts
     entries through the block's own back edge, and hot is the block
     compiled once heat reaches _TIER_AT (None until then, or for good if
-    an op has no template).  The run loop calls hot on the back edge
+    it calls into the program).  The run loop calls hot on the back edge
     before that edge's moves, and makes the moves of the edge hot hands
     back, as of any branch; if hot raises, hot.sites names the op by the
     line it raised from.  slots maps each alloca result to its offset
-    from the frame base.  consts is the function's constant pool: every
-    integer operand masked to 64 bits and every global operand's symbol,
-    each keyed by the operand, so that a frame's register dict resolves
-    literals, globals and registers alike; entry is func's entry label."""
+    from the frame base, in slot order, the reverse of ret's retiring.
+    consts is the function's constant pool: every integer operand masked
+    to 64 bits and every global operand's symbol, each keyed by the
+    operand, so that a frame's register dict resolves literals, globals
+    and registers alike; entry is func's entry label."""
 
     def __init__(self, func: Function, slots: dict, frame_size: int, consts: dict,
                  blocks: dict):
@@ -63,7 +64,7 @@ class _Layout:
 
 
 class _Frame:
-    __slots__ = ("layout", "label", "rest", "regs", "base", "ret_reg", "signed")
+    __slots__ = ("layout", "label", "rest", "regs", "base", "ret_reg")
 
     def __init__(self, layout: _Layout, label: str, rest, regs: dict, base: int,
                  ret_reg: str | None):
@@ -73,7 +74,6 @@ class _Frame:
         self.regs = regs
         self.base = base        # the frame's lowest address
         self.ret_reg = ret_reg  # caller register receiving the return value
-        self.signed: dict[int, None] = {}  # the bases it signed, in first-sign order
 
 
 # A call or a return changed the top frame.
@@ -96,25 +96,9 @@ def _simulated(decl: ExternDecl) -> bool:
 # -- op handlers: (interp, frame, regs, inst) -> None, a branch target
 #    label, or _SWITCH.  Operands are read as regs[operand]: registers
 #    by name, literals and global symbols through the constant pool.
-#    Ops with a template below have their handlers generated from it;
-#    these have none, so a block holding one stays on the table. --
-
-def _op_alloca(interp, frame, regs, inst):
-    regs[inst.result] = frame.base + frame.layout.slots[inst.result]
-
-
-def _op_sign(interp, frame, regs, inst):
-    base = regs[inst.args[0]]
-    regs[inst.result] = interp.rt.register_object(base, inst.args[1], "stack")
-    frame.signed[base] = None
-
-
-def _op_gpptinit(interp, frame, regs, inst):
-    sym, rt = inst.args[0][1:], interp.rt
-    if sym not in rt.gppt:  # signed once per run: a re-run keeps the first signature
-        addr, size = interp.global_addr[sym], interp.global_size[sym]
-        rt.gppt[sym] = rt.register_object(addr, size, "global")
-
+#    Every op has its handler generated from its template below but
+#    these four, which move control: a block calling a function of the
+#    program stays on the table. --
 
 def _op_call(interp, frame, regs, inst):
     """A call to a function of the program: push its frame."""
@@ -133,9 +117,12 @@ def _op_cbr(interp, frame, regs, inst):
 
 
 def _op_ret(interp, frame, regs, inst):
-    value = regs[inst.args[0]]
-    for base in reversed(frame.signed):
-        interp.rt.retire(base)
+    # Retire the frame's alloca slots rt.live holds, last first: only sign registers a stack
+    # base, frames are disjoint and each retires its own at return, so it signed these.
+    value, rt, base = regs[inst.args[0]], interp.rt, frame.base
+    for slot in reversed(frame.layout.slots.values()):
+        if base + slot in rt.live:
+            rt.retire(base + slot)
     stack = interp.stack
     stack.pop()
     if not stack:
@@ -147,9 +134,10 @@ def _op_ret(interp, frame, regs, inst):
 
 # Each op's expression over its operands {0}, {1}, ..., all of them as a
 # list {args}, the access width {w} and its struct codec {codec}, the
-# result type's mask {m} and the callee {callee} (a wrapper's builtin is
-# {callee}[5:]).  It is the op's one definition: its table handler and its
-# code in a compiled block are both generated from it.  A load or store
+# result type's mask {m}, the callee {callee} (a wrapper's builtin is
+# {callee}[5:]), the frame's base {base} and an alloca's offset {slot}.
+# It is the op's one definition: its table handler and its code in a
+# compiled block are both generated from it.  A load or store
 # inside one 4 KiB page of MemSpace.pages moves its bytes inline, and an
 # external's result is masked to its declared type (0 if unsimulated).
 _TEMPLATES = {
@@ -160,7 +148,12 @@ _TEMPLATES = {
     # A 64-bit or literal offset: adding it modulo 2^64 is adding it signed.
     "gep": "({0} + {1}) & 0xFFFFFFFFFFFFFFFF",
     "gep_i32": "({0} + ((({1} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)) & 0xFFFFFFFFFFFFFFFF",
-    "globaladdr": "rt.gppt.get({0}, interp.global_addr[{0}])",
+    "alloca": "{base} + {slot}",
+    "sign": "rt.register_object({0}, {1}, 'stack')",
+    # Signed once per run: a gpptinit run again keeps the first signature.
+    "gpptinit": "gppt.get({0}) or gppt.setdefault({0}, rt.register_object("
+                "interp.global_addr[{0}], interp.global_size[{0}], 'global'))",
+    "globaladdr": "gppt.get({0}, interp.global_addr[{0}])",
     "load": "{codec}.unpack_from(page, off)[0] if (off := {0} & 4095) <= 4096 - {w}"
             " and (page := pages.get({0} >> 12)) is not None else read({0}, {w})",
     "store": "{codec}.pack_into(page, off, {1} & (1 << 8 * {w}) - 1) if (off := {0} & 4095)"
@@ -192,12 +185,13 @@ _RUNTIME_CALLS = {name: "pa_wrapper" if name[5:] in CHECKED_BUILTINS else name[2
 
 # A table handler's assignment target where it is not the result alone;
 # each call also gets a handler named op + "_void" that assigns nothing.
-_TARGETS = {"store": "", "free": "", "check_token": "regs[inst.result], regs[inst.result2] = "}
+_TARGETS = {"store": "", "free": "", "gpptinit": "",
+            "check_token": "regs[inst.result], regs[inst.result2] = "}
 
 # Attributes bound on the interpreter once per run (after the first four, the runtime's entry
-# points), which templates name bare: a table handler reads them off interp at each call.
+# points and gppt), which templates name bare: a table handler reads them off interp at each call.
 _PER_RUN = ("rt", "pages", "read", "write", "checked_access", "fast_check", "protected_malloc",
-            "protected_free", "wrapper_call", "plain_malloc", "plain_free", "resign_return")
+            "protected_free", "wrapper_call", "plain_malloc", "plain_free", "resign_return", "gppt")
 _ON_INTERP = re.compile(rf"(?<![\w.])({'|'.join(_PER_RUN)})\b")
 
 
@@ -223,7 +217,8 @@ def _table_handlers() -> dict:
         # No template names more than three operands; format ignores the rest.
         expr = template.format(*map("regs[args[{}]]".format, range(3)), w="inst.width",
                                args="[regs[a] for a in args]", codec="_CODECS[inst.width]",
-                               m="_TYPE_MASK[inst.ty]", callee="inst.callee")
+                               m="_TYPE_MASK[inst.ty]", callee="inst.callee", base="frame.base",
+                               slot="frame.layout.slots[inst.result]")
         targets = {op: _TARGETS.get(op, "regs[inst.result] = ")}
         if op in ("external", *_RUNTIME_CALLS.values()):
             targets[op + "_void"] = ""
@@ -235,10 +230,7 @@ def _table_handlers() -> dict:
     return handlers
 
 
-_HANDLERS = {
-    **_table_handlers(), "alloca": _op_alloca, "sign": _op_sign, "gpptinit": _op_gpptinit,
-    "call": _op_call, "br": _op_br, "cbr": _op_cbr, "ret": _op_ret,
-}
+_HANDLERS = {**_table_handlers(), "call": _op_call, "br": _op_br, "cbr": _op_cbr, "ret": _op_ret}
 
 # -- the block compiler: a block entered _TIER_AT times through its own
 #    back edge runs as one generated Python function, its registers
@@ -247,20 +239,22 @@ _HANDLERS = {
 _TIER_AT = 64   # self-edge entries before a block is compiled
 
 
-def _compile(label: str, body: list, moves: dict):
-    """The block as one function hot(interp, regs, room), or None if an
-    op has no template.  hot starts on the block's own back edge, that
-    edge's phi moves still to do, and makes them as the first statement
-    of each trip, one tuple assignment; it runs at most room trips (room
-    is at least 1) and returns (label, trips) for the edge it leaves by,
-    the loop exit or, once room runs out, the back edge, that edge's
-    moves still to do.  Registers it reads are loaded from regs at entry,
-    and every phi and def is stored back on return.  Each op is one line
-    of the source, and hot.sites maps that line to the op's index in
-    body: an exception leaves with (the trips done, the line it passed
-    in hot) as tier_fault, so the caller can count the instructions run
-    and name the one that raised.  Operands enter the source only as
-    generated locals or repr()'d literals and names."""
+def _compile(label: str, body: list, moves: dict, slots: dict):
+    """The block as one function hot(interp, regs, room, base), or None
+    if it calls a function of the program; base is the frame's, and an
+    alloca's offset from it a literal from slots.  hot starts on the
+    block's own back edge, that edge's phi moves still to do, and makes
+    them as the first statement of each trip, one tuple assignment; it
+    runs at most room trips (room is at least 1) and returns (label,
+    trips) for the edge it leaves by, the loop exit or, once room runs
+    out, the back edge, that edge's moves still to do.  Registers it
+    reads are loaded from regs at entry, and every phi and def is stored
+    back on return.  Each op is one line of the source, and hot.sites
+    maps that line to the op's index in body: an exception leaves with
+    (the trips done, the line it passed in hot) as tier_fault, so the
+    caller can count the instructions run and name the one that raised.
+    Operands enter the source only as generated locals or repr()'d
+    literals and names."""
     local: dict[str, str] = {}
     loads, stored = [], []
 
@@ -292,7 +286,8 @@ def _compile(label: str, body: list, moves: dict):
         ops = [use(arg) for arg in inst.args]
         expr = _TEMPLATES[op].format(*ops, w=repr(inst.width), codec=f"_CODEC{inst.width}",
                                      m=repr(_TYPE_MASK.get(inst.ty)), callee=repr(inst.callee),
-                                     args=f"[{', '.join(ops)}]")
+                                     args=f"[{', '.join(ops)}]", base="base",
+                                     slot=repr(slots.get(inst.result)))
         sites[7 + len(lines)] = k
         defs = ", ".join(define(reg) for reg in inst.defs())
         lines.append(f"{defs} = {expr}" if defs else expr)
@@ -301,7 +296,7 @@ def _compile(label: str, body: list, moves: dict):
         exit_to, exit_test = (other, f"not {use(cond)}") if then == label else (then, use(cond))
         lines.append(f"if {exit_test}: out = {exit_to!r}; break")
     hot = _define("\n".join([
-        "def hot(interp, regs, room):",
+        "def hot(interp, regs, room, base):",
         f" {', '.join(_PER_RUN)} = {', '.join('interp.' + name for name in _PER_RUN)}",
         f" out = {label!r}",
         " try:",
@@ -400,7 +395,7 @@ class Interpreter:
 
     def run(self) -> ExecResult:
         rt, mem = self.rt, self.mem
-        # The runtime's entry points, bound once per run, so a wrapper
+        # The runtime's entry points and gppt, bound once per run, so a wrapper
         # installed on the class before the run (a tracer) sees every call.
         for name in _PER_RUN[4:]:
             setattr(self, name, getattr(rt, name))
@@ -435,10 +430,10 @@ class Interpreter:
                     if hot is None:
                         block[2] = heat = heat + 1
                         if heat == _TIER_AT:
-                            hot = block[3] = _compile(label, body, moves)
+                            hot = block[3] = _compile(label, body, moves, layout.slots)
                     if hot is not None and (room := (limit - insts) // len(body)):
                         try:
-                            out, trips = hot(self, regs, room)
+                            out, trips = hot(self, regs, room, frame.base)
                         except PasanError as exc:
                             trips, line = exc.tier_fault
                             k = hot.sites[line]

@@ -37,15 +37,13 @@ def padded_size(size: int) -> int:
 
 
 class AllocEntry:
-    def __init__(self, size: int, live: bool):
-        self.size, self.live = size, live
+    def __init__(self, size: int):
+        self.size, self.live = size, True
 
 
 class Stats:
-    def __init__(self, checks_full: int = 0, checks_fast: int = 0, allocs: int = 0,
-                 frees: int = 0, insts: int = 0):
-        self.checks_full, self.checks_fast = checks_full, checks_fast
-        self.allocs, self.frees, self.insts = allocs, frees, insts
+    def __init__(self):
+        self.checks_full = self.checks_fast = self.allocs = self.frees = self.insts = 0
 
     def to_json(self) -> dict:
         return dict(vars(self))  # in the order __init__ sets them
@@ -107,7 +105,7 @@ class SanitizerRuntime:
             if base + padded > self.heap_limit:
                 raise LimitExceeded("simulated heap exhausted")
             self.heap_cursor = base + padded
-            self.alloc[base] = AllocEntry(padded, True)
+            self.alloc[base] = AllocEntry(padded)
         self.stats.allocs += 1
         return base, padded
 

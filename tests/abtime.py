@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Time one perfbench workload's interpreter runs under two checkouts,
-loaded side by side in one process.
+"""Time one perfbench workload's interpreter runs, or one program's,
+under two checkouts, loaded side by side in one process.
 
     python tests/abtime.py PARENT CHANGE --workload hotloop --reps 12
+    python tests/abtime.py PARENT CHANGE --program loop.ir --mode all
 
 Each checkout's pasan is imported in turn, with its modules cleared from
 sys.modules before the other's are, and builds the workload's first 8
-rounds through that checkout's perfbench/run.py (make_rounds).  Every
-program is compiled once per checkout, and its verdict, exit value and
+rounds through that checkout's perfbench/run.py (make_rounds), or the
+one program under --mode (raw, or instrumented with those passes).
+Every program is compiled once per checkout, and its verdict, exit value and
 Stats must agree between the two.  Each rep then times interp.run over
 every round under both checkouts, in alternating order, each program
 under a run seed of its own that both checkouts share.  The output is
@@ -38,10 +40,10 @@ def _forget(prefixes: tuple[str, ...]) -> None:
         del sys.modules[name]
 
 
-def load(checkout: Path, workload: str, scale: str):
+def load(checkout: Path, args):
     """(pasan modules, compiled jobs, address config) of one checkout:
-    each job as (mode, program), its rounds' jobs in order, and the
-    config at perfbench's address width."""
+    each job as (mode, program), the program's one job or the workload's
+    rounds' jobs in order, and the config at perfbench's address width."""
     src, bench = checkout / "src", checkout / "perfbench"
     sys.path[:0] = [str(src), str(bench)]
     try:
@@ -53,18 +55,23 @@ def load(checkout: Path, workload: str, scale: str):
         spec = importlib.util.spec_from_file_location("_abtime_run", bench / "run.py")
         run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
         spec.loader.exec_module(run)
-        jobs = [job for jobs in run.make_rounds(workload, SEED, scale)[:ROUNDS] for job in jobs]
+        if args.program:
+            jobs = [(args.mode, args.program.read_text())]
+        else:
+            jobs = [(job.mode, job.text)
+                    for jobs in run.make_rounds(args.workload, SEED, args.scale)[:ROUNDS]
+                    for job in jobs]
         cfg = pasan.pacore.AddressConfig(run.ADDRESS_BITS)
     finally:
         del sys.path[:2]
         _forget(("pasan", "_abtime_run", *PERFBENCH_MODULES))
     compiled = []
-    for job in jobs:
-        prog = pasan.miniir.parse(job.text)
+    for mode, text in jobs:
+        prog = pasan.miniir.parse(text)
         pasan.miniir.validate(prog)
-        if job.mode != "raw":
-            prog = pasan.optpasses.run_passes(pasan.instrument.instrument(prog), job.mode)
-        compiled.append((job.mode, prog))
+        if mode != "raw":
+            prog = pasan.optpasses.run_passes(pasan.instrument.instrument(prog), mode)
+        compiled.append((mode, prog))
     return pasan, compiled, cfg
 
 
@@ -92,14 +99,17 @@ def main(argv: list[str] | None = None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True,
-                    choices=("corpus", "hotloop", "churn", "cfgsweep"))
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=("corpus", "hotloop", "churn", "cfgsweep"))
+    what.add_argument("--program", type=Path, help="a mini-IR file, timed alone")
+    ap.add_argument("--mode", choices=("raw", "none", "all"), default="all",
+                    help="how --program is built (default: all)")
     ap.add_argument("--reps", type=int, default=12)
     ap.add_argument("--scale", choices=("full", "smoke"), default="full")
     args = ap.parse_args(argv)
 
-    sides = {"parent": load(args.parent.resolve(), args.workload, args.scale),
-             "change": load(args.change.resolve(), args.workload, args.scale)}
+    sides = {"parent": load(args.parent.resolve(), args),
+             "change": load(args.change.resolve(), args)}
     if len(sides["parent"][1]) != len(sides["change"][1]):
         print("disagree: the checkouts build different numbers of programs")
         return 1
@@ -118,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"disagree: program {bad} of rep {rep}: parent {outcomes['parent'][bad]}"
                   f" change {outcomes['change'][bad]}")
             return 1
-    print(f"agree: {len(seeds)} programs of {args.workload}, {args.reps} reps")
+    print(f"agree: {len(seeds)} programs of {args.workload or args.program.name},"
+          f" {args.reps} reps")
     modes = sorted(insts["change"])
     for mode in [*modes, None]:
         per_rep = {side: [sum(s.values()) if mode is None else s[mode] for s in times[side]]

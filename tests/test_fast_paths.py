@@ -523,7 +523,7 @@ def ref_protected_malloc(rt, size):
         if base + padded > rt.heap_limit:
             raise LimitExceeded("simulated heap exhausted")
         rt.heap_cursor = base + padded
-    rt.alloc[base] = AllocEntry(padded, True)
+    rt.alloc[base] = AllocEntry(padded)
     rt.stats.allocs += 1
     return ref_register_object(rt, base, padded, "heap")
 

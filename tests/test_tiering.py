@@ -390,17 +390,120 @@ done:
 """
 
 
+# A loop in @f re-signs an escaping alloca every trip and stores each
+# trip's pointer in a heap cell, the first trip's at offset 0 and every
+# later one's at 8; its exit loads through LOADED, the last trip's
+# pointer (%e) or the first's (%first: UseAfterScope, as a later trip
+# signed its base again).  @f's %safe and @main's %m are never signed,
+# and @main's frame sits above @f's.
+STACK_LOOP = """\
+extern @ext_id(ptr) -> ptr
+
+func @f(%trips: i64) -> i32 {
+entry:
+  %safe = alloca 4
+  %v = const.i32 7
+  store.i32 %safe, %v
+  %sz = const.i64 16
+  %cell = malloc %sz
+  %zero = const.i64 0
+  %eight = const.i64 8
+  br loop
+loop:
+  %i = phi [entry: %trips], [loop: %in]
+  %off = phi [entry: %zero], [loop: %eight]
+  %a = alloca 8
+  store.i32 %a, %v
+  %e = call @ext_id(%a)
+  %q = gep %cell, %off
+  store.ptr %q, %e
+  %in = sub.i64 %i, 1
+  cbr %in, loop, done
+done:
+  %first = load.ptr %cell
+  %x = load.i32 LOADED
+  %s = load.i32 %safe
+  %y = add.i32 %x, %s
+  free %cell
+  ret %y
+}
+
+func @main() -> i32 {
+entry:
+  %m = alloca 8
+  %z = const.i32 0
+  store.i32 %m, %z
+  %t = const.i64 100
+  %r = call @f(%t)
+  ret %r
+}
+"""
+
+# @main's entry block loops to itself, so the gpptinit instrument puts
+# at its top runs on every trip; @g escapes through @ext_id.  The loop
+# counts in @g's first word to 100.
+GLOBAL_LOOP = """\
+extern @ext_id(ptr) -> ptr
+global @g 16
+
+func @main() -> i32 {
+loop:
+  %p = globaladdr @g
+  %q = call @ext_id(%p)
+  %c = load.i64 %p
+  %d = add.i64 %c, 1
+  store.i64 %q, %d
+  %e = sub.i64 %d, 100
+  cbr %e, loop, done
+done:
+  %r = load.i32 %q
+  ret %r
+}
+"""
+
+
+@pytest.mark.parametrize("n", [33, 47, 52])
+@pytest.mark.parametrize("mode", ["none", "all"])
+@pytest.mark.parametrize("text, expect", [(STACK_LOOP.replace("LOADED", "%e"), "completed"),
+                                          (STACK_LOOP.replace("LOADED", "%first"), "UseAfterScope"),
+                                          (GLOBAL_LOOP, "completed")],
+                         ids=["stack", "stack_after_scope", "global"])
+def test_signing_loops_compile_and_agree_with_the_oracle(text, expect, mode, n):
+    """The loop block compiles at either threshold, and each run's
+    outcome is the table's and the oracle's.  A completed run leaves no
+    stack object live (each frame's ret retired what it signed) and
+    exactly one global extent, signed once however many trips ran."""
+    cfg = AddressConfig(n)
+    prog = build(text, mode)
+    oracle = outcome(interp.run_unoptimized_oracle(build(text, "raw"), cfg))
+    assert (oracle[3][0]["kind"] if oracle[3] else oracle[0]) == expect
+    for tier_at in (OFF, DEFAULT, FORCED):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interp, "_TIER_AT", tier_at)
+            it = interp.Interpreter(prog, cfg, 0)
+            assert outcome(it.run()) == oracle, tier_at
+        compiled = [hot for layout in it.layouts.values() for *_, hot in layout.blocks.values()
+                    if hot]
+        assert len(compiled) == (tier_at != OFF), tier_at
+        if expect == "completed":
+            origins = [ext.origin for ext in it.rt.live.values()]
+            assert "stack" not in origins and origins.count("global") == (text == GLOBAL_LOOP)
+            assert not any(ext.origin == "global" for ext in it.rt.retired)
+
+
 def test_every_template_runs_and_agrees():
     seen, void = set(), set()
     for text, mode in [(EVERY_OP, "raw"), (EVERY_OP, "none"), (EVERY_OP, "all"),
-                       (HOTLOOP, "all")]:
+                       (HOTLOOP, "all"), (STACK_LOOP.replace("LOADED", "%e"), "none"),
+                       (GLOBAL_LOOP, "all")]:
         prog = build(text, mode)
         assert_tiers_agree(prog, AddressConfig(47))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(interp, "_TIER_AT", DEFAULT)
             it = interp.Interpreter(prog, AddressConfig(47), 0)
             assert it.run().completed
-        body, _, _, hot = it.layouts["main"].blocks["loop"]
+        [(body, _, _, hot)] = [layout.blocks["loop"] for layout in it.layouts.values()
+                               if "loop" in layout.blocks]
         assert hot is not None, (text, mode)
         seen |= {getattr(handler, "op", None) for handler, _ in body}
         void |= {handler.op for handler, inst in body if inst.op == "call" and not inst.result}
@@ -422,9 +525,11 @@ def test_a_block_compiles_once_per_process(monkeypatch):
 
 
 def test_blocks_without_a_template_stay_on_the_table():
-    # an alloca in the loop block keeps it on the table at any threshold
-    prog = build(HOTLOOP.replace("  %y = load.i32 %q4\n",
-                                 "  %y = load.i32 %q4\n  %s = alloca 4\n"), "all")
+    # a call into the program, the one op in a loop block without a
+    # template, keeps it on the table at any threshold
+    same = "func @same(%x: i32) -> i32 {\nbb0:\n  ret %x\n}\n\n"
+    prog = build(same + HOTLOOP.replace("  %y = load.i32 %q4\n",
+                                        "  %y0 = load.i32 %q4\n  %y = call @same(%y0)\n"), "all")
     for tier_at in (DEFAULT, FORCED):
         outcome, compiled = execute(prog, AddressConfig(47), tier_at)
         assert outcome[0] == "completed" and not compiled
