@@ -21,7 +21,7 @@ from .runtime import padded_size
 def _use_map(func: Function) -> dict[str, list[Inst]]:
     uses: dict[str, list[Inst]] = {}
     for inst in chain.from_iterable(func.blocks.values()):
-        for operand in inst.args or [v for _, v in inst.incomings]:
+        for operand in inst.args:
             if isinstance(operand, str) and operand.startswith("%"):
                 uses.setdefault(operand, []).append(inst)
     return uses
@@ -102,15 +102,14 @@ def instrument(prog: Program) -> Program:
     if prog.instrumented:
         raise InstrumentationError("program is already instrumented")
     roots, global_safety = _analyse(prog)
-    out = Program([GlobalDef(g.symbol, g.size, global_safety[g.symbol] != "safe")
-                   for g in prog.globals], dict(prog.externs), {}, True, prog.next_uid)
+    out = Program(list(prog.globals), dict(prog.externs), {}, True, prog.next_uid)
     for name, func in prog.functions.items():
         out.functions[name] = _instrument_function(prog, func, roots[name], global_safety,
                                                    out.new_uid)
 
     main = out.functions["main"]
-    gppt_setup = [Inst("gpptinit", args=(f"@{g.symbol}",), uid=out.new_uid())
-                  for g in out.globals if g.unsafe]
+    gppt_setup = [Inst("gpptinit", args=(f"@{symbol}",), uid=out.new_uid())
+                  for symbol, cls in global_safety.items() if cls != "safe"]
     entry = main.entry
     main.blocks[entry] = gppt_setup + main.blocks[entry]
     return out

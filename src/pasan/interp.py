@@ -239,10 +239,11 @@ _HANDLERS = {**_table_handlers(), "call": _op_call, "br": _op_br, "cbr": _op_cbr
 _TIER_AT = 64   # self-edge entries before a block is compiled
 
 
-def _compile(label: str, body: list, moves: dict, slots: dict):
+def _compile(label: str, body: list, moves: dict, layout: _Layout):
     """The block as one function hot(interp, regs, room, base), or None
     if it calls a function of the program; base is the frame's, and an
-    alloca's offset from it a literal from slots.  hot starts on the
+    alloca's offset from it and each literal and global operand are
+    literals from layout's slots and constant pool.  hot starts on the
     block's own back edge, that edge's phi moves still to do, and makes
     them as the first statement of each trip, one tuple assignment; it
     runs at most room trips (room is at least 1) and returns (label,
@@ -259,10 +260,8 @@ def _compile(label: str, body: list, moves: dict, slots: dict):
     loads, stored = [], []
 
     def use(operand):
-        if isinstance(operand, int):
-            return repr(operand & MASK64)  # its constant-pool value
-        if operand.startswith("@"):
-            return repr(operand[1:])       # a global's symbol
+        if operand in layout.consts:
+            return repr(layout.consts[operand])
         if operand not in local:
             local[operand] = f"r{len(local)}"
             loads.append(f"{local[operand]} = regs[{operand!r}]")
@@ -287,7 +286,7 @@ def _compile(label: str, body: list, moves: dict, slots: dict):
         expr = _TEMPLATES[op].format(*ops, w=repr(inst.width), codec=f"_CODEC{inst.width}",
                                      m=repr(_TYPE_MASK.get(inst.ty)), callee=repr(inst.callee),
                                      args=f"[{', '.join(ops)}]", base="base",
-                                     slot=repr(slots.get(inst.result)))
+                                     slot=repr(layout.slots.get(inst.result)))
         sites[7 + len(lines)] = k
         defs = ", ".join(define(reg) for reg in inst.defs())
         lines.append(f"{defs} = {expr}" if defs else expr)
@@ -348,19 +347,17 @@ class Interpreter:
             body, moves = [], {}
             for inst in insts:
                 op = inst.op
-                if op == "phi":  # an arm is a register or a literal
-                    for pred, operand in inst.incomings:
-                        if type(operand) is int:
-                            consts[operand] = operand & MASK64
-                        dsts, srcs = moves.setdefault(pred, ([], []))
-                        dsts.append(inst.result)
-                        srcs.append(operand)
-                    continue
                 for operand in inst.args:
                     if type(operand) is int:
                         consts[operand] = operand & MASK64
                     elif operand[0] == "@":
                         consts[operand] = operand[1:]
+                if op == "phi":  # each arm is a move on the edge from its predecessor
+                    for pred, operand in zip(inst.preds, inst.args):
+                        dsts, srcs = moves.setdefault(pred, ([], []))
+                        dsts.append(inst.result)
+                        srcs.append(operand)
+                    continue
                 if op == "alloca":
                     slots[inst.result] = offset
                     offset += padded_size(inst.args[0])
@@ -430,7 +427,7 @@ class Interpreter:
                     if hot is None:
                         block[2] = heat = heat + 1
                         if heat == _TIER_AT:
-                            hot = block[3] = _compile(label, body, moves, layout.slots)
+                            hot = block[3] = _compile(label, body, moves, layout)
                     if hot is not None and (room := (limit - insts) // len(body)):
                         try:
                             out, trips = hot(self, regs, room, frame.base)

@@ -24,6 +24,7 @@ _ZERO_WORDS = array("I", _ZERO_PAGE)  # and an untouched shadow page
 _BYTES = [bytes((b,)) for b in range(256)]  # memset's fill, by byte value
 
 GLOBALS_BASE = 0x0001_0000
+GLOBALS_SIZE = 1 << 16
 HEAP_BASE = 0x1000_0000
 STACK_TOP = 0x3000_0000
 
@@ -36,7 +37,7 @@ class Region:
 class RegionMap:
     """Disjoint regions of whole pages at or above 0, checked when built,
     with their (base, limit) spans; the stack grows down from its limit.
-    default shares one map, which no one changes, per size triple."""
+    default shares one map, which no one changes, per size pair."""
 
     def __init__(self, globals: Region, heap: Region, stack: Region):
         self.globals, self.heap, self.stack = globals, heap, stack
@@ -53,10 +54,9 @@ class RegionMap:
 
     @classmethod
     @lru_cache(maxsize=16)
-    def default(cls, globals_size: int = 1 << 16, heap_size: int = 64 << 20,
-                stack_size: int = 1 << 20) -> "RegionMap":
+    def default(cls, heap_size: int = 64 << 20, stack_size: int = 1 << 20) -> "RegionMap":
         return cls(
-            globals=Region(GLOBALS_BASE, globals_size),
+            globals=Region(GLOBALS_BASE, GLOBALS_SIZE),
             heap=Region(HEAP_BASE, heap_size),
             stack=Region(STACK_TOP - stack_size, stack_size),
         )

@@ -79,18 +79,18 @@ def wraps_builtin(ext: ExternDecl) -> bool:
 
 
 class Inst:
-    __slots__ = ("op", "result", "result2", "ty", "width", "args", "incomings", "callee", "uid")
+    __slots__ = ("op", "result", "result2", "ty", "width", "args", "preds", "callee", "uid")
 
     def __init__(self, op: str, result: str | None = None, result2: str | None = None,
                  ty: str | None = None, width: int | None = None, args: tuple = (),
-                 incomings: tuple = (), callee: str | None = None, uid: int = -1):
+                 preds: tuple = (), callee: str | None = None, uid: int = -1):
         self.op = op
         self.result = result
         self.result2 = result2      # token output of an extended check
         self.ty = ty                # result type / access suffix
         self.width = width          # access width for load/store/check/fastcheck
-        self.args = args            # '%reg' | '@sym' | int | block label
-        self.incomings = incomings  # phi only, which has no args: ((pred_label, operand), ...)
+        self.args = args            # '%reg' | '@sym' | int | block label; a phi's arm values
+        self.preds = preds          # phi only: each arm's predecessor label, in args' order
         self.callee = callee
         self.uid = uid
 
@@ -101,23 +101,21 @@ class Inst:
         """A copy as good as a deep one: every field holds an immutable
         value."""
         return Inst(self.op, self.result, self.result2, self.ty, self.width,
-                    self.args, self.incomings, self.callee, self.uid)
+                    self.args, self.preds, self.callee, self.uid)
 
     def renamed(self, subst: dict) -> Inst:
         """Itself if subst holds none of its operands, else a copy with
         each operand in subst replaced by its image."""
-        if subst.keys().isdisjoint(self.args or [v for _, v in self.incomings]):
+        if subst.keys().isdisjoint(self.args):
             return self
         inst = self.copy()
         inst.args = tuple(map(subst.get, self.args, self.args))
-        inst.incomings = tuple((lbl, subst.get(v, v)) for lbl, v in self.incomings)
         return inst
 
 
 class GlobalDef:
-    def __init__(self, symbol: str, size: int, unsafe: bool | None = None):
-        self.symbol, self.size = symbol, size
-        self.unsafe = unsafe  # classification slot, filled by instrument
+    def __init__(self, symbol: str, size: int):
+        self.symbol, self.size = symbol, size  # instrument signs it at @main's entry if unsafe
 
 
 class ExternDecl:
@@ -351,8 +349,8 @@ def _parse_inst(line: str, lineno: int, uid: int) -> Inst:
         arms = _PHI_ARM_RE.findall(rest)
         if not arms or _PHI_ARM_RE.sub("", rest).replace(",", "").strip():
             raise ParseError("malformed phi arms", lineno)
-        return Inst("phi", result=result, uid=uid,
-                    incomings=tuple([(lbl, _operand(val, lineno)) for lbl, val in arms]))
+        return Inst("phi", result=result, args=tuple([_operand(val, lineno) for _, val in arms]),
+                    preds=tuple([lbl for lbl, _ in arms]), uid=uid)
     op, _, suffix = head.partition(".")
     spec = _OPS.get(op)
     if spec is None or suffix not in spec.suffixes:
@@ -380,7 +378,7 @@ def format_inst(inst: Inst) -> str:
     if op == "call":
         return f"{text}call @{inst.callee}({', '.join(map(str, inst.args))})"
     if op == "phi":
-        return text + "phi " + ", ".join(f"[{lbl}: {v}]" for lbl, v in inst.incomings)
+        return text + "phi " + ", ".join(f"[{lbl}: {v}]" for lbl, v in zip(inst.preds, inst.args))
     operands = (*inst.args, inst.width) if _OPS[op].width else inst.args
     return f"{text}{op}{'.' + inst.ty if inst.ty else ''} {', '.join(map(str, operands))}"
 
@@ -499,7 +497,7 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
                 def_site[reg] = (label, idx)
             op = inst.op
             if op == "phi":
-                for _, val in inst.incomings:
+                for val in inst.args:
                     users.setdefault(val, []).append(inst)
             elif op == "call":
                 sig = _callee_sig(prog, inst.callee)
@@ -544,15 +542,15 @@ def _validate_function(prog: Program, func: Function, globals_: dict[str, Global
         for idx, inst in enumerate(block):
             op, args = inst.op, inst.args
             if op == "phi":
-                for _, val in inst.incomings:
+                for val in args:
                     want(val, types[inst.result], "phi")
                 if held is None:
-                    arms, preds = [lbl for lbl, _ in inst.incomings], dom.preds[label]
+                    arms, preds = list(inst.preds), dom.preds[label]
                     if sorted(arms) != sorted(preds):
                         held = f"{label}: phi arms {arms} do not match predecessors {preds}"
-                    elif len(set(inst.incomings)) > len(dict(inst.incomings)):
+                    elif len(set(zip(arms, args))) > len(set(arms)):
                         held = f"{label}: phi {inst.result} has different values for one predecessor"
-                    for lbl, val in inst.incomings:
+                    for lbl, val in zip(arms, args):
                         site = def_site.get(val)
                         if held is None and site and not pre[site[0]] <= pre[lbl] < end[site[0]]:
                             held = f"{label}: phi operand {val} does not dominate edge from {lbl}"

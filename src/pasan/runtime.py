@@ -36,11 +36,6 @@ def padded_size(size: int) -> int:
     return max(4, (size + 3) & ~3)
 
 
-class AllocEntry:
-    def __init__(self, size: int):
-        self.size, self.live = size, True
-
-
 class Stats:
     def __init__(self):
         self.checks_full = self.checks_fast = self.allocs = self.frees = self.insts = 0
@@ -62,7 +57,8 @@ class _Extent:
 class SanitizerRuntime:
     """Per-run sanitizer state: allocator, id counter, signing key,
     global pointer table, and the live/retired object registries used to
-    attribute failed authentications to a violation kind."""
+    attribute failed authentications to a violation kind.  A carved heap
+    block is freed exactly when its base sits in its size's free list."""
 
     def __init__(self, mem: MemSpace, key: PacKey, next_id: int, bytewise: bool = False):
         self.mem = mem
@@ -70,8 +66,8 @@ class SanitizerRuntime:
         self.key = key
         self.next_id = next_id
         self.bytewise = bytewise
-        self.alloc: dict[int, AllocEntry] = {}
-        self.free_lists: dict[int, list[int]] = {}
+        self.alloc: dict[int, int] = {}  # each carved block's padded size, by base
+        self.free_lists: dict[int, dict[int, None]] = {}  # size -> freed bases, newest last
         self.heap_cursor = mem.regions.heap.base
         self.heap_limit = mem.regions.heap.limit
         self.gppt: dict[str, int] = {}
@@ -92,26 +88,24 @@ class SanitizerRuntime:
     #    register_object layered on top --
 
     def _allocate(self, size: int) -> tuple[int, int]:
-        """Carve a padded heap block (bump, or eager exact-size reuse: the
-        adversarial case for temporal safety), record it live and count
-        it; returns (base, padded size)."""
+        """Carve a padded heap block (bump, or eager reuse of the newest
+        freed block of its size: the adversarial case for temporal safety),
+        record its size and count it; returns (base, padded size)."""
         padded = (size + 3) & ~3 if size > 0 else padded_size(size)
         blocks = self.free_lists.get(padded)
         if blocks:
-            base = blocks.pop()
-            self.alloc[base].live = True  # the entry _release left behind
+            base = blocks.popitem()[0]
         else:
             base = self.heap_cursor
             if base + padded > self.heap_limit:
                 raise LimitExceeded("simulated heap exhausted")
             self.heap_cursor = base + padded
-            self.alloc[base] = AllocEntry(padded)
+            self.alloc[base] = padded
         self.stats.allocs += 1
         return base, padded
 
-    def _release(self, base: int, entry: AllocEntry) -> None:
-        entry.live = False
-        self.free_lists.setdefault(entry.size, []).append(base)
+    def _release(self, base: int, size: int) -> None:
+        self.free_lists.setdefault(size, {})[base] = None
         self.stats.frees += 1
 
     def register_object(self, base: int, padded: int, origin: str) -> int:
@@ -159,11 +153,11 @@ class SanitizerRuntime:
         return self._allocate(size)[0]
 
     def plain_free(self, addr: int) -> None:
-        entry = self.alloc.get(addr)
-        if entry is None or not entry.live:
+        size = self.alloc.get(addr)
+        if size is None or addr in self.free_lists.get(size, ()):
             raise ViolationError(ViolationKind.SPATIAL_OOB, addr,
                                  self.mem.id_at(addr & self.cfg.addr_mask), "invalid free target")
-        self._release(addr, entry)
+        self._release(addr, size)
 
     def resign_return(self, raw: int) -> int:
         """Re-sign a pointer coming back from uninstrumented code using
@@ -274,8 +268,7 @@ class SanitizerRuntime:
             if found:
                 self._reject(ptr, raw, found)
             self._refuse_unsignable(ptr, found)
-            entry = self.alloc.get(raw)
-            if entry is not None and not entry.live:
+            if raw in self.free_lists.get(self.alloc.get(raw), ()):
                 raise ViolationError(ViolationKind.DOUBLE_FREE, ptr, found,
                                      f"block at 0x{raw:x} already freed")
             raise ViolationError(ViolationKind.USE_AFTER_FREE, ptr, found,
@@ -290,12 +283,12 @@ class SanitizerRuntime:
         if (0 if page is None else page[below >> 2 & 1023]) == found:
             raise ViolationError(ViolationKind.FREE_INSIDE_BUFFER, ptr, found,
                                  f"free target 0x{raw:x} is not the start of the object")
-        entry = self.alloc.get(raw)
-        if entry is None or not entry.live:
+        size = self.alloc.get(raw)
+        if size is None or raw in self.free_lists.get(size, ()):
             raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, found,
                                  "free target is not a live heap allocation")
         self.retire(raw)
-        self._release(raw, entry)
+        self._release(raw, size)
 
     # -- standard-function wrappers --
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time one perfbench workload's interpreter runs, or one program's,
-under two checkouts, loaded side by side in one process.
+under two checkouts, loaded side by side in one process; or check that
+the two print and write the same for each of a set of programs.
 
     python tests/abtime.py PARENT CHANGE --workload hotloop --reps 12
     python tests/abtime.py PARENT CHANGE --program loop.ir --mode all
+    python tests/abtime.py PARENT CHANGE --outputs [FILE ...]
 
 Each checkout's pasan is imported in turn, with its modules cleared from
 sys.modules before the other's are, and builds the workload's first 8
@@ -15,8 +17,16 @@ every round under both checkouts, in alternating order, each program
 under a run seed of its own that both checkouts share.  The output is
 one line per mode and a last result line: each checkout's median per
 rep, the change's Δ, the reps in which the change was lower, and the
-change's nanoseconds per interpreted instruction.  Standard library
-only; pytest does not collect this file.
+change's nanoseconds per interpreted instruction.
+
+--outputs runs `pasan run FILE --emit --json` in process under each
+checkout's pasan.cli.main, at every --opts and at --n 33, 47 and 52, for
+each FILE, by default every corpus fixture and tests/data/*.ir of the
+change.  The exit code (or the exception raised in its place), stdout,
+stderr and JSON file must be identical: it prints `agree: R runs of F
+inputs`, or the first run that differs, the field that differs and its
+first differing line, and exits 1.
+Standard library only; pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -24,15 +34,21 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import io
 import random
 import statistics
 import sys
+import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
 ROUNDS = 8
 SEED = 1  # the workload seed of perfbench's first run
 PERFBENCH_MODULES = ("calibrate", "programs", "tracer")
+OUTPUT_OPTS = ("none", "redundant", "samelock", "all")
+OUTPUT_WIDTHS = (33, 47, 52)
+OUTPUT_FIELDS = ("exit code", "stdout", "stderr", "json")
 
 
 def _forget(prefixes: tuple[str, ...]) -> None:
@@ -40,19 +56,32 @@ def _forget(prefixes: tuple[str, ...]) -> None:
         del sys.modules[name]
 
 
-def load(checkout: Path, args):
-    """(pasan modules, compiled jobs, address config) of one checkout:
-    each job as (mode, program), the program's one job or the workload's
-    rounds' jobs in order, and the config at perfbench's address width."""
+@contextmanager
+def imported(checkout: Path):
+    """One checkout's pasan modules, imported from its src with its
+    perfbench on the path; on exit both leave sys.path and their modules
+    leave sys.modules, so that the other checkout's are imported anew."""
     src, bench = checkout / "src", checkout / "perfbench"
     sys.path[:0] = [str(src), str(bench)]
     try:
         pasan = argparse.Namespace(**{name: importlib.import_module(f"pasan.{name}")
                                       for name in ("miniir", "instrument", "optpasses",
-                                                   "interp", "pacore")})
+                                                   "interp", "pacore", "cli")})
         if not Path(pasan.interp.__file__).resolve().is_relative_to(src.resolve()):
             raise SystemExit(f"pasan was imported from {pasan.interp.__file__}, not {src}")
-        spec = importlib.util.spec_from_file_location("_abtime_run", bench / "run.py")
+        yield pasan
+    finally:
+        del sys.path[:2]
+        _forget(("pasan", "_abtime_run", *PERFBENCH_MODULES))
+
+
+def load(checkout: Path, args):
+    """(pasan modules, compiled jobs, address config) of one checkout:
+    each job as (mode, program), the program's one job or the workload's
+    rounds' jobs in order, and the config at perfbench's address width."""
+    with imported(checkout) as pasan:
+        spec = importlib.util.spec_from_file_location("_abtime_run",
+                                                      checkout / "perfbench" / "run.py")
         run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
         spec.loader.exec_module(run)
         if args.program:
@@ -62,9 +91,6 @@ def load(checkout: Path, args):
                     for jobs in run.make_rounds(args.workload, SEED, args.scale)[:ROUNDS]
                     for job in jobs]
         cfg = pasan.pacore.AddressConfig(run.ADDRESS_BITS)
-    finally:
-        del sys.path[:2]
-        _forget(("pasan", "_abtime_run", *PERFBENCH_MODULES))
     compiled = []
     for mode, text in jobs:
         prog = pasan.miniir.parse(text)
@@ -94,6 +120,49 @@ def timed_pass(pasan, compiled, cfg, seeds) -> tuple[dict[str, float], dict[str,
     return seconds, insts, outcomes
 
 
+def cli_outputs(cli, argv: list[str], json_path: Path) -> tuple:
+    """(exit code, stdout, stderr, JSON text or None) of one in-process
+    pasan command; an exception it raises stands in for its exit code."""
+    json_path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # a crash is an output to compare
+            code = f"raised {exc!r}"
+    return code, out.getvalue(), err.getvalue(), \
+        json_path.read_text() if json_path.exists() else None
+
+
+def check_outputs(parent: Path, change: Path, files: list[Path]) -> int:
+    clis = []
+    for checkout in (parent, change):
+        with imported(checkout) as pasan:
+            clis.append(pasan.cli)
+    files = files or sorted([*(change / "corpus").glob("*.ir"),
+                             *(change / "tests" / "data").glob("*.ir")])
+    runs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path = Path(tmp) / "run.json"
+        for path in files:
+            for opts in OUTPUT_OPTS:
+                for n in OUTPUT_WIDTHS:
+                    argv = ["run", str(path), "--n", str(n), "--opts", opts, "--emit",
+                            "--json", str(json_path)]
+                    got = [cli_outputs(cli, argv, json_path) for cli in clis]
+                    runs += 1
+                    if got[0] != got[1]:
+                        field, a, b = next(f for f in zip(OUTPUT_FIELDS, *got) if f[1] != f[2])
+                        a, b = str(a).splitlines(), str(b).splitlines()
+                        at = next((i for i, pair in enumerate(zip(a, b)) if pair[0] != pair[1]),
+                                  min(len(a), len(b)))
+                        print(f"differ: {path.name} --opts {opts} --n {n}: {field}, line {at + 1}"
+                              f"\n  parent {a[at:at + 1]}\n  change {b[at:at + 1]}")
+                        return 1
+    print(f"agree: {runs} runs of {len(files)} inputs")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -102,11 +171,15 @@ def main(argv: list[str] | None = None) -> int:
     what = ap.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload", choices=("corpus", "hotloop", "churn", "cfgsweep"))
     what.add_argument("--program", type=Path, help="a mini-IR file, timed alone")
+    what.add_argument("--outputs", nargs="*", type=Path, metavar="FILE",
+                      help="check outputs, not time (default: the corpus and tests/data)")
     ap.add_argument("--mode", choices=("raw", "none", "all"), default="all",
                     help="how --program is built (default: all)")
     ap.add_argument("--reps", type=int, default=12)
     ap.add_argument("--scale", choices=("full", "smoke"), default="full")
     args = ap.parse_args(argv)
+    if args.outputs is not None:
+        return check_outputs(args.parent.resolve(), args.change.resolve(), args.outputs)
 
     sides = {"parent": load(args.parent.resolve(), args),
              "change": load(args.change.resolve(), args)}

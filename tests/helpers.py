@@ -3,7 +3,8 @@ part of pasan needs itself: an instruction walk, block and
 instruction-level dominance and a dominator-set oracle, the registers
 a function defines, its register types and the facts validate would
 leave on it, a pointer's lock bits, a poisoned-pointer test, the
-safety classes of allocas and globals, the completeness lint over
+safety classes of allocas and globals, the globals an instrumented
+program signs, the completeness lint over
 instrumented output, value snapshots of pasan's records, the check
 that a stage leaves its input untouched, a count of the Python
 functions a call enters, and program generators: seeded instrumented
@@ -85,7 +86,7 @@ def function_types(prog, func):
     users = {}  # register -> the phis it is an arm of
     for inst in chain.from_iterable(func.blocks.values()):
         if inst.op == "phi":
-            for _, val in inst.incomings:
+            for val in inst.args:
                 users.setdefault(val, []).append(inst)
             continue
         if inst.result:
@@ -141,6 +142,13 @@ def classify_globals(prog):
     """Each global's classification, as classify gives an alloca's: a
     global is unsafe if any function uses its address unsafely."""
     return _analyse(prog)[1]
+
+
+def signed_globals(prog):
+    """The symbols of the globals that the gpptinits at @main's entry
+    sign, in their order."""
+    main = prog.functions["main"]
+    return [inst.args[0][1:] for inst in main.blocks[main.entry] if inst.op == "gpptinit"]
 
 
 def lint_instrumented(prog):
@@ -285,10 +293,8 @@ def assert_stages_leave_their_input_untouched(source, where):
     prog = source  # instrument's input, then the input of each pass selection
     for name, stage in STAGES:
         text, snapshot = format_program(prog), _fields(prog)
-        unsafe = [g.unsafe for g in prog.globals]
         out = stage(prog)
         assert format_program(prog) == text, (where, name)
-        assert [g.unsafe for g in prog.globals] == unsafe, (where, name)
         assert [fields(obj) for obj, _ in snapshot] == [before for _, before in snapshot], \
             (where, name)
         assert not _containers(out) & _containers(prog), (where, name)

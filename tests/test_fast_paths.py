@@ -25,7 +25,8 @@ from pasan import runtime as runtime_module
 from pasan.errors import LimitExceeded, PreconditionViolated, ViolationError, ViolationKind
 from pasan.cli import _build
 from pasan.interp import _HANDLERS, Interpreter, run
-from pasan.memspace import PAGE_SIZE, MemSpace, Region, RegionMap, shadow_of
+from pasan.memspace import (GLOBALS_BASE, HEAP_BASE, PAGE_SIZE, STACK_TOP, MemSpace, Region,
+                            RegionMap, shadow_of)
 from pasan.miniir import Inst
 from pasan.pacore import (
     MASK64,
@@ -42,12 +43,7 @@ from pasan.pacore import (
     strip,
     with_pac_field,
 )
-from pasan.runtime import (
-    AllocEntry,
-    SanitizerRuntime,
-    _Extent,
-    padded_size,
-)
+from pasan.runtime import SanitizerRuntime, _Extent, padded_size
 
 # -- references: the success and failure paths as one slow path each --
 
@@ -135,7 +131,8 @@ def outcome(fn, *args):
 # Regions that abut on page boundaries: the last page of one region is
 # followed by the first of the next, so a straddling access crosses regions.
 ABUTTING = RegionMap(Region(0x10000, 0x2000), Region(0x12000, 0x3000), Region(0x15000, 0x2000))
-SMALL = RegionMap.default(globals_size=1 << 13, heap_size=1 << 16, stack_size=1 << 14)
+SMALL = RegionMap(Region(GLOBALS_BASE, 1 << 13), Region(HEAP_BASE, 1 << 16),
+                  Region(STACK_TOP - (1 << 14), 1 << 14))
 
 CONFIGS = [
     (AddressConfig(33), SMALL, 0xFFFFFFFD),   # ids 0xFFFFFFFD, 0xFFFFFFFE, 0xFFFFFFFF, 1, ...
@@ -445,13 +442,12 @@ def test_allocation_free_and_wrapper_success_paths_stay_flat():
     rt = SanitizerRuntime(MemSpace(cfg), PacKey(99), 5)
     ptr = rt.protected_malloc(64)  # its shadow page exists from here on
     rt.wrapper_call("memset", [ptr, 0, 64])  # and so does its data page
-    # the AllocEntry is made for a bump only, and the _Extent once
+    # a bump and a reuse each make the _Extent, and nothing else, once
     malloc = ["<lambda>", "protected_malloc", "_allocate", "register_object", "__init__"]
     _mac(rt.key, rt.next_id, True)  # the next id signs from a warm table
     after = rt.protected_malloc(24)
     _mac(rt.key, rt.next_id, True)
-    assert python_calls(lambda: rt.protected_malloc(24)) == \
-        malloc[:3] + ["__init__"] + malloc[3:]  # a bump
+    assert python_calls(lambda: rt.protected_malloc(24)) == malloc  # a bump
     assert python_calls(lambda: rt.wrapper_call("memset", [ptr, 0x41, 64])) == \
         ["<lambda>", "wrapper_call", "checked_access", "checked_access", "move"]
     free = ["<lambda>", "protected_free", "retire", "_release"]
@@ -473,8 +469,7 @@ def ref_protected_free(rt, ptr):
     if ref_pac_auth(ptr, found, rt.key, cfg) != ptr & cfg.clear_mask:
         rt._refuse_unsignable(ptr, found)
         if found == 0:
-            entry = rt.alloc.get(raw)
-            if entry is not None and not entry.live:
+            if raw in rt.alloc and raw in rt.free_lists.get(rt.alloc[raw], {}):
                 raise ViolationError(ViolationKind.DOUBLE_FREE, ptr, found,
                                      f"block at 0x{raw:x} already freed")
             raise ViolationError(ViolationKind.USE_AFTER_FREE, ptr, found,
@@ -483,14 +478,13 @@ def ref_protected_free(rt, ptr):
     if rt.mem.id_at(raw - 4) == found:
         raise ViolationError(ViolationKind.FREE_INSIDE_BUFFER, ptr, found,
                              f"free target 0x{raw:x} is not the start of the object")
-    entry = rt.alloc.get(raw)
-    if entry is None or not entry.live:
+    if raw not in rt.alloc or raw in rt.free_lists.get(rt.alloc[raw], {}):
         raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, found,
                              "free target is not a live heap allocation")
-    assert fields(rt.live[raw]) == fields(_Extent(raw, entry.size, found, "heap"))
+    size = rt.alloc[raw]
+    assert fields(rt.live[raw]) == fields(_Extent(raw, size, found, "heap"))
     ref_retire(rt, raw)
-    entry.live = False
-    rt.free_lists.setdefault(entry.size, []).append(raw)
+    rt.free_lists.setdefault(size, {})[raw] = None
     rt.stats.frees += 1
 
 
@@ -517,13 +511,14 @@ def ref_protected_malloc(rt, size):
     padded = padded_size(size)
     blocks = rt.free_lists.get(padded)
     if blocks:
-        base = blocks.pop()
+        base = list(blocks)[-1]  # the newest freed
+        del blocks[base]
     else:
         base = rt.heap_cursor
         if base + padded > rt.heap_limit:
             raise LimitExceeded("simulated heap exhausted")
         rt.heap_cursor = base + padded
-    rt.alloc[base] = AllocEntry(padded)
+    rt.alloc[base] = padded
     rt.stats.allocs += 1
     return ref_register_object(rt, base, padded, "heap")
 
@@ -784,7 +779,7 @@ def test_free_reads_the_word_below_across_a_page_start(n):
     assert ends == {(4, ViolationKind.FREE_INSIDE_BUFFER), (0, ViolationKind.FREE_INSIDE_BUFFER),
                     (0, None), *((off, kind) for off in (1, 2, 3) for kind in
                                  (ViolationKind.SPATIAL_OOB, ViolationKind.FREE_INSIDE_BUFFER))}
-    assert not rt.alloc[heap].live and not rt.alloc[heap + PAGE_SIZE].live
+    assert {heap, heap + PAGE_SIZE} <= set(rt.free_lists[PAGE_SIZE])
 
 
 # -- the page table against the span walk --

@@ -1,7 +1,7 @@
 """Safety classification and the instrumentation rewrite."""
 import pytest
 
-from helpers import classify, classify_globals, insts, lint_instrumented
+from helpers import classify, classify_globals, insts, lint_instrumented, signed_globals
 from pasan.errors import InstrumentationError
 from pasan.instrument import instrument, padded_size
 from pasan.interp import run, run_unoptimized_oracle
@@ -272,7 +272,8 @@ bb0:
     entry = out.functions["main"].blocks[out.functions["main"].entry]
     assert entry[0].op == "gpptinit"
     assert count_op(out, "gpptinit") == 1
-    assert [(g.symbol, g.unsafe) for g in out.globals] == [("g", True)]
+    assert signed_globals(out) == ["g"]
+    assert out.globals == prog.globals and out.globals is not prog.globals  # the defs are shared
 
 
 def test_instrumentation_is_guarded_against_reentry():

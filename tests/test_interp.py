@@ -7,7 +7,7 @@ from inspect import CO_GENERATOR
 
 import pytest
 
-from helpers import calls_while, insts
+from helpers import calls_while, insts, signed_globals
 from pasan import pacore
 from pasan.cli import _build
 from pasan.errors import LimitExceeded, PasanError, ViolationKind
@@ -612,7 +612,7 @@ def test_recursive_main_keeps_its_globals_signature(mode):
     else:
         result = run(build(RECURSIVE_MAIN, mode), CFG, seed=0)
     assert (result.verdict, result.exit_value) == ("completed", 0)
-    assert [g.unsafe for g in instrument(prog).globals] == [False, True]  # only @g is signed
+    assert signed_globals(instrument(prog)) == ["g"]  # @depth is not signed
 
 
 # Pre-instrumented: the loop runs gpptinit on each trip and carries the
@@ -1121,7 +1121,7 @@ def test_many_globals_compile_and_run_in_linear_time():
     result = run(prog, CFG)
     assert time.monotonic() - start < 3.0
     assert result.verdict == "completed" and result.exit_value == 0
-    assert sum(g.unsafe for g in prog.globals) == k // 2
+    assert signed_globals(prog) == [f"g{i}" for i in range(1, k, 2)]
 
 
 @pytest.mark.parametrize("opts", ["raw", "all"])

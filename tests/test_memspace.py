@@ -191,7 +191,7 @@ def test_regions_lie_in_the_program_half_and_do_not_overlap():
 
 def test_runs_share_one_default_map_checked_once():
     # A map checks its geometry when it is built, and default hands out
-    # one map per size triple: a second run under default Limits builds
+    # one map per size pair: a second run under default Limits builds
     # no map and so runs no region check but its MemSpace's program-half
     # bound.
     prog = parse("func @main() -> i32 {\nbb0:\n  %z = const.i32 0\n  ret %z\n}\n")

@@ -336,19 +336,35 @@ def test_validate_walks_each_block_three_times():
 
 def test_inst_copy_keeps_every_field():
     inst = Inst("check", result="%c", result2="%t", ty="ptr", width=8, args=("%p",),
-                incomings=(("bb0", "%q"),), callee="f", uid=7)
+                preds=("bb0",), callee="f", uid=7)
+    assert all(getattr(inst, name) not in (None, (), -1) for name in Inst.__slots__)
     assert fields(inst.copy()) == fields(inst) and inst.copy() is not inst
 
 
 def test_renamed_copies_only_an_instruction_it_changes():
-    phi = Inst("phi", result="%x", incomings=(("bb0", "%a"), ("bb1", 1)), uid=3)
+    phi = Inst("phi", result="%x", args=("%a", 1), preds=("bb0", "bb1"), uid=3)
     call = Inst("call", result="%r", args=("%a", 2), callee="f", uid=4)
     assert phi.renamed({"%b": "%c"}) is phi and call.renamed({"%x": "%a"}) is call
-    assert fields(phi.renamed({"%a": "%b"})) == fields(Inst("phi", result="%x", uid=3,
-                                                             incomings=(("bb0", "%b"), ("bb1", 1))))
+    assert fields(phi.renamed({"%a": "%b"})) == fields(Inst("phi", result="%x", args=("%b", 1),
+                                                             preds=("bb0", "bb1"), uid=3))
     assert fields(call.renamed({"%a": "%b"})) == fields(Inst("call", result="%r", args=("%b", 2),
                                                               callee="f", uid=4))
-    assert phi.incomings == (("bb0", "%a"), ("bb1", 1)) and call.args == ("%a", 2)
+    assert phi.args == ("%a", 1) and call.args == ("%a", 2)
+
+
+def test_renamed_phi_changes_only_its_register_arm():
+    """A phi's arm values are its args and their predecessor labels the
+    parallel preds: renaming the register arm leaves the literal arm,
+    the labels and their pairing as they were."""
+    prog = parse("func @main() -> i32 {\nentry:\n  %a = const.i32 3\n  cbr %a, l1, l2\n"
+                 "l1:\n  br join\nl2:\n  br join\njoin:\n  %x = phi [l2: 7], [l1: %a]\n"
+                 "  ret %x\n}\n")
+    phi = prog.functions["main"].blocks["join"][0]
+    assert (phi.args, phi.preds) == ((7, "%a"), ("l2", "l1"))
+    renamed = phi.renamed({"%a": "%b", "%x": "%y"})  # %x is its result, not an operand
+    assert (renamed.args, renamed.preds, renamed.result) == ((7, "%b"), ("l2", "l1"), "%x")
+    assert renamed.preds is phi.preds and phi.args == (7, "%a")
+    assert format_inst(renamed) == "%x = phi [l2: 7], [l1: %b]"
 
 
 def test_namer_skips_defined_names_and_resumes():

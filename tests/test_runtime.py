@@ -51,7 +51,7 @@ def test_zero_size_malloc_is_checkable():
     rt = make_rt()
     signed = rt.protected_malloc(0)
     assert rt.checked_access(signed, 1) == strip(signed, CFG)
-    assert rt.alloc[strip(signed, CFG)].size == 4
+    assert rt.alloc[strip(signed, CFG)] == 4
 
 
 def test_consecutive_ids_increment():
@@ -458,3 +458,121 @@ def test_malformed_pointer_classified_alike_by_access_and_free(operation, bit, k
     assert kind_of(exc) is kind
     if bit == 55:
         assert exc.value.report.narrative == "reserved bit 55 set"
+
+
+# -- the heap's records against a reference that keeps an explicit freed set --
+
+
+class RefHeap:
+    """The allocator as plain records: each carved block's padded size,
+    the set of freed bases, and the order they were freed in."""
+
+    def __init__(self, cursor):
+        self.cursor, self.size, self.freed, self.order = cursor, {}, set(), []
+
+    def malloc(self, size):
+        padded = padded_size(size)
+        newest = [base for base in self.order if self.size[base] == padded][-1:]
+        if newest:
+            base = newest[0]
+            self.order.remove(base)
+            self.freed.remove(base)
+        else:
+            base, self.cursor = self.cursor, self.cursor + padded
+            self.size[base] = padded
+        return base
+
+    def free(self, base):
+        """Whether the free is legal; if it is, the block is freed."""
+        if base not in self.size or base in self.freed:
+            return False
+        self.freed.add(base)
+        self.order.append(base)
+        return True
+
+
+def assert_heap_matches(rt, ref):
+    assert rt.alloc == ref.size and rt.heap_cursor == ref.cursor
+    freed = {(rt.alloc[base], base) for blocks in rt.free_lists.values() for base in blocks}
+    assert freed == {(ref.size[base], base) for base in ref.freed}
+    for size, blocks in rt.free_lists.items():  # each size's blocks, oldest freed first
+        assert list(blocks) == [base for base in ref.order if ref.size[base] == size]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reuse_takes_the_newest_freed_block_of_its_size(seed):
+    """Frees of two sizes interleave; every allocation reuses the block
+    of its size freed last, and a free is legal exactly when the block
+    was carved and is not freed."""
+    rng = random.Random(seed)
+    rt = make_rt(seed)
+    ref = RefHeap(rt.heap_cursor)
+    carved, frees = [], 0
+    for step in range(300):
+        if not carved or rng.random() < 0.5:
+            size = rng.choice((8, 16, 5, 13))  # two padded sizes, 8 and 16
+            base = rt.plain_malloc(size)
+            assert base == ref.malloc(size), step
+            carved.append(base)
+        else:
+            base = rng.choice(carved) + rng.choice((0, 0, 0, 4))
+            legal = ref.free(base)
+            if legal:
+                rt.plain_free(base)
+                frees += 1
+            else:
+                with pytest.raises(ViolationError, match="invalid free target"):
+                    rt.plain_free(base)
+        assert_heap_matches(rt, ref)
+    assert (rt.stats.allocs, rt.stats.frees) == (len(carved), frees)
+    assert len(carved) > len(ref.size) and frees < 300 - len(carved)  # reuses and refusals
+    # the interleaving itself: a, b (8) and c, d (16), freed a, c, b, d
+    a, b, c, d = (rt.plain_malloc(size) for size in (8, 8, 16, 16))
+    for base in (a, c, b, d):
+        rt.plain_free(base)
+    assert [rt.plain_malloc(size) for size in (8, 16, 8, 16)] == [b, d, a, c]
+
+
+def test_double_free_is_reported_after_the_block_is_reused():
+    rt = make_rt()
+    ref = RefHeap(rt.heap_cursor)
+    first = rt.protected_malloc(16)
+    base = strip(first, CFG)
+    assert ref.malloc(16) == base and ref.free(base)
+    rt.protected_free(first)
+    again = rt.protected_malloc(16)  # the same block, under a new id
+    assert strip(again, CFG) == ref.malloc(16) == base and again != first
+    assert ref.free(base) and not ref.free(base)
+    rt.protected_free(again)
+    for ptr in (again, first):  # both name the freed block
+        with pytest.raises(ViolationError, match=f"block at 0x{base:x} already freed") as exc:
+            rt.protected_free(ptr)
+        assert kind_of(exc) == ViolationKind.DOUBLE_FREE
+    # A carved block that is not freed but has no id is no double free.
+    carved = rt.plain_malloc(16)
+    assert ref.malloc(16) == carved
+    with pytest.raises(ViolationError, match="free through a stale pointer") as exc:
+        rt.protected_free(with_pac_field(carved, 1, CFG))
+    assert kind_of(exc) == ViolationKind.USE_AFTER_FREE
+    assert_heap_matches(rt, ref)
+
+
+def test_free_of_a_freed_or_never_carved_address_is_refused():
+    rt = make_rt()
+    ref = RefHeap(rt.heap_cursor)
+    freed = rt.plain_malloc(24)
+    assert ref.malloc(24) == freed and ref.free(freed)
+    rt.plain_free(freed)
+    never = rt.heap_cursor + 64  # past every carved block
+    for addr in (freed, never, freed + 4):
+        with pytest.raises(ViolationError, match="invalid free target") as exc:
+            rt.plain_free(addr)
+        assert kind_of(exc) == ViolationKind.SPATIAL_OOB
+    # A signed pointer to each: protected_free authenticates it and finds
+    # no live heap allocation at its base.
+    for base, padded in ((freed, 24), (never, 8)):
+        signed = rt.register_object(base, padded, "heap")
+        with pytest.raises(ViolationError, match="not a live heap allocation") as exc:
+            rt.protected_free(signed)
+        assert kind_of(exc) == ViolationKind.SPATIAL_OOB
+    assert_heap_matches(rt, ref)
