@@ -149,11 +149,11 @@ _TEMPLATES = {
     "gep": "({0} + {1}) & 0xFFFFFFFFFFFFFFFF",
     "gep_i32": "({0} + ((({1} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)) & 0xFFFFFFFFFFFFFFFF",
     "alloca": "{base} + {slot}",
-    "sign": "rt.register_object({0}, {1}, 'stack')",
+    "sign": "rt.register_object({0}, {1})",
     # Signed once per run: a gpptinit run again keeps the first signature.
-    "gpptinit": "gppt.get({0}) or gppt.setdefault({0}, rt.register_object("
-                "interp.global_addr[{0}], interp.global_size[{0}], 'global'))",
-    "globaladdr": "gppt.get({0}, interp.global_addr[{0}])",
+    "gpptinit": "gppt.get({0}) or gppt.setdefault({0},"
+                " rt.register_object(*interp.global_extents[{0}]))",
+    "globaladdr": "gppt.get({0}, interp.global_extents[{0}][0])",
     "load": "{codec}.unpack_from(page, off)[0] if (off := {0} & 4095) <= 4096 - {w}"
             " and (page := pages.get({0} >> 12)) is not None else read({0}, {w})",
     "store": "{codec}.pack_into(page, off, {1} & (1 << 8 * {w}) - 1) if (off := {0} & 4095)"
@@ -327,14 +327,13 @@ class Interpreter:
         self.layouts: dict[str, _Layout] = {}
         self.stack: list[_Frame] = []
         self.exit_value: int | None = None
-        self.global_addr, self.global_size = {}, {}   # symbol -> address, padded size
+        self.global_extents = {}  # symbol -> (address, padded size)
         cursor = regions.globals.base
         for g in prog.globals:
             padded = padded_size(g.size)
             if cursor + padded > regions.globals.limit:
                 raise LimitExceeded("globals region exhausted")
-            self.global_addr[g.symbol] = cursor
-            self.global_size[g.symbol] = padded
+            self.global_extents[g.symbol] = cursor, padded
             cursor += padded
 
     # -- lowering --

@@ -44,21 +44,12 @@ class Stats:
         return dict(vars(self))  # in the order __init__ sets them
 
 
-class _Extent:
-    __slots__ = ("base", "size", "obj_id", "origin")
-
-    def __init__(self, base: int, size: int, obj_id: int, origin: str):
-        self.base = base
-        self.size = size
-        self.obj_id = obj_id
-        self.origin = origin  # heap | stack | global
-
-
 class SanitizerRuntime:
     """Per-run sanitizer state: allocator, id counter, signing key,
     global pointer table, and the live/retired object registries used to
-    attribute failed authentications to a violation kind.  A carved heap
-    block is freed exactly when its base sits in its size's free list."""
+    attribute failed authentications to a violation kind.  An object is
+    its base, padded size and id, wholly inside one region.  A carved
+    heap block is freed exactly when its base sits in its size's free list."""
 
     def __init__(self, mem: MemSpace, key: PacKey, next_id: int, bytewise: bool = False):
         self.mem = mem
@@ -71,14 +62,14 @@ class SanitizerRuntime:
         self.heap_cursor = mem.regions.heap.base
         self.heap_limit = mem.regions.heap.limit
         self.gppt: dict[str, int] = {}
-        self.live: dict[int, _Extent] = {}  # by base: ids repeat once the counter wraps
+        self.live: dict[int, tuple[int, int]] = {}  # base -> (padded size, id): ids repeat
         # Each live id's signature field as pac_sign places it.  A pointer
         # whose field, address MSB and bit 55 equal its shadow id's entry
         # is exactly one pac_auth accepts, so the checks call pac_auth
         # only when the table misses; failures keep their one path.
         self.sigs: dict[int, int] = {}
         self.sig_mask = self.cfg.field_mask | 1 << self.cfg.msb_bit | 1 << RESERVED_BIT
-        self.retired: list[_Extent] = []
+        self.retired: list[tuple[int, int, int]] = []  # (base, padded size, id), oldest first
         self.stats = Stats()
         self.shadow = mem.shadow  # the success paths read and write its words themselves
         self.shadow_bit = 1 << self.cfg.msb_bit
@@ -108,7 +99,7 @@ class SanitizerRuntime:
         self.free_lists.setdefault(size, {})[base] = None
         self.stats.frees += 1
 
-    def register_object(self, base: int, padded: int, origin: str) -> int:
+    def register_object(self, base: int, padded: int) -> int:
         """Shadow an extent with a new id, retiring any live extent at its
         base first; returns the signed base.  A slice in one existing
         shadow page is written here, as a MAC the key's table has is
@@ -123,7 +114,7 @@ class SanitizerRuntime:
             page[at : at + words] = array("I", (obj_id,)) * words
         else:
             self.mem.shadow_fill(base, padded, obj_id)
-        self.live[base] = _Extent(base, padded, obj_id, origin)
+        self.live[base] = padded, obj_id
         cfg = self.cfg  # base passed the fill, so pac_sign would accept it
         mac = self.key.macs.get(obj_id)
         sig = pac_sign(base, obj_id, self.key, cfg) ^ base if mac is None \
@@ -133,20 +124,18 @@ class SanitizerRuntime:
 
     def retire(self, base: int) -> None:
         """Unshadow the live extent at base and file it as retired."""
-        ext = self.live.pop(base)
-        padded = ext.size
+        padded, obj_id = self.live.pop(base)
         page = self.shadow.get((base | self.shadow_bit) >> 12)
         if page is not None and base < self.shadow_bit and not (base | padded) & 3 \
                 and 0 < (words := padded >> 2) <= 1024 - (at := base >> 2 & 1023):
             page[at : at + words] = _ZERO_WORDS[:words]
         else:
             self.mem.shadow_clear(base, padded)
-        self.sigs.pop(ext.obj_id, None)
-        self.retired.append(ext)
+        self.sigs.pop(obj_id, None)
+        self.retired.append((base, padded, obj_id))
 
     def protected_malloc(self, size: int) -> int:
-        base, padded = self._allocate(size)
-        return self.register_object(base, padded, "heap")
+        return self.register_object(*self._allocate(size))
 
     def plain_malloc(self, size: int) -> int:
         """Uninstrumented allocation: no id, no shadow, unsigned base."""
@@ -174,23 +163,25 @@ class SanitizerRuntime:
         """Attribute a failed authentication.  A signature matching a
         retired extent covering the address is a stale pointer; one
         matching some live object is that object's pointer strayed out
-        of bounds; anything else was manufactured."""
-        for ext in reversed(self.retired):
-            if ext.base <= addr < ext.base + ext.size and \
-                    compute_pac(ext.obj_id, 0, self.key, self.cfg) == pac:
-                if ext.origin == "stack":
+        of bounds; anything else was manufactured.  Only sign registers
+        stack extents, so stale or unshadowed stack memory is out of scope."""
+        stack = self.mem.regions.stack
+        on_stack = stack.base <= addr < stack.limit
+        for base, size, obj_id in reversed(self.retired):
+            if base <= addr < base + size and compute_pac(obj_id, 0, self.key, self.cfg) == pac:
+                if on_stack:
                     return ViolationKind.USE_AFTER_SCOPE, \
-                        f"pointer into retired stack object id=0x{ext.obj_id:08x}"
+                        f"pointer into retired stack object id=0x{obj_id:08x}"
                 return ViolationKind.USE_AFTER_FREE, \
-                    f"pointer into freed object id=0x{ext.obj_id:08x}"
-        for ext in self.live.values():
-            if compute_pac(ext.obj_id, 0, self.key, self.cfg) == pac:
+                    f"pointer into freed object id=0x{obj_id:08x}"
+        for base, (size, obj_id) in self.live.items():
+            if compute_pac(obj_id, 0, self.key, self.cfg) == pac:
                 return ViolationKind.SPATIAL_OOB, (
-                    f"pointer of object id=0x{ext.obj_id:08x} "
-                    f"[0x{ext.base:x}, 0x{ext.base + ext.size:x}) strayed to 0x{addr:x}"
+                    f"pointer of object id=0x{obj_id:08x} "
+                    f"[0x{base:x}, 0x{base + size:x}) strayed to 0x{addr:x}"
                 )
         if found == 0:
-            if self.mem.regions.stack.base <= addr < self.mem.regions.stack.limit:
+            if on_stack:
                 return ViolationKind.USE_AFTER_SCOPE, "unshadowed stack memory"
             return ViolationKind.USE_AFTER_FREE, "unshadowed memory"
         return ViolationKind.CRAFTED_PAC, "signature matches no live or retired object"

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Time one perfbench workload's interpreter runs, or one program's,
-under two checkouts, loaded side by side in one process; or check that
-the two print and write the same for each of a set of programs.
+"""Time perfbench workloads' interpreter runs, or one program's, under
+two checkouts, loaded side by side in one process; or check that the two
+print and write the same for each of a set of programs.
 
     python tests/abtime.py PARENT CHANGE --workload hotloop --reps 12
+    python tests/abtime.py PARENT CHANGE --workload churn hotloop
     python tests/abtime.py PARENT CHANGE --program loop.ir --mode all
     python tests/abtime.py PARENT CHANGE --outputs [FILE ...]
 
@@ -14,10 +15,11 @@ one program under --mode (raw, or instrumented with those passes).
 Every program is compiled once per checkout, and its verdict, exit value and
 Stats must agree between the two.  Each rep then times interp.run over
 every round under both checkouts, in alternating order, each program
-under a run seed of its own that both checkouts share.  The output is
-one line per mode and a last result line: each checkout's median per
-rep, the change's Δ, the reps in which the change was lower, and the
-change's nanoseconds per interpreted instruction.
+under a run seed of its own that both checkouts share.  The output, for
+each workload named in turn, is an agree line, one line per mode and a
+last result line: each checkout's median per rep, the change's Δ, the
+reps in which the change was lower, and the change's nanoseconds per
+interpreted instruction.
 
 --outputs runs `pasan run FILE --emit --json` in process under each
 checkout's pasan.cli.main, at every --opts and at --n 33, 47 and 52, for
@@ -75,7 +77,7 @@ def imported(checkout: Path):
         _forget(("pasan", "_abtime_run", *PERFBENCH_MODULES))
 
 
-def load(checkout: Path, args):
+def load(checkout: Path, args, workload: str | None):
     """(pasan modules, compiled jobs, address config) of one checkout:
     each job as (mode, program), the program's one job or the workload's
     rounds' jobs in order, and the config at perfbench's address width."""
@@ -84,11 +86,11 @@ def load(checkout: Path, args):
                                                       checkout / "perfbench" / "run.py")
         run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
         spec.loader.exec_module(run)
-        if args.program:
+        if workload is None:
             jobs = [(args.mode, args.program.read_text())]
         else:
             jobs = [(job.mode, job.text)
-                    for jobs in run.make_rounds(args.workload, SEED, args.scale)[:ROUNDS]
+                    for jobs in run.make_rounds(workload, SEED, args.scale)[:ROUNDS]
                     for job in jobs]
         cfg = pasan.pacore.AddressConfig(run.ADDRESS_BITS)
     compiled = []
@@ -163,26 +165,12 @@ def check_outputs(parent: Path, change: Path, files: list[Path]) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    what = ap.add_mutually_exclusive_group(required=True)
-    what.add_argument("--workload", choices=("corpus", "hotloop", "churn", "cfgsweep"))
-    what.add_argument("--program", type=Path, help="a mini-IR file, timed alone")
-    what.add_argument("--outputs", nargs="*", type=Path, metavar="FILE",
-                      help="check outputs, not time (default: the corpus and tests/data)")
-    ap.add_argument("--mode", choices=("raw", "none", "all"), default="all",
-                    help="how --program is built (default: all)")
-    ap.add_argument("--reps", type=int, default=12)
-    ap.add_argument("--scale", choices=("full", "smoke"), default="full")
-    args = ap.parse_args(argv)
-    if args.outputs is not None:
-        return check_outputs(args.parent.resolve(), args.change.resolve(), args.outputs)
-
-    sides = {"parent": load(args.parent.resolve(), args),
-             "change": load(args.change.resolve(), args)}
+def compare(args, workload: str | None) -> int:
+    """Time one workload, or --program when workload is None, under both
+    checkouts and print its agree line and result block; 1 if the two
+    disagree on any run."""
+    sides = {"parent": load(args.parent.resolve(), args, workload),
+             "change": load(args.change.resolve(), args, workload)}
     if len(sides["parent"][1]) != len(sides["change"][1]):
         print("disagree: the checkouts build different numbers of programs")
         return 1
@@ -201,8 +189,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"disagree: program {bad} of rep {rep}: parent {outcomes['parent'][bad]}"
                   f" change {outcomes['change'][bad]}")
             return 1
-    print(f"agree: {len(seeds)} programs of {args.workload or args.program.name},"
-          f" {args.reps} reps")
+    print(f"agree: {len(seeds)} programs of {workload or args.program.name}, {args.reps} reps")
     modes = sorted(insts["change"])
     for mode in [*modes, None]:
         per_rep = {side: [sum(s.values()) if mode is None else s[mode] for s in times[side]]
@@ -213,6 +200,31 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{'result' if mode is None else mode:>7}: parent {parent * 1e3:.3f} ms"
               f"  change {change * 1e3:.3f} ms  Δ {100 * (change / parent - 1):+.1f}%"
               f"  lower {lower}/{args.reps}  change {change * 1e9 / count:.1f} ns/inst")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", nargs="+", choices=("corpus", "hotloop", "churn", "cfgsweep"),
+                      help="one or more, each timed and reported in turn")
+    what.add_argument("--program", type=Path, help="a mini-IR file, timed alone")
+    what.add_argument("--outputs", nargs="*", type=Path, metavar="FILE",
+                      help="check outputs, not time (default: the corpus and tests/data)")
+    ap.add_argument("--mode", choices=("raw", "none", "all"), default="all",
+                    help="how --program is built (default: all)")
+    ap.add_argument("--reps", type=int, default=12)
+    ap.add_argument("--scale", choices=("full", "smoke"), default="full")
+    args = ap.parse_args(argv)
+    if args.outputs is not None:
+        return check_outputs(args.parent.resolve(), args.change.resolve(), args.outputs)
+
+    for workload in args.workload or [None]:
+        if compare(args, workload):
+            return 1
     return 0
 
 

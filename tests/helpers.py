@@ -4,8 +4,8 @@ instruction-level dominance and a dominator-set oracle, the registers
 a function defines, its register types and the facts validate would
 leave on it, a pointer's lock bits, a poisoned-pointer test, the
 safety classes of allocas and globals, the globals an instrumented
-program signs, the completeness lint over
-instrumented output, value snapshots of pasan's records, the check
+program signs, the region holding an extent, the completeness lint
+over instrumented output, value snapshots of pasan's records, the check
 that a stage leaves its input untouched, a count of the Python
 functions a call enters, and program generators: seeded instrumented
 programs, straight-line CFGs, a nest of loops chained through their
@@ -149,6 +149,16 @@ def signed_globals(prog):
     sign, in their order."""
     main = prog.functions["main"]
     return [inst.args[0][1:] for inst in main.blocks[main.entry] if inst.op == "gpptinit"]
+
+
+def region_of(regions, base, size):
+    """The name of the one region of regions that holds [base, base +
+    size) whole, or None."""
+    for name in ("globals", "heap", "stack"):
+        region = getattr(regions, name)
+        if region.base <= base and base + size <= region.limit:
+            return name
+    return None
 
 
 def lint_instrumented(prog):

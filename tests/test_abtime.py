@@ -1,8 +1,9 @@
-"""tests/abtime.py run on this checkout against itself, on a workload at
-smoke scale and on one program: the two loads agree and it prints its
-result line.  No timing is judged.  Its outputs check agrees with itself
-on two inputs, and names the first run that differs from a copy whose
-output was changed or that raises."""
+"""tests/abtime.py run on this checkout against itself, on one and on
+two workloads at smoke scale and on one program: the two loads agree
+and it prints an agree line and a result block for each.  No timing is
+judged.  Its outputs check agrees with itself on two inputs, and names
+the first run that differs from a copy whose output was changed or that
+raises."""
 import shutil
 import subprocess
 import sys
@@ -33,6 +34,16 @@ def abtime(*args: str) -> list[str]:
 def test_abtime_agrees_with_itself_and_reports():
     lines = abtime("--workload", "hotloop", "--scale", "smoke")
     assert lines[0] == "agree: 24 programs of hotloop, 2 reps"
+
+
+def test_abtime_reports_each_of_two_workloads():
+    lines = abtime("--workload", "churn", "hotloop", "--scale", "smoke")
+    agree = [line for line in lines if line.startswith("agree: ")]
+    results = [k for k, line in enumerate(lines) if line.startswith(" result: parent ")]
+    assert agree == ["agree: 24 programs of churn, 2 reps",
+                     "agree: 24 programs of hotloop, 2 reps"]
+    assert [lines.index(line) for line in agree] == [0, results[0] + 1]
+    assert results[1] == len(lines) - 1
 
 
 def test_abtime_times_one_program():

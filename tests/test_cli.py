@@ -201,7 +201,7 @@ FRONT_END_ERRORS = [
      "const.i32 takes 1 operand(s), got 2"),
     ("duplicate_global", "global @g 8\nglobal @g 8\n" + MAIN, "duplicate symbol @g"),
     ("global_function_clash", "global @main 8\n" + MAIN, "duplicate symbol @main"),
-    ("global_size", "global @g 0\n" + MAIN, "global @g must have positive size"),
+    ("global_zero_size", "global @g 0\n" + MAIN, "global @g must have positive size"),
     ("empty_block", _main("bb0:", "bb1:", *RET), "@main: bb0: empty block"),
     ("mid_block_terminator", _main("bb0:", "  br bb1", *RET, "bb1:", *RET),
      "@main: bb0: terminator in mid-block"),

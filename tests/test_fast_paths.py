@@ -43,7 +43,7 @@ from pasan.pacore import (
     strip,
     with_pac_field,
 )
-from pasan.runtime import SanitizerRuntime, _Extent, padded_size
+from pasan.runtime import SanitizerRuntime, padded_size
 
 # -- references: the success and failure paths as one slow path each --
 
@@ -157,9 +157,9 @@ def build(cfg, regions, counter, seed):
     rt.heap_cursor = heap.limit - PAGE_SIZE - 40
     signed.append(rt.protected_malloc(PAGE_SIZE))  # straddles a page boundary
     signed.append(rt.protected_malloc(heap.limit - rt.heap_cursor))
-    for base, size, origin in ((stack.limit - 24, 24, "stack"), (stack.limit - 48, 16, "stack"),
-                               (glob.base, 12, "global"), (glob.limit - 8, 8, "global")):
-        signed.append(rt.register_object(base, size, origin))
+    for base, size in ((stack.limit - 24, 24), (stack.limit - 48, 16),
+                       (glob.base, 12), (glob.limit - 8, 8)):
+        signed.append(rt.register_object(base, size))
         if base == stack.limit - 48:
             rt.retire(base)
     for ptr in signed:
@@ -442,8 +442,8 @@ def test_allocation_free_and_wrapper_success_paths_stay_flat():
     rt = SanitizerRuntime(MemSpace(cfg), PacKey(99), 5)
     ptr = rt.protected_malloc(64)  # its shadow page exists from here on
     rt.wrapper_call("memset", [ptr, 0, 64])  # and so does its data page
-    # a bump and a reuse each make the _Extent, and nothing else, once
-    malloc = ["<lambda>", "protected_malloc", "_allocate", "register_object", "__init__"]
+    # a bump and a reuse each carve and register, and call nothing else
+    malloc = ["<lambda>", "protected_malloc", "_allocate", "register_object"]
     _mac(rt.key, rt.next_id, True)  # the next id signs from a warm table
     after = rt.protected_malloc(24)
     _mac(rt.key, rt.next_id, True)
@@ -482,29 +482,29 @@ def ref_protected_free(rt, ptr):
         raise ViolationError(ViolationKind.SPATIAL_OOB, ptr, found,
                              "free target is not a live heap allocation")
     size = rt.alloc[raw]
-    assert fields(rt.live[raw]) == fields(_Extent(raw, size, found, "heap"))
+    assert rt.live[raw] == (size, found)
     ref_retire(rt, raw)
     rt.free_lists.setdefault(size, {})[raw] = None
     rt.stats.frees += 1
 
 
-def ref_register_object(rt, base, padded, origin):
+def ref_register_object(rt, base, padded):
     if base in rt.live:
         ref_retire(rt, base)
     obj_id = rt.next_id % (1 << 32) or 1
     rt.next_id = obj_id + 1
     rt.mem.shadow_fill(base, padded, obj_id)
-    rt.live[base] = _Extent(base, padded, obj_id, origin)
+    rt.live[base] = (padded, obj_id)
     signed = pac_sign(base, obj_id, rt.key, rt.cfg)
     rt.sigs[obj_id] = signed ^ base
     return signed
 
 
 def ref_retire(rt, base):
-    ext = rt.live.pop(base)
-    rt.mem.shadow_clear(base, ext.size)
-    rt.sigs.pop(ext.obj_id, None)
-    rt.retired.append(ext)
+    padded, obj_id = rt.live.pop(base)
+    rt.mem.shadow_clear(base, padded)
+    rt.sigs.pop(obj_id, None)
+    rt.retired.append((base, padded, obj_id))
 
 
 def ref_protected_malloc(rt, size):
@@ -520,7 +520,7 @@ def ref_protected_malloc(rt, size):
         rt.heap_cursor = base + padded
     rt.alloc[base] = padded
     rt.stats.allocs += 1
-    return ref_register_object(rt, base, padded, "heap")
+    return ref_register_object(rt, base, padded)
 
 
 @pytest.mark.parametrize("cfg", [AddressConfig(33), AddressConfig(47), AddressConfig(52),
@@ -599,12 +599,12 @@ def test_signature_table_matches_pac_auth_reference(cfg, retire, monkeypatch):
             assert ref.protected_malloc(size) == ptr
             live.append(ptr)
         assert len(rt.sigs) == len(rt.live)
-    assert rt.sigs == {ext.obj_id: pac_sign(ext.base, ext.obj_id, rt.key, cfg) ^ ext.base
-                       for ext in rt.live.values()}
+    assert rt.sigs == {obj_id: pac_sign(base, obj_id, rt.key, cfg) ^ base
+                       for base, (_, obj_id) in rt.live.items()}
     assert fields(rt.stats) == fields(ref.stats)
     assert rt.key.macs == ref.key.macs
     assert memory(rt.mem) == memory(ref.mem)
-    assert fields(rt.retired) == fields(ref.retired)
+    assert rt.retired == ref.retired
 
 
 @pytest.mark.parametrize("opts", ["none", "all"])
@@ -674,7 +674,7 @@ def test_runtime_sequences_match_slow_path_references(cfg, counter, seed):
     rt.mem.shadow_fill = lambda *args: slow_fills.append(args) or fill(*args)
     ptrs = []        # every pointer made, stale ones too
     heap_live = []   # the live heap pointers among them
-    extents = []     # (base, padded, id, origin) of registered stack/global objects
+    extents = []     # (base, padded, id) of registered stack/global objects
     slots = [stack.base, stack.limit - 4, stack.limit - PAGE_SIZE - 8, stack.base + 4092,
              glob.base, glob.base + PAGE_SIZE - 8, glob.limit - 12,
              glob.base | 1 << cfg.msb_bit]  # the globals' shadow: refused
@@ -722,21 +722,20 @@ def test_runtime_sequences_match_slow_path_references(cfg, counter, seed):
         elif op == "register":
             base = rng.choice(slots) + rng.choice((0, 0, 0, 2))
             padded = rng.choice((4, 8, 12, 16, 64, PAGE_SIZE, 6, 0))
-            origin = rng.choice(("stack", "global"))
             over = base in rt.live
-            got = full_outcome(rt.register_object, base, padded, origin)
-            assert got == full_outcome(ref_register_object, ref, base, padded, origin), \
+            got = full_outcome(rt.register_object, base, padded)
+            assert got == full_outcome(ref_register_object, ref, base, padded), \
                 (step, hex(base), padded)
             if got[0] == "value":
-                extents.append((base, padded, rt.mem.id_at(base), origin))
+                extents.append((base, padded, rt.mem.id_at(base)))
                 ptrs.append(got[1])
                 seen.add("registered over a live base" if over else "registered")
         elif extents:
-            base, padded, obj_id, origin = extents.pop(rng.randrange(len(extents)))
-            ext = rt.live.get(base)
-            if ext is not None and ext.obj_id == obj_id:  # not retired by a registration since
+            extent = extents.pop(rng.randrange(len(extents)))
+            base, padded, obj_id = extent
+            if rt.live.get(base) == (padded, obj_id):  # not retired by a registration since
                 assert full_outcome(rt.retire, base) == full_outcome(ref_retire, ref, base), step
-                assert fields(rt.retired[-1]) == fields(_Extent(base, padded, obj_id, origin))
+                assert rt.retired[-1] == extent
                 seen.add("retired")
         if step % 50 == 0:
             assert runtime_state(rt) == runtime_state(ref), step

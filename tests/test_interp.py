@@ -1,5 +1,6 @@
 """Interpreter semantics: determinism, trap completeness, frame hygiene."""
 import gc
+import random
 import sys
 import time
 import tracemalloc
@@ -7,13 +8,13 @@ from inspect import CO_GENERATOR
 
 import pytest
 
-from helpers import calls_while, insts, signed_globals
+from helpers import calls_while, insts, random_instrumented_program, region_of, signed_globals
 from pasan import pacore
 from pasan.cli import _build
 from pasan.errors import LimitExceeded, PasanError, ViolationKind
 from pasan.instrument import instrument
 from pasan.interp import _HANDLERS, Interpreter, Limits, run, run_unoptimized_oracle
-from pasan.miniir import _validate_function, parse, validate
+from pasan.miniir import _validate_function, format_program, parse, validate
 from pasan.optpasses import run_passes
 from pasan.pacore import AddressConfig
 
@@ -437,10 +438,67 @@ bb0:
     interp = Interpreter(prog, CFG, seed=0)
     result = interp.run()
     assert result.completed
-    stack_retired = [e for e in interp.rt.retired if e.origin == "stack"]
+    stack_retired = [(base, size) for base, size, _ in interp.rt.retired
+                     if region_of(interp.mem.regions, base, size) == "stack"]
     assert len(stack_retired) == 2
-    for ext in stack_retired:
-        assert all(interp.mem.id_at(ext.base + off) == 0 for off in range(0, ext.size, 4))
+    for base, size in stack_retired:
+        assert all(interp.mem.id_at(base + off) == 0 for off in range(0, size, 4))
+
+
+# Two blocks of one size freed, then one malloc of that size: the
+# eager reuse takes the newest freed block, the adversarial case for a
+# stale pointer, so the difference @ext_id reads of the raw addresses
+# (the heap lies below 2^32) is 0.
+NEWEST_REUSED = """\
+extern @ext_id(ptr) -> i32
+
+func @main() -> i32 {
+bb0:
+  %sz = const.i64 24
+  %a = malloc %sz
+  %b = malloc %sz
+  free %a
+  free %b
+  %c = malloc %sz
+  %ci = call @ext_id(%c)
+  %bi = call @ext_id(%b)
+  %d = sub.i32 %ci, %bi
+  free %c
+  ret %d
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["raw", "none", "all", "oracle"])
+def test_malloc_reuses_the_newest_freed_block_of_its_size(mode):
+    src = parse(NEWEST_REUSED)
+    validate(src)
+    result = run_unoptimized_oracle(src, CFG, seed=0) if mode == "oracle" \
+        else run(src if mode == "raw" else run_passes(instrument(src), mode), CFG, seed=0)
+    assert (result.verdict, result.exit_value) == ("completed", 0)
+
+
+def test_every_extent_lies_wholly_inside_one_region(corpus_dir, data_dir):
+    # _classify_failure reads a stale or unshadowed address in the stack
+    # region as out of scope, and any other as freed: that is the
+    # object's origin only while no extent leaves its region.
+    texts = [path.read_text() for path in [*sorted(corpus_dir.glob("*.ir")),
+                                           *sorted(data_dir.glob("*.ir"))]]
+    texts += [format_program(random_instrumented_program(random.Random(seed)))
+              for seed in range(20)]
+    seen = set()
+    for k, text in enumerate(texts):
+        for mode in ("none", "all", "oracle"):
+            it = Interpreter(_build(text, "none" if mode == "oracle" else mode), CFG, 0,
+                             bytewise=mode == "oracle")
+            it.run()
+            extents = [(base, size) for base, (size, _) in it.rt.live.items()]
+            extents += [(base, size) for base, size, _ in it.rt.retired]
+            for base, size in extents:
+                region = region_of(it.mem.regions, base, size)
+                assert region is not None, (k, mode, hex(base), size)
+                seen.add(region)
+    assert seen == {"globals", "heap", "stack"}
 
 
 def test_use_after_scope_detected():
@@ -513,17 +571,18 @@ def test_resigned_loop_alloca_keeps_one_entry_per_base(monkeypatch):
     def recording(interp, frame, regs, inst):
         before = len(interp.rt.retired)
         out = ret(interp, frame, regs, inst)
-        popped.append([ext.base for ext in interp.rt.retired[before:]])
+        popped.append([base for base, _, _ in interp.rt.retired[before:]])
         return out
 
     monkeypatch.setitem(_HANDLERS, "ret", recording)
     result = interp.run()
     assert result.completed and result.exit_value == 7
     [retired] = popped  # %init and %a, once each whatever the trips
-    bases = [ext.base for ext in interp.rt.retired]
+    bases = [base for base, _, _ in interp.rt.retired]
     assert sorted(map(bases.count, retired)) == [1, trips]
     assert len(bases) == trips + 1
-    assert all(ext.origin == "stack" for ext in interp.rt.retired)
+    assert all(region_of(interp.mem.regions, base, size) == "stack"
+               for base, size, _ in interp.rt.retired)
 
 
 STALE_INTERIOR_FREE = """\

@@ -411,25 +411,27 @@ def test_strayed_pointer_of_a_wrapped_id_survivor_is_spatial_oob(freed):
     assert f"[0x{strip(survivor, CFG):x}, " in exc_info.value.report.narrative
 
 
-@pytest.mark.parametrize("origin, kind", [("global", ViolationKind.USE_AFTER_FREE),
+@pytest.mark.parametrize("region, kind", [("globals", ViolationKind.USE_AFTER_FREE),
+                                          ("heap", ViolationKind.USE_AFTER_FREE),
                                           ("stack", ViolationKind.USE_AFTER_SCOPE)])
-def test_registration_over_a_live_base_retires_the_old_extent(origin, kind):
+def test_registration_over_a_live_base_retires_the_old_extent(region, kind):
     # A global set up again, or a loop alloca signed again: the old
-    # instance ends, so its genuine pointer reads as stale, not crafted.
+    # instance ends, so its genuine pointer reads as stale, not crafted,
+    # and the region it lies in says whether it went out of scope.
     rt = make_rt()
     regions = rt.mem.regions
-    base = regions.globals.base if origin == "global" else regions.stack.limit - 16
-    old = rt.register_object(base, 16, origin)
-    old_ext = rt.live[base]
-    new = rt.register_object(base, 16, origin)
-    assert rt.retired == [old_ext]
-    assert list(rt.sigs) == [rt.live[base].obj_id] == [rt.mem.id_at(base)]
-    assert old_ext.obj_id not in rt.sigs
+    base = regions.stack.limit - 16 if region == "stack" else getattr(regions, region).base
+    old = rt.register_object(base, 16)
+    old_size, old_id = rt.live[base]
+    new = rt.register_object(base, 16)
+    assert old_size == 16 and rt.retired == [(base, 16, old_id)]
+    assert list(rt.sigs) == [rt.live[base][1]] == [rt.mem.id_at(base)]
+    assert rt.live[base][0] == 16 and old_id not in rt.sigs
     assert rt.checked_access(new, 4) == base
     with pytest.raises(ViolationError) as exc_info:
         rt.checked_access(old, 4)
     assert kind_of(exc_info) is kind
-    assert exc_info.value.report.narrative.endswith(f"object id=0x{old_ext.obj_id:08x}")
+    assert exc_info.value.report.narrative.endswith(f"object id=0x{old_id:08x}")
 
 
 def test_heap_exhaustion_is_harness_error():
@@ -571,7 +573,7 @@ def test_free_of_a_freed_or_never_carved_address_is_refused():
     # A signed pointer to each: protected_free authenticates it and finds
     # no live heap allocation at its base.
     for base, padded in ((freed, 24), (never, 8)):
-        signed = rt.register_object(base, padded, "heap")
+        signed = rt.register_object(base, padded)
         with pytest.raises(ViolationError, match="not a live heap allocation") as exc:
             rt.protected_free(signed)
         assert kind_of(exc) == ViolationKind.SPATIAL_OOB

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import looping_cfgs
+from helpers import looping_cfgs, region_of
 from pasan import interp
 from pasan.errors import LimitExceeded, PasanError
 from pasan.instrument import instrument
@@ -486,9 +486,11 @@ def test_signing_loops_compile_and_agree_with_the_oracle(text, expect, mode, n):
                     if hot]
         assert len(compiled) == (tier_at != OFF), tier_at
         if expect == "completed":
-            origins = [ext.origin for ext in it.rt.live.values()]
-            assert "stack" not in origins and origins.count("global") == (text == GLOBAL_LOOP)
-            assert not any(ext.origin == "global" for ext in it.rt.retired)
+            regions = [region_of(it.mem.regions, base, size)
+                       for base, (size, _) in it.rt.live.items()]
+            assert "stack" not in regions and regions.count("globals") == (text == GLOBAL_LOOP)
+            assert not any(region_of(it.mem.regions, base, size) == "globals"
+                           for base, size, _ in it.rt.retired)
 
 
 def test_every_template_runs_and_agrees():

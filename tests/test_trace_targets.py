@@ -320,11 +320,11 @@ def _with_trips(text, trips):
 # A LOOP trip under "none" is two `checked_access` calls, each reading
 # its shadow word itself; its store and load move their bytes inline
 # in a page of `MemSpace.pages` and make no call.  A CHURN_LOOP trip
-# (13 measured) is a malloc (`protected_malloc` → `_allocate`,
-# `register_object`, the `_Extent`: 4 calls), a memset (`wrapper_call`,
-# two `checked_access`, `move`: 4), two checks (2) and a free
+# (12 measured) is a malloc (`protected_malloc` → `_allocate`,
+# `register_object`: 3 calls), a memset (`wrapper_call`, two
+# `checked_access`, `move`: 4), two checks (2) and a free
 # (`protected_free`, `retire`, `_release`: 3).
-@pytest.mark.parametrize("text, budget", [(LOOP, 2), (CHURN_LOOP, 13)],
+@pytest.mark.parametrize("text, budget", [(LOOP, 2), (CHURN_LOOP, 12)],
                          ids=["hotloop", "churn"])
 def test_compiled_loop_trips_stay_within_call_budgets(text, budget):
     """Python calls per compiled trip under "none", taken as the
